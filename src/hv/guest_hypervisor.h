@@ -4,9 +4,10 @@
  * on bare hardware and services its nested VM's (L2's) traps.
  *
  * The handler logic is written once and runs identically in the
- * nested baseline, SW SVt (on the SVt-thread) and HW SVt; only the
- * L1Backend implementation differs, which is exactly the paper's
- * claim that hypervisor changes for SVt are modest (Section 5.1).
+ * nested baseline, SW SVt (on the SVt-thread) and HW SVt; only how
+ * the L1Backend reaches L2's state differs, which is exactly the
+ * paper's claim that hypervisor changes for SVt are modest (Section
+ * 5.1).
  */
 
 #ifndef SVTSIM_HV_GUEST_HYPERVISOR_H
@@ -29,40 +30,57 @@
 
 namespace svtsim {
 
+class VirtStack;
+
 /**
- * Mechanism interface the L1 handler code uses to reach its guest's
- * (L2's) state and to finish an exit. Implementations:
+ * How the L1 handler code reaches its guest's (L2's) state and
+ * finishes an exit. One implementation serves every L0<->L1
+ * transport of the nested trap round; it follows where L1 runs:
  *
- *  - nested baseline / SW SVt: in-memory vCPU cache synced by L0 plus
- *    vmread/vmwrite that hit the shadow VMCS or trap to L0;
- *  - HW SVt: ctxtld/ctxtst into the L2 hardware context.
+ *  - on a VMX engine (baseline, SW SVt): L2's registers come from the
+ *    in-memory vCPU cache L0 synced; vmread/vmwrite hit the shadow
+ *    VMCS or trap to L0 on that engine;
+ *  - on an SVt context (HW SVt): ctxtld/ctxtst reach L2's registers
+ *    and RIP/RFLAGS in its dedicated context (the vCPU cache when L1
+ *    and L2 share one); shadowable VMCS fields come from vmcs12,
+ *    the rest take SVt-grade trap rounds.
  */
 class L1Backend
 {
   public:
-    virtual ~L1Backend() = default;
+    explicit L1Backend(VirtStack &stack) : stack_(stack) {}
 
     /** Read a field of vmcs01' (L1's VMCS for L2). */
-    virtual std::uint64_t vmcsRead(VmcsField field) = 0;
+    std::uint64_t vmcsRead(VmcsField field);
 
     /** Write a field of vmcs01'. */
-    virtual void vmcsWrite(VmcsField field, std::uint64_t value) = 0;
+    void vmcsWrite(VmcsField field, std::uint64_t value);
 
     /** Read one of L2's general-purpose registers. */
-    virtual std::uint64_t l2Gpr(Gpr reg) = 0;
+    std::uint64_t l2Gpr(Gpr reg);
 
     /** Write one of L2's general-purpose registers. */
-    virtual void setL2Gpr(Gpr reg, std::uint64_t value) = 0;
+    void setL2Gpr(Gpr reg, std::uint64_t value);
 
     /** L1 handler compute time (charged to the L1 handler stage). */
-    virtual void compute(Ticks t) = 0;
+    void compute(Ticks t);
 
     /** The GuestApi of L1 itself (for vhost-side device work, timer
      *  reprogramming, kicks of L1's own virtio devices). */
-    virtual GuestApi &l1Api() = 0;
+    GuestApi &l1Api();
 
     /** Cost model, for charging handler logic time. */
-    virtual const CostModel &costs() const = 0;
+    const CostModel &costs() const;
+
+  private:
+    /** Whether L2's registers sit in their own SVt context. */
+    bool l2InContext() const;
+
+    /** Serve a vmread (@p write false) or vmwrite of @p field from the
+     *  shadow VMCS; false when the access traps to L0 instead. */
+    bool shadowed(VmcsField field, std::uint64_t &value, bool write);
+
+    VirtStack &stack_;
 };
 
 /** Handler for an L2 MMIO access emulated by L1 (virtio backends). */

@@ -1,8 +1,9 @@
 /**
  * @file
  * The nested virtualization trap machinery: Algorithm 1 of the paper,
- * in its baseline, SW SVt and HW SVt variants, plus the L1-grade
- * single-level trap rounds and the L1Api/L2Api/backend code.
+ * written once over the four L0<->L1 transports of its Table 3, plus
+ * the Section 3.1 direct reflect, the L1-grade single-level trap round
+ * and the L1Api/L2Api/L1Backend code.
  */
 
 #include <algorithm>
@@ -27,6 +28,22 @@ countAddressFields()
         if (vmcsFieldIsAddress(static_cast<VmcsField>(i)))
             ++n;
     return n;
+}
+
+/** Spill a hardware context's GPRs into a vCPU struct. */
+void
+saveGprs(const HwContext &ctx, Vcpu &vcpu)
+{
+    for (int i = 0; i < numGprs; ++i)
+        vcpu.setGpr(static_cast<Gpr>(i), ctx.readGpr(static_cast<Gpr>(i)));
+}
+
+/** Reload a hardware context's GPRs from a vCPU struct. */
+void
+loadGprs(const Vcpu &vcpu, HwContext &ctx)
+{
+    for (int i = 0; i < numGprs; ++i)
+        ctx.writeGpr(static_cast<Gpr>(i), vcpu.gpr(static_cast<Gpr>(i)));
 }
 
 } // namespace
@@ -57,11 +74,7 @@ VirtStack::exitFromL2(const ExitInfo &info)
         engines_[0]->vmexit(info);
         // Hypervisor thunk: spill L2's GPRs into L0's vcpu struct.
         machine_.consume(c.thunkRegSave * c.thunkRegs);
-        HwContext &ctx = engines_[0]->context();
-        for (int i = 0; i < numGprs; ++i) {
-            vcpuL2InL0_->setGpr(static_cast<Gpr>(i),
-                                ctx.readGpr(static_cast<Gpr>(i)));
-        }
+        saveGprs(engines_[0]->context(), *vcpuL2InL0_);
     }
     l2Running_ = false;
 }
@@ -76,17 +89,12 @@ VirtStack::resumeL2()
     if (e0.currentVmcs() != vmcs02_.get())
         e0.vmptrld(vmcs02_.get());
     if (config_.mode == VirtMode::HwSvt) {
-        if (svtMultiplexed_)
-            svtSwitchOwner(2);
+        svtSwitchOwner(2);
         svt_->loadFromVmcs(*vmcs02_);
         svt_->vmResume();
     } else {
         // Thunk: reload L2's GPRs, then the entry microcode.
-        HwContext &ctx = e0.context();
-        for (int i = 0; i < numGprs; ++i) {
-            ctx.writeGpr(static_cast<Gpr>(i),
-                         vcpuL2InL0_->gpr(static_cast<Gpr>(i)));
-        }
+        loadGprs(*vcpuL2InL0_, e0.context());
         machine_.consume(c.thunkRegRestore * c.thunkRegs);
         e0.vmentry(false);
     }
@@ -144,14 +152,12 @@ VirtStack::transformVmcs12ToVmcs02()
     // Register context reflected back into L0's vcpu struct (not
     // needed with dedicated SVt contexts, where registers never left
     // the hardware).
-    if (config_.mode != VirtMode::HwSvt || svtMultiplexed_) {
-        for (int i = 0; i < numGprs; ++i) {
-            vcpuL2InL0_->setGpr(static_cast<Gpr>(i),
-                                vcpuL2InL1_->gpr(static_cast<Gpr>(i)));
-        }
+    const L1Transport tr = transport(/*reflect=*/false);
+    if (tr != L1Transport::Ctxt) {
+        vcpuL2InL0_->gprs() = vcpuL2InL1_->gprs();
         machine_.consume(2 * numGprs * c.memAccess);
     }
-    if (svtMultiplexed_) {
+    if (tr == L1Transport::Mux) {
         vcpuL2InL0_->rip = vmcs12_->read(VmcsField::GuestRip);
         vcpuL2InL0_->rflags = vmcs12_->read(VmcsField::GuestRflags);
     }
@@ -184,8 +190,8 @@ void
 VirtStack::nestedExitFromL2(const ExitInfo &info)
 {
     simAssert(isNestedMode(), "nestedExitFromL2 outside nested mode");
-    machine_.pushScope(std::string("exit.") +
-                       exitReasonName(info.reason));
+    TimeScope exit_scope(machine_, std::string("exit.") +
+                                       exitReasonName(info.reason));
     ReasonMetrics &rm =
         l2ExitMetric_[static_cast<std::size_t>(info.reason)];
     rm.count.inc();
@@ -195,8 +201,9 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
     const Ticks round_start = machine_.now();
     const CostModel &c = machine_.costs();
 
-    if (config_.mode == VirtMode::HwSvt && config_.svtDirectReflect &&
-        !svtMultiplexed_ && directReflectable(info.reason)) {
+    // Construction guarantees direct reflect runs on HW SVt with a
+    // dedicated context per level.
+    if (config_.svtDirectReflect && directReflectable(info.reason)) {
         // Section 3.1 extension: the trap bypasses L0 entirely. The
         // hardware deposits the exit information into the shadow VMCS
         // and retargets fetch to the guest hypervisor's context; only
@@ -216,7 +223,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         {
             TimeScope l1(machine_, "stage.l1_handler");
             l1ViaSvt_ = true;
-            resume = guestHv_->handleNestedExit(info, *ctxtBackend_);
+            resume = guestHv_->handleNestedExit(info, l1Backend_);
             l1ViaSvt_ = false;
         }
         simAssert(resume, "direct-reflected exit must resume");
@@ -229,7 +236,6 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
             l2Running_ = true;
         }
         rm.latency.record(machine_.now() - round_start);
-        machine_.popScope();
         return;
     }
 
@@ -270,7 +276,6 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
     if (resume)
         resumeL2();
     rm.latency.record(machine_.now() - round_start);
-    machine_.popScope();
 }
 
 void
@@ -309,217 +314,162 @@ VirtStack::serviceL1Housekeeping(bool overlapped)
     hkSerialMetric_.inc();
 }
 
+VirtStack::L1Transport
+VirtStack::transport(bool reflect) const
+{
+    if (config_.mode == VirtMode::HwSvt)
+        return svtMultiplexed_ ? L1Transport::Mux : L1Transport::Ctxt;
+    if (reflect && config_.mode == VirtMode::SwSvt && !svtDegraded_)
+        return L1Transport::Ring;
+    return L1Transport::Vmcs;
+}
+
+void
+VirtStack::enterL1(L1Transport t)
+{
+    if (t == L1Transport::Vmcs) {
+        const CostModel &c = machine_.costs();
+        engines_[0]->vmentry(false);
+        machine_.consume(c.thunkRegRestore * c.thunkRegs);
+        l1Engine_ = engines_[0].get();
+    } else {
+        svt_->vmResume();
+        l1ViaSvt_ = true;
+    }
+}
+
+void
+VirtStack::leaveL1(L1Transport t, ExitReason why)
+{
+    if (t == L1Transport::Vmcs) {
+        const CostModel &c = machine_.costs();
+        machine_.consume(c.thunkRegSave * c.thunkRegs);
+        engines_[0]->vmexit(ExitInfo{.reason = why});
+    } else {
+        // A thread stall/resume pair: squash + retarget to L0.
+        svt_->vmTrap();
+    }
+    l1Engine_ = nullptr;
+    l1ViaSvt_ = false;
+}
+
 bool
 VirtStack::reflectToL1(const ExitInfo &info)
 {
-    switch (config_.mode) {
-      case VirtMode::Nested:
-        serviceL1Housekeeping(false);
-        return reflectBaseline(info);
-      case VirtMode::SwSvt:
+    if (config_.mode == VirtMode::SwSvt)
         maybeRepromoteSvt();
-        if (svtDegraded_) {
-            // Watchdog fallback: until the quiet period ends, exits
-            // take the conventional nested path (one effective
-            // thread, so housekeeping is serviced serially).
-            serviceL1Housekeeping(false);
-            return reflectBaseline(info);
-        }
-        serviceL1Housekeeping(true);
-        return reflectSwSvt(info);
-      case VirtMode::HwSvt:
-        serviceL1Housekeeping(false);
-        return svtMultiplexed_ ? reflectHwSvtMultiplexed(info)
-                               : reflectHwSvt(info);
-      default:
-        panic("reflectToL1 in mode %s", virtModeName(config_.mode));
-    }
-}
-
-bool
-VirtStack::reflectBaseline(const ExitInfo &info)
-{
+    // The L1 vCPU runs its housekeeping on its own thread while the
+    // SVt-thread handles the exit; every other transport has one
+    // effective thread of execution.
+    serviceL1Housekeeping(transport(/*reflect=*/true) ==
+                          L1Transport::Ring);
     const CostModel &c = machine_.costs();
     VmxEngine &e0 = *engines_[0];
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch + c.nestedExitCheck);
-        e0.vmptrld(vmcs01_.get());
-        // Lazily sync the trap context into the L1-visible state:
-        // vmread-grade accesses of GPRs and exit-info values.
-        machine_.consume(c.lazySyncValue * c.lazySyncValues);
-        for (int i = 0; i < numGprs; ++i) {
-            vcpuL2InL1_->setGpr(static_cast<Gpr>(i),
-                                vcpuL2InL0_->gpr(static_cast<Gpr>(i)));
+    // A SW SVt handshake the watchdog tears down before L1 ran starts
+    // the round over on the conventional path.
+    for (;;) {
+        const L1Transport t = transport(/*reflect=*/true);
+        const bool ring = (t == L1Transport::Ring);
+        ChannelMessage msg;
+        {
+            TimeScope l0(machine_, "stage.l0_handler");
+            machine_.consume(c.handlerDispatch + c.nestedExitCheck);
+            if (t == L1Transport::Vmcs) {
+                e0.vmptrld(vmcs01_.get());
+                // Lazily sync the trap context into the L1-visible
+                // state: vmread-grade accesses of GPRs and exit-info
+                // values.
+                machine_.consume(c.lazySyncValue * c.lazySyncValues);
+                vcpuL2InL1_->gprs() = vcpuL2InL0_->gprs();
+            } else if (!ring) {
+                e0.vmptrld(vmcs01_.get());
+                svt_->loadFromVmcs(*vmcs01_);
+                // Exit information lands in the L1-visible memory;
+                // registers need no copying, unless L2 is about to be
+                // displaced from a shared context: then the cheap
+                // ctxtld reads must land in memory too.
+                Ticks sync = 10 * c.vmcsFieldCopy;
+                if (t == L1Transport::Mux) {
+                    HwContext &ctx1 = core_.context(1);
+                    sync += numGprs * (c.ctxtRegAccess + c.memAccess);
+                    saveGprs(ctx1, *vcpuL2InL1_);
+                    vmcs12_->write(VmcsField::GuestRip, ctx1.rip);
+                    vmcs12_->write(VmcsField::GuestRflags, ctx1.rflags);
+                }
+                machine_.consume(sync);
+            }
+            vmcs12_->recordExit(info);
+            machine_.consume(c.nestedStateMachine);
+            if (ring) {
+                // CMD_VM_TRAP with the register payload (the prototype
+                // has no cross-thread register file access).
+                msg.command = SwSvtCommand::VmTrap;
+                msg.info = info;
+                msg.gprs = vcpuL2InL0_->gprs();
+                ringToSvt_->post(msg);
+            }
         }
-        vmcs12_->recordExit(info);
-        machine_.consume(c.nestedStateMachine);
-    }
-    {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        e0.vmentry(false);
-        machine_.consume(c.thunkRegRestore * c.thunkRegs);
-    }
-    bool resume;
-    {
-        TimeScope l1(machine_, "stage.l1_handler");
-        l1Engine_ = &e0;
-        l1Vmcs_ = vmcs01_.get();
-        resume = guestHv_->handleNestedExit(info, *memBackend_);
-        l1Engine_ = nullptr;
-        l1Vmcs_ = nullptr;
-    }
-    {
-        // L1 issues VMRESUME (or halts): traps back into L0.
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        machine_.consume(c.thunkRegSave * c.thunkRegs);
-        e0.vmexit(ExitInfo{.reason = resume ? ExitReason::Vmresume
-                                            : ExitReason::Hlt});
-    }
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch);
-        if (resume)
-            e0.vmptrld(vmcs02_.get());
-    }
-    if (resume)
-        transformVmcs12ToVmcs02();
-    return resume;
-}
-
-bool
-VirtStack::reflectSwSvt(const ExitInfo &info)
-{
-    const CostModel &c = machine_.costs();
-    ChannelMessage trap;
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch + c.nestedExitCheck);
-        vmcs12_->recordExit(info);
-        machine_.consume(c.nestedStateMachine);
-        // CMD_VM_TRAP with the register payload (the prototype has no
-        // cross-thread register file access).
-        trap.command = SwSvtCommand::VmTrap;
-        trap.info = info;
-        for (int i = 0; i < numGprs; ++i)
-            trap.gprs[static_cast<std::size_t>(i)] =
-                vcpuL2InL0_->gpr(static_cast<Gpr>(i));
-        ringToSvt_->post(trap);
-    }
-    serviceSvtThreadPreemption();
-    if (svtDegraded_) {
-        // The watchdog tore the handshake down mid-round (Section 5.3
-        // stall); complete this exit on the conventional path.
-        return reflectBaseline(info);
-    }
-    if (!svtAwaitRing(*ringToSvt_, trap)) {
-        svtFallback("CMD_VM_TRAP lost");
-        return reflectBaseline(info);
-    }
-    ChannelMessage msg;
-    {
-        // The SVt-thread observes the command (monitor/mwait wake)
-        // and reads the payload; the ring pop consumes time and must
-        // stay inside the channel stage or its ticks go unattributed.
-        TimeScope ch(machine_, "stage.channel");
-        ringToSvt_->consumeWake(config_.channel);
-        msg = ringToSvt_->pop();
-    }
-    for (int i = 0; i < numGprs; ++i) {
-        vcpuL2InL1_->setGpr(static_cast<Gpr>(i),
-                            msg.gprs[static_cast<std::size_t>(i)]);
-    }
-    bool resume;
-    ChannelMessage resp;
-    {
-        TimeScope l1(machine_, "stage.l1_handler");
-        l1Engine_ = engines_[1].get();
-        l1Vmcs_ = vmcs01s_.get();
-        l1Slowdown_ = config_.channel.workerSlowdown(c);
-        resume = guestHv_->handleNestedExit(msg.info, *memBackend_);
-        l1Slowdown_ = 1.0;
-        l1Engine_ = nullptr;
-        l1Vmcs_ = nullptr;
-        // CMD_VM_RESUME with the updated register payload.
-        resp.command = SwSvtCommand::VmResume;
-        resp.info = msg.info;
-        resp.l2Halted = !resume;
-        for (int i = 0; i < numGprs; ++i)
-            resp.gprs[static_cast<std::size_t>(i)] =
-                vcpuL2InL1_->gpr(static_cast<Gpr>(i));
-        ringFromSvt_->post(resp);
-    }
-    if (!svtAwaitRing(*ringFromSvt_, resp)) {
-        // The response is gone beyond retries, but the L1 handler did
-        // run and vcpuL2InL1_ holds the updated registers: degrade and
-        // sync them the conventional (vmread-grade) way.
-        svtFallback("CMD_VM_RESUME lost");
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.lazySyncValue * c.lazySyncValues);
-        for (int i = 0; i < numGprs; ++i) {
-            vcpuL2InL0_->setGpr(static_cast<Gpr>(i),
-                                vcpuL2InL1_->gpr(static_cast<Gpr>(i)));
+        if (ring) {
+            // The SVt-thread picks the command up, unless a Section
+            // 5.3 stall or a lost doorbell degraded the stack first.
+            serviceSvtThreadPreemption();
+            if (svtDegraded_ ||
+                !svtAwaitRing(*ringToSvt_, msg, "CMD_VM_TRAP lost"))
+                continue;
+            vcpuL2InL1_->gprs() = msg.gprs;
+        } else {
+            TimeScope sw(machine_, "stage.switch_l0_l1");
+            svtSwitchOwner(1); // a no-op unless L1 and L2 share a context
+            enterL1(t);
+        }
+        bool resume;
+        {
+            TimeScope l1(machine_, "stage.l1_handler");
+            if (ring) {
+                l1Engine_ = engines_[1].get();
+                l1Slowdown_ = config_.channel.workerSlowdown(c);
+            }
+            resume = guestHv_->handleNestedExit(info, l1Backend_);
+            if (ring) {
+                l1Slowdown_ = 1.0;
+                l1Engine_ = nullptr;
+                // CMD_VM_RESUME with the updated register payload.
+                msg.command = SwSvtCommand::VmResume;
+                msg.l2Halted = !resume;
+                msg.gprs = vcpuL2InL1_->gprs();
+                ringFromSvt_->post(msg);
+            }
+        }
+        if (!ring) {
+            {
+                // L1 issues VMRESUME (or halts): traps back into L0.
+                TimeScope sw(machine_, "stage.switch_l0_l1");
+                leaveL1(t, resume ? ExitReason::Vmresume
+                                  : ExitReason::Hlt);
+            }
+            TimeScope l0(machine_, "stage.l0_handler");
+            machine_.consume(c.handlerDispatch);
+            if (resume)
+                e0.vmptrld(vmcs02_.get());
+        } else if (svtAwaitRing(*ringFromSvt_, msg,
+                                "CMD_VM_RESUME lost")) {
+            vcpuL2InL0_->gprs() = msg.gprs;
+        } else {
+            // The response is gone beyond retries, but the L1 handler
+            // did run and vcpuL2InL1_ holds the updated registers:
+            // sync them the conventional (vmread-grade) way. The
+            // return transform runs inside this handler stage.
+            TimeScope l0(machine_, "stage.l0_handler");
+            machine_.consume(c.lazySyncValue * c.lazySyncValues);
+            vcpuL2InL0_->gprs() = vcpuL2InL1_->gprs();
+            if (resume)
+                transformVmcs12ToVmcs02();
+            return resume;
         }
         if (resume)
             transformVmcs12ToVmcs02();
         return resume;
     }
-    {
-        // L0 observes the response and reads the payload back.
-        TimeScope ch(machine_, "stage.channel");
-        ringFromSvt_->consumeWake(config_.channel);
-        resp = ringFromSvt_->pop();
-    }
-    for (int i = 0; i < numGprs; ++i) {
-        vcpuL2InL0_->setGpr(static_cast<Gpr>(i),
-                            resp.gprs[static_cast<std::size_t>(i)]);
-    }
-    if (resume)
-        transformVmcs12ToVmcs02();
-    return resume;
-}
-
-bool
-VirtStack::reflectHwSvt(const ExitInfo &info)
-{
-    const CostModel &c = machine_.costs();
-    VmxEngine &e0 = *engines_[0];
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch + c.nestedExitCheck);
-        e0.vmptrld(vmcs01_.get());
-        svt_->loadFromVmcs(*vmcs01_);
-        // Exit information lands in the L1-visible memory; registers
-        // need no copying at all (they sit in context-2).
-        vmcs12_->recordExit(info);
-        machine_.consume(10 * c.vmcsFieldCopy);
-        machine_.consume(c.nestedStateMachine);
-    }
-    {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        svt_->vmResume();
-    }
-    bool resume;
-    {
-        TimeScope l1(machine_, "stage.l1_handler");
-        l1ViaSvt_ = true;
-        resume = guestHv_->handleNestedExit(info, *ctxtBackend_);
-        l1ViaSvt_ = false;
-    }
-    {
-        // L1's VMRESUME traps: a thread stall/resume pair.
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        svt_->vmTrap();
-    }
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch);
-        if (resume)
-            e0.vmptrld(vmcs02_.get());
-    }
-    if (resume)
-        transformVmcs12ToVmcs02();
-    return resume;
 }
 
 void
@@ -535,75 +485,17 @@ VirtStack::svtSwitchOwner(int level)
     // switch SVt was designed to avoid, reintroduced by the capacity
     // limit (Section 3.1).
     Vcpu &out = (svtCtx1Owner_ == 2) ? *vcpuL2InL0_ : *vcpuL1_;
-    for (int i = 0; i < numGprs; ++i) {
-        out.setGpr(static_cast<Gpr>(i),
-                   ctx.readGpr(static_cast<Gpr>(i)));
-    }
+    saveGprs(ctx, out);
     out.rip = ctx.rip;
     out.rflags = ctx.rflags;
     machine_.consume(c.thunkRegSave * c.thunkRegs);
     Vcpu &in = (level == 2) ? *vcpuL2InL0_ : *vcpuL1_;
-    for (int i = 0; i < numGprs; ++i) {
-        ctx.writeGpr(static_cast<Gpr>(i),
-                     in.gpr(static_cast<Gpr>(i)));
-    }
+    loadGprs(in, ctx);
     ctx.rip = in.rip;
     ctx.rflags = in.rflags;
     machine_.consume(c.thunkRegRestore * c.thunkRegs);
     ctxMultiplexMetric_.inc();
     svtCtx1Owner_ = level;
-}
-
-bool
-VirtStack::reflectHwSvtMultiplexed(const ExitInfo &info)
-{
-    const CostModel &c = machine_.costs();
-    VmxEngine &e0 = *engines_[0];
-    HwContext &ctx1 = core_.context(1);
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch + c.nestedExitCheck);
-        e0.vmptrld(vmcs01_.get());
-        svt_->loadFromVmcs(*vmcs01_);
-        // Lazy sync of L2's trap context: the reads are cheap ctxtld
-        // accesses, but the values must land in memory because L2 is
-        // about to be displaced from the shared context.
-        machine_.consume(numGprs * (c.ctxtRegAccess + c.memAccess) +
-                         10 * c.vmcsFieldCopy);
-        for (int i = 0; i < numGprs; ++i) {
-            vcpuL2InL1_->setGpr(static_cast<Gpr>(i),
-                                ctx1.readGpr(static_cast<Gpr>(i)));
-        }
-        vmcs12_->recordExit(info);
-        vmcs12_->write(VmcsField::GuestRip, ctx1.rip);
-        vmcs12_->write(VmcsField::GuestRflags, ctx1.rflags);
-        machine_.consume(c.nestedStateMachine);
-    }
-    {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        svtSwitchOwner(1);
-        svt_->vmResume();
-    }
-    bool resume;
-    {
-        TimeScope l1(machine_, "stage.l1_handler");
-        l1ViaSvt_ = true;
-        resume = guestHv_->handleNestedExit(info, *muxBackend_);
-        l1ViaSvt_ = false;
-    }
-    {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
-        svt_->vmTrap();
-    }
-    {
-        TimeScope l0(machine_, "stage.l0_handler");
-        machine_.consume(c.handlerDispatch);
-        if (resume)
-            e0.vmptrld(vmcs02_.get());
-    }
-    if (resume)
-        transformVmcs12ToVmcs02();
-    return resume;
 }
 
 void
@@ -708,34 +600,46 @@ VirtStack::drainL1Ipis()
 // -------------------------------------------- SW SVt heartbeat watchdog
 
 bool
-VirtStack::svtAwaitRing(CommandRing &ring, const ChannelMessage &repost)
+VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
+                        const char *lost)
 {
-    if (ring.hasMessage())
-        return true;
-    const SvtWatchdogConfig &wd = config_.svtWatchdog;
-    if (!wd.enabled) {
-        throw DeadlockError(
-            "SW SVt handshake hang: no command ever arrived on " +
-            ring.name() +
-            " (a lost doorbell with no watchdog stalls the "
-            "L0<->SVt-thread handshake forever, the Section 5.3 "
-            "failure mode); enable StackConfig::svtWatchdog to "
-            "degrade gracefully");
+    bool arrived = ring.hasMessage();
+    if (!arrived) {
+        const SvtWatchdogConfig &wd = config_.svtWatchdog;
+        if (!wd.enabled) {
+            throw DeadlockError(
+                "SW SVt handshake hang: no command ever arrived on " +
+                ring.name() +
+                " (a lost doorbell with no watchdog stalls the "
+                "L0<->SVt-thread handshake forever, the Section 5.3 "
+                "failure mode); enable StackConfig::svtWatchdog to "
+                "degrade gracefully");
+        }
+        TimeScope t(machine_, "stage.svt_watchdog");
+        for (int attempt = 1; attempt <= wd.maxRetries && !arrived;
+             ++attempt) {
+            // The heartbeat deadline passes; retry by re-ringing the
+            // doorbell, with linear backoff between attempts.
+            machine_.consume(wd.timeout +
+                             static_cast<Ticks>(attempt - 1) * wd.backoff);
+            svtWatchdogRetryMetric_.inc();
+            SVTSIM_TRACE_INSTANT(machine_.traceSink(),
+                                 TraceCategory::Channel,
+                                 "svt.watchdog.retry");
+            arrived = ring.post(msg) && ring.hasMessage();
+        }
     }
-    TimeScope t(machine_, "stage.svt_watchdog");
-    for (int attempt = 1; attempt <= wd.maxRetries; ++attempt) {
-        // The heartbeat deadline passes; retry by re-ringing the
-        // doorbell, with linear backoff between attempts.
-        machine_.consume(wd.timeout +
-                         static_cast<Ticks>(attempt - 1) * wd.backoff);
-        svtWatchdogRetryMetric_.inc();
-        SVTSIM_TRACE_INSTANT(machine_.traceSink(),
-                             TraceCategory::Channel,
-                             "svt.watchdog.retry");
-        if (ring.post(repost) && ring.hasMessage())
-            return true;
+    if (!arrived) {
+        svtFallback(lost);
+        return false;
     }
-    return false;
+    // The receiver observes the command (monitor/mwait wake) and
+    // reads the payload; the ring pop consumes time and must stay
+    // inside the channel stage or its ticks go unattributed.
+    TimeScope ch(machine_, "stage.channel");
+    ring.consumeWake(config_.channel);
+    msg = ring.pop();
+    return true;
 }
 
 void
@@ -770,52 +674,45 @@ VirtStack::maybeRepromoteSvt()
 
 // ------------------------------------------ L1-grade single-level traps
 
-std::uint64_t
-VirtStack::l1TrapRound(VmxEngine &engine, const ExitInfo &info)
+HwContext &
+VirtStack::l1Context()
 {
-    const CostModel &c = machine_.costs();
-    HwContext &ctx = engine.context();
-    const Ticks round_start = machine_.now();
-    engine.vmexit(info);
-    machine_.consume(c.thunkRegSave * c.thunkRegs);
-    for (int i = 0; i < numGprs; ++i) {
-        vcpuL1_->setGpr(static_cast<Gpr>(i),
-                        ctx.readGpr(static_cast<Gpr>(i)));
-    }
-    std::uint64_t result = handleL0Exit(info, &engine);
-    engine.vmentry(false);
-    for (int i = 0; i < numGprs; ++i) {
-        ctx.writeGpr(static_cast<Gpr>(i),
-                     vcpuL1_->gpr(static_cast<Gpr>(i)));
-    }
-    machine_.consume(c.thunkRegRestore * c.thunkRegs);
-    l0ExitMetric_[static_cast<std::size_t>(info.reason)].latency.record(
-        machine_.now() - round_start);
-    return result;
+    if (l1ViaSvt_)
+        return core_.context(1);
+    simAssert(l1Engine_ != nullptr,
+              "L1 code executing without an execution window");
+    return l1Engine_->context();
 }
 
 std::uint64_t
-VirtStack::svtTrapRound(const ExitInfo &info)
+VirtStack::l1TrapRound(const ExitInfo &info)
 {
     const CostModel &c = machine_.costs();
-    HwContext &ctx1 = core_.context(1);
+    HwContext &ctx = l1Context();
+    // On a VMX engine: exit microcode plus the thunk's register
+    // spill. On an SVt context: squash + retarget to the visor
+    // context, no state movement; L0 pulls the registers it needs
+    // with ctxtld (is_vm==0, lvl 1 -> SVt_vm, i.e. L1's context).
+    VmxEngine *engine = l1ViaSvt_ ? nullptr : l1Engine_;
     const Ticks round_start = machine_.now();
-    // Squash + retarget to the visor context; no state movement.
-    svt_->vmTrap();
-    // L0 pulls the registers it needs with ctxtld (is_vm==0, lvl 1 ->
-    // SVt_vm, i.e. L1's context).
-    machine_.consume(4 * c.ctxtRegAccess);
-    for (int i = 0; i < numGprs; ++i) {
-        vcpuL1_->setGpr(static_cast<Gpr>(i),
-                        ctx1.readGpr(static_cast<Gpr>(i)));
+    if (engine) {
+        engine->vmexit(info);
+        machine_.consume(c.thunkRegSave * c.thunkRegs);
+    } else {
+        svt_->vmTrap();
+        machine_.consume(4 * c.ctxtRegAccess);
     }
-    std::uint64_t result = handleL0Exit(info, nullptr);
-    machine_.consume(4 * c.ctxtRegAccess);
-    for (int i = 0; i < numGprs; ++i) {
-        ctx1.writeGpr(static_cast<Gpr>(i),
-                      vcpuL1_->gpr(static_cast<Gpr>(i)));
-    }
-    svt_->vmResume();
+    saveGprs(ctx, *vcpuL1_);
+    std::uint64_t result = handleL0Exit(info, engine);
+    if (engine)
+        engine->vmentry(false);
+    else
+        machine_.consume(4 * c.ctxtRegAccess);
+    loadGprs(*vcpuL1_, ctx);
+    if (engine)
+        machine_.consume(c.thunkRegRestore * c.thunkRegs);
+    else
+        svt_->vmResume();
     l0ExitMetric_[static_cast<std::size_t>(info.reason)].latency.record(
         machine_.now() - round_start);
     return result;
@@ -973,20 +870,14 @@ VirtStack::enterL1Window()
     if (e0.currentVmcs() != vmcs01_.get())
         e0.vmptrld(vmcs01_.get());
     machine_.consume(c.injectPrepare);
-    if (config_.mode == VirtMode::HwSvt) {
-        if (svtMultiplexed_)
-            svtSwitchOwner(1);
-        svt_->loadFromVmcs(*vmcs01_);
-        svt_->vmResume();
-        l1ViaSvt_ = true;
-        l1Engine_ = nullptr;
-    } else {
+    const L1Transport t = transport(/*reflect=*/false);
+    if (t == L1Transport::Vmcs) {
         e0.vmwrite(VmcsField::EntryIntrInfo, 1);
-        e0.vmentry(false);
-        machine_.consume(c.thunkRegRestore * c.thunkRegs);
-        l1Engine_ = &e0;
+    } else {
+        svtSwitchOwner(1);
+        svt_->loadFromVmcs(*vmcs01_);
     }
-    l1Vmcs_ = vmcs01_.get();
+    enterL1(t);
     inL1Window_ = true;
 }
 
@@ -994,17 +885,11 @@ void
 VirtStack::leaveL1Window()
 {
     simAssert(inL1Window_, "leaveL1Window without a window");
-    const CostModel &c = machine_.costs();
-    if (config_.mode == VirtMode::HwSvt) {
-        svt_->vmTrap();
-    } else {
-        machine_.consume(c.thunkRegSave * c.thunkRegs);
-        engines_[0]->vmexit(ExitInfo{.reason = ExitReason::Hlt});
-        machine_.consume(c.handlerDispatch);
-    }
+    const L1Transport t = transport(/*reflect=*/false);
+    leaveL1(t, ExitReason::Hlt);
+    if (t == L1Transport::Vmcs)
+        machine_.consume(machine_.costs().handlerDispatch);
     inL1Window_ = false;
-    l1Engine_ = nullptr;
-    l1ViaSvt_ = false;
 }
 
 int
@@ -1025,27 +910,14 @@ VirtStack::maybeInjectAndResumeL2(bool l2_was_running)
     // the interrupt-window / pending-event controls around it. None
     // of these fields are shadowable, so in the baseline each access
     // traps to L0.
-    L1Backend &backend =
-        (config_.mode == VirtMode::HwSvt)
-            ? (svtMultiplexed_
-                   ? static_cast<L1Backend &>(*muxBackend_)
-                   : static_cast<L1Backend &>(*ctxtBackend_))
-            : static_cast<L1Backend &>(*memBackend_);
     for (int i = 0; i < c.l1InjectExtraVmcsTraps; ++i)
-        backend.vmcsWrite(VmcsField::EntryIntrInfo, 0);
-    backend.vmcsWrite(VmcsField::EntryIntrInfo,
-                      static_cast<std::uint64_t>(v) | 0x80000000ULL);
+        l1Backend_.vmcsWrite(VmcsField::EntryIntrInfo, 0);
+    l1Backend_.vmcsWrite(VmcsField::EntryIntrInfo,
+                         static_cast<std::uint64_t>(v) | 0x80000000ULL);
     // L1 resumes L2: trap to L0 (Algorithm 1 line 12), then the
     // return transform and the real entry.
-    if (config_.mode == VirtMode::HwSvt) {
-        svt_->vmTrap();
-    } else {
-        machine_.consume(c.thunkRegSave * c.thunkRegs);
-        engines_[0]->vmexit(ExitInfo{.reason = ExitReason::Vmresume});
-    }
+    leaveL1(transport(/*reflect=*/false), ExitReason::Vmresume);
     inL1Window_ = false;
-    l1Engine_ = nullptr;
-    l1ViaSvt_ = false;
     machine_.consume(c.handlerDispatch);
     transformVmcs12ToVmcs02();
     resumeL2();
@@ -1083,26 +955,6 @@ L1Api::timerVector() const
     return vec::l1Timer;
 }
 
-HwContext &
-L1Api::ctx()
-{
-    if (stack_.l1ViaSvt_)
-        return stack_.core_.context(1);
-    simAssert(stack_.l1Engine_ != nullptr,
-              "L1 code executing without an execution window");
-    return stack_.l1Engine_->context();
-}
-
-std::uint64_t
-L1Api::trap(ExitInfo info)
-{
-    if (stack_.l1ViaSvt_)
-        return stack_.svtTrapRound(info);
-    simAssert(stack_.l1Engine_ != nullptr,
-              "L1 trap without an execution window");
-    return stack_.l1TrapRound(*stack_.l1Engine_, info);
-}
-
 void
 L1Api::compute(Ticks t)
 {
@@ -1130,7 +982,8 @@ L1Api::cpuid(std::uint64_t leaf)
     const CostModel &c = stack_.machine_.costs();
     stack_.machine_.consume(c.cpuidExec);
     ctx().writeGpr(Gpr::Rax, leaf);
-    trap(ExitInfo{.reason = ExitReason::Cpuid, .instrLength = 2});
+    stack_.l1TrapRound(
+        ExitInfo{.reason = ExitReason::Cpuid, .instrLength = 2});
     return CpuidResult{ctx().readGpr(Gpr::Rax), ctx().readGpr(Gpr::Rbx),
                        ctx().readGpr(Gpr::Rcx),
                        ctx().readGpr(Gpr::Rdx)};
@@ -1142,7 +995,8 @@ L1Api::rdmsr(std::uint32_t index)
     if (stack_.config_.mode == VirtMode::Single)
         stack_.pumpInterrupts();
     ctx().writeGpr(Gpr::Rcx, index);
-    trap(ExitInfo{.reason = ExitReason::Rdmsr, .instrLength = 2});
+    stack_.l1TrapRound(
+        ExitInfo{.reason = ExitReason::Rdmsr, .instrLength = 2});
     return (ctx().readGpr(Gpr::Rdx) << 32) |
            (ctx().readGpr(Gpr::Rax) & 0xffffffff);
 }
@@ -1155,8 +1009,9 @@ L1Api::wrmsr(std::uint32_t index, std::uint64_t value)
     ctx().writeGpr(Gpr::Rcx, index);
     ctx().writeGpr(Gpr::Rax, value & 0xffffffff);
     ctx().writeGpr(Gpr::Rdx, value >> 32);
-    trap(ExitInfo{.reason = ExitReason::Wrmsr, .instrLength = 2,
-                  .value = value});
+    stack_.l1TrapRound(ExitInfo{.reason = ExitReason::Wrmsr,
+                                .instrLength = 2,
+                                .value = value});
 }
 
 std::uint64_t
@@ -1171,7 +1026,7 @@ L1Api::mmioRead(Gpa addr, int size)
         info.qualification = static_cast<std::uint64_t>(size) << 1;
         info.guestPhysAddr = addr;
         info.instrLength = 3;
-        return trap(info);
+        return stack_.l1TrapRound(info);
     }
     panic("L1 MMIO read of unregistered gpa %#llx",
           static_cast<unsigned long long>(addr));
@@ -1190,7 +1045,7 @@ L1Api::mmioWrite(Gpa addr, int size, std::uint64_t value)
         info.guestPhysAddr = addr;
         info.instrLength = 3;
         info.value = value;
-        trap(info);
+        stack_.l1TrapRound(info);
         return;
     }
     panic("L1 MMIO write to unregistered gpa %#llx",
@@ -1208,7 +1063,7 @@ L1Api::ioOut(std::uint16_t port, std::uint64_t value)
                          (4ULL << 1) | 1;
     info.value = value;
     info.instrLength = 2;
-    trap(info);
+    stack_.l1TrapRound(info);
 }
 
 std::uint64_t
@@ -1221,7 +1076,7 @@ L1Api::ioIn(std::uint16_t port)
     info.qualification = (static_cast<std::uint64_t>(port) << 16) |
                          (4ULL << 1);
     info.instrLength = 2;
-    return trap(info);
+    return stack_.l1TrapRound(info);
 }
 
 std::uint64_t
@@ -1230,7 +1085,7 @@ L1Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
     ctx().writeGpr(Gpr::Rax, nr);
     ctx().writeGpr(Gpr::Rbx, a0);
     ctx().writeGpr(Gpr::Rcx, a1);
-    return trap(
+    return stack_.l1TrapRound(
         ExitInfo{.reason = ExitReason::Vmcall, .instrLength = 3});
 }
 
@@ -1487,185 +1342,136 @@ L2Api::pollInterrupt()
     return stack_.l2DeliveredVector_;
 }
 
-// ------------------------------------------------------------- backends
+// ------------------------------------------------------------- L1Backend
 
-std::uint64_t
-MemL1Backend::vmcsRead(VmcsField field)
+namespace {
+
+/** The VMCS fields a dedicated SVt context holds as special registers
+ *  (reached with ctxtld/ctxtst rather than through vmcs12). */
+bool
+isSvtSpecialField(VmcsField field)
 {
-    VmxEngine *e = stack_.l1Engine_;
-    simAssert(e != nullptr && e->inGuest(),
-              "L1 vmread outside an execution window");
-    std::uint64_t value = 0;
-    if (e->guestVmread(field, value))
-        return value;
-    ExitInfo info;
-    info.reason = ExitReason::Vmread;
-    info.field = static_cast<std::uint64_t>(field);
-    info.instrLength = 3;
-    return stack_.l1TrapRound(*e, info);
+    return field == VmcsField::GuestRip ||
+           field == VmcsField::GuestRflags;
 }
 
-void
-MemL1Backend::vmcsWrite(VmcsField field, std::uint64_t value)
+SvtSpecialReg
+svtSpecialReg(VmcsField field)
 {
-    VmxEngine *e = stack_.l1Engine_;
-    simAssert(e != nullptr && e->inGuest(),
-              "L1 vmwrite outside an execution window");
-    if (e->guestVmwrite(field, value))
-        return;
-    ExitInfo info;
-    info.reason = ExitReason::Vmwrite;
-    info.field = static_cast<std::uint64_t>(field);
-    info.value = value;
-    info.instrLength = 3;
-    stack_.l1TrapRound(*e, info);
+    return field == VmcsField::GuestRip ? SvtSpecialReg::Rip
+                                        : SvtSpecialReg::Rflags;
 }
 
-std::uint64_t
-MemL1Backend::l2Gpr(Gpr reg)
+} // namespace
+
+bool
+L1Backend::l2InContext() const
 {
-    stack_.machine_.consume(costs().memAccess);
-    return stack_.vcpuL2InL1_->gpr(reg);
+    // HW SVt with a dedicated L2 context: L2's registers never left
+    // the hardware. Everywhere else L0 synced them into (or spilled
+    // them to) the in-memory vCPU struct.
+    return stack_.transport(/*reflect=*/false) ==
+           VirtStack::L1Transport::Ctxt;
 }
 
-void
-MemL1Backend::setL2Gpr(Gpr reg, std::uint64_t value)
+bool
+L1Backend::shadowed(VmcsField field, std::uint64_t &value, bool write)
 {
-    stack_.machine_.consume(costs().memAccess);
-    stack_.vcpuL2InL1_->setGpr(reg, value);
-}
-
-void
-MemL1Backend::compute(Ticks t)
-{
-    stack_.machine_.consume(static_cast<Ticks>(
-        static_cast<double>(t) * stack_.l1Slowdown_));
-}
-
-std::uint64_t
-MuxL1Backend::vmcsRead(VmcsField field)
-{
-    const CostModel &c = costs();
-    if (stack_.config_.hwVmcsShadowing &&
-        vmcsFieldIsShadowable(field)) {
-        stack_.machine_.consume(c.vmShadowAccess);
-        return stack_.vmcs12_->read(field);
+    // L1 runs on a VMX engine unless it runs on an SVt context.
+    if (stack_.transport(/*reflect=*/false) ==
+        VirtStack::L1Transport::Vmcs) {
+        VmxEngine *e = stack_.l1Engine_;
+        simAssert(e != nullptr && e->inGuest(),
+                  "L1 VMCS access outside an execution window");
+        return write ? e->guestVmwrite(field, value)
+                     : e->guestVmread(field, value);
     }
-    ExitInfo info;
-    info.reason = ExitReason::Vmread;
-    info.field = static_cast<std::uint64_t>(field);
-    return stack_.svtTrapRound(info);
-}
-
-void
-MuxL1Backend::vmcsWrite(VmcsField field, std::uint64_t value)
-{
-    const CostModel &c = costs();
-    if (stack_.config_.hwVmcsShadowing &&
-        vmcsFieldIsShadowable(field)) {
-        stack_.machine_.consume(c.vmShadowAccess);
+    if (!stack_.config_.hwVmcsShadowing || !vmcsFieldIsShadowable(field))
+        return false;
+    stack_.machine_.consume(costs().vmShadowAccess);
+    if (write)
         stack_.vmcs12_->write(field, value);
-        return;
-    }
-    ExitInfo info;
-    info.reason = ExitReason::Vmwrite;
-    info.field = static_cast<std::uint64_t>(field);
-    info.value = value;
-    stack_.svtTrapRound(info);
+    else
+        value = stack_.vmcs12_->read(field);
+    return true;
 }
 
 std::uint64_t
-MuxL1Backend::l2Gpr(Gpr reg)
+L1Backend::vmcsRead(VmcsField field)
 {
-    // L2 has been displaced from the shared context: its registers
-    // live in the in-memory vCPU struct.
-    stack_.machine_.consume(costs().memAccess);
-    return stack_.vcpuL2InL1_->gpr(reg);
-}
-
-void
-MuxL1Backend::setL2Gpr(Gpr reg, std::uint64_t value)
-{
-    stack_.machine_.consume(costs().memAccess);
-    stack_.vcpuL2InL1_->setGpr(reg, value);
-}
-
-void
-MuxL1Backend::compute(Ticks t)
-{
-    stack_.machine_.consume(t);
-}
-
-std::uint64_t
-CtxtL1Backend::vmcsRead(VmcsField field)
-{
-    const CostModel &c = costs();
-    if (field == VmcsField::GuestRip ||
-        field == VmcsField::GuestRflags) {
-        std::uint64_t value = 0;
-        auto reg = (field == VmcsField::GuestRip) ? SvtSpecialReg::Rip
-                                                  : SvtSpecialReg::Rflags;
-        auto a = stack_.svt_->ctxtld(1, reg, value);
+    std::uint64_t value = 0;
+    if (l2InContext() && isSvtSpecialField(field)) {
+        auto a = stack_.svt_->ctxtld(1, svtSpecialReg(field), value);
         simAssert(a == SvtUnit::Access::Ok, "ctxtld trap unexpected");
         return value;
     }
-    if (stack_.config_.hwVmcsShadowing &&
-        vmcsFieldIsShadowable(field)) {
-        stack_.machine_.consume(c.vmShadowAccess);
-        return stack_.vmcs12_->read(field);
-    }
-    ExitInfo info;
-    info.reason = ExitReason::Vmread;
-    info.field = static_cast<std::uint64_t>(field);
-    return stack_.svtTrapRound(info);
+    if (shadowed(field, value, /*write=*/false))
+        return value;
+    return stack_.l1TrapRound(
+        ExitInfo{.reason = ExitReason::Vmread,
+                 .instrLength = 3,
+                 .field = static_cast<std::uint64_t>(field)});
 }
 
 void
-CtxtL1Backend::vmcsWrite(VmcsField field, std::uint64_t value)
+L1Backend::vmcsWrite(VmcsField field, std::uint64_t value)
 {
-    const CostModel &c = costs();
-    if (field == VmcsField::GuestRip ||
-        field == VmcsField::GuestRflags) {
-        auto reg = (field == VmcsField::GuestRip) ? SvtSpecialReg::Rip
-                                                  : SvtSpecialReg::Rflags;
-        auto a = stack_.svt_->ctxtst(1, reg, value);
+    if (l2InContext() && isSvtSpecialField(field)) {
+        auto a = stack_.svt_->ctxtst(1, svtSpecialReg(field), value);
         simAssert(a == SvtUnit::Access::Ok, "ctxtst trap unexpected");
         stack_.vmcs12_->write(field, value);
         return;
     }
-    if (stack_.config_.hwVmcsShadowing &&
-        vmcsFieldIsShadowable(field)) {
-        stack_.machine_.consume(c.vmShadowAccess);
-        stack_.vmcs12_->write(field, value);
+    if (shadowed(field, value, /*write=*/true))
         return;
-    }
-    ExitInfo info;
-    info.reason = ExitReason::Vmwrite;
-    info.field = static_cast<std::uint64_t>(field);
-    info.value = value;
-    stack_.svtTrapRound(info);
+    stack_.l1TrapRound(
+        ExitInfo{.reason = ExitReason::Vmwrite,
+                 .instrLength = 3,
+                 .field = static_cast<std::uint64_t>(field),
+                 .value = value});
 }
 
 std::uint64_t
-CtxtL1Backend::l2Gpr(Gpr reg)
+L1Backend::l2Gpr(Gpr reg)
 {
-    std::uint64_t value = 0;
-    auto a = stack_.svt_->ctxtld(1, reg, value);
-    simAssert(a == SvtUnit::Access::Ok, "ctxtld trap unexpected");
-    return value;
+    if (l2InContext()) {
+        std::uint64_t value = 0;
+        auto a = stack_.svt_->ctxtld(1, reg, value);
+        simAssert(a == SvtUnit::Access::Ok, "ctxtld trap unexpected");
+        return value;
+    }
+    stack_.machine_.consume(costs().memAccess);
+    return stack_.vcpuL2InL1_->gpr(reg);
 }
 
 void
-CtxtL1Backend::setL2Gpr(Gpr reg, std::uint64_t value)
+L1Backend::setL2Gpr(Gpr reg, std::uint64_t value)
 {
-    auto a = stack_.svt_->ctxtst(1, reg, value);
-    simAssert(a == SvtUnit::Access::Ok, "ctxtst trap unexpected");
+    if (l2InContext()) {
+        auto a = stack_.svt_->ctxtst(1, reg, value);
+        simAssert(a == SvtUnit::Access::Ok, "ctxtst trap unexpected");
+        return;
+    }
+    stack_.machine_.consume(costs().memAccess);
+    stack_.vcpuL2InL1_->setGpr(reg, value);
 }
 
 void
-CtxtL1Backend::compute(Ticks t)
+L1Backend::compute(Ticks t)
 {
-    stack_.machine_.consume(t);
+    l1Api().compute(t);
+}
+
+GuestApi &
+L1Backend::l1Api()
+{
+    return *stack_.l1Api_;
+}
+
+const CostModel &
+L1Backend::costs() const
+{
+    return stack_.machine_.costs();
 }
 
 // ------------------------------------------------------ NativeApi extras

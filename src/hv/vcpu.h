@@ -44,6 +44,9 @@ class Vcpu
         gprs_[static_cast<std::size_t>(reg)] = v;
     }
 
+    /** The whole cache, for bulk syncs between vCPU structs. */
+    std::array<std::uint64_t, numGprs> &gprs() { return gprs_; }
+
     /** Cached instruction pointer. */
     std::uint64_t rip = 0;
     /** Cached flags. */

@@ -95,9 +95,6 @@ VirtStack::setupCommon()
     nativeApi_ = std::make_unique<NativeApi>(*this, host_db);
     l1Api_ = std::make_unique<L1Api>(*this);
     l2Api_ = std::make_unique<L2Api>(*this);
-    memBackend_ = std::make_unique<MemL1Backend>(*this);
-    ctxtBackend_ = std::make_unique<CtxtL1Backend>(*this);
-    muxBackend_ = std::make_unique<MuxL1Backend>(*this);
 
     ringToSvt_ =
         std::make_unique<CommandRing>(machine_, "ring.to_svt");
@@ -196,7 +193,6 @@ VirtStack::setupSingle()
     e0.vmentry(true);
     singleGuestRunning_ = true;
     l1Engine_ = &e0;
-    l1Vmcs_ = vmcs01_.get();
 }
 
 void

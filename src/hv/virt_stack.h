@@ -164,9 +164,7 @@ class VirtStack
     friend class NativeApi;
     friend class L1Api;
     friend class L2Api;
-    friend class MemL1Backend;
-    friend class CtxtL1Backend;
-    friend class MuxL1Backend;
+    friend class L1Backend;
 
     // -- Construction helpers ---------------------------------------------
     void setupCommon();
@@ -194,14 +192,33 @@ class VirtStack
     void transformVmcs12ToVmcs02();
     Ticks transformPassCost() const;
 
-    /** Stage 4-6: deliver the trap to L1, run its handler, return.
-     *  @return False if L2 halted instead of resuming. */
+    /**
+     * How L2/L1 state and control move between L0 and L1 (the
+     * paper's Table 3): the only part of the nested trap round that
+     * differs between the baseline, SW SVt and HW SVt.
+     */
+    enum class L1Transport
+    {
+        Vmcs, ///< VMCS memory plus thunk register copies (baseline)
+        Ring, ///< SW SVt command rings to the SVt-thread
+        Ctxt, ///< HW SVt, a context per level: ctxtld/ctxtst
+        Mux,  ///< HW SVt with L1 and L2 sharing one context
+    };
+
+    /** The transport of a trap reflected to L1 (@p reflect) or of an
+     *  L1 vCPU window. SW SVt's rings carry reflected traps only, and
+     *  only while the watchdog has not degraded the stack. */
+    L1Transport transport(bool reflect) const;
+
+    /** Stages 4-8 of Algorithm 1, written once for every transport:
+     *  l0_handler, switch_l0_l1, l1_handler, switch_l0_l1, l0_handler,
+     *  transform. @return False if L2 halted instead of resuming. */
     bool reflectToL1(const ExitInfo &info);
 
-    bool reflectBaseline(const ExitInfo &info);
-    bool reflectSwSvt(const ExitInfo &info);
-    bool reflectHwSvt(const ExitInfo &info);
-    bool reflectHwSvtMultiplexed(const ExitInfo &info);
+    /** L0 resumes L1, and L1 traps back to L0, over a vCPU transport
+     *  (any but Ring). */
+    void enterL1(L1Transport t);
+    void leaveL1(L1Transport t, ExitReason why);
 
     /**
      * Context multiplexing (Section 3.1): on a core with fewer
@@ -219,15 +236,17 @@ class VirtStack
 
     // -- SW SVt watchdog (graceful degradation) --------------------------
     /**
-     * Wait for a message on @p ring under the heartbeat watchdog:
-     * each missed deadline re-posts @p repost (re-ringing the
-     * doorbell) with linear backoff. Without the watchdog a missed
-     * message raises DeadlockError (the Section 5.3 hang).
+     * Wait for the message on @p ring under the heartbeat watchdog,
+     * then receive it into @p msg in the channel stage. Each missed
+     * deadline re-posts @p msg (re-ringing the doorbell) with linear
+     * backoff. Without the watchdog a missed message raises
+     * DeadlockError (the Section 5.3 hang).
      *
-     * @return True when a message arrived; false when retries were
-     *         exhausted (caller degrades via svtFallback()).
+     * @return True when the message arrived; false when retries were
+     *         exhausted and the stack degraded (svtFallback(@p lost)).
      */
-    bool svtAwaitRing(CommandRing &ring, const ChannelMessage &repost);
+    bool svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
+                      const char *lost);
 
     /** Degrade from SW SVt to the conventional nested trap path:
      *  reset the rings, start the quiet period, bump svt.fallback. */
@@ -241,20 +260,20 @@ class VirtStack
     void drainL1Ipis();
 
     // -- L1's own exits (single-level rounds) ---------------------------------
+    /** Hardware context L1 code currently executes on. */
+    HwContext &l1Context();
+
     /**
-     * One complete single-level trap round for L1 code: exit on the
-     * given engine, dispatch in L0, resume. Returns the emulation
-     * result where applicable (rdmsr, mmio read, vmcall).
+     * One complete single-level trap round for L1 code: exit from
+     * wherever L1 runs (a VMX engine or an SVt context), dispatch in
+     * L0, resume. Returns the emulation result where applicable
+     * (rdmsr, mmio read, vmcall).
      */
-    std::uint64_t l1TrapRound(VmxEngine &engine, const ExitInfo &info);
+    std::uint64_t l1TrapRound(const ExitInfo &info);
 
     /** Dispatch of an L1-grade exit inside L0. @p engine is the VMX
      *  engine the exit occurred on, or null for the SVt path. */
     std::uint64_t handleL0Exit(const ExitInfo &info, VmxEngine *engine);
-
-    /** Cost-only trap round used by the HW SVt backend for trapped
-     *  VMCS accesses. */
-    std::uint64_t svtTrapRound(const ExitInfo &info);
 
     // -- Interrupt delivery ----------------------------------------------------
     int deliverHostIrqs();
@@ -311,9 +330,7 @@ class VirtStack
     std::unique_ptr<class NativeApi> nativeApi_;
     std::unique_ptr<class L1Api> l1Api_;
     std::unique_ptr<class L2Api> l2Api_;
-    std::unique_ptr<class MemL1Backend> memBackend_;
-    std::unique_ptr<class CtxtL1Backend> ctxtBackend_;
-    std::unique_ptr<class MuxL1Backend> muxBackend_;
+    L1Backend l1Backend_{*this};
 
     std::unique_ptr<CommandRing> ringToSvt_;
     std::unique_ptr<CommandRing> ringFromSvt_;
@@ -368,10 +385,9 @@ class VirtStack
     /** Which level currently owns the shared context (1 or 2). */
     int svtCtx1Owner_ = 2;
 
-    /** Engine and VMCS on which L1 code currently executes (null in
-     *  the HW SVt handler path, which uses the SVt unit instead). */
+    /** Engine on which L1 code currently executes (null in the HW
+     *  SVt paths, where L1 runs on an SVt context: l1ViaSvt_). */
     VmxEngine *l1Engine_ = nullptr;
-    Vmcs *l1Vmcs_ = nullptr;
     bool l1ViaSvt_ = false;
     /** Slowdown applied to L1 handler compute (poll-channel SMT
      *  interference, Section 6.1). */

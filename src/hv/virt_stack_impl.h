@@ -1,8 +1,7 @@
 /**
  * @file
  * Private implementation types of VirtStack: the per-level GuestApi
- * implementations and the two L1Backend flavours. Included only by the
- * hv module's translation units.
+ * implementations. Included only by the hv module's translation units.
  */
 
 #ifndef SVTSIM_HV_VIRT_STACK_IMPL_H
@@ -87,10 +86,7 @@ class L1Api : public LevelApiBase
     int pollInterrupt() override;
 
   private:
-    /** Hardware context L1 currently executes on. */
-    HwContext &ctx();
-    /** One sensitive-instruction round at L1 grade. */
-    std::uint64_t trap(ExitInfo info);
+    HwContext &ctx() { return stack_.l1Context(); }
 };
 
 /** Level-2 (nested guest) execution: the workload's API. */
@@ -119,82 +115,6 @@ class L2Api : public LevelApiBase
     /** Resolve an L2 guest-physical access through ept02, reflecting
      *  violations to L1 until it translates or misconfigures. */
     Ept::Result resolveGpa(Gpa addr, EptAccess access);
-};
-
-/**
- * L1Backend for the nested baseline and SW SVt: L2 registers live in
- * the in-memory vCPU cache L0 synced; VMCS accesses hit the shadow or
- * trap to L0 on the engine L1 currently runs on.
- */
-class MemL1Backend : public L1Backend
-{
-  public:
-    explicit MemL1Backend(VirtStack &stack) : stack_(stack) {}
-
-    std::uint64_t vmcsRead(VmcsField field) override;
-    void vmcsWrite(VmcsField field, std::uint64_t value) override;
-    std::uint64_t l2Gpr(Gpr reg) override;
-    void setL2Gpr(Gpr reg, std::uint64_t value) override;
-    void compute(Ticks t) override;
-    GuestApi &l1Api() override { return *stack_.l1Api_; }
-    const CostModel &costs() const override
-    {
-        return stack_.machine_.costs();
-    }
-
-  private:
-    VirtStack &stack_;
-};
-
-/**
- * L1Backend for multiplexed HW SVt (Section 3.1: more virtualization
- * levels than hardware contexts): L2 is spilled to the vCPU structs
- * while L1 runs, so register access falls back to memory; VMCS
- * accesses hit the shadow or take SVt-grade trap rounds.
- */
-class MuxL1Backend : public L1Backend
-{
-  public:
-    explicit MuxL1Backend(VirtStack &stack) : stack_(stack) {}
-
-    std::uint64_t vmcsRead(VmcsField field) override;
-    void vmcsWrite(VmcsField field, std::uint64_t value) override;
-    std::uint64_t l2Gpr(Gpr reg) override;
-    void setL2Gpr(Gpr reg, std::uint64_t value) override;
-    void compute(Ticks t) override;
-    GuestApi &l1Api() override { return *stack_.l1Api_; }
-    const CostModel &costs() const override
-    {
-        return stack_.machine_.costs();
-    }
-
-  private:
-    VirtStack &stack_;
-};
-
-/**
- * L1Backend for HW SVt: L2 registers are reached with ctxtld/ctxtst
- * into the L2 hardware context; shadowable VMCS fields are satisfied
- * from vmcs12; everything else is an SVt-grade trap round.
- */
-class CtxtL1Backend : public L1Backend
-{
-  public:
-    explicit CtxtL1Backend(VirtStack &stack) : stack_(stack) {}
-
-    std::uint64_t vmcsRead(VmcsField field) override;
-    void vmcsWrite(VmcsField field, std::uint64_t value) override;
-    std::uint64_t l2Gpr(Gpr reg) override;
-    void setL2Gpr(Gpr reg, std::uint64_t value) override;
-    void compute(Ticks t) override;
-    GuestApi &l1Api() override { return *stack_.l1Api_; }
-    const CostModel &costs() const override
-    {
-        return stack_.machine_.costs();
-    }
-
-  private:
-    VirtStack &stack_;
 };
 
 } // namespace svtsim

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "hv/cpuid_db.h"
 #include "hv/vectors.h"
 #include "hv/virt_stack.h"
+#include "sim/fault.h"
 #include "sim/log.h"
 
 namespace svtsim {
@@ -651,11 +654,179 @@ TEST(SwSvt, PreemptionWithoutFixDeadlocks)
     EXPECT_THROW(rig.stack->api().cpuid(1), DeadlockError);
 }
 
+TEST(SwSvt, DeadlockLeavesNoExitScopeOpen)
+{
+    // The deadlock escapes mid-round; the exit.<reason> attribution
+    // scope must close with it, or every later consume on the machine
+    // is charged to the dead exit.
+    Rig rig(VirtMode::SwSvt, true, /*blocked_fix=*/false);
+    rig.stack->api().cpuid(1);
+    rig.stack->armSvtThreadPreemption(usec(30));
+    EXPECT_THROW(rig.stack->api().cpuid(1), DeadlockError);
+    Ticks before = rig.machine.scopeTotal("exit.CPUID");
+    rig.machine.consume(usec(5));
+    EXPECT_EQ(rig.machine.scopeTotal("exit.CPUID"), before);
+}
+
 TEST(SwSvt, PreemptionOnlyValidInSwSvtMode)
 {
     Rig rig(VirtMode::Nested);
     EXPECT_THROW(rig.stack->armSvtThreadPreemption(usec(1)),
                  FatalError);
+}
+
+// ------------------------------------------- stage pins per transport
+
+/** How L2/L1 state moves between L0 and L1 in the trap round. */
+enum class Transport
+{
+    Nested,
+    SwSvt,
+    SwSvtDegraded,   ///< watchdog fallback: CMD_VM_TRAP lost
+    SwSvtResumeLost, ///< watchdog fallback: CMD_VM_RESUME lost
+    HwSvt,
+    HwSvtMux,        ///< 2 contexts: L1 and L2 share one
+    HwSvtDirect,     ///< Section 3.1 direct reflect
+};
+
+enum class PinCase
+{
+    Cpuid,
+    RdmsrNoShadow, ///< every L1 vmread/vmwrite is an L1 trap round
+    L2Interrupt,   ///< injection, then the reflected EOI wrmsr
+};
+
+/** What one measured operation is pinned on, in this order. */
+const char *const pinNames[] = {
+    "elapsed",          "stage.l2",           "stage.switch_l2_l0",
+    "stage.l0_handler", "stage.switch_l0_l1", "stage.l1_handler",
+    "stage.transform",  "stage.channel",      "stage.svt_watchdog",
+    "reflected",        "l0.transform_02_to_12",
+    "l0.transform_12_to_02",
+};
+using Pins = std::array<std::int64_t, std::size(pinNames)>;
+
+Pins
+measurePins(Transport t, PinCase pc)
+{
+    StackConfig cfg;
+    cfg.mode = VirtMode::HwSvt;
+    if (t == Transport::Nested)
+        cfg.mode = VirtMode::Nested;
+    if (t == Transport::SwSvt || t == Transport::SwSvtDegraded ||
+        t == Transport::SwSvtResumeLost)
+        cfg.mode = VirtMode::SwSvt;
+    int threads =
+        (cfg.mode == VirtMode::HwSvt && t != Transport::HwSvtMux) ? 3 : 2;
+    Machine machine(MachineTopology{1, 1, threads});
+    cfg.hwVmcsShadowing = pc != PinCase::RdmsrNoShadow;
+    cfg.svtDirectReflect = t == Transport::HwSvtDirect;
+    if (t == Transport::SwSvtDegraded || t == Transport::SwSvtResumeLost) {
+        // Three posts in a row are lost (the command and both
+        // retries), so the first reflect round degrades onto the
+        // conventional path: before L1 ran, or after.
+        cfg.svtWatchdog.enabled = true;
+        cfg.svtWatchdog.timeout = usec(10);
+        cfg.svtWatchdog.maxRetries = 2;
+        cfg.svtWatchdog.backoff = usec(5);
+        cfg.svtWatchdog.quietPeriod = usec(200);
+        machine.installFaultPlan(FaultPlan::parse(
+            t == Transport::SwSvtDegraded ? "ring.post.drop@n1+3"
+                                          : "ring.post.drop@n2+3"));
+    }
+    VirtStack stack(machine, cfg);
+    GuestApi &api = stack.api();
+    const Ticks t0 = machine.now();
+    switch (pc) {
+      case PinCase::Cpuid:
+        api.cpuid(1);
+        break;
+      case PinCase::RdmsrNoShadow:
+        api.rdmsr(msr::ia32Lstar);
+        break;
+      case PinCase::L2Interrupt:
+        stack.raiseL2Irq(vec::l2VirtioBlk);
+        EXPECT_EQ(api.pollInterrupt(), vec::l2VirtioBlk);
+        break;
+    }
+    Pins p{};
+    p[0] = machine.now() - t0;
+    for (std::size_t i = 1; i <= 8; ++i)
+        p[i] = machine.scopeTotal(pinNames[i]);
+    p[9] = static_cast<std::int64_t>(stack.reflectedExits());
+    for (std::size_t i = 10; i < p.size(); ++i) {
+        p[i] = static_cast<std::int64_t>(
+            machine.metrics().counterValue(pinNames[i]));
+    }
+    return p;
+}
+
+TEST(StagePins, EveryTransportKeepsItsStageSequence)
+{
+    // Exact per-stage totals of one round in each transport: a
+    // reordered or merged consume(), or a stage scope moved across
+    // one, changes at least one of them.
+    struct Row
+    {
+        Transport transport;
+        PinCase pinCase;
+        Pins expected;
+    };
+    const Row rows[] = {
+        // clang-format off
+        {Transport::Nested, PinCase::Cpuid,
+         {10409500, 50000, 810000, 4890000, 1400000, 1969500, 1290000, 0, 0, 1, 1, 1}},
+        {Transport::Nested, PinCase::RdmsrNoShadow,
+         {17284920, 420, 810000, 4890000, 1400000, 8894500, 1290000, 0, 0, 1, 1, 1}},
+        {Transport::Nested, PinCase::L2Interrupt,
+         {23327500, 0, 1750000, 4890000, 1400000, 2066500, 1959000, 0, 0, 1, 1, 2}},
+        {Transport::SwSvt, PinCase::Cpuid,
+         {8969500, 50000, 810000, 3290000, 0, 2329500, 1290000, 1200000, 0, 1, 1, 1}},
+        {Transport::SwSvt, PinCase::RdmsrNoShadow,
+         {15844920, 420, 810000, 3290000, 0, 9254500, 1290000, 1200000, 0, 1, 1, 1}},
+        {Transport::SwSvt, PinCase::L2Interrupt,
+         {21887500, 0, 1750000, 3290000, 0, 2426500, 1959000, 1200000, 0, 1, 1, 2}},
+        {Transport::SwSvtDegraded, PinCase::Cpuid,
+         {39419500, 50000, 810000, 8180000, 1400000, 1969500, 1290000, 0, 25720000, 1, 1, 1}},
+        {Transport::SwSvtDegraded, PinCase::RdmsrNoShadow,
+         {46294920, 420, 810000, 8180000, 1400000, 8894500, 1290000, 0, 25720000, 1, 1, 1}},
+        {Transport::SwSvtDegraded, PinCase::L2Interrupt,
+         {52337500, 0, 1750000, 8180000, 1400000, 2066500, 1959000, 0, 25720000, 1, 1, 2}},
+        {Transport::SwSvtResumeLost, PinCase::Cpuid,
+         {35639500, 50000, 810000, 5509000, 0, 2329500, 1290000, 600000, 25720000, 1, 1, 1}},
+        {Transport::SwSvtResumeLost, PinCase::RdmsrNoShadow,
+         {42514920, 420, 810000, 5509000, 0, 9254500, 1290000, 600000, 25720000, 1, 1, 1}},
+        {Transport::SwSvtResumeLost, PinCase::L2Interrupt,
+         {48557500, 0, 1750000, 5509000, 0, 2426500, 1959000, 600000, 25720000, 1, 1, 2}},
+        {Transport::HwSvt, PinCase::Cpuid,
+         {5343000, 50000, 61000, 3396000, 40000, 554000, 1242000, 0, 0, 1, 1, 1}},
+        {Transport::HwSvt, PinCase::RdmsrNoShadow,
+         {5999420, 420, 61000, 3396000, 40000, 1260000, 1242000, 0, 0, 1, 1, 1}},
+        {Transport::HwSvt, PinCase::L2Interrupt,
+         {9082000, 0, 252000, 3396000, 40000, 650000, 1863000, 0, 0, 1, 1, 2}},
+        {Transport::HwSvtMux, PinCase::Cpuid,
+         {5820500, 50000, 241000, 3452000, 220000, 567500, 1290000, 0, 0, 1, 1, 1}},
+        {Transport::HwSvtMux, PinCase::RdmsrNoShadow,
+         {7087920, 420, 241000, 3452000, 220000, 1884500, 1290000, 0, 0, 1, 1, 1}},
+        {Transport::HwSvtMux, PinCase::L2Interrupt,
+         {9968500, 0, 612000, 3452000, 220000, 664500, 1959000, 0, 0, 1, 1, 2}},
+        {Transport::HwSvtDirect, PinCase::Cpuid,
+         {677000, 50000, 73000, 0, 0, 554000, 0, 0, 0, 1, 0, 0}},
+        {Transport::HwSvtDirect, PinCase::RdmsrNoShadow,
+         {1333420, 420, 73000, 0, 0, 1260000, 0, 0, 0, 1, 0, 0}},
+        {Transport::HwSvtDirect, PinCase::L2Interrupt,
+         {9082000, 0, 252000, 3396000, 40000, 650000, 1863000, 0, 0, 1, 1, 2}},
+        // clang-format on
+    };
+    for (const Row &row : rows) {
+        Pins got = measurePins(row.transport, row.pinCase);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], row.expected[i])
+                << pinNames[i] << " transport="
+                << static_cast<int>(row.transport)
+                << " case=" << static_cast<int>(row.pinCase);
+        }
+    }
 }
 
 // --------------------------------------------------------------- HW SVt
