@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "io/cross_link.h"
 #include "io/virtio_net.h"
 #include "stats/table.h"
 #include "system/bench_harness.h"
@@ -43,13 +44,13 @@ main(int argc, char **argv)
             bench.add(
                 hkName(mode, per_req), mode,
                 [per_req](NestedSystem &sys, ScenarioResult &r) {
-                    NetFabric fabric(
+                    CrossLink link(
                         sys.machine(),
                         sys.machine().costs().wireLatency,
                         sys.machine().costs().linkBitsPerSec);
-                    VirtioNetStack net(sys.stack(), fabric);
-                    MemcachedBench mc(sys.stack(), net, fabric, 42,
-                                      1000.0, usec(14.5), per_req);
+                    VirtioNetStack net(sys.stack(), link.port(0));
+                    MemcachedBench mc(sys.stack(), net, link.port(1),
+                                      42, 1000.0, usec(14.5), per_req);
                     MemcachedPoint pt = mc.runLoad(qps, msec(250));
                     r.record("avg_usec", pt.avgUsec);
                     r.record("p99_usec", pt.p99Usec);

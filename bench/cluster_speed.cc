@@ -23,14 +23,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/cost_model.h"
 #include "io/virtio_net.h"
-#include "sim/random.h"
 #include "sim/worker_pool.h"
-#include "stats/summary.h"
 #include "system/bench_harness.h"
 #include "system/cluster_spec.h"
 #include "workloads/remote_peer.h"
@@ -53,19 +50,6 @@ struct RunOutcome
 {
     std::string fingerprint;
     double wallSec = 0;
-};
-
-/** One client-side request flow against one server machine. */
-struct Flow
-{
-    Rng rng;
-    EtcWorkload etc;
-    std::uint64_t nextId = 1;
-    std::uint64_t completed = 0;
-    std::unordered_map<std::uint64_t, Ticks> sent;
-    Percentiles lat;
-
-    explicit Flow(std::uint64_t seed) : rng(seed) {}
 };
 
 /**
@@ -107,60 +91,11 @@ runOnce(const RunConfig &cfg, int jobs)
 
     // Client side: N independent open-loop ETC flows, one per link,
     // all event-driven on the single bare-metal client machine.
-    std::vector<NetPort *> ports;
+    MutilateClient client(b.machine("client"), cfg.seed + 1000);
     for (const std::string &s : servers)
-        ports.push_back(&b.port("client", s));
-    std::vector<Flow> flows;
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        flows.emplace_back(cfg.seed + 1000 + i);
-
-    b.driver("client", [&](NestedSystem &sys) {
-        Machine &m = sys.machine();
-        const Ticks t0 = m.now();
-        const Ticks end = t0 + cfg.duration;
-
-        std::vector<std::function<void()>> arms(flows.size());
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-            Flow &flow = flows[i];
-            NetPort &port = *ports[i];
-            port.setReceiveHandler([&flow, &m](NetPacket pkt) {
-                auto it = flow.sent.find(pkt.id);
-                if (it != flow.sent.end()) {
-                    flow.lat.add(toUsec(m.now() - it->second));
-                    flow.sent.erase(it);
-                    ++flow.completed;
-                }
-            });
-            arms[i] = [&flow, &port, &m, &arms, i, end, &cfg] {
-                Ticks gap = static_cast<Ticks>(
-                    flow.rng.exponential(1e12 / cfg.qps));
-                Ticks when = m.now() + std::max<Ticks>(gap, 1);
-                if (when >= end)
-                    return;
-                m.events().schedule(when, [&flow, &port, &m, &arms, i] {
-                    std::uint64_t id = flow.nextId++;
-                    bool get = flow.etc.isGet(flow.rng);
-                    std::uint32_t vsize =
-                        flow.etc.sampleValueSize(flow.rng);
-                    std::uint32_t req_bytes =
-                        flow.etc.sampleKeySize(flow.rng) +
-                        (get ? 24 : 24 + vsize);
-                    flow.sent[id] = m.now();
-                    port.send(NetPacket{
-                        id, req_bytes,
-                        (static_cast<std::uint64_t>(vsize) << 1) |
-                            (get ? 1 : 0)});
-                    arms[i]();
-                }, "mutilate-arrival");
-            };
-            arms[i]();
-        }
-
-        const Ticks grace = end + msec(5);
-        while (m.now() < grace)
-            m.idleUntil(grace);
-        for (auto *port : ports)
-            port->setReceiveHandler([](NetPacket) {});
+        client.addFlow(b.port("client", s), cfg.qps);
+    b.driver("client", [&client, &cfg](NestedSystem &) {
+        client.run(cfg.duration);
     });
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -176,14 +111,13 @@ runOnce(const RunConfig &cfg, int jobs)
        << " merged=" << stats.merged;
     for (int i = 0; i < cluster.size(); ++i)
         fp << " t" << i << "=" << cluster.machine(i).now();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (int i = 0; i < client.flowCount(); ++i) {
+        const MutilateClient::FlowStats &flow = client.flow(i);
         char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      " f%zu=%llu/%llu/%.17g/%.17g", i,
-                      static_cast<unsigned long long>(
-                          flows[i].completed),
+        std::snprintf(buf, sizeof buf, " f%d=%llu/%llu/%.17g/%.17g", i,
+                      static_cast<unsigned long long>(flow.completed),
                       static_cast<unsigned long long>(served[i]),
-                      flows[i].lat.mean(), flows[i].lat.p99());
+                      flow.latency.mean(), flow.latency.p99());
         fp << buf;
     }
     out.fingerprint = fp.str();
@@ -283,7 +217,8 @@ runClusterSpeed(int argc, char **argv, const BenchOptions &options)
         << "  \"par_wall_s\": " << par.wallSec << ",\n"
         << "  \"speedup\": " << speedup << ",\n"
         << "  \"identical\": " << (identical ? "true" : "false")
-        << "\n}\n";
+        << ",\n"
+        << "  \"fingerprint\": \"" << seq.fingerprint << "\"\n}\n";
 
     std::printf("sequential %.3f s   %d workers %.3f s   speedup "
                 "%.2fx   fingerprints %s\n",

@@ -27,7 +27,7 @@
 #include "system/bench_harness.h"
 #include "system/cluster_spec.h"
 #include "workloads/diskbench.h"
-#include "workloads/remote_peer.h"
+#include "workloads/netperf.h"
 
 using namespace svtsim;
 
@@ -36,8 +36,7 @@ namespace {
 /**
  * The netperf peer is a real second machine (the paper's bare-metal
  * netserver box), driven through a CrossLink on the parallel cluster
- * engine. The wire has the same latency/rate as the old single-queue
- * NetFabric model, so the timing structure is unchanged.
+ * engine.
  */
 void
 runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
@@ -53,7 +52,7 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
 
     VirtioNetStack net(b.stack("client"), b.port("client", "peer"));
     NetserverPeer peer(b.machine("peer"), b.port("peer", "client"));
-    ClusterNetperf netperf(b.stack("client"), net);
+    Netperf netperf(b.stack("client"), net);
 
     double lat_us = 0, bw_mbps = 0;
     b.driver("client", [&](NestedSystem &) {

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
@@ -22,13 +23,12 @@ namespace {
 void
 runTpcc(NestedSystem &sys, ScenarioResult &r)
 {
-    NetFabric fabric(sys.machine(),
-                     sys.machine().costs().wireLatency,
-                     sys.machine().costs().linkBitsPerSec);
-    VirtioNetStack net(sys.stack(), fabric);
+    CrossLink link(sys.machine(), sys.machine().costs().wireLatency,
+                   sys.machine().costs().linkBitsPerSec);
+    VirtioNetStack net(sys.stack(), link.port(0));
     RamDisk disk(sys.machine(), "pgdata");
     VirtioBlkStack blk(sys.stack(), disk);
-    Tpcc tpcc(sys.stack(), net, fabric, blk);
+    Tpcc tpcc(sys.stack(), net, link.port(1), blk);
     TpccResult t = tpcc.run(sec(2));
     r.record("tpm", t.tpm);
     r.record("mean_txn_msec", t.meanTxnMsec);

@@ -30,9 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "oracle/reference_event_queue.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
-#include "sim/reference_event_queue.h"
 #include "sim/ticks.h"
 #include "system/bench_harness.h"
 

@@ -9,9 +9,9 @@
 
 #include <cstdio>
 
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
-#include "io/net_fabric.h"
 #include "io/virtio_net.h"
 #include "system/nested_system.h"
 #include "workloads/guest_os.h"
@@ -28,13 +28,14 @@ runOnce(VirtMode mode)
 
     // Wire the paper's device stack: virtio-net over a 10 GbE link
     // with an echo peer, and a virtio disk on a ramdisk.
-    NetFabric fabric(machine, machine.costs().wireLatency,
-                     machine.costs().linkBitsPerSec);
-    VirtioNetStack net(sys.stack(), fabric);
-    fabric.setPeerHandler([&](NetPacket pkt) {
+    CrossLink link(machine, machine.costs().wireLatency,
+                   machine.costs().linkBitsPerSec);
+    VirtioNetStack net(sys.stack(), link.port(0));
+    NetPort &peer = link.port(1);
+    peer.setReceiveHandler([&](NetPacket pkt) {
         machine.events().scheduleIn(
             machine.costs().remotePeerTurnaround,
-            [&fabric, pkt] { fabric.sendToLocal(pkt); });
+            [&peer, pkt] { peer.send(pkt); });
     });
     RamDisk disk(machine, "ramdisk");
     VirtioBlkStack blk(sys.stack(), disk);

@@ -16,17 +16,17 @@
  *    this queue on the same workloads, so the committed
  *    BENCH_SPEED.json speedup is reproducible on any machine.
  *
- * Do not use it in the simulator proper. It heap-allocates a record
- * per event and leaks cancelled heap entries until they surface —
- * exactly the costs the timing wheel removes.
+ * It lives outside src/ so the simulator proper cannot use it. It
+ * heap-allocates a record per event and leaks cancelled heap entries
+ * until they surface — exactly the costs the timing wheel removes.
  *
  * One deliberate delta from the PR 5 code: scheduleIn()/advanceBy()
  * mirror the wheel's maxTick saturation (the PR 6 overflow bugfix), so
  * differential runs agree at the overflow boundary too.
  */
 
-#ifndef SVTSIM_SIM_REFERENCE_EVENT_QUEUE_H
-#define SVTSIM_SIM_REFERENCE_EVENT_QUEUE_H
+#ifndef SVTSIM_ORACLE_REFERENCE_EVENT_QUEUE_H
+#define SVTSIM_ORACLE_REFERENCE_EVENT_QUEUE_H
 
 #include <cstdint>
 #include <functional>
@@ -200,4 +200,4 @@ class ReferenceEventQueue
 
 } // namespace svtsim
 
-#endif // SVTSIM_SIM_REFERENCE_EVENT_QUEUE_H
+#endif // SVTSIM_ORACLE_REFERENCE_EVENT_QUEUE_H

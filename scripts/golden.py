@@ -4,8 +4,10 @@
 Runs every deterministic bench in build/bench (all but the host-timing
 sim_speed, cluster_speed and primitives_gbench) and hashes its stdout,
 its --json and --metrics exports and, for the benches whose traces pin
-the order of the nested trap stages, every --trace file. The hashes are
-compared against the committed GOLDEN.sha256.
+the order of the nested trap stages, every --trace file. Of
+cluster_speed, which times the host, it hashes only the simulation
+fingerprint in its --out record. The hashes are compared against the
+committed GOLDEN.sha256.
 
 A refactor that claims "same simulated bytes" passes this check with no
 GOLDEN.sha256 change. A deliberate behaviour change re-records it with
@@ -25,6 +27,7 @@ recorded one.
 """
 
 import hashlib
+import json
 import os
 import platform
 import subprocess
@@ -85,6 +88,22 @@ def run_bench(name, flags, traced, work):
     return hashes
 
 
+def run_cluster_speed(work):
+    """cluster_speed times the host: hash only the simulation
+    fingerprint of its --out record."""
+    out = os.path.join(work, "out.json")
+    cmd = [os.path.join(BENCH_DIR, "cluster_speed"), "--quick",
+           "--workers=2", "--out=" + out]
+    rc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL).returncode
+    if rc != 0:
+        raise RuntimeError(f"cluster_speed exited {rc}")
+    with open(out) as f:
+        fingerprint = json.load(f)["fingerprint"]
+    return {"cluster_speed/fingerprint":
+            hashlib.sha256(fingerprint.encode()).hexdigest()}
+
+
 def toolchain():
     """The compiler, C library and CPU features build/bench came from."""
     cxx = "unknown compiler"
@@ -135,7 +154,9 @@ def main(argv):
         for name, (flags, traced) in BENCHES.items():
             with tempfile.TemporaryDirectory() as work:
                 current.update(run_bench(name, flags, traced, work))
-    except (OSError, RuntimeError) as e:
+        with tempfile.TemporaryDirectory() as work:
+            current.update(run_cluster_speed(work))
+    except (OSError, RuntimeError, ValueError, KeyError) as e:
         print(f"golden: {e}", file=sys.stderr)
         return 2
 

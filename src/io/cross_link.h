@@ -1,13 +1,19 @@
 /**
  * @file
- * Machine-to-machine network link for the parallel cluster engine.
+ * The physical network: a point-to-point 10 GbE wire (Table 4's Intel
+ * X540-AT2) between the device under test and a bare-metal peer.
  *
- * A CrossLink is a point-to-point wire like NetFabric — propagation
- * latency plus per-direction serialization at link rate — except its
- * two ends live on *different* Machines (different EventQueues). A
- * packet sent during a cluster epoch is not scheduled into the remote
- * queue immediately (the remote machine may be advancing concurrently
- * on another worker); it is staged in a per-direction buffer, tagged
+ * A CrossLink models propagation latency plus per-direction
+ * serialization at link rate. Serialization is a per-direction "link
+ * free at" horizon, so back-to-back large segments queue behind each
+ * other and the STREAM workloads saturate at line rate.
+ *
+ * Both ends may live on one Machine: a send then schedules the
+ * delivery straight into the shared event queue. When the ends live
+ * on *different* Machines (different EventQueues), a packet sent
+ * during a cluster epoch is not scheduled into the remote queue
+ * immediately (the remote machine may be advancing concurrently on
+ * another worker); it is staged in a per-direction buffer, tagged
  * (deliveryTick, srcMachineId, seq), and merged into the destination
  * queue by the Cluster at the epoch barrier in that canonical order.
  * The merge order is a pure function of simulated behavior — never of
@@ -34,7 +40,7 @@
 
 namespace svtsim {
 
-/** Point-to-point link between two Machines with staged delivery. */
+/** Point-to-point link; staged delivery between two Machines. */
 class CrossLink
 {
   public:
@@ -58,11 +64,19 @@ class CrossLink
     /**
      * @param a,idA   Machine (and cluster machine id) at end 0.
      * @param b,idB   Machine (and cluster machine id) at end 1.
-     * @param latency One-way propagation delay; must be > 0, it is
-     *                the conservative lookahead this link grants.
+     * @param latency One-way propagation delay; between two machines
+     *                it must be > 0, it is the conservative lookahead
+     *                this link grants.
      */
     CrossLink(Machine &a, int idA, Machine &b, int idB, Ticks latency,
               double bits_per_sec);
+
+    /**
+     * Both ends on @p machine: end 0 is the device under test, end 1
+     * the peer. Sends deliver into the shared queue at send time, so
+     * no lookahead is involved and @p latency may be 0.
+     */
+    CrossLink(Machine &machine, Ticks latency, double bits_per_sec);
 
     CrossLink(const CrossLink &) = delete;
     CrossLink &operator=(const CrossLink &) = delete;
@@ -78,7 +92,8 @@ class CrossLink
         return dirs_[end == 0 ? 1 : 0].delivered;
     }
 
-    /** Packets currently staged (both directions; tests/diagnostics). */
+    /** Packets currently staged (both directions; tests/diagnostics).
+     *  Always 0 on a same-machine link. */
     std::size_t stagedCount() const
     {
         return dirs_[0].staged.size() + dirs_[1].staged.size();
@@ -119,6 +134,8 @@ class CrossLink
     void deliverStaged();
 
   private:
+    friend class NetPort;
+
     /** One direction of the wire (src end -> dst end). */
     struct Direction
     {
@@ -134,41 +151,19 @@ class CrossLink
         std::vector<Delivery> staged;
     };
 
-    /** NetPort adapter for one end. */
-    class Port : public NetPort
-    {
-      public:
-        void
-        send(const NetPacket &pkt) override
-        {
-            link_->stageSend(outDir_, pkt);
-        }
-        void
-        setReceiveHandler(std::function<void(NetPacket)> handler) override
-        {
-            link_->dirs_[outDir_ ^ 1].handler = std::move(handler);
-        }
-        Ticks
-        serialization(std::uint32_t bytes) const override
-        {
-            return netlink::serializationTicks(bytes,
-                                               link_->bitsPerSec_);
-        }
+    /** Send toward the far end: schedule the delivery on a
+     *  same-machine link, stage it for the barrier otherwise. */
+    void send(int dirIdx, const NetPacket &pkt);
 
-      private:
-        friend class CrossLink;
-        CrossLink *link_ = nullptr;
-        /** Direction index of packets sent *from* this end. */
-        int outDir_ = 0;
-    };
-
-    void stageSend(int dirIdx, const NetPacket &pkt);
+    /** Schedule @p pkt into @p dir's destination queue at @p arrival. */
+    static void schedule(Direction *dir, Ticks arrival,
+                         const NetPacket &pkt);
 
     Ticks latency_;
     std::int64_t bitsPerSec_;
     /** [0] end0 -> end1, [1] end1 -> end0. */
     Direction dirs_[2];
-    Port ports_[2];
+    NetPort ports_[2];
 };
 
 } // namespace svtsim

@@ -1,17 +1,13 @@
 /**
  * @file
- * Wire-side abstraction of a network attachment point.
+ * Wire-side view of a network attachment point.
  *
  * A NetPort is what a NIC model (VirtioNetStack) or a bare-metal
  * workload plugs into: transmit toward the remote end, register one
- * receive handler. Two implementations exist:
- *
- *  - NetFabric: both wire ends live on the same Machine/EventQueue
- *    (the classic single-machine benches, where the peer is a handler
- *    inside the DUT's own queue).
- *
- *  - CrossLink: the ends live on different Machines; delivery crosses
- *    event queues through the cluster engine's staged epoch merge.
+ * receive handler. It is one end of a CrossLink, whose two ends live
+ * either on one Machine (the peer is a handler inside the DUT's own
+ * event queue) or on two (delivery crosses event queues through the
+ * cluster engine's staged epoch merge).
  */
 
 #ifndef SVTSIM_IO_NET_PORT_H
@@ -24,6 +20,8 @@
 
 namespace svtsim {
 
+class CrossLink;
+
 /** One packet on the wire. */
 struct NetPacket
 {
@@ -32,24 +30,33 @@ struct NetPacket
     std::uint64_t payload = 0;
 };
 
-/** One end of a point-to-point link. */
+/** One end of a CrossLink (see io/cross_link.h). */
 class NetPort
 {
   public:
-    virtual ~NetPort() = default;
+    NetPort(const NetPort &) = delete;
+    NetPort &operator=(const NetPort &) = delete;
 
     /** Transmit toward the remote end of the wire. */
-    virtual void send(const NetPacket &pkt) = 0;
+    void send(const NetPacket &pkt);
 
     /**
      * Install the receive handler for packets arriving at this end.
      * The handler is stored once and invoked in event context per
      * delivered packet; it is not copied on the delivery hot path.
      */
-    virtual void setReceiveHandler(std::function<void(NetPacket)> handler) = 0;
+    void setReceiveHandler(std::function<void(NetPacket)> handler);
 
     /** Serialization time of @p bytes at link rate (with framing). */
-    virtual Ticks serialization(std::uint32_t bytes) const = 0;
+    Ticks serialization(std::uint32_t bytes) const;
+
+  private:
+    friend class CrossLink;
+    NetPort() = default;
+
+    CrossLink *link_ = nullptr;
+    /** Direction index of packets sent *from* this end. */
+    int outDir_ = 0;
 };
 
 namespace netlink {

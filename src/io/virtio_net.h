@@ -58,9 +58,8 @@ class VirtioNetStack
 {
   public:
     /**
-     * @param port The wire attachment: a NetFabric end for the
-     *             classic single-machine benches, or a CrossLink end
-     *             when the peer is a real second machine.
+     * @param port The wire attachment: one end of a CrossLink, whose
+     *             peer end is on the same machine or a second one.
      */
     VirtioNetStack(VirtStack &stack, NetPort &port);
 

@@ -8,11 +8,10 @@
  * lambda capturing a device pointer plus a packet or a couple of ids —
  * heap-allocates on every schedule(). EventClosure is a move-only
  * type-erased callable with a 48-byte inline buffer sized for the
- * repo's event lambdas (the largest steady-state capture today is a
- * NetFabric handler reference + NetPacket + counter pointer = 40
- * bytes), so the schedule->fire cycle does zero mallocs. Callables
- * that do not fit (or are not nothrow-movable) transparently fall
- * back to the heap.
+ * repo's event lambdas (a CrossLink delivery captures a direction
+ * pointer + NetPacket = 32 bytes), so the schedule->fire cycle does
+ * zero mallocs. Callables that do not fit (or are not nothrow-movable)
+ * transparently fall back to the heap.
  *
  * Dispatch is one indirect call through a per-type operations table —
  * no virtual destructors, no shared_ptr control blocks.

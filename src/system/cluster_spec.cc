@@ -86,8 +86,9 @@ ClusterSpec::validate() const
                   l.b.c_str(), l.b.c_str());
         if (l.a == l.b)
             fatal("ClusterSpec: link connects machine '%s' to "
-                  "itself; a CrossLink needs two distinct machines "
-                  "(same-machine peers use NetFabric)",
+                  "itself; a cluster link needs two distinct machines "
+                  "(build a same-machine peer with "
+                  "CrossLink(machine, latency, rate))",
                   l.a.c_str());
         const std::string key = l.a < l.b ? l.a + "\n" + l.b
                                           : l.b + "\n" + l.a;

@@ -4,13 +4,12 @@
 #include <string>
 #include <vector>
 
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
 #include "sim/log.h"
 #include "workloads/remote_peer.h"
-#include "workloads/tenant_drivers.h"
 #include "workloads/tpcc.h"
 #include "workloads/video.h"
 
@@ -89,7 +88,7 @@ struct SlotRuntime
     int flowIdx = -1;
 
     // tpcc slot (self-contained client+server machine, as fig9)
-    std::unique_ptr<NetFabric> fabric;
+    std::unique_ptr<CrossLink> link;
     std::unique_ptr<RamDisk> disk;
     std::unique_ptr<VirtioBlkStack> blk;
     std::unique_ptr<Tpcc> tpcc;
@@ -104,7 +103,7 @@ struct SlotRuntime
 struct LoadgenRuntime
 {
     std::string machineName;
-    std::unique_ptr<OpenLoopEtcLoadgen> gen;
+    std::unique_ptr<MutilateClient> gen;
 };
 
 } // namespace
@@ -182,15 +181,15 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             break;
         }
         case TenantWorkload::Tpcc: {
-            rt->fabric = std::make_unique<NetFabric>(
+            rt->link = std::make_unique<CrossLink>(
                 m, m.costs().wireLatency, m.costs().linkBitsPerSec);
             rt->net = std::make_unique<VirtioNetStack>(
-                build.stack(name), *rt->fabric);
+                build.stack(name), rt->link->port(0));
             rt->disk = std::make_unique<RamDisk>(m, "pgdata");
             rt->blk = std::make_unique<VirtioBlkStack>(
                 build.stack(name), *rt->disk);
             rt->tpcc = std::make_unique<Tpcc>(
-                build.stack(name), *rt->net, *rt->fabric, *rt->blk,
+                build.stack(name), *rt->net, rt->link->port(1), *rt->blk,
                 7 + static_cast<std::uint64_t>(i), 4.5, usec(13),
                 cpuScale);
             build.driver(name, [rt, duration](NestedSystem &) {
@@ -221,7 +220,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
         if (spec_.tenants[t].workload != TenantWorkload::Memcached)
             continue;
         LoadgenRuntime &lg = loadgens[t];
-        lg.gen = std::make_unique<OpenLoopEtcLoadgen>(
+        lg.gen = std::make_unique<MutilateClient>(
             build.machine(lg.machineName),
             seed_ + 1000 + static_cast<std::uint64_t>(t) * 100);
         for (int i = 0; i < nslots; ++i)
@@ -229,7 +228,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
                 runtimes[i]->flowIdx = lg.gen->addFlow(
                     build.port(lg.machineName, slotNames[i]),
                     spec_.tenants[t].qpsPerVcpu);
-        OpenLoopEtcLoadgen *gen = lg.gen.get();
+        MutilateClient *gen = lg.gen.get();
         const Ticks duration = spec_.tenants[t].duration;
         build.driver(lg.machineName,
                      [gen, duration](NestedSystem &) {

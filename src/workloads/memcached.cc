@@ -23,12 +23,88 @@ EtcWorkload::sampleKeySize(Rng &rng) const
                         rng.below(keyMax - keyMin + 1));
 }
 
+NetPacket
+EtcWorkload::sampleRequest(Rng &rng, std::uint64_t id) const
+{
+    const bool get = isGet(rng);
+    const std::uint32_t vsize = sampleValueSize(rng);
+    const std::uint32_t req_bytes =
+        sampleKeySize(rng) + (get ? 24 : 24 + vsize);
+    return NetPacket{
+        id, req_bytes,
+        (static_cast<std::uint64_t>(vsize) << 1) | (get ? 1 : 0)};
+}
+
+MemcachedService::MemcachedService(VirtStack &stack,
+                                   VirtioNetStack &net)
+    : stack_(stack), net_(net)
+{
+}
+
+void
+MemcachedService::receive(const NetPacket &pkt)
+{
+    inbox_.push_back(Request{
+        pkt.id, (pkt.payload & 1) != 0,
+        static_cast<std::uint32_t>(pkt.payload >> 1)});
+}
+
+void
+MemcachedService::serveOne()
+{
+    Request req = inbox_.front();
+    inbox_.pop_front();
+    // Parse + hash lookup + LRU bookkeeping + value access.
+    Ticks service =
+        usec(1.6) + static_cast<Ticks>(req.valueBytes) * psec(40);
+    if (!req.get)
+        service += usec(1.1); // allocation + store
+    stack_.api().compute(service);
+    std::uint32_t resp_bytes = req.get ? 28 + req.valueBytes : 28;
+    net_.send(resp_bytes, req.id);
+}
+
+std::uint64_t
+MemcachedService::serveUntil(Ticks end,
+                             const std::function<bool()> &drained)
+{
+    Machine &machine = stack_.machine();
+    GuestApi &api = stack_.api();
+    std::uint64_t served = 0;
+    auto serve_one = [&] {
+        serveOne();
+        ++served;
+    };
+    while (machine.now() < end) {
+        if (inbox_.empty()) {
+            GuestOs::idleWait(api, [&] {
+                return !inbox_.empty() || machine.now() >= end;
+            });
+            continue;
+        }
+        serve_one();
+    }
+    // Drain the backlog and keep serving stragglers through a grace
+    // period so late in-flight requests still get responses (requests
+    // dropped under overload never complete, so the wait is bounded).
+    while (!inbox_.empty())
+        serve_one();
+    Ticks grace = machine.now() + msec(5);
+    GuestOs::idleWait(api, [&] {
+        while (!inbox_.empty())
+            serve_one();
+        return drained() || machine.now() >= grace;
+    });
+    return served;
+}
+
 MemcachedBench::MemcachedBench(VirtStack &stack, VirtioNetStack &net,
-                               NetFabric &fabric, std::uint64_t seed,
+                               NetPort &peer, std::uint64_t seed,
                                double l1_housekeeping_rate_hz,
                                Ticks l1_housekeeping_cost,
                                double l1_housekeeping_per_request)
-    : stack_(stack), net_(net), fabric_(fabric), rng_(seed),
+    : stack_(stack), net_(net), peer_(peer), service_(stack, net),
+      rng_(seed),
       housekeepingRate_(l1_housekeeping_rate_hz),
       housekeepingCost_(l1_housekeeping_cost),
       housekeepingPerRequest_(l1_housekeeping_per_request)
@@ -56,7 +132,6 @@ MemcachedPoint
 MemcachedBench::runLoad(double qps, Ticks duration)
 {
     Machine &machine = stack_.machine();
-    GuestApi &api = stack_.api();
 
     // Client-side bookkeeping (lives on the peer machine).
     std::unordered_map<std::uint64_t, Ticks> sent;
@@ -68,7 +143,7 @@ MemcachedBench::runLoad(double qps, Ticks duration)
 
     // mutilate measures the full round trip of each request at the
     // client.
-    fabric_.setPeerHandler([&](NetPacket pkt) {
+    peer_.setReceiveHandler([&](NetPacket pkt) {
         auto it = sent.find(pkt.id);
         if (it != sent.end()) {
             lat.add(toUsec(machine.now() - it->second));
@@ -78,13 +153,8 @@ MemcachedBench::runLoad(double qps, Ticks duration)
     });
 
     // Server side: requests land in the connection inbox under the
-    // receive interrupt; the serving loop below drains it.
-    inbox_.clear();
-    net_.setRxHandler([&](NetPacket pkt) {
-        inbox_.push_back(Request{pkt.id, (pkt.payload & 1) != 0,
-                                 static_cast<std::uint32_t>(
-                                     pkt.payload >> 1)});
-    });
+    // receive interrupt.
+    net_.setRxHandler([this](NetPacket pkt) { service_.receive(pkt); });
 
     // Open-loop Poisson arrival process at the client.
     std::function<void()> arm = [&] {
@@ -93,16 +163,9 @@ MemcachedBench::runLoad(double qps, Ticks duration)
         if (when >= end)
             return;
         machine.events().schedule(when, [&] {
-            std::uint64_t id = nextId_++;
-            bool get = etc_.isGet(rng_);
-            std::uint32_t vsize = etc_.sampleValueSize(rng_);
-            std::uint32_t req_bytes =
-                etc_.sampleKeySize(rng_) + (get ? 24 : 24 + vsize);
-            sent[id] = machine.now();
-            fabric_.sendToLocal(NetPacket{
-                id, req_bytes,
-                (static_cast<std::uint64_t>(vsize) << 1) |
-                    (get ? 1 : 0)});
+            NetPacket req = etc_.sampleRequest(rng_, nextId_++);
+            sent[req.id] = machine.now();
+            peer_.send(req);
             // Load-proportional L1-kernel work triggered by serving
             // this request (vhost bookkeeping on the paired vCPU).
             double events = housekeepingPerRequest_;
@@ -118,41 +181,11 @@ MemcachedBench::runLoad(double qps, Ticks duration)
     arm();
     scheduleHousekeeping(end);
 
-    // The memcached serving loop in the guest.
-    auto serve_one = [&] {
-        Request req = inbox_.front();
-        inbox_.pop_front();
-        // Parse + hash lookup + LRU bookkeeping + value access.
-        Ticks service = usec(1.6) +
-                        static_cast<Ticks>(req.valueBytes) * psec(40);
-        if (!req.get)
-            service += usec(1.1); // allocation + store
-        api.compute(service);
-        std::uint32_t resp_bytes = req.get ? 28 + req.valueBytes : 28;
-        net_.send(resp_bytes, req.id);
-    };
-    while (machine.now() < end) {
-        if (inbox_.empty()) {
-            GuestOs::idleWait(api, [&] {
-                return !inbox_.empty() || machine.now() >= end;
-            });
-            continue;
-        }
-        serve_one();
-    }
-    // Drain: serve the backlog and wait for in-flight responses so no
-    // event references this invocation's state after it returns.
-    // Requests dropped under overload never complete, so the wait is
-    // bounded by a grace period.
-    while (!inbox_.empty())
-        serve_one();
-    Ticks grace = machine.now() + msec(5);
-    GuestOs::idleWait(api, [&] {
-        while (!inbox_.empty())
-            serve_one();
-        return sent.empty() || machine.now() >= grace;
-    });
-    fabric_.setPeerHandler([](NetPacket) {});
+    // The memcached serving loop in the guest. Its grace period also
+    // waits for in-flight responses, so no event references this
+    // invocation's state after it returns.
+    service_.serveUntil(end, [&] { return sent.empty(); });
+    peer_.setReceiveHandler([](NetPacket) {});
     net_.setRxHandler([](NetPacket) {});
 
     MemcachedPoint point;

@@ -10,9 +10,10 @@
 #define SVTSIM_WORKLOADS_MEMCACHED_H
 
 #include <deque>
+#include <functional>
 
 #include "hv/virt_stack.h"
-#include "io/net_fabric.h"
+#include "io/net_port.h"
 #include "io/virtio_net.h"
 #include "sim/random.h"
 #include "stats/summary.h"
@@ -37,6 +38,13 @@ struct EtcWorkload
     std::uint32_t sampleValueSize(Rng &rng) const;
     std::uint32_t sampleKeySize(Rng &rng) const;
     bool isGet(Rng &rng) const { return rng.chance(getRatio); }
+
+    /**
+     * Sample request @p id as mutilate puts it on the wire: the value
+     * size and the GET bit ride in the payload for the server to
+     * decode (MemcachedService::receive).
+     */
+    NetPacket sampleRequest(Rng &rng, std::uint64_t id) const;
 };
 
 /** One measured load point of the latency-vs-throughput curve. */
@@ -50,13 +58,50 @@ struct MemcachedPoint
 };
 
 /**
+ * memcached's serving loop in the guest, shared by MemcachedBench and
+ * MemcachedServer: the connection inbox, the per-request work (parse,
+ * hash lookup, LRU bookkeeping, value access) and the response.
+ */
+class MemcachedService
+{
+  public:
+    MemcachedService(VirtStack &stack, VirtioNetStack &net);
+
+    /** Queue a request that arrived under the receive interrupt. */
+    void receive(const NetPacket &pkt);
+
+    /**
+     * Serve until the clock reaches @p end, drain the backlog, then
+     * keep serving stragglers through a 5 ms grace period, which ends
+     * early once @p drained() holds. Returns requests served.
+     */
+    std::uint64_t serveUntil(Ticks end,
+                             const std::function<bool()> &drained);
+
+  private:
+    struct Request
+    {
+        std::uint64_t id;
+        bool get;
+        std::uint32_t valueBytes;
+    };
+
+    void serveOne();
+
+    VirtStack &stack_;
+    VirtioNetStack &net_;
+    std::deque<Request> inbox_;
+};
+
+/**
  * The memcached server (at the stack's top level) plus the mutilate
- * open-loop client on the bare-metal peer.
+ * open-loop client on the bare-metal peer, both on one Machine.
  */
 class MemcachedBench
 {
   public:
     /**
+     * @param peer The client's end of the link @p net is attached to.
      * @param l1_housekeeping_rate_hz Background rate of L1-kernel
      *        housekeeping (scheduler ticks, RCU) interfering with the
      *        serving vCPU (0 disables).
@@ -67,7 +112,7 @@ class MemcachedBench
      *        baseline; overlapped by the SVt-thread in SW SVt.
      */
     MemcachedBench(VirtStack &stack, VirtioNetStack &net,
-                   NetFabric &fabric, std::uint64_t seed = 42,
+                   NetPort &peer, std::uint64_t seed = 42,
                    double l1_housekeeping_rate_hz = 1000.0,
                    Ticks l1_housekeeping_cost = usec(14.5),
                    double l1_housekeeping_per_request = 0.9);
@@ -76,24 +121,17 @@ class MemcachedBench
     MemcachedPoint runLoad(double qps, Ticks duration);
 
   private:
-    struct Request
-    {
-        std::uint64_t id;
-        bool get;
-        std::uint32_t valueBytes;
-    };
-
     void scheduleHousekeeping(Ticks end);
 
     VirtStack &stack_;
     VirtioNetStack &net_;
-    NetFabric &fabric_;
+    NetPort &peer_;
+    MemcachedService service_;
     Rng rng_;
     EtcWorkload etc_;
     double housekeepingRate_;
     Ticks housekeepingCost_;
     double housekeepingPerRequest_;
-    std::deque<Request> inbox_;
     std::uint64_t nextId_ = 1;
 };
 

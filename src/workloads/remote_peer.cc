@@ -1,211 +1,96 @@
 #include "workloads/remote_peer.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "sim/log.h"
-#include "stats/summary.h"
-#include "workloads/guest_os.h"
 
 namespace svtsim {
 
-NetserverPeer::NetserverPeer(Machine &machine, NetPort &port)
-    : machine_(machine), port_(port)
+MutilateClient::MutilateClient(Machine &machine, std::uint64_t seed)
+    : machine_(machine), seed_(seed)
 {
-    port_.setReceiveHandler(
-        [this](NetPacket pkt) { onRequest(pkt); });
-}
-
-void
-NetserverPeer::onRequest(NetPacket pkt)
-{
-    ++received_;
-    switch (peerwire::tagOf(pkt.payload)) {
-      case peerwire::rrTag: {
-        const auto resp_bytes =
-            static_cast<std::uint32_t>(peerwire::argOf(pkt.payload));
-        machine_.events().scheduleIn(
-            machine_.costs().remotePeerTurnaround,
-            [this, pkt, resp_bytes] {
-                port_.send(NetPacket{pkt.id, resp_bytes, pkt.payload});
-            },
-            "netserver-rr");
-        break;
-      }
-      case peerwire::streamTag: {
-        ++streamRxed_;
-        const auto ack_every = peerwire::argOf(pkt.payload);
-        if (ack_every == 0)
-            panic("NetserverPeer: STREAM segment with ack_every=0");
-        if (streamRxed_ % ack_every == 0) {
-            // Delayed ack + NIC interrupt moderation, as in the
-            // single-machine peer model.
-            const std::uint64_t acked = streamRxed_;
-            machine_.events().scheduleIn(
-                usec(2),
-                [this, acked] {
-                    port_.send(NetPacket{acked, 60, acked});
-                },
-                "netserver-ack");
-        }
-        break;
-      }
-      default:
-        panic("NetserverPeer: packet with unknown wire tag %llu",
-              static_cast<unsigned long long>(
-                  peerwire::tagOf(pkt.payload)));
-    }
-}
-
-ClusterNetperf::ClusterNetperf(VirtStack &stack, VirtioNetStack &net)
-    : stack_(stack), net_(net)
-{
-}
-
-NetperfRrResult
-ClusterNetperf::runRr(std::uint32_t req_bytes,
-                      std::uint32_t resp_bytes, int transactions)
-{
-    Machine &machine = stack_.machine();
-    GuestApi &api = stack_.api();
-
-    std::uint64_t received = 0;
-    net_.setRxHandler([&](NetPacket) { ++received; });
-
-    Percentiles lat;
-    const std::uint64_t payload = peerwire::rrRequest(resp_bytes);
-    // One warm-up transaction outside the measurement.
-    int total = transactions + 1;
-    for (int i = 0; i < total; ++i) {
-        std::uint64_t want = received + 1;
-        Ticks t0 = machine.now();
-        net_.send(req_bytes, static_cast<std::uint64_t>(i), payload);
-        GuestOs::idleWait(api, [&] { return received >= want; });
-        if (i > 0)
-            lat.add(toUsec(machine.now() - t0));
-    }
-    // The machine keeps running as a cluster follower after the
-    // driver returns; nothing may reference this frame.
-    net_.setRxHandler([](NetPacket) {});
-
-    NetperfRrResult r;
-    r.meanUsec = lat.mean();
-    r.p99Usec = lat.p99();
-    r.transactions = lat.count();
-    return r;
-}
-
-NetperfStreamResult
-ClusterNetperf::runStream(std::uint32_t seg_bytes, Ticks duration,
-                          int window, int ack_every)
-{
-    Machine &machine = stack_.machine();
-    GuestApi &api = stack_.api();
-    if (window < ack_every)
-        fatal("netperf stream window must cover the ack interval");
-
-    std::uint64_t acked = 0;
-    net_.setRxHandler([&](NetPacket pkt) {
-        // Cumulative acknowledgement from the remote netserver.
-        if (pkt.payload > acked)
-            acked = pkt.payload;
-    });
-
-    const std::uint64_t payload = peerwire::streamSegment(
-        static_cast<std::uint32_t>(ack_every));
-    Ticks end = machine.now() + duration;
-    std::uint64_t sent = 0;
-    while (machine.now() < end) {
-        if (sent - acked < static_cast<std::uint64_t>(window)) {
-            net_.send(seg_bytes, sent, payload);
-            ++sent;
-        } else {
-            std::uint64_t limit = sent;
-            GuestOs::idleWait(api, [&] {
-                return machine.now() >= end ||
-                       limit - acked <
-                           static_cast<std::uint64_t>(window);
-            });
-        }
-    }
-    net_.setRxHandler([](NetPacket) {});
-
-    NetperfStreamResult r;
-    r.segments = acked;
-    double bits = static_cast<double>(acked) *
-                  static_cast<double>(seg_bytes) * 8.0;
-    r.mbps = bits / toSec(duration) / 1e6;
-    return r;
 }
 
 MutilateClient::MutilateClient(Machine &machine, NetPort &port,
                                std::uint64_t seed)
-    : machine_(machine), port_(port), rng_(seed)
+    : MutilateClient(machine, seed)
 {
+    addFlow(port, 0);
+}
+
+int
+MutilateClient::addFlow(NetPort &port, double qps)
+{
+    const std::uint64_t seed = seed_ + flows_.size();
+    flows_.push_back(std::make_unique<Flow>(port, qps, seed));
+    return flowCount() - 1;
+}
+
+void
+MutilateClient::arm(Flow &flow, Ticks end)
+{
+    Machine &m = machine_;
+    const Ticks gap = std::max<Ticks>(
+        static_cast<Ticks>(flow.rng.exponential(1e12 / flow.qps)), 1);
+    const Ticks when = m.now() + gap;
+    if (when >= end)
+        return;
+    m.events().schedule(when, [this, &flow, end] {
+        const NetPacket req = etc_.sampleRequest(flow.rng, flow.nextId++);
+        flow.inflight[req.id] = machine_.now();
+        flow.port.send(req);
+        arm(flow, end);
+    }, "mutilate-arrival");
+}
+
+void
+MutilateClient::run(Ticks duration, Ticks grace)
+{
+    Machine &m = machine_;
+    const Ticks end = m.now() + duration;
+    for (auto &flowp : flows_) {
+        Flow &flow = *flowp;
+        flow.inflight.clear();
+        flow.stats = FlowStats{};
+        // mutilate measures the full round trip at the client.
+        flow.port.setReceiveHandler([&flow, &m](NetPacket pkt) {
+            auto it = flow.inflight.find(pkt.id);
+            if (it != flow.inflight.end()) {
+                flow.stats.latency.add(toUsec(m.now() - it->second));
+                flow.inflight.erase(it);
+                ++flow.stats.completed;
+            }
+        });
+        arm(flow, end);
+    }
+    // Idle through the run plus the drain grace (requests dropped
+    // under overload never complete; the grace bounds the wait).
+    // Under a cluster gate idleUntil can return early at an epoch
+    // boundary, so loop until the clock really arrives.
+    const Ticks drained = end + grace;
+    while (m.now() < drained)
+        m.idleUntil(drained);
+    for (auto &flowp : flows_)
+        flowp->port.setReceiveHandler([](NetPacket) {});
 }
 
 MemcachedPoint
 MutilateClient::runLoad(double qps, Ticks duration)
 {
-    Machine &m = machine_;
+    simAssert(flowCount() == 1, "MutilateClient::runLoad needs one flow");
+    flows_[0]->qps = qps;
+    const Ticks t0 = machine_.now();
+    run(duration);
 
-    std::unordered_map<std::uint64_t, Ticks> sent;
-    Percentiles lat;
-    std::uint64_t completed = 0;
-
-    Ticks t0 = m.now();
-    Ticks end = t0 + duration;
-
-    // mutilate measures the full round trip at the client.
-    port_.setReceiveHandler([&](NetPacket pkt) {
-        auto it = sent.find(pkt.id);
-        if (it != sent.end()) {
-            lat.add(toUsec(m.now() - it->second));
-            sent.erase(it);
-            ++completed;
-        }
-    });
-
-    // Open-loop Poisson arrival process; each arrival samples the ETC
-    // distributions and ships the value size in the payload.
-    std::function<void()> arm = [&] {
-        Ticks gap = static_cast<Ticks>(rng_.exponential(1e12 / qps));
-        Ticks when = m.now() + std::max<Ticks>(gap, 1);
-        if (when >= end)
-            return;
-        m.events().schedule(when, [&] {
-            std::uint64_t id = nextId_++;
-            bool get = etc_.isGet(rng_);
-            std::uint32_t vsize = etc_.sampleValueSize(rng_);
-            std::uint32_t req_bytes =
-                etc_.sampleKeySize(rng_) + (get ? 24 : 24 + vsize);
-            sent[id] = m.now();
-            port_.send(NetPacket{
-                id, req_bytes,
-                (static_cast<std::uint64_t>(vsize) << 1) |
-                    (get ? 1 : 0)});
-            arm();
-        }, "mutilate-arrival");
-    };
-    arm();
-
-    // Idle through the run plus the drain grace (requests dropped
-    // under overload never complete; the grace bounds the wait).
-    // Under a cluster gate idleUntil can return early at an epoch
-    // boundary, so loop until the clock really arrives.
-    const Ticks grace = end + msec(5);
-    while (m.now() < grace)
-        m.idleUntil(grace);
-    port_.setReceiveHandler([](NetPacket) {});
-
+    const FlowStats &s = flows_[0]->stats;
     MemcachedPoint point;
     point.offeredQps = qps;
-    point.completed = completed;
+    point.completed = s.completed;
     point.achievedQps =
-        static_cast<double>(completed) / toSec(m.now() - t0);
-    if (lat.count()) {
-        point.avgUsec = lat.mean();
-        point.p99Usec = lat.p99();
+        static_cast<double>(s.completed) / toSec(machine_.now() - t0);
+    if (s.latency.count()) {
+        point.avgUsec = s.latency.mean();
+        point.p99Usec = s.latency.p99();
     }
     return point;
 }
@@ -215,7 +100,7 @@ MemcachedServer::MemcachedServer(VirtStack &stack, VirtioNetStack &net,
                                  double l1_housekeeping_rate_hz,
                                  Ticks l1_housekeeping_cost,
                                  double l1_housekeeping_per_request)
-    : stack_(stack), net_(net), rng_(seed),
+    : stack_(stack), net_(net), service_(stack, net), rng_(seed),
       housekeepingRate_(l1_housekeeping_rate_hz),
       housekeepingCost_(l1_housekeeping_cost),
       housekeepingPerRequest_(l1_housekeeping_per_request)
@@ -242,19 +127,11 @@ MemcachedServer::scheduleHousekeeping(Ticks end)
 std::uint64_t
 MemcachedServer::serveUntil(Ticks end)
 {
-    Machine &machine = stack_.machine();
-    GuestApi &api = stack_.api();
-
-    inbox_.clear();
-    std::uint64_t served = 0;
-
     // Requests land in the connection inbox under the receive
     // interrupt; each also triggers the load-proportional L1-kernel
     // work (vhost bookkeeping on the paired vCPU).
     net_.setRxHandler([this](NetPacket pkt) {
-        inbox_.push_back(Request{pkt.id, (pkt.payload & 1) != 0,
-                                 static_cast<std::uint32_t>(
-                                     pkt.payload >> 1)});
+        service_.receive(pkt);
         double events = housekeepingPerRequest_;
         while (events >= 1.0 || rng_.chance(events)) {
             stack_.postL1Housekeeping(housekeepingCost_);
@@ -265,38 +142,8 @@ MemcachedServer::serveUntil(Ticks end)
     });
     scheduleHousekeeping(end);
 
-    auto serve_one = [&] {
-        Request req = inbox_.front();
-        inbox_.pop_front();
-        // Parse + hash lookup + LRU bookkeeping + value access.
-        Ticks service = usec(1.6) +
-                        static_cast<Ticks>(req.valueBytes) * psec(40);
-        if (!req.get)
-            service += usec(1.1); // allocation + store
-        api.compute(service);
-        std::uint32_t resp_bytes = req.get ? 28 + req.valueBytes : 28;
-        net_.send(resp_bytes, req.id);
-        ++served;
-    };
-    while (machine.now() < end) {
-        if (inbox_.empty()) {
-            GuestOs::idleWait(api, [&] {
-                return !inbox_.empty() || machine.now() >= end;
-            });
-            continue;
-        }
-        serve_one();
-    }
-    // Drain the backlog and keep serving stragglers through a grace
-    // period so late in-flight requests still get responses.
-    while (!inbox_.empty())
-        serve_one();
-    Ticks grace = machine.now() + msec(5);
-    GuestOs::idleWait(api, [&] {
-        while (!inbox_.empty())
-            serve_one();
-        return machine.now() >= grace;
-    });
+    const std::uint64_t served =
+        service_.serveUntil(end, [] { return false; });
     net_.setRxHandler([](NetPacket) {});
     return served;
 }

@@ -12,7 +12,7 @@
 #include <deque>
 
 #include "hv/virt_stack.h"
-#include "io/net_fabric.h"
+#include "io/net_port.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
 #include "sim/random.h"
@@ -51,6 +51,7 @@ class Tpcc
 {
   public:
     /**
+     * @param peer The client's end of the link @p net is attached to.
      * @param l1_housekeeping_per_statement Load-proportional L1-kernel
      *        work (vhost bookkeeping on the paired vCPU) per statement;
      *        serial in the baseline, overlapped under SW SVt.
@@ -58,7 +59,7 @@ class Tpcc
      *        fleet scheduler uses it to model SMT-sibling contention
      *        under the sibling-share policy).
      */
-    Tpcc(VirtStack &stack, VirtioNetStack &net, NetFabric &fabric,
+    Tpcc(VirtStack &stack, VirtioNetStack &net, NetPort &peer,
          VirtioBlkStack &blk, std::uint64_t seed = 7,
          double l1_housekeeping_per_statement = 4.5,
          Ticks l1_housekeeping_cost = usec(13),
@@ -73,7 +74,7 @@ class Tpcc
   private:
     VirtStack &stack_;
     VirtioNetStack &net_;
-    NetFabric &fabric_;
+    NetPort &peer_;
     VirtioBlkStack &blk_;
     Rng rng_;
     double housekeepingPerStatement_;

@@ -24,7 +24,7 @@
 #include "sim/worker_pool.h"
 #include "system/cluster.h"
 #include "system/nested_system.h"
-#include "workloads/remote_peer.h"
+#include "workloads/netperf.h"
 
 namespace svtsim {
 namespace {
@@ -237,6 +237,108 @@ TEST(CrossLink, IntegerSerializationMatchesExactRate)
               Ticks{(1522 + 78) * 8 * 25});
 }
 
+TEST(CrossLink, SameMachineLinkSkipsTheBarrier)
+{
+    NestedSystem sys(VirtMode::Native);
+    CrossLink link(sys.machine(), 0, 10e9);
+    std::uint64_t got = 0;
+    link.port(1).setReceiveHandler([&](NetPacket) { ++got; });
+    link.port(0).send(NetPacket{1, 100, 0});
+    EXPECT_EQ(link.stagedCount(), 0u);
+    sys.machine().events().runUntilTick(maxTick);
+    EXPECT_EQ(got, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Packet conservation: sent from one end == delivered at the other.
+
+const char *const kDelayPlan = "virtio.completion.delay@p0.3,d40us";
+
+/**
+ * Seeded two-way traffic over @p link: each end sends 150 packets at
+ * random times on its own machine and echoes every original packet it
+ * receives. @p sent[end] counts the packets sent from each end.
+ */
+void
+startTraffic(CrossLink &link, Machine &m0, Machine &m1,
+             std::uint64_t *sent)
+{
+    Machine *machines[2] = {&m0, &m1};
+    for (int end : {0, 1}) {
+        NetPort &port = link.port(end);
+        port.setReceiveHandler([&port, end, sent](NetPacket pkt) {
+            if (pkt.id % 2 == 0) {
+                ++sent[end];
+                port.send(NetPacket{pkt.id + 1, pkt.bytes, 0});
+            }
+        });
+        Rng rng(100 + static_cast<std::uint64_t>(end));
+        for (std::uint64_t i = 0; i < 150; ++i) {
+            const auto bytes =
+                64 + static_cast<std::uint32_t>(rng.below(9000));
+            machines[end]->events().schedule(
+                nsec(static_cast<Ticks>(rng.below(400000))),
+                [&port, end, sent, i, bytes] {
+                    ++sent[end];
+                    port.send(NetPacket{2 * i, bytes, 0});
+                });
+        }
+    }
+}
+
+void
+expectConserved(const CrossLink &link, const std::uint64_t *sent)
+{
+    EXPECT_EQ(sent[0], 300u); // 150 originals + 150 echoes
+    EXPECT_EQ(sent[1], 300u);
+    EXPECT_EQ(link.delivered(1), sent[0]);
+    EXPECT_EQ(link.delivered(0), sent[1]);
+    EXPECT_EQ(link.stagedCount(), 0u);
+}
+
+TEST(PacketConservation, SameMachineLink)
+{
+    for (const char *plan : {"", kDelayPlan}) {
+        NestedSystem sys(VirtMode::Native);
+        Machine &m = sys.machine();
+        if (*plan)
+            m.installFaultPlan(FaultPlan::parse(plan));
+        CrossLink link(m, usec(2), 10e9);
+        std::uint64_t sent[2] = {0, 0};
+        startTraffic(link, m, m, sent);
+        while (m.events().runNext()) {
+        }
+        expectConserved(link, sent);
+        if (*plan) {
+            EXPECT_GT(m.events().faultInjector()->injectedCount(
+                          FaultSite::VirtioCompletionDelay),
+                      0u);
+        }
+    }
+}
+
+TEST(PacketConservation, TwoMachineLink)
+{
+    for (const char *plan : {"", kDelayPlan}) {
+        Cluster cluster(9);
+        int a = cluster.addMachine("a", VirtMode::Native);
+        int b = cluster.addMachine("b", VirtMode::Native);
+        CrossLink &link = cluster.connect(a, b, usec(2), 10e9);
+        if (*plan)
+            cluster.installFaultPlan(FaultPlan::parse(plan));
+        std::uint64_t sent[2] = {0, 0};
+        startTraffic(link, cluster.machine(a), cluster.machine(b), sent);
+        cluster.run(2);
+        expectConserved(link, sent);
+        if (*plan) {
+            EXPECT_GT(cluster.machine(a).events().faultInjector()
+                          ->injectedCount(
+                              FaultSite::VirtioCompletionDelay),
+                      0u);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cluster engine: determinism across worker counts.
 
@@ -324,7 +426,7 @@ nestedRrFingerprint(int jobs, VirtMode mode)
 
     VirtioNetStack net(cluster.system(c).stack(), link.port(0));
     NetserverPeer peer(cluster.machine(p), link.port(1));
-    ClusterNetperf netperf(cluster.system(c).stack(), net);
+    Netperf netperf(cluster.system(c).stack(), net);
 
     NetperfRrResult rr;
     cluster.setDriver(c, [&](NestedSystem &) {

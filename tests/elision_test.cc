@@ -17,7 +17,7 @@
 #include "hv/stack_config.h"
 #include "hv/virt_stack.h"
 #include "io/irq_coalescer.h"
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
@@ -367,14 +367,14 @@ TEST(MultiQueueVirtio, NetEchoAcrossTwoQueues)
     NestedSystem sys(VirtMode::Nested,
                      elisionCfg(VirtMode::Nested, true, 2, 4,
                                 usec(25)));
-    NetFabric fabric(sys.machine(), sys.machine().costs().wireLatency,
-                     sys.machine().costs().linkBitsPerSec);
-    VirtioNetStack net(sys.stack(), fabric);
+    CrossLink link(sys.machine(), sys.machine().costs().wireLatency,
+                   sys.machine().costs().linkBitsPerSec);
+    VirtioNetStack net(sys.stack(), link.port(0));
     ASSERT_EQ(net.queues(), 2);
-    fabric.setPeerHandler([&](NetPacket pkt) {
+    link.port(1).setReceiveHandler([&](NetPacket pkt) {
         sys.machine().events().scheduleIn(
             sys.machine().costs().remotePeerTurnaround,
-            [&fabric, pkt] { fabric.sendToLocal(pkt); });
+            [&link, pkt] { link.port(1).send(pkt); });
     });
     int got = 0;
     net.setRxHandler([&](NetPacket) { ++got; });

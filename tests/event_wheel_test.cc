@@ -16,11 +16,11 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/reference_event_queue.h"
 #include "sim/closure.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/random.h"
-#include "sim/reference_event_queue.h"
 #include "sim/ticks.h"
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Property tests for the io substrate: virtqueue invariants under
- * random operation sequences, packet conservation on the fabric,
- * ramdisk ordering, and AsyncStage work conservation.
+ * random operation sequences, packet conservation on a same-machine
+ * link, ramdisk ordering, and AsyncStage work conservation.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 
 #include "arch/machine.h"
 #include "io/async_stage.h"
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtqueue.h"
 #include "sim/random.h"
@@ -93,17 +93,17 @@ TEST(VirtqueueProperty, KickOnlyWhenDeviceIdle)
     EXPECT_TRUE(q.post(VirtioBuffer{2, 1, 0, false}));
 }
 
-// ---------------------------------------------------------------- fabric
+// ------------------------------------------------- same-machine link
 
 TEST(FabricProperty, EveryPacketArrivesExactlyOnceInOrder)
 {
     Rng rng(271);
     Machine machine(MachineTopology{1, 1, 2});
-    NetFabric fabric(machine, usec(3), 10e9);
+    CrossLink link(machine, usec(3), 10e9);
     std::vector<std::uint64_t> to_peer, to_local;
-    fabric.setPeerHandler(
+    link.port(1).setReceiveHandler(
         [&](NetPacket p) { to_peer.push_back(p.id); });
-    fabric.setLocalHandler(
+    link.port(0).setReceiveHandler(
         [&](NetPacket p) { to_local.push_back(p.id); });
 
     std::vector<std::uint64_t> sent_peer, sent_local;
@@ -113,10 +113,10 @@ TEST(FabricProperty, EveryPacketArrivesExactlyOnceInOrder)
                           64 + rng.below(9000)),
                       0};
         if (rng.chance(0.5)) {
-            fabric.sendToPeer(pkt);
+            link.port(0).send(pkt);
             sent_peer.push_back(pkt.id);
         } else {
-            fabric.sendToLocal(pkt);
+            link.port(1).send(pkt);
             sent_local.push_back(pkt.id);
         }
         if (rng.chance(0.3))
@@ -125,8 +125,8 @@ TEST(FabricProperty, EveryPacketArrivesExactlyOnceInOrder)
     machine.events().advanceBy(msec(10));
     EXPECT_EQ(to_peer, sent_peer);
     EXPECT_EQ(to_local, sent_local);
-    EXPECT_EQ(fabric.deliveredToPeer(), sent_peer.size());
-    EXPECT_EQ(fabric.deliveredToLocal(), sent_local.size());
+    EXPECT_EQ(link.delivered(1), sent_peer.size());
+    EXPECT_EQ(link.delivered(0), sent_local.size());
 }
 
 TEST(FabricProperty, ArrivalSpacingRespectsSerialization)
@@ -134,15 +134,15 @@ TEST(FabricProperty, ArrivalSpacingRespectsSerialization)
     // Regardless of send pattern, same-direction arrivals can never
     // be closer together than the wire's serialization time.
     Machine machine(MachineTopology{1, 1, 2});
-    NetFabric fabric(machine, usec(5), 10e9);
+    CrossLink link(machine, usec(5), 10e9);
     std::vector<Ticks> arrivals;
-    fabric.setPeerHandler(
+    link.port(1).setReceiveHandler(
         [&](NetPacket) { arrivals.push_back(machine.now()); });
     for (int i = 0; i < 50; ++i)
-        fabric.sendToPeer(NetPacket{static_cast<std::uint64_t>(i),
+        link.port(0).send(NetPacket{static_cast<std::uint64_t>(i),
                                     16384, 0});
     machine.events().advanceBy(msec(20));
-    Ticks min_gap = fabric.serialization(16384);
+    Ticks min_gap = link.port(0).serialization(16384);
     for (std::size_t i = 1; i < arrivals.size(); ++i)
         EXPECT_GE(arrivals[i] - arrivals[i - 1], min_gap);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the io module: virtqueues, the network fabric, the
+ * Tests for the io module: virtqueues, the same-machine link, the
  * ramdisk, and the full nested virtio-net / virtio-blk paths.
  */
 
@@ -11,7 +11,7 @@
 
 #include "hv/vectors.h"
 #include "hv/virt_stack.h"
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
@@ -105,7 +105,7 @@ TEST_F(VirtqueueTest, TakeOnEmptyMarksIdle)
     EXPECT_TRUE(q.post(VirtioBuffer{}));
 }
 
-// -------------------------------------------------------------- fabric
+// ------------------------------------------------- same-machine link
 
 class FabricTest : public ::testing::Test
 {
@@ -115,11 +115,11 @@ class FabricTest : public ::testing::Test
 
 TEST_F(FabricTest, DeliversAfterLatencyAndSerialization)
 {
-    NetFabric fabric(machine, usec(5), 10e9);
+    CrossLink link(machine, usec(5), 10e9);
     std::vector<NetPacket> got;
-    fabric.setPeerHandler([&](NetPacket p) { got.push_back(p); });
-    fabric.sendToPeer(NetPacket{1, 1, 0});
-    Ticks expected = machine.now() + fabric.serialization(1) + usec(5);
+    link.port(1).setReceiveHandler([&](NetPacket p) { got.push_back(p); });
+    link.port(0).send(NetPacket{1, 1, 0});
+    Ticks expected = machine.now() + link.port(0).serialization(1) + usec(5);
     machine.events().advanceTo(expected - 1);
     EXPECT_TRUE(got.empty());
     machine.events().advanceBy(1);
@@ -129,51 +129,51 @@ TEST_F(FabricTest, DeliversAfterLatencyAndSerialization)
 
 TEST_F(FabricTest, SerializationMatchesLineRate)
 {
-    NetFabric fabric(machine, 0, 10e9);
+    CrossLink link(machine, 0, 10e9);
     // 16 KB + framing at 10 Gb/s ~= 12.9 us.
-    Ticks t = fabric.serialization(16384);
+    Ticks t = link.port(0).serialization(16384);
     EXPECT_NEAR(toUsec(t), (16384 + 78) * 8.0 / 10e9 * 1e6, 0.01);
 }
 
 TEST_F(FabricTest, BackToBackPacketsQueueOnTheLink)
 {
-    NetFabric fabric(machine, 0, 10e9);
+    CrossLink link(machine, 0, 10e9);
     std::vector<Ticks> arrivals;
-    fabric.setPeerHandler(
+    link.port(1).setReceiveHandler(
         [&](NetPacket) { arrivals.push_back(machine.now()); });
     // Two full-size segments sent at the same instant: the second
     // serializes after the first.
-    fabric.sendToPeer(NetPacket{1, 16384, 0});
-    fabric.sendToPeer(NetPacket{2, 16384, 0});
+    link.port(0).send(NetPacket{1, 16384, 0});
+    link.port(0).send(NetPacket{2, 16384, 0});
     machine.events().advanceTo(msec(1));
     ASSERT_EQ(arrivals.size(), 2u);
-    EXPECT_EQ(arrivals[1] - arrivals[0], fabric.serialization(16384));
+    EXPECT_EQ(arrivals[1] - arrivals[0], link.port(0).serialization(16384));
 }
 
 TEST_F(FabricTest, DirectionsAreIndependent)
 {
-    NetFabric fabric(machine, usec(1), 10e9);
+    CrossLink link(machine, usec(1), 10e9);
     int to_peer = 0, to_local = 0;
-    fabric.setPeerHandler([&](NetPacket) { ++to_peer; });
-    fabric.setLocalHandler([&](NetPacket) { ++to_local; });
-    fabric.sendToPeer(NetPacket{1, 100, 0});
-    fabric.sendToLocal(NetPacket{2, 100, 0});
+    link.port(1).setReceiveHandler([&](NetPacket) { ++to_peer; });
+    link.port(0).setReceiveHandler([&](NetPacket) { ++to_local; });
+    link.port(0).send(NetPacket{1, 100, 0});
+    link.port(1).send(NetPacket{2, 100, 0});
     machine.events().advanceTo(msec(1));
     EXPECT_EQ(to_peer, 1);
     EXPECT_EQ(to_local, 1);
-    EXPECT_EQ(fabric.deliveredToPeer(), 1u);
-    EXPECT_EQ(fabric.deliveredToLocal(), 1u);
+    EXPECT_EQ(link.delivered(1), 1u);
+    EXPECT_EQ(link.delivered(0), 1u);
 }
 
 TEST_F(FabricTest, NoReceiverPanics)
 {
-    NetFabric fabric(machine, 0, 10e9);
-    EXPECT_THROW(fabric.sendToPeer(NetPacket{}), PanicError);
+    CrossLink link(machine, 0, 10e9);
+    EXPECT_THROW(link.port(0).send(NetPacket{}), PanicError);
 }
 
 TEST_F(FabricTest, InvalidRateRejected)
 {
-    EXPECT_THROW(NetFabric(machine, 0, 0), FatalError);
+    EXPECT_THROW(CrossLink(machine, 0, 0), FatalError);
 }
 
 // -------------------------------------------------------------- ramdisk
@@ -235,15 +235,15 @@ struct NetRig
 {
     explicit NetRig(VirtMode mode)
         : sys(mode),
-          fabric(sys.machine(), sys.machine().costs().wireLatency,
-                 sys.machine().costs().linkBitsPerSec),
-          net(sys.stack(), fabric)
+          link(sys.machine(), sys.machine().costs().wireLatency,
+               sys.machine().costs().linkBitsPerSec),
+          net(sys.stack(), link.port(0))
     {
         // Bare-metal peer: echo after the turnaround time.
-        fabric.setPeerHandler([this](NetPacket pkt) {
+        link.port(1).setReceiveHandler([this](NetPacket pkt) {
             sys.machine().events().scheduleIn(
                 sys.machine().costs().remotePeerTurnaround,
-                [this, pkt] { fabric.sendToLocal(pkt); });
+                [this, pkt] { link.port(1).send(pkt); });
         });
     }
 
@@ -274,7 +274,7 @@ struct NetRig
     }
 
     NestedSystem sys;
-    NetFabric fabric;
+    CrossLink link;
     VirtioNetStack net;
     std::uint64_t next_id = 1;
 };

@@ -15,7 +15,7 @@
 
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/virtio_net.h"
 #include "sim/log.h"
 #include "system/nested_system.h"
@@ -67,12 +67,12 @@ mixedWorkloadRun(VirtMode mode, std::uint64_t seed)
     cfg.mode = mode;
     VirtStack stack(machine, cfg);
 
-    NetFabric fabric(machine, machine.costs().wireLatency,
-                     machine.costs().linkBitsPerSec);
-    VirtioNetStack net(stack, fabric);
-    fabric.setPeerHandler([&](NetPacket pkt) {
-        machine.events().scheduleIn(usec(3), [&fabric, pkt] {
-            fabric.sendToLocal(pkt);
+    CrossLink link(machine, machine.costs().wireLatency,
+                   machine.costs().linkBitsPerSec);
+    VirtioNetStack net(stack, link.port(0));
+    link.port(1).setReceiveHandler([&](NetPacket pkt) {
+        machine.events().scheduleIn(usec(3), [&link, pkt] {
+            link.port(1).send(pkt);
         });
     });
     RamDisk disk(machine, "d");

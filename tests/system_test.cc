@@ -9,7 +9,7 @@
 
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
-#include "io/net_fabric.h"
+#include "io/cross_link.h"
 #include "io/virtio_net.h"
 #include "sim/log.h"
 #include "system/nested_system.h"
@@ -135,15 +135,15 @@ TEST(System, FullIoStackRunsInEveryNestedMode)
     for (VirtMode mode :
          {VirtMode::Nested, VirtMode::SwSvt, VirtMode::HwSvt}) {
         NestedSystem sys(mode);
-        NetFabric fabric(sys.machine(),
-                         sys.machine().costs().wireLatency,
-                         sys.machine().costs().linkBitsPerSec);
-        VirtioNetStack net(sys.stack(), fabric);
+        CrossLink link(sys.machine(),
+                       sys.machine().costs().wireLatency,
+                       sys.machine().costs().linkBitsPerSec);
+        VirtioNetStack net(sys.stack(), link.port(0));
         RamDisk disk(sys.machine(), "d");
         VirtioBlkStack blk(sys.stack(), disk);
 
-        fabric.setPeerHandler([&](NetPacket pkt) {
-            fabric.sendToLocal(pkt);
+        link.port(1).setReceiveHandler([&](NetPacket pkt) {
+            link.port(1).send(pkt);
         });
         int rx = 0;
         net.setRxHandler([&](NetPacket) { ++rx; });
@@ -166,11 +166,11 @@ TEST(System, ExitProfileMatchesSection62Shape)
     // of I/O-heavy runs, with MSR_WRITE a distant second among MSR
     // exits (timer reprogramming).
     NestedSystem sys(VirtMode::Nested);
-    NetFabric fabric(sys.machine(), sys.machine().costs().wireLatency,
-                     sys.machine().costs().linkBitsPerSec);
-    VirtioNetStack net(sys.stack(), fabric);
-    fabric.setPeerHandler(
-        [&](NetPacket pkt) { fabric.sendToLocal(pkt); });
+    CrossLink link(sys.machine(), sys.machine().costs().wireLatency,
+                   sys.machine().costs().linkBitsPerSec);
+    VirtioNetStack net(sys.stack(), link.port(0));
+    link.port(1).setReceiveHandler(
+        [&](NetPacket pkt) { link.port(1).send(pkt); });
     int rx = 0;
     net.setRxHandler([&](NetPacket) { ++rx; });
     for (int i = 0; i < 10; ++i) {
