@@ -73,8 +73,9 @@ using EventId = std::uint64_t;
  * below its current horizon: it may fire events with timestamp
  * < horizon and move now() up to (but never onto) the horizon. An
  * advance that needs to cross the horizon drains everything below it
- * and then calls awaitHorizon(), which blocks the calling thread at
- * the cluster barrier until a larger horizon is granted.
+ * and then calls awaitHorizon(), which suspends the advancing code at
+ * the cluster barrier until a larger horizon is granted (the cluster
+ * engine's gate switches the driver's fiber back to its resumer).
  */
 class AdvanceGate
 {
@@ -82,9 +83,9 @@ class AdvanceGate
     virtual ~AdvanceGate() = default;
 
     /**
-     * Called on the advancing thread once everything below the
-     * current horizon has fired and the advance wants to continue to
-     * @p target. Blocks until more time is granted.
+     * Called by the advancing code once everything below the current
+     * horizon has fired and the advance wants to continue to
+     * @p target. Returns only once more time is granted.
      *
      * @return The new exclusive horizon; must be strictly greater
      *         than the previous one (maxTick un-gates the queue).

@@ -44,10 +44,22 @@ WorkerPool::runTasks(std::function<void()> *const *tasks,
         for (std::size_t i = 0; i < count; ++i)
             queue_.push_back(Item{{}, tasks[i]});
     }
-    if (count == 1)
+    // The caller takes a task itself, so wake at most count - 1
+    // workers.
+    if (count == 2)
         taskReady_.notify_one();
-    else
+    else if (count > 2)
         taskReady_.notify_all();
+    for (;;) {
+        Item item;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (queue_.empty())
+                break;
+            takeFront(item);
+        }
+        runItem(item);
+    }
     wait();
 }
 
@@ -67,6 +79,27 @@ WorkerPool::defaultWorkers()
 }
 
 void
+WorkerPool::takeFront(Item &item)
+{
+    item = std::move(queue_.front());
+    queue_.pop_front();
+    ++inFlight_;
+}
+
+void
+WorkerPool::runItem(Item &item)
+{
+    if (item.borrowed != nullptr)
+        (*item.borrowed)();
+    else
+        item.owned();
+    std::lock_guard<std::mutex> lock(mutex_);
+    --inFlight_;
+    if (queue_.empty() && inFlight_ == 0)
+        allDone_.notify_all();
+}
+
+void
 WorkerPool::workerLoop()
 {
     for (;;) {
@@ -80,20 +113,9 @@ WorkerPool::workerLoop()
                 // stopping_ and nothing left to drain.
                 return;
             }
-            item = std::move(queue_.front());
-            queue_.pop_front();
-            ++inFlight_;
+            takeFront(item);
         }
-        if (item.borrowed != nullptr)
-            (*item.borrowed)();
-        else
-            item.owned();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-            if (queue_.empty() && inFlight_ == 0)
-                allDone_.notify_all();
-        }
+        runItem(item);
     }
 }
 

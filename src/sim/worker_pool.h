@@ -48,7 +48,9 @@ class WorkerPool
      * heap-allocated per task — so a caller that re-runs the same
      * task set every window (the cluster engine's per-machine epoch
      * slots) pays no per-window allocation. The pointed-to callables
-     * must stay alive and unmodified until this call returns.
+     * must stay alive and unmodified until this call returns. The
+     * calling thread runs queued tasks beside the workers (an owned
+     * submit() item included) before it waits.
      */
     void runTasks(std::function<void()> *const *tasks,
                   std::size_t count);
@@ -73,6 +75,11 @@ class WorkerPool
     };
 
     void workerLoop();
+    /** Pop the queue's front into @p item and count it in flight.
+     *  Requires mutex_ held and a non-empty queue. */
+    void takeFront(Item &item);
+    /** Run @p item (mutex_ not held), then retire it. */
+    void runItem(Item &item);
 
     std::mutex mutex_;
     std::condition_variable taskReady_;

@@ -1,10 +1,23 @@
 #include "system/cluster.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <exception>
 
 #include "sim/log.h"
 #include "sim/trace.h"
 #include "sim/worker_pool.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace svtsim {
 
@@ -55,27 +68,207 @@ namespace svtsim {
  * anywhere depends on wall-clock interleaving.
  */
 
+namespace {
+
+/**
+ * Usable bytes of a driver fiber's stack. Drivers are workload loops
+ * whose deep frames (trap rounds, event handlers, virtio paths) return
+ * before they advance time again. The deepest use measured over every
+ * bench and test is about 5 KiB (5,160 bytes, fig7, x86-64 Release
+ * build), so 256 KiB leaves a fifty-fold margin for sanitizer
+ * redzones and exception unwinding. The mapping is lazily backed:
+ * only the pages a driver touches cost RSS.
+ */
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+} // namespace
+
+/**
+ * A driver's stackful fiber (glibc ucontext) and the AdvanceGate its
+ * queue wears. resume() runs the fiber on the calling thread until it
+ * parks in awaitHorizon() or its driver returns; the two switch
+ * points are the only places either side's stack changes hands, so
+ * the fiber may be resumed by a different thread every epoch.
+ */
+class Cluster::DriverGate final : public AdvanceGate
+{
+  public:
+    DriverGate(Cluster &cluster, Node &node);
+    ~DriverGate() override { releaseStack(); }
+
+    DriverGate(const DriverGate &) = delete;
+    DriverGate &operator=(const DriverGate &) = delete;
+
+    /** Fiber side: park on @p target until resumed with a horizon. */
+    Ticks awaitHorizon(Ticks target) override;
+
+    /** Run the fiber until it parks again or its driver returns;
+     *  unmaps the stack as soon as the driver has returned. */
+    void resume(Ticks horizon);
+
+    bool finished = false;
+    /** Advance target the driver is parked on (maxTick while it
+     *  runs or before it first parks). */
+    Ticks parkedTarget = maxTick;
+    /** Horizon handed to the driver by the latest resume(). */
+    Ticks grant = 0;
+
+  private:
+    /** makecontext entry: the gate's address split into two ints. */
+    static void entry(unsigned hi, unsigned lo);
+    /** Switch from the fiber back to its resumer. The @p last switch,
+     *  once the driver has returned, never comes back. */
+    void switchToResumer(bool last);
+    void releaseStack();
+
+    Cluster &cluster_;
+    Node &node_;
+    /** mmap base: one PROT_NONE guard page, then the stack. */
+    char *map_ = nullptr;
+    std::size_t mapBytes_ = 0;
+    ucontext_t fiber_{};
+    ucontext_t resumer_{};
+#if defined(__SANITIZE_ADDRESS__)
+    void *fiberFakeStack_ = nullptr;
+    const void *resumerStack_ = nullptr;
+    std::size_t resumerStackBytes_ = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+    void *tsanFiber_ = nullptr;
+    void *tsanResumer_ = nullptr;
+#endif
+};
+
+Cluster::DriverGate::DriverGate(Cluster &cluster, Node &node)
+    : cluster_(cluster), node_(node)
+{
+    const std::size_t guard =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    mapBytes_ = guard + kFiberStackBytes;
+    void *map = mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED)
+        panic("Cluster: cannot map a driver fiber stack for '%s'",
+              node.name.c_str());
+    // Stacks grow down: an overflow runs into the guard page and
+    // faults instead of corrupting whatever is mapped below.
+    if (mprotect(map, guard, PROT_NONE) != 0 ||
+        getcontext(&fiber_) != 0) {
+        munmap(map, mapBytes_);
+        panic("Cluster: cannot set up the driver fiber for '%s'",
+              node.name.c_str());
+    }
+    map_ = static_cast<char *>(map);
+    fiber_.uc_stack.ss_sp = map_ + guard;
+    fiber_.uc_stack.ss_size = kFiberStackBytes;
+    fiber_.uc_link = nullptr;
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&fiber_, reinterpret_cast<void (*)()>(&DriverGate::entry),
+                2, static_cast<unsigned>(self >> 32),
+                static_cast<unsigned>(self & 0xffffffffu));
+#if defined(__SANITIZE_THREAD__)
+    tsanFiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+void
+Cluster::DriverGate::entry(unsigned hi, unsigned lo)
+{
+    auto *gate = reinterpret_cast<DriverGate *>(
+        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(nullptr, &gate->resumerStack_,
+                                    &gate->resumerStackBytes_);
+#endif
+    // Nothing may escape a fiber's entry function: record every
+    // driver failure for run() to rethrow as a SimError.
+    Node &n = gate->node_;
+    try {
+        n.driver(*n.system);
+    } catch (const std::exception &e) {
+        gate->cluster_.recordError(n.name + ": " + e.what());
+    } catch (...) {
+        gate->cluster_.recordError(n.name +
+                                   ": driver threw a non-standard "
+                                   "exception");
+    }
+    gate->finished = true;
+    gate->switchToResumer(true);
+}
+
+void
+Cluster::DriverGate::switchToResumer([[maybe_unused]] bool last)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    // A null fake-stack slot tells ASan this fiber is exiting.
+    __sanitizer_start_switch_fiber(last ? nullptr : &fiberFakeStack_,
+                                   resumerStack_, resumerStackBytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(tsanResumer_, 0);
+#endif
+    swapcontext(&fiber_, &resumer_);
+#if defined(__SANITIZE_ADDRESS__)
+    // Resumed, possibly by another thread: learn its stack afresh.
+    __sanitizer_finish_switch_fiber(fiberFakeStack_, &resumerStack_,
+                                    &resumerStackBytes_);
+#endif
+}
+
 Ticks
 Cluster::DriverGate::awaitHorizon(Ticks target)
 {
-    std::unique_lock<std::mutex> lk(mutex);
     parkedTarget = target;
-    running = false;
-    cv.notify_all();
-    cv.wait(lk, [this] { return running; });
+    switchToResumer(false);
     parkedTarget = maxTick;
     return grant;
+}
+
+void
+Cluster::DriverGate::resume(Ticks horizon)
+{
+    simAssert(!finished && map_ != nullptr,
+              "Cluster: resumed a finished driver fiber");
+    grant = horizon;
+#if defined(__SANITIZE_ADDRESS__)
+    void *fakeStack = nullptr;
+    __sanitizer_start_switch_fiber(&fakeStack, fiber_.uc_stack.ss_sp,
+                                   fiber_.uc_stack.ss_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    tsanResumer_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(tsanFiber_, 0);
+#endif
+    swapcontext(&resumer_, &fiber_);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+    if (finished)
+        releaseStack();
+}
+
+void
+Cluster::DriverGate::releaseStack()
+{
+    if (map_ == nullptr)
+        return;
+    munmap(map_, mapBytes_);
+    map_ = nullptr;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsanFiber_);
+    tsanFiber_ = nullptr;
+#endif
 }
 
 Cluster::Cluster(std::uint64_t baseSeed) : baseSeed_(baseSeed) {}
 
 Cluster::~Cluster()
 {
-    // run() joins every driver thread on all paths; a Cluster that
-    // never ran never spawned any.
+    // run() finishes every driver fiber on all paths; a Cluster that
+    // never ran never made any.
     for (auto &np : nodes_)
-        simAssert(!np->thread.joinable(),
-                  "Cluster destroyed with a live driver thread");
+        simAssert(!np->gate || np->gate->finished,
+                  "Cluster destroyed with a live driver fiber");
 }
 
 int
@@ -162,9 +355,9 @@ Cluster::installFaultPlan(const FaultPlan &plan)
 Ticks
 Cluster::floorOf(const Node &n) const
 {
-    // Only called while the machine is quiescent (parked driver or
-    // barrier), so reading queue state and the parked target is
-    // ordered by the gate mutex hand-off.
+    // Only called at the barrier, while every fiber is parked or
+    // finished; the pool's task hand-off orders the state the last
+    // epoch step wrote before these reads.
     const Ticks next = n.system->machine().events().nextEventTime();
     if (n.gate && !n.gate->finished)
         return std::min(next, n.gate->parkedTarget);
@@ -172,28 +365,21 @@ Cluster::floorOf(const Node &n) const
 }
 
 void
-Cluster::waitQuiescent(DriverGate &gate)
+Cluster::recordError(const std::string &what)
 {
-    std::unique_lock<std::mutex> lk(gate.mutex);
-    gate.cv.wait(lk, [&gate] { return !gate.running; });
+    std::lock_guard<std::mutex> lk(errorMutex_);
+    if (driverError_.empty())
+        driverError_ = what;
 }
 
 void
 Cluster::stepMachine(Node &n, Ticks horizon)
 {
-    if (n.gate) {
-        std::unique_lock<std::mutex> lk(n.gate->mutex);
-        if (!n.gate->finished) {
-            // Hand the driver thread the new horizon and lend it this
-            // worker's slot until it parks again (or finishes) — so
-            // the number of simultaneously *running* machines never
-            // exceeds the worker count.
-            n.gate->grant = horizon;
-            n.gate->running = true;
-            n.gate->cv.notify_all();
-            n.gate->cv.wait(lk, [&n] { return !n.gate->running; });
-            return;
-        }
+    if (n.gate && !n.gate->finished) {
+        // Run the driver on this thread until it parks at the new
+        // horizon (or returns).
+        n.gate->resume(horizon);
+        return;
     }
     // Follower (or finished-driver) machine: plain horizon drain on
     // the worker itself. The drain moves the clock from event to
@@ -282,40 +468,25 @@ Cluster::run(int jobs)
         return stats;
 
     bool anyDriver = false;
-    for (auto &np : nodes_) {
-        Node &n = *np;
-        if (!n.driver)
-            continue;
-        anyDriver = true;
-        n.gate = std::make_unique<DriverGate>();
-        // The driver owns the machine from spawn (setup code runs
-        // before the first epoch); horizon 0 parks it at its first
-        // advance, which is where the coordinator picks it up.
-        n.system->machine().events().setAdvanceGate(n.gate.get(), 0);
-        n.thread = std::thread([this, &n] {
-            try {
-                n.driver(*n.system);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lk(errorMutex_);
-                if (driverError_.empty())
-                    driverError_ = n.name + ": " + e.what();
-            }
-            std::lock_guard<std::mutex> lk(n.gate->mutex);
-            n.gate->finished = true;
-            n.gate->running = false;
-            n.gate->cv.notify_all();
-        });
-    }
-
     try {
-        for (auto &np : nodes_)
-            if (np->gate)
-                waitQuiescent(*np->gate);
+        for (auto &np : nodes_) {
+            Node &n = *np;
+            if (!n.driver)
+                continue;
+            anyDriver = true;
+            n.gate = std::make_unique<DriverGate>(*this, n);
+            // The driver's setup code runs before the first epoch;
+            // horizon 0 parks it at its first advance, which is where
+            // the coordinator picks it up.
+            n.system->machine().events().setAdvanceGate(n.gate.get(), 0);
+            n.gate->resume(0);
+        }
 
+        // The coordinator steps machines beside the pool's workers, so
+        // at most min(jobs, machines) threads run epoch steps.
         std::unique_ptr<WorkerPool> pool;
-        if (jobs > 1)
-            pool = std::make_unique<WorkerPool>(
-                std::min(jobs, size()));
+        if (const int workers = std::min(jobs, size()) - 1; workers > 0)
+            pool = std::make_unique<WorkerPool>(workers);
 
         // Reusable per-machine epoch-step slots (WorkerPool bulk
         // path): built once, borrowed by pointer every window.
@@ -328,9 +499,7 @@ Cluster::run(int jobs)
                 try {
                     stepMachine(*n, n->horizon);
                 } catch (const std::exception &e) {
-                    std::lock_guard<std::mutex> lk(errorMutex_);
-                    if (driverError_.empty())
-                        driverError_ = n->name + ": " + e.what();
+                    recordError(n->name + ": " + e.what());
                 }
             };
         }
@@ -398,7 +567,9 @@ Cluster::run(int jobs)
                       "Cluster: epoch horizon failed to advance");
             ++stats.epochs;
             stats.steps += active.size();
-            if (pool)
+            // A lone step runs inline: a pool round trip would only
+            // add a hand-off to a worker and back.
+            if (pool && active.size() > 1)
                 pool->runTasks(active.data(), active.size());
             else
                 for (auto *s : active)
@@ -410,28 +581,19 @@ Cluster::run(int jobs)
             }
         }
     } catch (...) {
-        // Release every parked driver (maxTick un-gates its queue) so
-        // the threads unwind — a driver that then hits its own error
-        // records it — and rethrow the coordinator's error.
-        for (auto &np : nodes_) {
-            if (!np->gate)
-                continue;
-            std::lock_guard<std::mutex> lk(np->gate->mutex);
-            np->gate->grant = maxTick;
-            np->gate->running = true;
-            np->gate->cv.notify_all();
-        }
+        // Release every parked driver: a maxTick grant un-gates its
+        // queue, so it runs to its end on this thread (a driver that
+        // then hits its own error records it). Then rethrow the
+        // coordinator's error.
         for (auto &np : nodes_)
-            if (np->thread.joinable())
-                np->thread.join();
+            if (np->gate)
+                while (!np->gate->finished)
+                    np->gate->resume(maxTick);
         for (auto &np : nodes_)
             np->system->machine().events().setAdvanceGate(nullptr, 0);
         throw;
     }
 
-    for (auto &np : nodes_)
-        if (np->thread.joinable())
-            np->thread.join();
     for (auto &np : nodes_)
         np->system->machine().events().setAdvanceGate(nullptr, 0);
     if (!driverError_.empty())

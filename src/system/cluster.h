@@ -41,24 +41,25 @@
  *
  * Synchronous workload code (a netperf loop, a memcached serving
  * loop) cannot be chopped into horizon-sized calls, so each machine
- * with a driver runs it on a dedicated thread whose EventQueue wears
- * an AdvanceGate: an advance that would cross the horizon drains what
- * it owns and parks at the gate; the epoch step unparks it with the
- * new horizon and waits for it to park again (or finish). Concurrency
- * is still bounded by the worker count — a driver thread only ever
- * runs while its machine's epoch step is waiting on it.
+ * with a driver runs it on a stackful fiber whose EventQueue wears an
+ * AdvanceGate: an advance that would cross the horizon drains what it
+ * owns and parks by switching back to whoever resumed the fiber; the
+ * epoch step resumes it with the new horizon on the thread that runs
+ * the step (the coordinator, or at jobs > 1 a WorkerPool worker
+ * beside it) and returns when it parks again or finishes. There are
+ * no driver threads, and a fiber may move between threads from one
+ * epoch to the next — the pool's task hand-off orders its state
+ * between them.
  */
 
 #ifndef SVTSIM_SYSTEM_CLUSTER_H
 #define SVTSIM_SYSTEM_CLUSTER_H
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/cross_link.h"
@@ -131,9 +132,9 @@ class Cluster
 
     /**
      * Install @p fn as machine @p id's synchronous driver: it runs on
-     * a dedicated thread under the machine's AdvanceGate for the
-     * duration of run(). Machines without a driver are advanced as
-     * pure event followers.
+     * a fiber under the machine's AdvanceGate for the duration of
+     * run(). Machines without a driver are advanced as pure event
+     * followers.
      */
     void setDriver(int id, std::function<void(NestedSystem &)> fn);
 
@@ -146,7 +147,8 @@ class Cluster
      * drivers at all, until every queue drains). @p jobs <= 1 runs
      * every epoch step inline on the caller, in machine-id order —
      * the sequential oracle whose output any parallel run must match
-     * byte for byte.
+     * byte for byte. Otherwise the caller and min(jobs, size()) - 1
+     * pool workers run each epoch's steps.
      *
      * May be called once per Cluster. Rethrows the first driver
      * error (SimError) after all drivers have unwound.
@@ -159,25 +161,9 @@ class Cluster
     Ticks lookahead() const { return lookahead_; }
 
   private:
-    /**
-     * Gate shared between a driver thread and the coordinator. The
-     * mutex hand-off at park/unpark is also the memory barrier that
-     * publishes the machine's state between threads.
-     */
-    struct DriverGate : AdvanceGate
-    {
-        Ticks awaitHorizon(Ticks target) override;
-
-        std::mutex mutex;
-        std::condition_variable cv;
-        /** True while the driver thread owns the machine. */
-        bool running = true;
-        bool finished = false;
-        /** Advance target the driver is parked on (valid !running). */
-        Ticks parkedTarget = maxTick;
-        /** Horizon to hand the driver on next unpark. */
-        Ticks grant = 0;
-    };
+    /** A driver's fiber plus the AdvanceGate its queue wears
+     *  (defined in cluster.cc, which keeps <ucontext.h> private). */
+    class DriverGate;
 
     struct Node
     {
@@ -185,7 +171,6 @@ class Cluster
         std::unique_ptr<NestedSystem> system;
         std::function<void(NestedSystem &)> driver;
         std::unique_ptr<DriverGate> gate;
-        std::thread thread;
         /** Reusable epoch-step slot handed to WorkerPool::runTasks. */
         std::function<void()> step;
         /** This machine's horizon for the current epoch (written by
@@ -201,8 +186,8 @@ class Cluster
     Ticks floorOf(const Node &n) const;
     /** Advance machine @p n's window to @p horizon (worker side). */
     void stepMachine(Node &n, Ticks horizon);
-    /** Block until @p n's driver is parked or finished. */
-    static void waitQuiescent(DriverGate &gate);
+    /** Keep @p what as the first error run() rethrows. Thread-safe. */
+    void recordError(const std::string &what);
     /** Merge staged link packets canonically; returns count. Checks
      *  each arrival against the destination's granted horizon. */
     std::uint64_t mergeStaged();

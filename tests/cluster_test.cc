@@ -4,8 +4,9 @@
  * supporting layers: the EventQueue horizon fast path, the WorkerPool
  * bulk-submit path, CrossLink ordering/latency properties, and the
  * headline determinism contract — a cluster run is byte-identical for
- * any worker count, including under fault injection, with errors from
- * driver threads contained and rethrown.
+ * any worker count, including under fault injection — and the driver
+ * fibers: they run on the threads that step their machines, and their
+ * errors are contained and rethrown after every fiber has unwound.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/cross_link.h"
@@ -499,6 +501,93 @@ TEST(Cluster, DriverErrorIsContainedAndRethrown)
             }
         },
         SimError);
+}
+
+TEST(Cluster, JobsOneIsSingleThreaded)
+{
+    Cluster cluster(1);
+    int a = cluster.addMachine("a", VirtMode::Native);
+    int b = cluster.addMachine("b", VirtMode::Native);
+    cluster.connect(a, b, usec(1), 10e9);
+    const std::thread::id caller = std::this_thread::get_id();
+    int checks = 0;
+    for (int id : {a, b}) {
+        cluster.setDriver(id, [&](NestedSystem &sys) {
+            // Setup code, then one check after every advance: each
+            // advance parks the fiber at the other machine's horizon.
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            Machine &m = sys.machine();
+            for (int i = 0; i < 10; ++i) {
+                m.idleUntil(m.now() + usec(2));
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                ++checks;
+            }
+        });
+    }
+    const ClusterStats stats = cluster.run(1);
+    EXPECT_EQ(checks, 20);
+    EXPECT_GE(stats.epochs, 10u);
+}
+
+TEST(Cluster, DriverErrorUnwindsParkedFibers)
+{
+    for (int jobs : {1, 2}) {
+        bool quietReturned = false;
+        Ticks quietReached = 0;
+        {
+            Cluster cluster(1);
+            int a = cluster.addMachine("boom", VirtMode::Native);
+            int b = cluster.addMachine("quiet", VirtMode::Native);
+            cluster.connect(a, b, usec(1), 10e9);
+            cluster.setDriver(a, [](NestedSystem &sys) {
+                sys.machine().idleUntil(usec(5));
+                throw SimError("deliberate driver failure");
+            });
+            // Still parked mid-idle when "boom" fails at 5 us (1 ms
+            // is ~1000 epochs away); the error path must release it
+            // to run its tail.
+            cluster.setDriver(b, [&](NestedSystem &sys) {
+                Machine &m = sys.machine();
+                while (m.now() < msec(1))
+                    m.idleUntil(msec(1));
+                quietReached = m.now();
+                quietReturned = true;
+            });
+            try {
+                cluster.run(jobs);
+                ADD_FAILURE() << "run() did not rethrow, jobs " << jobs;
+            } catch (const SimError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "boom: deliberate driver failure"),
+                          std::string::npos);
+            }
+            // Leaving the scope destroys the Cluster: it asserts no
+            // driver fiber is still live.
+        }
+        EXPECT_TRUE(quietReturned) << "jobs " << jobs;
+        EXPECT_EQ(quietReached, msec(1)) << "jobs " << jobs;
+    }
+}
+
+TEST(Cluster, NonStdDriverExceptionIsContained)
+{
+    for (int jobs : {1, 2}) {
+        Cluster cluster(1);
+        int a = cluster.addMachine("odd", VirtMode::Native);
+        int b = cluster.addMachine("peer", VirtMode::Native);
+        cluster.connect(a, b, usec(1), 10e9);
+        cluster.setDriver(a, [](NestedSystem &sys) {
+            sys.machine().idleUntil(usec(3));
+            throw 42;
+        });
+        try {
+            cluster.run(jobs);
+            ADD_FAILURE() << "run() did not rethrow, jobs " << jobs;
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("odd:"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(Cluster, RunIsOnceOnly)
