@@ -18,18 +18,18 @@ namespace {
 
 struct StageRow
 {
-    const char *scope;
+    ScopeId scope;
     const char *what;
 };
 
 const StageRow stages[] = {
-    {"stage.l2", "L2 executes the sensitive instruction"},
-    {"stage.switch_l2_l0", "switch L2<->L0 (trap + final resume)"},
-    {"stage.transform", "vmcs02 <-> vmcs12 transforms"},
-    {"stage.l0_handler", "L0: dispatch, inject, nested state machine"},
-    {"stage.switch_l0_l1", "switch L0<->L1 (or SVt stall/resume)"},
-    {"stage.channel", "SW SVt command rings + mwait wakes"},
-    {"stage.l1_handler", "L1 handler (incl. its own traps to L0)"},
+    {ScopeId::StageL2, "L2 executes the sensitive instruction"},
+    {ScopeId::StageSwitchL2L0, "switch L2<->L0 (trap + final resume)"},
+    {ScopeId::StageTransform, "vmcs02 <-> vmcs12 transforms"},
+    {ScopeId::StageL0Handler, "L0: dispatch, inject, nested state machine"},
+    {ScopeId::StageSwitchL0L1, "switch L0<->L1 (or SVt stall/resume)"},
+    {ScopeId::StageChannel, "SW SVt command rings + mwait wakes"},
+    {ScopeId::StageL1Handler, "L1 handler (incl. its own traps to L0)"},
 };
 
 } // namespace

@@ -37,10 +37,7 @@ HwContext::wrmsr(std::uint32_t index, std::uint64_t v)
 void
 HwContext::copyArchStateFrom(const HwContext &other)
 {
-    for (int i = 0; i < numGprs; ++i) {
-        writeGpr(static_cast<Gpr>(i),
-                 other.readGpr(static_cast<Gpr>(i)));
-    }
+    writeGprs(other.readGprs());
     rip = other.rip;
     rflags = other.rflags;
     for (int i = 0; i < numCtrls; ++i) {

@@ -36,6 +36,11 @@ class HwContext
     void writeGpr(Gpr reg, std::uint64_t v) { rename_.write(reg, v); }
     PhysReg physOf(Gpr reg) const { return rename_.physOf(reg); }
 
+    /** Bulk GPR save/load: one rename pass for all registers, with
+     *  the same result as per-register reads/writes in Gpr order. */
+    GprValues readGprs() const { return rename_.readAll(); }
+    void writeGprs(const GprValues &v) { rename_.writeAll(v); }
+
     // -- Special registers --------------------------------------------
     std::uint64_t rip = 0;
     std::uint64_t rflags = 0x2;

@@ -1,6 +1,8 @@
 #include "arch/machine.h"
 
+#include <algorithm>
 #include <limits>
+#include <string_view>
 
 #include "sim/compiler.h"
 #include "sim/log.h"
@@ -14,18 +16,56 @@ namespace {
 constexpr std::size_t noTraceSpan =
     std::numeric_limits<std::size_t>::max();
 
-/** Attribution scope names map onto trace categories by prefix. */
-TraceCategory
-scopeCategory(const std::string &name)
+/** One attribution scope: its bucket/span name and trace category. */
+struct ScopeInfo
 {
-    if (name.rfind("stage.", 0) == 0)
-        return TraceCategory::Stage;
-    if (name.rfind("exit.", 0) == 0)
-        return TraceCategory::Exit;
-    return TraceCategory::Sim;
+    const char *name;
+    TraceCategory category;
+};
+
+/** Indexed by ScopeId. */
+constexpr ScopeInfo scopeTable[] = {
+    {"stage.l2", TraceCategory::Stage},
+    {"stage.switch_l2_l0", TraceCategory::Stage},
+    {"stage.transform", TraceCategory::Stage},
+    {"stage.l0_handler", TraceCategory::Stage},
+    {"stage.switch_l0_l1", TraceCategory::Stage},
+    {"stage.l1_handler", TraceCategory::Stage},
+    {"stage.channel", TraceCategory::Stage},
+    {"stage.l1_housekeeping", TraceCategory::Stage},
+    {"stage.svt_watchdog", TraceCategory::Stage},
+#define SVTSIM_EXIT_SCOPE_INFO(reason, name)                              \
+    {"exit." name, TraceCategory::Exit},
+    SVTSIM_EXIT_REASONS(SVTSIM_EXIT_SCOPE_INFO)
+#undef SVTSIM_EXIT_SCOPE_INFO
+};
+static_assert(std::size(scopeTable) == numScopes,
+              "one scopeTable entry per ScopeId");
+
+constexpr const ScopeInfo &
+scopeInfo(ScopeId id)
+{
+    return scopeTable[static_cast<std::size_t>(id)];
 }
 
+/** Scope ids sorted by name: the order snapshotMetrics() emits. */
+constexpr auto scopesByName = [] {
+    std::array<ScopeId, numScopes> ids{};
+    for (std::size_t i = 0; i < numScopes; ++i)
+        ids[i] = static_cast<ScopeId>(i);
+    std::sort(ids.begin(), ids.end(), [](ScopeId a, ScopeId b) {
+        return std::string_view(scopeInfo(a).name) < scopeInfo(b).name;
+    });
+    return ids;
+}();
+
 } // namespace
+
+const char *
+scopeName(ScopeId id)
+{
+    return scopeInfo(id).name;
+}
 
 Machine::Machine(MachineTopology topo, CostModel costs,
                  std::uint64_t seed)
@@ -35,6 +75,7 @@ Machine::Machine(MachineTopology topo, CostModel costs,
         topo_.threadsPerCore < 1) {
         fatal("Machine topology must have at least one of everything");
     }
+    scopeStack_.reserve(16);
     int id = 0;
     for (int node = 0; node < topo_.numaNodes; ++node) {
         for (int c = 0; c < topo_.coresPerNode; ++c) {
@@ -60,8 +101,8 @@ Machine::consume(Ticks t)
         panic("Machine::consume negative time");
     if (t == 0)
         return;
-    for (const auto &scope : scopeStack_)
-        buckets_[scope] += t;
+    for (const OpenScope &scope : scopeStack_)
+        buckets_[static_cast<std::size_t>(scope.id)] += t;
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->attribute(t);
     eq_.advanceBy(t);
@@ -80,13 +121,15 @@ Machine::idleUntil(Ticks when)
 }
 
 void
-Machine::pushScope(const std::string &name)
+Machine::pushScope(ScopeId id)
 {
-    scopeStack_.push_back(name);
     TraceSink *sink = eq_.traceSink();
-    scopeSpans_.push_back(sink && sink->enabled()
-                              ? sink->beginSpan(scopeCategory(name), name)
-                              : noTraceSpan);
+    std::size_t span = noTraceSpan;
+    if (SVTSIM_UNLIKELY(sink != nullptr && sink->enabled())) {
+        const ScopeInfo &info = scopeInfo(id);
+        span = sink->beginSpan(info.category, info.name);
+    }
+    scopeStack_.push_back({id, span});
 }
 
 void
@@ -94,25 +137,11 @@ Machine::popScope()
 {
     if (scopeStack_.empty())
         panic("Machine::popScope with no open scope");
-    if (scopeSpans_.back() != noTraceSpan) {
+    if (scopeStack_.back().span != noTraceSpan) {
         if (TraceSink *sink = eq_.traceSink())
-            sink->endSpan(scopeSpans_.back());
+            sink->endSpan(scopeStack_.back().span);
     }
-    scopeSpans_.pop_back();
     scopeStack_.pop_back();
-}
-
-Ticks
-Machine::scopeTotal(const std::string &name) const
-{
-    auto it = buckets_.find(name);
-    return it == buckets_.end() ? 0 : it->second;
-}
-
-void
-Machine::resetAttribution()
-{
-    buckets_.clear();
 }
 
 void
@@ -151,7 +180,10 @@ MetricsSnapshot
 Machine::snapshotMetrics() const
 {
     MetricsSnapshot snap = metrics_.snapshot();
-    snap.scopes.assign(buckets_.begin(), buckets_.end());
+    for (ScopeId id : scopesByName) {
+        if (Ticks t = scopeTotal(id); t != 0)
+            snap.scopes.emplace_back(scopeName(id), t);
+    }
     return snap;
 }
 

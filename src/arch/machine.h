@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arch/cost_model.h"
+#include "arch/exit_reason.h"
 #include "arch/smt_core.h"
 #include "sim/event_queue.h"
 #include "sim/fault.h"
@@ -31,6 +32,45 @@ struct MachineTopology
 
     int totalCores() const { return numaNodes * coresPerNode; }
 };
+
+/**
+ * Time-attribution scopes: one fixed table shared by Machine's buckets,
+ * TimeScope and the trace spans. The Table 1 stages come first, then
+ * one `exit.<REASON>` scope per ExitReason, in ExitReason order. Each
+ * entry's name and trace category live in machine.cc.
+ */
+enum class ScopeId : std::uint8_t
+{
+    StageL2,             ///< stage.l2
+    StageSwitchL2L0,     ///< stage.switch_l2_l0
+    StageTransform,      ///< stage.transform
+    StageL0Handler,      ///< stage.l0_handler
+    StageSwitchL0L1,     ///< stage.switch_l0_l1
+    StageL1Handler,      ///< stage.l1_handler
+    StageChannel,        ///< stage.channel
+    StageL1Housekeeping, ///< stage.l1_housekeeping
+    StageSvtWatchdog,    ///< stage.svt_watchdog
+#define SVTSIM_EXIT_SCOPE_ID(reason, name) Exit##reason,
+    SVTSIM_EXIT_REASONS(SVTSIM_EXIT_SCOPE_ID)
+#undef SVTSIM_EXIT_SCOPE_ID
+    NumScopes,
+};
+
+/** Number of attribution scopes. */
+constexpr std::size_t numScopes =
+    static_cast<std::size_t>(ScopeId::NumScopes);
+
+/** The `exit.<REASON>` scope of @p reason. */
+constexpr ScopeId
+exitScope(ExitReason reason)
+{
+    return static_cast<ScopeId>(
+        static_cast<std::size_t>(ScopeId::ExitNone) +
+        static_cast<std::size_t>(reason));
+}
+
+/** Table name of a scope (`stage.l0_handler`, `exit.CPUID`). */
+const char *scopeName(ScopeId id);
 
 /**
  * The simulated machine: owns the event queue, cost model, RNG and the
@@ -81,20 +121,17 @@ class Machine
 
     // -- Attribution scopes ----------------------------------------------
     /** Open an attribution scope; time consumed while open accrues to
-     *  the named bucket. Scopes nest; all open scopes accrue. */
-    void pushScope(const std::string &name);
+     *  its bucket. Scopes nest; all open scopes accrue. */
+    void pushScope(ScopeId id);
     void popScope();
 
-    /** Total ticks accrued to @p name since the last reset. */
-    Ticks scopeTotal(const std::string &name) const;
-
-    /** All buckets (name -> ticks), for rendering breakdown tables. */
-    const std::map<std::string, Ticks> &scopeTotals() const
+    /** Total ticks accrued to @p id since the last reset. */
+    Ticks scopeTotal(ScopeId id) const
     {
-        return buckets_;
+        return buckets_[static_cast<std::size_t>(id)];
     }
 
-    void resetAttribution();
+    void resetAttribution() { buckets_.fill(0); }
 
     // -- Simulated PMU -----------------------------------------------------
     /** The machine's metrics registry (the simulated PMU). Components
@@ -140,7 +177,8 @@ class Machine
     }
     void resetCounters() { metrics_.reset(); }
 
-    /** Registry snapshot plus this machine's attribution buckets. */
+    /** Registry snapshot plus this machine's non-zero attribution
+     *  buckets, in name order. */
     MetricsSnapshot snapshotMetrics() const;
 
   private:
@@ -153,11 +191,16 @@ class Machine
      *  handles during construction. */
     MetricsRegistry metrics_;
     std::vector<std::unique_ptr<SmtCore>> cores_;
-    std::vector<std::string> scopeStack_;
-    /** Trace-span handle per open scope; noTraceSpan when the sink was
-     *  absent/disabled at pushScope() time. */
-    std::vector<std::size_t> scopeSpans_;
-    std::map<std::string, Ticks> buckets_;
+    struct OpenScope
+    {
+        ScopeId id;
+        /** Trace-span handle; noTraceSpan when the sink was
+         *  absent/disabled at pushScope() time. */
+        std::size_t span;
+    };
+    /** Reserved at construction, so pushes do not allocate. */
+    std::vector<OpenScope> scopeStack_;
+    std::array<Ticks, numScopes> buckets_{};
     std::unique_ptr<FaultInjector> faults_;
     std::array<Counter, numFaultSites> faultMetric_;
     int nextApicId_ = 1000;
@@ -167,10 +210,10 @@ class Machine
 class TimeScope
 {
   public:
-    TimeScope(Machine &machine, std::string name)
+    TimeScope(Machine &machine, ScopeId id)
         : machine_(machine)
     {
-        machine_.pushScope(std::move(name));
+        machine_.pushScope(id);
     }
 
     ~TimeScope() { machine_.popScope(); }

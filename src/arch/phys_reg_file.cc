@@ -1,5 +1,7 @@
 #include "arch/phys_reg_file.h"
 
+#include <utility>
+
 #include "sim/log.h"
 
 namespace svtsim {
@@ -59,7 +61,7 @@ PhysRegFile::write(PhysReg reg, std::uint64_t value)
 }
 
 RenameMap::RenameMap(PhysRegFile &prf)
-    : prf_(prf), map_(numGprs, invalidPhysReg)
+    : prf_(prf)
 {
     for (auto &m : map_)
         m = prf_.alloc();
@@ -87,6 +89,28 @@ RenameMap::write(Gpr reg, std::uint64_t value)
     prf_.write(fresh, value);
     prf_.free(map_[idx]);
     map_[idx] = fresh;
+}
+
+GprValues
+RenameMap::readAll() const
+{
+    GprValues values;
+    for (std::size_t i = 0; i < map_.size(); ++i)
+        values[i] = prf_.read(map_[i]);
+    return values;
+}
+
+void
+RenameMap::writeAll(const GprValues &values)
+{
+    // Sequential writes hand register i's old mapping straight to
+    // register i + 1, so the chain needs one alloc and one free.
+    PhysReg fresh = prf_.alloc();
+    for (std::size_t i = 0; i < map_.size(); ++i) {
+        prf_.write(fresh, values[i]);
+        std::swap(fresh, map_[i]);
+    }
+    prf_.free(fresh);
 }
 
 PhysReg

@@ -13,6 +13,7 @@
 #ifndef SVTSIM_ARCH_PHYS_REG_FILE_H
 #define SVTSIM_ARCH_PHYS_REG_FILE_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -78,13 +79,25 @@ class RenameMap
     std::uint64_t read(Gpr reg) const;
     void write(Gpr reg, std::uint64_t value);
 
+    /** All GPR values, in Gpr order. */
+    GprValues readAll() const;
+
+    /**
+     * Write every GPR in one rename pass. Leaves exactly the mapping,
+     * values and free list that numGprs sequential write()s in Gpr
+     * order leave: each write frees the register the next one
+     * allocates, so only the first allocation and the last free touch
+     * the free list.
+     */
+    void writeAll(const GprValues &values);
+
     /** Physical register currently mapped to @p reg (what a
      *  cross-context access indexes). */
     PhysReg physOf(Gpr reg) const;
 
   private:
     PhysRegFile &prf_;
-    std::vector<PhysReg> map_;
+    std::array<PhysReg, numGprs> map_;
 };
 
 } // namespace svtsim

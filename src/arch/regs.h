@@ -6,6 +6,7 @@
 #ifndef SVTSIM_ARCH_REGS_H
 #define SVTSIM_ARCH_REGS_H
 
+#include <array>
 #include <cstdint>
 
 namespace svtsim {
@@ -19,6 +20,9 @@ enum class Gpr : std::uint8_t
 
 /** Number of architectural GPRs. */
 constexpr int numGprs = 16;
+
+/** One value per GPR, indexed by Gpr. */
+using GprValues = std::array<std::uint64_t, numGprs>;
 
 /** Control registers relevant to virtualization. */
 enum class Ctrl : std::uint8_t

@@ -1,5 +1,7 @@
 #include "hv/channel.h"
 
+#include <algorithm>
+
 #include "sim/compiler.h"
 #include "sim/fault.h"
 #include "sim/log.h"
@@ -96,6 +98,7 @@ CommandRing::CommandRing(Machine &machine, std::string name,
 {
     if (capacity == 0)
         fatal("CommandRing requires a non-zero capacity");
+    slots_.resize(capacity);
     MetricsRegistry &reg = machine_.metrics();
     postedMetric_ =
         reg.counter(MetricScope::Svt, "channel", name_ + ".posted");
@@ -110,7 +113,7 @@ CommandRing::CommandRing(Machine &machine, std::string name,
 void
 CommandRing::noteDepth()
 {
-    auto depth = static_cast<std::int64_t>(ring_.size());
+    auto depth = static_cast<std::int64_t>(count_);
     depthMetric_.set(depth);
     TraceSink *sink = machine_.traceSink();
     if (SVTSIM_UNLIKELY(sink && sink->enabled()))
@@ -121,7 +124,7 @@ bool
 CommandRing::post(const ChannelMessage &msg)
 {
     const CostModel &costs = machine_.costs();
-    if (ring_.size() >= capacity_) {
+    if (count_ >= capacity_) {
         // Producer back-pressure: the consumer stalled and the ring
         // filled, so the producer waits for a free slot (the SW SVt
         // protocol is request/response, so in correct operation depth
@@ -152,7 +155,17 @@ CommandRing::post(const ChannelMessage &msg)
                              "ring.post.dropped");
         return false;
     }
-    ring_.push_back(msg);
+    if (count_ == slots_.size()) {
+        // Only reachable past the back-pressure wait above: unroll the
+        // circle, oldest first, and double it.
+        std::rotate(slots_.begin(),
+                    slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                    slots_.end());
+        head_ = 0;
+        slots_.resize(2 * slots_.size());
+    }
+    slots_[(head_ + count_) % slots_.size()] = msg;
+    ++count_;
     ++posted_;
     postedMetric_.inc();
     noteDepth();
@@ -162,7 +175,7 @@ CommandRing::post(const ChannelMessage &msg)
 ChannelMessage
 CommandRing::pop()
 {
-    if (ring_.empty())
+    if (count_ == 0)
         panic("CommandRing::pop on empty ring");
     // Reading the full payload out of the shared lines; symmetric
     // with the copy post() charged on the producer side.
@@ -170,8 +183,9 @@ CommandRing::pop()
                      ringPayloadValues);
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Channel,
                          "ring.pop");
-    ChannelMessage msg = ring_.front();
-    ring_.pop_front();
+    ChannelMessage msg = slots_[head_];
+    head_ = (head_ + 1) % slots_.size();
+    --count_;
     noteDepth();
     return msg;
 }
@@ -207,7 +221,8 @@ CommandRing::consumeWake(const ChannelModel &channel)
 void
 CommandRing::clear()
 {
-    ring_.clear();
+    head_ = 0;
+    count_ = 0;
     noteDepth();
 }
 

@@ -15,12 +15,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
+#include "arch/exit_reason.h"
 #include "arch/machine.h"
 #include "arch/regs.h"
-#include "virt/exit_reason.h"
 
 namespace svtsim {
 
@@ -135,7 +135,7 @@ class CommandRing
     bool post(const ChannelMessage &msg);
 
     /** Non-destructively check for a pending message. */
-    bool hasMessage() const { return !ring_.empty(); }
+    bool hasMessage() const { return count_ != 0; }
 
     /**
      * Pop the oldest message; charges the payload read cost.
@@ -162,7 +162,7 @@ class CommandRing
      *  fallback tears the protocol state down). */
     void clear();
 
-    std::size_t depth() const { return ring_.size(); }
+    std::size_t depth() const { return count_; }
     std::uint64_t postedCount() const { return posted_; }
     std::uint64_t fullCount() const { return full_; }
 
@@ -173,7 +173,15 @@ class CommandRing
     Machine &machine_;
     std::string name_;
     std::size_t capacity_;
-    std::deque<ChannelMessage> ring_;
+    /**
+     * Circular buffer of the queued messages: count_ of them, oldest
+     * at head_. Sized to the capacity at construction; only a post to
+     * a full ring (back-pressure, where the message still lands)
+     * grows it.
+     */
+    std::vector<ChannelMessage> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
     std::uint64_t posted_ = 0;
     std::uint64_t full_ = 0;
     Counter postedMetric_;

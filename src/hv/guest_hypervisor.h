@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "arch/cost_model.h"
+#include "arch/exit_reason.h"
 #include "arch/regs.h"
 #include "hv/cpuid_db.h"
 #include "hv/guest_api.h"
 #include "virt/ept.h"
-#include "virt/exit_reason.h"
 #include "virt/vmcs.h"
 
 namespace svtsim {

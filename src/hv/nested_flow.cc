@@ -30,22 +30,6 @@ countAddressFields()
     return n;
 }
 
-/** Spill a hardware context's GPRs into a vCPU struct. */
-void
-saveGprs(const HwContext &ctx, Vcpu &vcpu)
-{
-    for (int i = 0; i < numGprs; ++i)
-        vcpu.setGpr(static_cast<Gpr>(i), ctx.readGpr(static_cast<Gpr>(i)));
-}
-
-/** Reload a hardware context's GPRs from a vCPU struct. */
-void
-loadGprs(const Vcpu &vcpu, HwContext &ctx)
-{
-    for (int i = 0; i < numGprs; ++i)
-        ctx.writeGpr(static_cast<Gpr>(i), vcpu.gpr(static_cast<Gpr>(i)));
-}
-
 } // namespace
 
 // ----------------------------------------------------- L2 <-> L0 boundary
@@ -60,7 +44,7 @@ VirtStack::exitFromL2(const ExitInfo &info)
               pumping_ ? 1 : 0);
     }
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.switch_l2_l0");
+    TimeScope t(machine_, ScopeId::StageSwitchL2L0);
     if (config_.mode == VirtMode::HwSvt) {
         // SVt: squash + fetch retarget; exit info lands in the VMCS
         // with a few field stores, registers stay in context-2.
@@ -74,7 +58,7 @@ VirtStack::exitFromL2(const ExitInfo &info)
         engines_[0]->vmexit(info);
         // Hypervisor thunk: spill L2's GPRs into L0's vcpu struct.
         machine_.consume(c.thunkRegSave * c.thunkRegs);
-        saveGprs(engines_[0]->context(), *vcpuL2InL0_);
+        vcpuL2InL0_->gprs() = engines_[0]->context().readGprs();
     }
     l2Running_ = false;
 }
@@ -84,7 +68,7 @@ VirtStack::resumeL2()
 {
     simAssert(!l2Running_, "resumeL2 while L2 is already running");
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.switch_l2_l0");
+    TimeScope t(machine_, ScopeId::StageSwitchL2L0);
     VmxEngine &e0 = *engines_[0];
     if (e0.currentVmcs() != vmcs02_.get())
         e0.vmptrld(vmcs02_.get());
@@ -94,7 +78,7 @@ VirtStack::resumeL2()
         svt_->vmResume();
     } else {
         // Thunk: reload L2's GPRs, then the entry microcode.
-        loadGprs(*vcpuL2InL0_, e0.context());
+        e0.context().writeGprs(vcpuL2InL0_->gprs());
         machine_.consume(c.thunkRegRestore * c.thunkRegs);
         e0.vmentry(false);
     }
@@ -116,18 +100,12 @@ VirtStack::transformPassCost() const
 void
 VirtStack::transformVmcs02ToVmcs12()
 {
-    TimeScope t(machine_, "stage.transform");
+    TimeScope t(machine_, ScopeId::StageTransform);
     machine_.consume(transformPassCost());
     // Reflect L2's architectural state and the exit information into
     // the shadow VMCS (vmcs01' as L1 sees it).
-    for (std::size_t i = 0; i < numVmcsFields; ++i) {
-        auto f = static_cast<VmcsField>(i);
-        auto cls = vmcsFieldClass(f);
-        if (cls == VmcsFieldClass::GuestState ||
-            cls == VmcsFieldClass::ExitInfo) {
-            vmcs12_->write(f, vmcs02_->read(f));
-        }
-    }
+    vmcs12_->copyClassFrom(*vmcs02_, VmcsFieldClass::GuestState);
+    vmcs12_->copyClassFrom(*vmcs02_, VmcsFieldClass::ExitInfo);
     transform0212Metric_.inc();
 }
 
@@ -135,16 +113,12 @@ void
 VirtStack::transformVmcs12ToVmcs02()
 {
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.transform");
+    TimeScope t(machine_, ScopeId::StageTransform);
     machine_.consume(transformPassCost());
     // Apply L1's updates back to the hardware VMCS, translating the
     // address-bearing fields into L0 terms (the EPT pointer stays
     // L0's merged ept02).
-    for (std::size_t i = 0; i < numVmcsFields; ++i) {
-        auto f = static_cast<VmcsField>(i);
-        if (vmcsFieldClass(f) == VmcsFieldClass::GuestState)
-            vmcs02_->write(f, vmcs12_->read(f));
-    }
+    vmcs02_->copyClassFrom(*vmcs12_, VmcsFieldClass::GuestState);
     vmcs02_->write(VmcsField::EntryIntrInfo,
                    vmcs12_->read(VmcsField::EntryIntrInfo));
     vmcs02_->write(VmcsField::TscOffset,
@@ -190,8 +164,7 @@ void
 VirtStack::nestedExitFromL2(const ExitInfo &info)
 {
     simAssert(isNestedMode(), "nestedExitFromL2 outside nested mode");
-    TimeScope exit_scope(machine_, std::string("exit.") +
-                                       exitReasonName(info.reason));
+    TimeScope exit_scope(machine_, exitScope(info.reason));
     ReasonMetrics &rm =
         l2ExitMetric_[static_cast<std::size_t>(info.reason)];
     rm.count.inc();
@@ -210,7 +183,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         // the L1 handler's own trapped operations visit L0.
         simAssert(l2Running_, "direct reflect while L2 not running");
         {
-            TimeScope t(machine_, "stage.switch_l2_l0");
+            TimeScope t(machine_, ScopeId::StageSwitchL2L0);
             vmcs12_->recordExit(info);
             machine_.consume(3 * c.vmcsFieldCopy + c.svtFieldLoad);
             svt_->loadFromVmcs(*vmcs01_);
@@ -221,7 +194,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         directReflectMetric_.inc();
         bool resume;
         {
-            TimeScope l1(machine_, "stage.l1_handler");
+            TimeScope l1(machine_, ScopeId::StageL1Handler);
             l1ViaSvt_ = true;
             resume = guestHv_->handleNestedExit(info, l1Backend_);
             l1ViaSvt_ = false;
@@ -230,7 +203,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         {
             // L1's VMRESUME is also served in hardware: fetch
             // retargets straight back to L2's context.
-            TimeScope t(machine_, "stage.switch_l2_l0");
+            TimeScope t(machine_, ScopeId::StageSwitchL2L0);
             svt_->loadFromVmcs(*vmcs02_);
             svt_->vmResume();
             l2Running_ = true;
@@ -246,7 +219,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         // L0 first tries to satisfy the fault from its shadow-EPT
         // merge of ept12 and ept01 (the Turtles multi-dimensional
         // paging scheme): only faults L1 has not mapped are reflected.
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, ScopeId::StageL0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         EptAccess acc = (info.qualification & 1) ? EptAccess::Write
                                                  : EptAccess::Read;
@@ -301,7 +274,7 @@ VirtStack::serviceL1Housekeeping(bool overlapped)
         hkOverlappedMetric_.inc();
         Ticks spill = work - machine_.costs().swSvtOverlapWindow;
         if (spill > 0) {
-            TimeScope t(machine_, "stage.l1_housekeeping");
+            TimeScope t(machine_, ScopeId::StageL1Housekeeping);
             machine_.consume(spill);
         }
         return;
@@ -309,7 +282,7 @@ VirtStack::serviceL1Housekeeping(bool overlapped)
     // Baseline / HW SVt: one effective thread of execution, so the
     // pending L1 kernel work is serviced before the L2 exit handling
     // proceeds.
-    TimeScope t(machine_, "stage.l1_housekeeping");
+    TimeScope t(machine_, ScopeId::StageL1Housekeeping);
     machine_.consume(work);
     hkSerialMetric_.inc();
 }
@@ -372,7 +345,7 @@ VirtStack::reflectToL1(const ExitInfo &info)
         const bool ring = (t == L1Transport::Ring);
         ChannelMessage msg;
         {
-            TimeScope l0(machine_, "stage.l0_handler");
+            TimeScope l0(machine_, ScopeId::StageL0Handler);
             machine_.consume(c.handlerDispatch + c.nestedExitCheck);
             if (t == L1Transport::Vmcs) {
                 e0.vmptrld(vmcs01_.get());
@@ -392,7 +365,7 @@ VirtStack::reflectToL1(const ExitInfo &info)
                 if (t == L1Transport::Mux) {
                     HwContext &ctx1 = core_.context(1);
                     sync += numGprs * (c.ctxtRegAccess + c.memAccess);
-                    saveGprs(ctx1, *vcpuL2InL1_);
+                    vcpuL2InL1_->gprs() = ctx1.readGprs();
                     vmcs12_->write(VmcsField::GuestRip, ctx1.rip);
                     vmcs12_->write(VmcsField::GuestRflags, ctx1.rflags);
                 }
@@ -418,13 +391,13 @@ VirtStack::reflectToL1(const ExitInfo &info)
                 continue;
             vcpuL2InL1_->gprs() = msg.gprs;
         } else {
-            TimeScope sw(machine_, "stage.switch_l0_l1");
+            TimeScope sw(machine_, ScopeId::StageSwitchL0L1);
             svtSwitchOwner(1); // a no-op unless L1 and L2 share a context
             enterL1(t);
         }
         bool resume;
         {
-            TimeScope l1(machine_, "stage.l1_handler");
+            TimeScope l1(machine_, ScopeId::StageL1Handler);
             if (ring) {
                 l1Engine_ = engines_[1].get();
                 l1Slowdown_ = config_.channel.workerSlowdown(c);
@@ -443,11 +416,11 @@ VirtStack::reflectToL1(const ExitInfo &info)
         if (!ring) {
             {
                 // L1 issues VMRESUME (or halts): traps back into L0.
-                TimeScope sw(machine_, "stage.switch_l0_l1");
+                TimeScope sw(machine_, ScopeId::StageSwitchL0L1);
                 leaveL1(t, resume ? ExitReason::Vmresume
                                   : ExitReason::Hlt);
             }
-            TimeScope l0(machine_, "stage.l0_handler");
+            TimeScope l0(machine_, ScopeId::StageL0Handler);
             machine_.consume(c.handlerDispatch);
             if (resume)
                 e0.vmptrld(vmcs02_.get());
@@ -458,13 +431,11 @@ VirtStack::reflectToL1(const ExitInfo &info)
             // The response is gone beyond retries, but the L1 handler
             // did run and vcpuL2InL1_ holds the updated registers:
             // sync them the conventional (vmread-grade) way. The
-            // return transform runs inside this handler stage.
-            TimeScope l0(machine_, "stage.l0_handler");
+            // handler stage closes before the return transform, as on
+            // every other path.
+            TimeScope l0(machine_, ScopeId::StageL0Handler);
             machine_.consume(c.lazySyncValue * c.lazySyncValues);
             vcpuL2InL0_->gprs() = vcpuL2InL1_->gprs();
-            if (resume)
-                transformVmcs12ToVmcs02();
-            return resume;
         }
         if (resume)
             transformVmcs12ToVmcs02();
@@ -485,12 +456,12 @@ VirtStack::svtSwitchOwner(int level)
     // switch SVt was designed to avoid, reintroduced by the capacity
     // limit (Section 3.1).
     Vcpu &out = (svtCtx1Owner_ == 2) ? *vcpuL2InL0_ : *vcpuL1_;
-    saveGprs(ctx, out);
+    out.gprs() = ctx.readGprs();
     out.rip = ctx.rip;
     out.rflags = ctx.rflags;
     machine_.consume(c.thunkRegSave * c.thunkRegs);
     Vcpu &in = (level == 2) ? *vcpuL2InL0_ : *vcpuL1_;
-    loadGprs(in, ctx);
+    ctx.writeGprs(in.gprs());
     ctx.rip = in.rip;
     ctx.rflags = in.rflags;
     machine_.consume(c.thunkRegRestore * c.thunkRegs);
@@ -528,7 +499,7 @@ VirtStack::serviceSvtThreadPreemption()
         // No SVT_BLOCKED fix, but the heartbeat watchdog notices the
         // stalled handshake: degrade, reschedule the L1 vCPU on the
         // now-free context (draining the IPI) and carry on.
-        TimeScope t(machine_, "stage.svt_watchdog");
+        TimeScope t(machine_, ScopeId::StageSvtWatchdog);
         machine_.consume(wd.timeout);
         svtFallback("section 5.3 preemption stall");
         vcpuL1_->lapic().raise(vec::l1Ipi);
@@ -615,7 +586,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
                 "failure mode); enable StackConfig::svtWatchdog to "
                 "degrade gracefully");
         }
-        TimeScope t(machine_, "stage.svt_watchdog");
+        TimeScope t(machine_, ScopeId::StageSvtWatchdog);
         for (int attempt = 1; attempt <= wd.maxRetries && !arrived;
              ++attempt) {
             // The heartbeat deadline passes; retry by re-ringing the
@@ -636,7 +607,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
     // The receiver observes the command (monitor/mwait wake) and
     // reads the payload; the ring pop consumes time and must stay
     // inside the channel stage or its ticks go unattributed.
-    TimeScope ch(machine_, "stage.channel");
+    TimeScope ch(machine_, ScopeId::StageChannel);
     ring.consumeWake(config_.channel);
     msg = ring.pop();
     return true;
@@ -702,13 +673,13 @@ VirtStack::l1TrapRound(const ExitInfo &info)
         svt_->vmTrap();
         machine_.consume(4 * c.ctxtRegAccess);
     }
-    saveGprs(ctx, *vcpuL1_);
+    vcpuL1_->gprs() = ctx.readGprs();
     std::uint64_t result = handleL0Exit(info, engine);
     if (engine)
         engine->vmentry(false);
     else
         machine_.consume(4 * c.ctxtRegAccess);
-    loadGprs(*vcpuL1_, ctx);
+    ctx.writeGprs(vcpuL1_->gprs());
     if (engine)
         machine_.consume(c.thunkRegRestore * c.thunkRegs);
     else
@@ -1139,7 +1110,7 @@ L2Api::compute(Ticks t)
     while (t > 0) {
         Ticks step = std::min(t, slice);
         {
-            TimeScope s(stack_.machine_, "stage.l2");
+            TimeScope s(stack_.machine_, ScopeId::StageL2);
             stack_.machine_.consume(step);
         }
         t -= step;
@@ -1154,7 +1125,7 @@ L2Api::cpuid(std::uint64_t leaf)
     stack_.pumpInterrupts();
     const CostModel &c = stack_.machine_.costs();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(c.cpuidExec);
         ctx().writeGpr(Gpr::Rax, leaf);
     }
@@ -1175,7 +1146,7 @@ L2Api::rdmsr(std::uint32_t index)
         return ctx().rdmsr(index);
     }
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rcx, index);
     }
@@ -1195,7 +1166,7 @@ L2Api::wrmsr(std::uint32_t index, std::uint64_t value)
         return;
     }
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rcx, index);
         ctx().writeGpr(Gpr::Rax, value & 0xffffffff);
@@ -1264,7 +1235,7 @@ L2Api::ioOut(std::uint16_t port, std::uint64_t value)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     ExitInfo info;
@@ -1281,7 +1252,7 @@ L2Api::ioIn(std::uint16_t port)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     ExitInfo info;
@@ -1298,7 +1269,7 @@ L2Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rax, nr);
         ctx().writeGpr(Gpr::Rbx, a0);
@@ -1317,7 +1288,7 @@ L2Api::halt()
     if (stack_.l2DeliveredVector_ >= 0)
         return stack_.l2DeliveredVector_;
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     stack_.nestedExitFromL2(

@@ -1,5 +1,7 @@
 #include "virt/vmcs.h"
 
+#include <vector>
+
 #include "sim/log.h"
 
 namespace svtsim {
@@ -67,6 +69,22 @@ vmcsFieldClass(VmcsField field)
     panic("vmcsFieldClass: invalid field %u",
           static_cast<unsigned>(field));
 }
+
+namespace {
+
+/** Fields per class, in field order, so transforms never classify. */
+const auto fieldsByClass = [] {
+    std::array<std::vector<VmcsField>,
+               static_cast<std::size_t>(VmcsFieldClass::Svt) + 1>
+        lists;
+    for (std::size_t i = 0; i < numVmcsFields; ++i) {
+        auto f = static_cast<VmcsField>(i);
+        lists[static_cast<std::size_t>(vmcsFieldClass(f))].push_back(f);
+    }
+    return lists;
+}();
+
+} // namespace
 
 const char *
 vmcsFieldName(VmcsField field)
@@ -197,6 +215,17 @@ Vmcs::write(VmcsField field, std::uint64_t value)
     check(field);
     values_[static_cast<std::size_t>(field)] = value;
     ++writes_;
+}
+
+void
+Vmcs::copyClassFrom(const Vmcs &src, VmcsFieldClass cls)
+{
+    const auto &fields = fieldsByClass[static_cast<std::size_t>(cls)];
+    for (VmcsField f : fields) {
+        const auto i = static_cast<std::size_t>(f);
+        values_[i] = src.values_[i];
+    }
+    writes_ += fields.size();
 }
 
 void

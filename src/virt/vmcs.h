@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <string>
 
-#include "virt/exit_reason.h"
+#include "arch/exit_reason.h"
 
 namespace svtsim {
 
@@ -150,6 +150,12 @@ class Vmcs
      */
     Vmcs *shadowLink() const { return shadowLink_; }
     void setShadowLink(Vmcs *shadow) { shadowLink_ = shadow; }
+
+    /**
+     * Copy every field of class @p cls from @p src, in field order.
+     * Counts one write per field, as a per-field write() loop would.
+     */
+    void copyClassFrom(const Vmcs &src, VmcsFieldClass cls);
 
     /** Deposit hardware exit information into the exit-info fields. */
     void recordExit(const ExitInfo &info);

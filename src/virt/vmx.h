@@ -15,8 +15,8 @@
 #include <array>
 #include <cstdint>
 
+#include "arch/exit_reason.h"
 #include "arch/machine.h"
-#include "virt/exit_reason.h"
 #include "virt/vmcs.h"
 
 namespace svtsim {

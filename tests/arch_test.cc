@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arch/cost_model.h"
 #include "arch/hw_context.h"
 #include "arch/lapic.h"
@@ -171,6 +175,40 @@ TEST(HwContext, CopyArchState)
     EXPECT_EQ(dst.rflags, 0x246u);
     EXPECT_EQ(dst.rdmsr(msr::ia32Lstar), 0x777u);
     EXPECT_EQ(dst.readCr(Ctrl::Cr0), 0x80000011u);
+}
+
+TEST(HwContext, BulkGprWriteMatchesSequentialWrites)
+{
+    // Two identical cores, each with a sibling context, whose free
+    // lists were scrambled the same way before the transfer.
+    PhysRegFile bulkPrf(64), seqPrf(64);
+    HwContext bulk(bulkPrf, 0), bulkSibling(bulkPrf, 1);
+    HwContext seq(seqPrf, 0), seqSibling(seqPrf, 1);
+    for (int i = 0; i < 40; ++i) {
+        auto reg = static_cast<Gpr>((i * 7) % numGprs);
+        HwContext &b = (i % 3) ? bulk : bulkSibling;
+        HwContext &q = (i % 3) ? seq : seqSibling;
+        b.writeGpr(reg, static_cast<std::uint64_t>(i));
+        q.writeGpr(reg, static_cast<std::uint64_t>(i));
+    }
+    GprValues values;
+    for (int i = 0; i < numGprs; ++i)
+        values[static_cast<std::size_t>(i)] = 0x1000u + i;
+
+    bulk.writeGprs(values);
+    for (int i = 0; i < numGprs; ++i)
+        seq.writeGpr(static_cast<Gpr>(i), values[static_cast<std::size_t>(i)]);
+
+    for (int i = 0; i < numGprs; ++i) {
+        auto reg = static_cast<Gpr>(i);
+        EXPECT_EQ(bulk.physOf(reg), seq.physOf(reg)) << i;
+        EXPECT_EQ(bulk.readGpr(reg), seq.readGpr(reg)) << i;
+        EXPECT_EQ(bulkSibling.physOf(reg), seqSibling.physOf(reg)) << i;
+    }
+    EXPECT_EQ(bulk.readGprs(), values);
+    ASSERT_EQ(bulkPrf.freeCount(), seqPrf.freeCount());
+    while (bulkPrf.freeCount() > 0)
+        EXPECT_EQ(bulkPrf.alloc(), seqPrf.alloc());
 }
 
 // -------------------------------------------------------------- smt core
@@ -397,35 +435,35 @@ TEST(Machine, AttributionSingleScope)
 {
     Machine m(MachineTopology{1, 1, 2});
     {
-        TimeScope scope(m, "stage-a");
+        TimeScope scope(m, ScopeId::StageL0Handler);
         m.consume(nsec(100));
     }
     m.consume(nsec(50));
-    EXPECT_EQ(m.scopeTotal("stage-a"), nsec(100));
-    EXPECT_EQ(m.scopeTotal("unknown"), 0);
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), nsec(100));
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageTransform), 0);
 }
 
 TEST(Machine, AttributionNestedScopesBothAccrue)
 {
     Machine m(MachineTopology{1, 1, 2});
     {
-        TimeScope outer(m, "outer");
+        TimeScope outer(m, ScopeId::ExitCpuid);
         m.consume(nsec(10));
         {
-            TimeScope inner(m, "inner");
+            TimeScope inner(m, ScopeId::StageTransform);
             m.consume(nsec(5));
         }
     }
-    EXPECT_EQ(m.scopeTotal("outer"), nsec(15));
-    EXPECT_EQ(m.scopeTotal("inner"), nsec(5));
+    EXPECT_EQ(m.scopeTotal(ScopeId::ExitCpuid), nsec(15));
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageTransform), nsec(5));
 }
 
 TEST(Machine, IdleTimeNotAttributed)
 {
     Machine m(MachineTopology{1, 1, 2});
-    TimeScope scope(m, "busy");
+    TimeScope scope(m, ScopeId::StageL2);
     m.idleUntil(usec(10));
-    EXPECT_EQ(m.scopeTotal("busy"), 0);
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL2), 0);
     EXPECT_EQ(m.now(), usec(10));
 }
 
@@ -433,11 +471,44 @@ TEST(Machine, ResetAttributionClears)
 {
     Machine m(MachineTopology{1, 1, 2});
     {
-        TimeScope scope(m, "x");
+        TimeScope scope(m, ScopeId::StageChannel);
         m.consume(nsec(10));
     }
     m.resetAttribution();
-    EXPECT_EQ(m.scopeTotal("x"), 0);
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageChannel), 0);
+}
+
+TEST(Machine, ScopeTableNamesStagesAndExitReasons)
+{
+    EXPECT_STREQ(scopeName(ScopeId::StageL2), "stage.l2");
+    EXPECT_STREQ(scopeName(ScopeId::StageSvtWatchdog),
+                 "stage.svt_watchdog");
+    EXPECT_EQ(exitScope(ExitReason::Cpuid), ScopeId::ExitCpuid);
+    for (std::size_t i = 0; i < numExitReasons; ++i) {
+        auto reason = static_cast<ExitReason>(i);
+        EXPECT_EQ(std::string(scopeName(exitScope(reason))),
+                  std::string("exit.") + exitReasonName(reason));
+    }
+}
+
+TEST(Machine, SnapshotListsNonZeroScopesByName)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    for (ScopeId id : {ScopeId::StageTransform, ScopeId::ExitCpuid,
+                       ScopeId::StageL0Handler}) {
+        TimeScope scope(m, id);
+        m.consume(nsec(1));
+    }
+    {
+        TimeScope empty(m, ScopeId::StageL2);
+    }
+    MetricsSnapshot snap = m.snapshotMetrics();
+    const std::vector<std::pair<std::string, Ticks>> expected = {
+        {"exit.CPUID", nsec(1)},
+        {"stage.l0_handler", nsec(1)},
+        {"stage.transform", nsec(1)},
+    };
+    EXPECT_EQ(snap.scopes, expected);
 }
 
 TEST(Machine, PopWithoutPushPanics)

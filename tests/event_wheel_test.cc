@@ -9,66 +9,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "counting_new.h"
 #include "oracle/reference_event_queue.h"
 #include "sim/closure.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/random.h"
 #include "sim/ticks.h"
-
-// ---------------------------------------------------------------------
-// Global allocation counter. Only the deltas measured inside
-// ZeroAllocationSteadyState matter; everything else just passes
-// through to malloc/free.
-
-static std::atomic<std::uint64_t> g_allocCount{0};
-
-static void *
-countedAlloc(std::size_t n)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *operator new(std::size_t n) { return countedAlloc(n); }
-void *operator new[](std::size_t n) { return countedAlloc(n); }
-void *
-operator new(std::size_t n, std::align_val_t a)
-{
-    ++g_allocCount;
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(a),
-                                     (n + static_cast<std::size_t>(a) - 1) &
-                                         ~(static_cast<std::size_t>(a) - 1)))
-        return p;
-    throw std::bad_alloc();
-}
-void *
-operator new[](std::size_t n, std::align_val_t a)
-{
-    return operator new(n, a);
-}
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace svtsim {
 namespace {

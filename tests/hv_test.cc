@@ -293,21 +293,23 @@ TEST(VirtStack, Table1StagesArePresent)
     rig.machine.resetAttribution();
     rig.stack->api().cpuid(1);
     const auto &m = rig.machine;
-    EXPECT_GT(m.scopeTotal("stage.l2"), 0);
-    EXPECT_GT(m.scopeTotal("stage.switch_l2_l0"), 0);
-    EXPECT_GT(m.scopeTotal("stage.transform"), 0);
-    EXPECT_GT(m.scopeTotal("stage.l0_handler"), 0);
-    EXPECT_GT(m.scopeTotal("stage.switch_l0_l1"), 0);
-    EXPECT_GT(m.scopeTotal("stage.l1_handler"), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageL2), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageSwitchL2L0), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageTransform), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageL0Handler), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageSwitchL0L1), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::StageL1Handler), 0);
     // Stages partition the round: their sum equals the total time of
     // the exit scope plus the L2 stage.
-    Ticks total = m.scopeTotal("exit.CPUID") + m.scopeTotal("stage.l2");
+    Ticks total =
+        m.scopeTotal(ScopeId::ExitCpuid) + m.scopeTotal(ScopeId::StageL2);
     Ticks stages =
-        m.scopeTotal("stage.l2") + m.scopeTotal("stage.switch_l2_l0") +
-        m.scopeTotal("stage.transform") +
-        m.scopeTotal("stage.l0_handler") +
-        m.scopeTotal("stage.switch_l0_l1") +
-        m.scopeTotal("stage.l1_handler");
+        m.scopeTotal(ScopeId::StageL2) +
+        m.scopeTotal(ScopeId::StageSwitchL2L0) +
+        m.scopeTotal(ScopeId::StageTransform) +
+        m.scopeTotal(ScopeId::StageL0Handler) +
+        m.scopeTotal(ScopeId::StageSwitchL0L1) +
+        m.scopeTotal(ScopeId::StageL1Handler);
     EXPECT_NEAR(static_cast<double>(stages),
                 static_cast<double>(total),
                 static_cast<double>(total) * 0.02);
@@ -663,9 +665,9 @@ TEST(SwSvt, DeadlockLeavesNoExitScopeOpen)
     rig.stack->api().cpuid(1);
     rig.stack->armSvtThreadPreemption(usec(30));
     EXPECT_THROW(rig.stack->api().cpuid(1), DeadlockError);
-    Ticks before = rig.machine.scopeTotal("exit.CPUID");
+    Ticks before = rig.machine.scopeTotal(ScopeId::ExitCpuid);
     rig.machine.consume(usec(5));
-    EXPECT_EQ(rig.machine.scopeTotal("exit.CPUID"), before);
+    EXPECT_EQ(rig.machine.scopeTotal(ScopeId::ExitCpuid), before);
 }
 
 TEST(SwSvt, PreemptionOnlyValidInSwSvtMode)
@@ -706,8 +708,25 @@ const char *const pinNames[] = {
 };
 using Pins = std::array<std::int64_t, std::size(pinNames)>;
 
+/** The attribution scopes behind pins 1-8. */
+const ScopeId pinScopes[] = {
+    ScopeId::StageL2,         ScopeId::StageSwitchL2L0,
+    ScopeId::StageL0Handler,  ScopeId::StageSwitchL0L1,
+    ScopeId::StageL1Handler,  ScopeId::StageTransform,
+    ScopeId::StageChannel,    ScopeId::StageSvtWatchdog,
+};
+
+/** Stage bucket sums of one measured operation. */
+struct StageSums
+{
+    Ticks elapsed = 0;
+    Ticks stages = 0;    ///< every stage.* bucket
+    Ticks nonL2 = 0;     ///< every stage.* bucket but stage.l2
+    Ticks exitRound = 0; ///< the operation's exit.<REASON> bucket
+};
+
 Pins
-measurePins(Transport t, PinCase pc)
+measurePins(Transport t, PinCase pc, StageSums *sums = nullptr)
 {
     StackConfig cfg;
     cfg.mode = VirtMode::HwSvt;
@@ -751,12 +770,25 @@ measurePins(Transport t, PinCase pc)
     }
     Pins p{};
     p[0] = machine.now() - t0;
-    for (std::size_t i = 1; i <= 8; ++i)
-        p[i] = machine.scopeTotal(pinNames[i]);
+    for (std::size_t i = 1; i <= std::size(pinScopes); ++i)
+        p[i] = machine.scopeTotal(pinScopes[i - 1]);
     p[9] = static_cast<std::int64_t>(stack.reflectedExits());
     for (std::size_t i = 10; i < p.size(); ++i) {
         p[i] = static_cast<std::int64_t>(
             machine.metrics().counterValue(pinNames[i]));
+    }
+    if (sums) {
+        sums->elapsed = p[0];
+        // The stage.* scopes lead the table, up to the exit scopes.
+        for (auto i = static_cast<std::size_t>(ScopeId::StageL2);
+             i < static_cast<std::size_t>(ScopeId::ExitNone); ++i) {
+            const auto id = static_cast<ScopeId>(i);
+            sums->stages += machine.scopeTotal(id);
+            if (id != ScopeId::StageL2)
+                sums->nonL2 += machine.scopeTotal(id);
+        }
+        sums->exitRound = machine.scopeTotal(
+            pc == PinCase::Cpuid ? ScopeId::ExitCpuid : ScopeId::ExitRdmsr);
     }
     return p;
 }
@@ -792,12 +824,13 @@ TEST(StagePins, EveryTransportKeepsItsStageSequence)
          {46294920, 420, 810000, 8180000, 1400000, 8894500, 1290000, 0, 25720000, 1, 1, 1}},
         {Transport::SwSvtDegraded, PinCase::L2Interrupt,
          {52337500, 0, 1750000, 8180000, 1400000, 2066500, 1959000, 0, 25720000, 1, 1, 2}},
+        // The return transform runs after stage.l0_handler closes.
         {Transport::SwSvtResumeLost, PinCase::Cpuid,
-         {35639500, 50000, 810000, 5509000, 0, 2329500, 1290000, 600000, 25720000, 1, 1, 1}},
+         {35639500, 50000, 810000, 4840000, 0, 2329500, 1290000, 600000, 25720000, 1, 1, 1}},
         {Transport::SwSvtResumeLost, PinCase::RdmsrNoShadow,
-         {42514920, 420, 810000, 5509000, 0, 9254500, 1290000, 600000, 25720000, 1, 1, 1}},
+         {42514920, 420, 810000, 4840000, 0, 9254500, 1290000, 600000, 25720000, 1, 1, 1}},
         {Transport::SwSvtResumeLost, PinCase::L2Interrupt,
-         {48557500, 0, 1750000, 5509000, 0, 2426500, 1959000, 600000, 25720000, 1, 1, 2}},
+         {48557500, 0, 1750000, 4840000, 0, 2426500, 1959000, 600000, 25720000, 1, 1, 2}},
         {Transport::HwSvt, PinCase::Cpuid,
          {5343000, 50000, 61000, 3396000, 40000, 554000, 1242000, 0, 0, 1, 1, 1}},
         {Transport::HwSvt, PinCase::RdmsrNoShadow,
@@ -825,6 +858,33 @@ TEST(StagePins, EveryTransportKeepsItsStageSequence)
                 << pinNames[i] << " transport="
                 << static_cast<int>(row.transport)
                 << " case=" << static_cast<int>(row.pinCase);
+        }
+    }
+}
+
+TEST(StagePins, StagesPartitionEachExitRound)
+{
+    // The stage scopes never overlap: in a lone exit round every tick
+    // lands in exactly one stage, and all but stage.l2 run inside the
+    // exit.<REASON> scope. Injection charges its stages outside any
+    // exit scope, so there the stages only bound the elapsed time.
+    for (Transport t :
+         {Transport::Nested, Transport::SwSvt, Transport::SwSvtDegraded,
+          Transport::SwSvtResumeLost, Transport::HwSvt,
+          Transport::HwSvtMux, Transport::HwSvtDirect}) {
+        for (PinCase pc : {PinCase::Cpuid, PinCase::RdmsrNoShadow,
+                           PinCase::L2Interrupt}) {
+            StageSums sums;
+            measurePins(t, pc, &sums);
+            const std::string where =
+                "transport=" + std::to_string(static_cast<int>(t)) +
+                " case=" + std::to_string(static_cast<int>(pc));
+            if (pc == PinCase::L2Interrupt) {
+                EXPECT_LE(sums.stages, sums.elapsed) << where;
+                continue;
+            }
+            EXPECT_EQ(sums.stages, sums.elapsed) << where;
+            EXPECT_EQ(sums.nonL2, sums.exitRound) << where;
         }
     }
 }
@@ -997,6 +1057,36 @@ TEST(Channel, RingProtocol)
     EXPECT_EQ(ring.fullCount(), 1u);
     EXPECT_GE(machine.now() - before, machine.costs().ringFullWait);
     EXPECT_EQ(ring.depth(), 3u);
+}
+
+TEST(Channel, RingKeepsFifoOrderAcrossWrapAndGrowth)
+{
+    Machine machine(MachineTopology{1, 1, 2});
+    CommandRing ring(machine, "ring.test", 2);
+    auto post = [&ring](std::uint64_t tag) {
+        ChannelMessage msg;
+        msg.gprs[0] = tag;
+        EXPECT_TRUE(ring.post(msg));
+    };
+    post(1);
+    EXPECT_EQ(ring.pop().gprs[0], 1u);
+    // 2 and 3 wrap around the two slots; 4 overflows the full ring,
+    // which grows and keeps the order.
+    post(2);
+    post(3);
+    post(4);
+    EXPECT_EQ(ring.fullCount(), 1u);
+    post(5);
+    EXPECT_EQ(ring.depth(), 4u);
+    for (std::uint64_t tag = 2; tag <= 5; ++tag)
+        EXPECT_EQ(ring.pop().gprs[0], tag);
+    post(6);
+    post(7);
+    ring.clear();
+    EXPECT_FALSE(ring.hasMessage());
+    EXPECT_EQ(ring.depth(), 0u);
+    post(8);
+    EXPECT_EQ(ring.pop().gprs[0], 8u);
 }
 
 TEST(Channel, RingRejectsZeroCapacity)

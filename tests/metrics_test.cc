@@ -11,12 +11,12 @@
 #include <sstream>
 #include <string>
 
+#include "arch/exit_reason.h"
 #include "sim/log.h"
 #include "sim/trace.h"
 #include "stats/metrics.h"
 #include "system/bench_harness.h"
 #include "system/nested_system.h"
-#include "virt/exit_reason.h"
 
 namespace svtsim {
 namespace {

@@ -57,20 +57,21 @@ TEST(Calibration, Table1StageBreakdown)
 
     struct Anchor
     {
-        const char *scope;
+        ScopeId scope;
         double paper_us;
     };
     const Anchor anchors[] = {
-        {"stage.l2", 0.05},
-        {"stage.switch_l2_l0", 0.81},
-        {"stage.transform", 1.29},
-        {"stage.l0_handler", 4.89},
-        {"stage.switch_l0_l1", 1.40},
-        {"stage.l1_handler", 1.96},
+        {ScopeId::StageL2, 0.05},
+        {ScopeId::StageSwitchL2L0, 0.81},
+        {ScopeId::StageTransform, 1.29},
+        {ScopeId::StageL0Handler, 4.89},
+        {ScopeId::StageSwitchL0L1, 1.40},
+        {ScopeId::StageL1Handler, 1.96},
     };
     for (const auto &a : anchors) {
         double us = toUsec(m.scopeTotal(a.scope)) / iters;
-        EXPECT_NEAR(us, a.paper_us, a.paper_us * 0.06) << a.scope;
+        EXPECT_NEAR(us, a.paper_us, a.paper_us * 0.06)
+            << scopeName(a.scope);
     }
 }
 
@@ -104,13 +105,14 @@ TEST(Calibration, StageAccountingCoversElapsedTime)
         api.cpuid(1);
     Ticks elapsed = m.now() - t0;
     Ticks attributed =
-        m.scopeTotal("stage.l2") + m.scopeTotal("stage.switch_l2_l0") +
-        m.scopeTotal("stage.transform") +
-        m.scopeTotal("stage.l0_handler") +
-        m.scopeTotal("stage.switch_l0_l1") +
-        m.scopeTotal("stage.l1_handler") +
-        m.scopeTotal("stage.channel") +
-        m.scopeTotal("stage.l1_housekeeping");
+        m.scopeTotal(ScopeId::StageL2) +
+        m.scopeTotal(ScopeId::StageSwitchL2L0) +
+        m.scopeTotal(ScopeId::StageTransform) +
+        m.scopeTotal(ScopeId::StageL0Handler) +
+        m.scopeTotal(ScopeId::StageSwitchL0L1) +
+        m.scopeTotal(ScopeId::StageL1Handler) +
+        m.scopeTotal(ScopeId::StageChannel) +
+        m.scopeTotal(ScopeId::StageL1Housekeeping);
     EXPECT_NEAR(static_cast<double>(attributed),
                 static_cast<double>(elapsed),
                 static_cast<double>(elapsed) * 0.02);
@@ -123,9 +125,9 @@ TEST(Calibration, SwSvtChannelTimeIsVisible)
     api.cpuid(1);
     sys.machine().resetAttribution();
     api.cpuid(1);
-    EXPECT_GT(sys.machine().scopeTotal("stage.channel"), 0);
+    EXPECT_GT(sys.machine().scopeTotal(ScopeId::StageChannel), 0);
     // The baseline L0<->L1 switch is gone in SW SVt.
-    EXPECT_EQ(sys.machine().scopeTotal("stage.switch_l0_l1"), 0);
+    EXPECT_EQ(sys.machine().scopeTotal(ScopeId::StageSwitchL0L1), 0);
 }
 
 // ------------------------------------------------------ cross-mode sanity
@@ -180,8 +182,8 @@ TEST(System, ExitProfileMatchesSection62Shape)
             sys.api().halt();
     }
     Machine &m = sys.machine();
-    EXPECT_GT(m.scopeTotal("exit.EPT_MISCONFIG"), 0);
-    EXPECT_GT(m.scopeTotal("exit.MSR_WRITE"), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::ExitEptMisconfig), 0);
+    EXPECT_GT(m.scopeTotal(ScopeId::ExitWrmsr), 0);
     EXPECT_GT(m.counter("l2.exit.MSR_WRITE"), 0u);
 }
 

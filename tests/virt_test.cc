@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/exit_reason.h"
 #include "arch/machine.h"
 #include "sim/log.h"
 #include "virt/ept.h"
-#include "virt/exit_reason.h"
 #include "virt/vmcs.h"
 #include "virt/vmx.h"
 
@@ -110,6 +110,30 @@ TEST(Vmcs, WriteCountTracksDirtyState)
     vmcs.write(VmcsField::GuestRsp, 1);
     vmcs.write(VmcsField::GuestRsp, 2);
     EXPECT_EQ(vmcs.writeCount(), before + 2);
+}
+
+TEST(Vmcs, ClassCopyMatchesPerFieldWrites)
+{
+    Vmcs src("src");
+    for (std::size_t i = 0; i < numVmcsFields; ++i)
+        src.write(static_cast<VmcsField>(i), 0x100 + i);
+    for (VmcsFieldClass cls :
+         {VmcsFieldClass::GuestState, VmcsFieldClass::HostState,
+          VmcsFieldClass::Control, VmcsFieldClass::ExitInfo,
+          VmcsFieldClass::Svt}) {
+        Vmcs bulk("bulk"), loop("loop");
+        bulk.copyClassFrom(src, cls);
+        for (std::size_t i = 0; i < numVmcsFields; ++i) {
+            auto f = static_cast<VmcsField>(i);
+            if (vmcsFieldClass(f) == cls)
+                loop.write(f, src.read(f));
+        }
+        EXPECT_EQ(bulk.writeCount(), loop.writeCount());
+        for (std::size_t i = 0; i < numVmcsFields; ++i) {
+            auto f = static_cast<VmcsField>(i);
+            EXPECT_EQ(bulk.read(f), loop.read(f)) << vmcsFieldName(f);
+        }
+    }
 }
 
 // ------------------------------------------------------------------- ept
