@@ -20,10 +20,14 @@ GOLDEN.sha256 records the toolchain it was made with in its header.
 
 Usage: golden.py [--update]
 
+A traced bench prints one time-conservation report per trace session
+on stderr; any report ending in NOT CONSERVED fails the check on every
+toolchain.
+
 Exits 0 when every hash matches, 1 naming each output that differs
-(or is missing / new), 2 on usage errors or a failing bench, and 77
-(no verdict) when outputs differ on a toolchain other than the
-recorded one.
+(or is missing / new) or each traced bench that reports NOT CONSERVED,
+2 on usage errors or a failing bench, and 77 (no verdict) when outputs
+differ on a toolchain other than the recorded one.
 """
 
 import hashlib
@@ -66,8 +70,13 @@ def sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+class NotConserved(Exception):
+    """A traced bench reported a time-conservation break."""
+
+
 def run_bench(name, flags, traced, work):
-    """Run one bench in @p work; return {output name: sha256}."""
+    """Run one bench in @p work; return {output name: sha256}. Raises
+    NotConserved when a traced bench reports NOT CONSERVED."""
     trace_dir = os.path.join(work, "trace")
     cmd = [os.path.join(BENCH_DIR, name), "--jobs=4", *flags,
            "--json=" + os.path.join(work, "json"),
@@ -76,10 +85,16 @@ def run_bench(name, flags, traced, work):
         os.mkdir(trace_dir)
         cmd.append("--trace=" + os.path.join(trace_dir, "t.json"))
     with open(os.path.join(work, "stdout"), "wb") as out:
-        rc = subprocess.run(cmd, stdout=out,
-                            stderr=subprocess.DEVNULL).returncode
-    if rc != 0:
-        raise RuntimeError(f"{name} exited {rc}")
+        proc = subprocess.run(
+            cmd, stdout=out,
+            stderr=subprocess.PIPE if traced else subprocess.DEVNULL)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} exited {proc.returncode}")
+    if traced:
+        broken = [line for line in proc.stderr.decode().splitlines()
+                  if "NOT CONSERVED" in line]
+        if broken:
+            raise NotConserved(f"{name}: " + "\n  ".join(broken))
     hashes = {f"{name}/{part}": sha256(os.path.join(work, part))
               for part in ("stdout", "json", "metrics")}
     if traced:
@@ -156,6 +171,9 @@ def main(argv):
                 current.update(run_bench(name, flags, traced, work))
         with tempfile.TemporaryDirectory() as work:
             current.update(run_cluster_speed(work))
+    except NotConserved as e:
+        print(f"golden: NOT CONSERVED in {e}")
+        return 1
     except (OSError, RuntimeError, ValueError, KeyError) as e:
         print(f"golden: {e}", file=sys.stderr)
         return 2

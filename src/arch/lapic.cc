@@ -38,7 +38,6 @@ void
 Lapic::raise(std::uint8_t vector)
 {
     pending_.set(vector);
-    ++raised_;
     raisedMetric_.inc();
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->instant(TraceCategory::Irq, "irq.raise", vector);

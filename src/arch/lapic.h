@@ -123,9 +123,6 @@ class Lapic
     /** When set, assertExternal() forwards to this APIC instead. */
     Lapic *redirect = nullptr;
 
-    /** Count of interrupts that became pending here (for tests). */
-    std::uint64_t raisedCount() const { return raised_; }
-
   private:
     /** Follow the redirect chain to the delivery target (8-hop cycle
      *  guard, shared by assertExternal and in-flight IPI delivery). */
@@ -147,7 +144,6 @@ class Lapic
     /** In-flight IPI events targeting this APIC; the destructor
      *  deschedules them so their closures cannot outlive us. */
     std::vector<EventId> inflightIpis_;
-    std::uint64_t raised_ = 0;
     std::uint64_t posted_ = 0;
     Counter raisedMetric_;
     Counter ipiMetric_;

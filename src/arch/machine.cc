@@ -1,7 +1,6 @@
 #include "arch/machine.h"
 
 #include <algorithm>
-#include <limits>
 #include <string_view>
 
 #include "sim/compiler.h"
@@ -11,10 +10,6 @@
 namespace svtsim {
 
 namespace {
-
-/** Sentinel for "no trace span was opened for this scope". */
-constexpr std::size_t noTraceSpan =
-    std::numeric_limits<std::size_t>::max();
 
 /** One attribution scope: its bucket/span name and trace category. */
 struct ScopeInfo
@@ -95,6 +90,13 @@ Machine::core(int i)
 }
 
 void
+Machine::setTraceSink(TraceSink *sink)
+{
+    eq_.setTraceSink(sink);
+    ledger_ = Ledger{noWindow};
+}
+
+void
 Machine::consume(Ticks t)
 {
     if (SVTSIM_UNLIKELY(t < 0))
@@ -103,8 +105,8 @@ Machine::consume(Ticks t)
         return;
     for (const OpenScope &scope : scopeStack_)
         buckets_[static_cast<std::size_t>(scope.id)] += t;
-    if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
-        sink->attribute(t);
+    if (SVTSIM_UNLIKELY(eq_.traceSink() != nullptr))
+        chargeConsumed(t);
     eq_.advanceBy(t);
 }
 
@@ -112,24 +114,96 @@ void
 Machine::idleUntil(Ticks when)
 {
     // idleTo() may return early under a cluster AdvanceGate (with
-    // now() < when), so idle time is attributed from the actual
-    // distance advanced, keeping the trace conservation check exact.
+    // now() < when), so idle time is charged from the actual
+    // distance advanced, keeping the conservation check exact.
     const Ticks before = now();
     eq_.idleTo(when);
-    if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
-        sink->attributeIdle(now() - before);
+    if (SVTSIM_UNLIKELY(eq_.traceSink() != nullptr)) {
+        if (Ledger *l = ledger())
+            l->idle += now() - before;
+    }
+}
+
+void
+Machine::drainUntil(Ticks horizon)
+{
+    Ledger *l = ledger();
+    if (l == nullptr) {
+        eq_.runUntilTick(horizon);
+        return;
+    }
+    const Ticks t0 = now();
+    const Ticks charged0 = l->charged();
+    eq_.runUntilTick(horizon);
+    l->idle += (now() - t0) - (l->charged() - charged0);
+}
+
+Machine::Ledger *
+Machine::ledger()
+{
+    TraceSink *sink = eq_.traceSink();
+    if (sink == nullptr || !sink->enabled())
+        return nullptr;
+    if (ledger_.origin != sink->origin())
+        ledger_ = Ledger{sink->origin()};
+    return &ledger_;
+}
+
+bool
+Machine::ledgerCurrent() const
+{
+    const TraceSink *sink = eq_.traceSink();
+    return sink != nullptr && sink->enabled() &&
+           ledger_.origin == sink->origin();
+}
+
+void
+Machine::chargeConsumed(Ticks t)
+{
+    Ledger *l = ledger();
+    if (l == nullptr)
+        return;
+    for (auto it = scopeStack_.rbegin(); it != scopeStack_.rend(); ++it) {
+        if (scopeInfo(it->id).category == TraceCategory::Stage) {
+            l->self[static_cast<std::size_t>(it->id)] += t;
+            l->attributed += t;
+            return;
+        }
+    }
+    l->unattributed += t;
+}
+
+Machine::Conservation
+Machine::conservation() const
+{
+    Conservation c;
+    const TraceSink *sink = eq_.traceSink();
+    if (sink == nullptr || !sink->enabled())
+        return c;
+    c.elapsed = now() - sink->origin();
+    if (ledgerCurrent()) {
+        c.attributed = ledger_.attributed;
+        c.idle = ledger_.idle;
+        c.unattributed = ledger_.unattributed;
+    }
+    return c;
+}
+
+Ticks
+Machine::selfTicks(ScopeId id) const
+{
+    return ledgerCurrent() ? ledger_.self[static_cast<std::size_t>(id)]
+                           : 0;
 }
 
 void
 Machine::pushScope(ScopeId id)
 {
     TraceSink *sink = eq_.traceSink();
-    std::size_t span = noTraceSpan;
-    if (SVTSIM_UNLIKELY(sink != nullptr && sink->enabled())) {
-        const ScopeInfo &info = scopeInfo(id);
-        span = sink->beginSpan(info.category, info.name);
-    }
-    scopeStack_.push_back({id, span});
+    Ticks start = untraced;
+    if (SVTSIM_UNLIKELY(sink != nullptr && sink->enabled()))
+        start = now();
+    scopeStack_.push_back({id, start});
 }
 
 void
@@ -137,17 +211,15 @@ Machine::popScope()
 {
     if (scopeStack_.empty())
         panic("Machine::popScope with no open scope");
-    if (scopeStack_.back().span != noTraceSpan) {
-        if (TraceSink *sink = eq_.traceSink())
-            sink->endSpan(scopeStack_.back().span);
+    const OpenScope &scope = scopeStack_.back();
+    if (SVTSIM_UNLIKELY(scope.start != untraced)) {
+        if (TraceSink *sink = eq_.traceSink()) {
+            const ScopeInfo &info = scopeInfo(scope.id);
+            sink->complete(info.category, info.name, scope.start,
+                           now() - scope.start);
+        }
     }
     scopeStack_.pop_back();
-}
-
-void
-Machine::count(const std::string &key, std::uint64_t n)
-{
-    metrics_.addByName(key, n);
 }
 
 std::uint64_t

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,8 +33,9 @@ struct MachineTopology
 };
 
 /**
- * Time-attribution scopes: one fixed table shared by Machine's buckets,
- * TimeScope and the trace spans. The Table 1 stages come first, then
+ * Time-attribution scopes: one fixed table shared by Machine's buckets
+ * and ledger, TimeScope and the trace spans. The Table 1 stages come
+ * first (the ledger charges them; `exit.*` scopes are transparent), then
  * one `exit.<REASON>` scope per ExitReason, in ExitReason order. Each
  * entry's name and trace category live in machine.cc.
  */
@@ -97,10 +97,11 @@ class Machine
 
     /**
      * Attach/detach a trace sink (not owned). While attached and
-     * enabled, consume()/idleUntil() feed the sink's time-conservation
-     * accounting and pushScope()/popScope() mirror into trace spans.
+     * enabled, consume()/idleUntil() charge the time-conservation
+     * ledger and every scope pushed hands its span to the sink when
+     * it pops. Attaching starts a fresh ledger.
      */
-    void setTraceSink(TraceSink *sink) { eq_.setTraceSink(sink); }
+    void setTraceSink(TraceSink *sink);
     TraceSink *traceSink() const { return eq_.traceSink(); }
 
     SmtCore &core(int i);
@@ -119,6 +120,12 @@ class Machine
      *  scope (used for idle/wait periods). */
     void idleUntil(Ticks when);
 
+    /** Run due events up to @p horizon with no consume() of this
+     *  machine's own (a cluster follower's drain). The ledger charges
+     *  whatever time the drain advances beyond its handlers' consume()
+     *  calls as idle. */
+    void drainUntil(Ticks horizon);
+
     // -- Attribution scopes ----------------------------------------------
     /** Open an attribution scope; time consumed while open accrues to
      *  its bucket. Scopes nest; all open scopes accrue. */
@@ -133,19 +140,48 @@ class Machine
 
     void resetAttribution() { buckets_.fill(0); }
 
+    // -- Time conservation -------------------------------------------------
+    /**
+     * The ledger: exclusive time per recording window of the attached
+     * sink. Every consumed tick goes to the innermost open `stage.*`
+     * scope (`exit.*` scopes are transparent), or to `unattributed`
+     * when none is open; idle time goes to `idle`.
+     */
+    struct Conservation
+    {
+        Ticks elapsed = 0;      ///< Ticks since the window opened.
+        Ticks attributed = 0;   ///< Sum of per-stage self ticks.
+        Ticks idle = 0;         ///< Ticks passed idle or in a drain.
+        Ticks unattributed = 0; ///< Consumed with no stage scope open.
+        /** attributed + idle + unattributed == elapsed. A violation
+         *  means time advanced behind the accounting's back. */
+        bool conserved() const
+        {
+            return attributed + idle + unattributed == elapsed;
+        }
+        /** Strict form: conserved and every consumed tick landed in a
+         *  named stage (what checked nested-trap runs assert). */
+        bool fullyAttributed() const
+        {
+            return conserved() && unattributed == 0;
+        }
+    };
+
+    /** Snapshot of the attached sink's current window (all zero when
+     *  no enabled sink is attached). */
+    Conservation conservation() const;
+
+    /** Self ticks charged to @p id in the current window. */
+    Ticks selfTicks(ScopeId id) const;
+
     // -- Simulated PMU -----------------------------------------------------
     /** The machine's metrics registry (the simulated PMU). Components
      *  intern handles here at construction time. */
     MetricsRegistry &metrics() { return metrics_; }
     const MetricsRegistry &metrics() const { return metrics_; }
 
-    /**
-     * Compat shim over the old string-keyed counter map: adds to a
-     * pre-registered counter by name. Raises FatalError on keys no
-     * component registered — a typo'd key is a config bug, not a new
-     * counter.
-     */
-    void count(const std::string &key, std::uint64_t n = 1);
+    /** Value of a registered counter by name; raises FatalError on
+     *  keys no component registered (a typo'd key is a config bug). */
     std::uint64_t counter(const std::string &key) const;
 
     // -- Fault injection ---------------------------------------------------
@@ -169,12 +205,6 @@ class Machine
      */
     int allocApicId() { return nextApicId_++; }
 
-    /** All registered counters as a name -> value map (by value now
-     *  that the backing store is the registry). */
-    std::map<std::string, std::uint64_t> counters() const
-    {
-        return metrics_.counterValues();
-    }
     void resetCounters() { metrics_.reset(); }
 
     /** Registry snapshot plus this machine's non-zero attribution
@@ -194,16 +224,41 @@ class Machine
     struct OpenScope
     {
         ScopeId id;
-        /** Trace-span handle; noTraceSpan when the sink was
-         *  absent/disabled at pushScope() time. */
-        std::size_t span;
+        /** Push tick when an enabled sink was attached at pushScope()
+         *  time (popScope() hands the span to it), else untraced. */
+        Ticks start;
     };
+    static constexpr Ticks untraced = -1;
+    struct Ledger
+    {
+        /** The sink's origin() when this window opened; noWindow
+         *  until the first charge after an attach. */
+        Ticks origin;
+        std::array<Ticks, numScopes> self{};
+        Ticks attributed = 0;
+        Ticks idle = 0;
+        Ticks unattributed = 0;
+
+        Ticks charged() const { return attributed + idle + unattributed; }
+    };
+    static constexpr Ticks noWindow = -1;
+
+    /** The ledger of the attached sink's current window (started
+     *  afresh when the sink re-opened its window), or null when no
+     *  enabled sink is attached. */
+    Ledger *ledger();
+    /** Whether ledger_ covers the attached, enabled sink's window. */
+    bool ledgerCurrent() const;
+    /** consume()'s ledger charge, kept out of the untraced path. */
+    void chargeConsumed(Ticks t);
+
     /** Reserved at construction, so pushes do not allocate. */
     std::vector<OpenScope> scopeStack_;
     std::array<Ticks, numScopes> buckets_{};
     std::unique_ptr<FaultInjector> faults_;
     std::array<Counter, numFaultSites> faultMetric_;
     int nextApicId_ = 1000;
+    Ledger ledger_{noWindow};
 };
 
 /** RAII attribution scope. */

@@ -134,9 +134,6 @@ class VirtStack
      */
     void postL1Housekeeping(Ticks cost);
 
-    /** Pending housekeeping work (for tests). */
-    Ticks pendingL1Housekeeping() const { return l1Housekeeping_; }
-
     // -- Introspection -------------------------------------------------------
     /** Nested exits reflected to L1 so far. */
     std::uint64_t reflectedExits() const { return reflected_; }
@@ -147,12 +144,6 @@ class VirtStack
 
     /** Hardware context running L2 guest register state. */
     HwContext &l2Context();
-
-    /** L0's vCPU bookkeeping for L1 (virtual APIC lives here). */
-    Vcpu &vcpuL1() { return *vcpuL1_; }
-
-    /** L1's vCPU bookkeeping for L2. */
-    Vcpu &vcpuL2() { return *vcpuL2InL1_; }
 
     Vmcs &vmcs01() { return *vmcs01_; }
     Vmcs &vmcs12() { return *vmcs12_; }
@@ -276,7 +267,6 @@ class VirtStack
     std::uint64_t handleL0Exit(const ExitInfo &info, VmxEngine *engine);
 
     // -- Interrupt delivery ----------------------------------------------------
-    int deliverHostIrqs();
     int deliverL1Irqs();
 
     /** Enter/leave an L1 execution window from L0 control. */

@@ -67,7 +67,6 @@ class Virtqueue
     /** Pop one completion off the used ring (null if empty). */
     bool popUsed(VirtioBuffer &out);
 
-    bool usedEmpty() const { return used_.empty(); }
     bool usedFull() const { return used_.size() >= size_; }
 
     // -- Device side --------------------------------------------------
@@ -90,18 +89,9 @@ class Virtqueue
     /** Cost-free variant of complete() for event-context workers. */
     void completeQuiet(const VirtioBuffer &buf);
 
-    /** Device marks itself idle: the next post() requires a kick. */
-    void deviceIdle() { deviceRunning_ = false; }
-
     /** Device declares it will keep polling the ring (EVENT_IDX-style
      *  kick suppression while the backend pipeline is busy). */
     void deviceBusy() { deviceRunning_ = true; }
-
-    /** Whether the device still claims the ring (the next post() is
-     *  kick-suppressed). Device backends use this to verify the
-     *  no-stall invariant: a non-empty avail ring with the device
-     *  idle means a lost kick. */
-    bool deviceRunning() const { return deviceRunning_; }
 
     // -- Statistics ------------------------------------------------------
     std::uint64_t postedCount() const { return posted_; }

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <cinttypes>
 #include <ostream>
 
 #include "sim/log.h"
@@ -8,14 +7,6 @@
 namespace svtsim {
 
 namespace {
-
-/** Stage spans are the attribution targets of the conservation
- *  invariant; everything named `stage.*` participates. */
-bool
-isStageName(const std::string &name)
-{
-    return name.rfind("stage.", 0) == 0;
-}
 
 /** Minimal JSON string escaping (names are ASCII identifiers, but be
  *  safe about quotes/backslashes/control bytes). */
@@ -68,25 +59,12 @@ TraceSink::TraceSink(EventQueue &eq, std::size_t capacity)
 void
 TraceSink::setEnabled(bool on)
 {
-    if (on && !enabled_)
-        reset();
+    if (on && !enabled_) {
+        events_.clear();
+        dropped_ = 0;
+        origin_ = eq_.now();
+    }
     enabled_ = on;
-}
-
-void
-TraceSink::reset()
-{
-    events_.clear();
-    dropped_ = 0;
-    // Open spans survive a reset (RAII holders still reference them);
-    // their self time restarts from here.
-    for (auto &span : open_)
-        span.start = eq_.now();
-    stageSelf_.clear();
-    attributed_ = 0;
-    idle_ = 0;
-    unattributed_ = 0;
-    origin_ = eq_.now();
 }
 
 void
@@ -99,43 +77,18 @@ TraceSink::push(TraceEvent ev)
     events_.push_back(std::move(ev));
 }
 
-std::size_t
-TraceSink::beginSpan(TraceCategory category, std::string name)
-{
-    if (!enabled_)
-        return 0;
-    bool stage = isStageName(name);
-    open_.push_back(
-        OpenSpan{category, std::move(name), eq_.now(), stage});
-    if (stage)
-        openStages_.push_back(open_.size() - 1);
-    return open_.size() - 1;
-}
-
 void
-TraceSink::endSpan(std::size_t handle)
+TraceSink::complete(TraceCategory category, const char *name,
+                    Ticks start, Ticks duration)
 {
     if (!enabled_)
         return;
-    if (open_.empty() || handle != open_.size() - 1) {
-        panic("TraceSink: span closed out of LIFO order (handle=%zu "
-              "depth=%zu)",
-              handle, open_.size());
-    }
-    OpenSpan span = std::move(open_.back());
-    open_.pop_back();
-    if (span.isStage) {
-        simAssert(!openStages_.empty() &&
-                      openStages_.back() == open_.size(),
-                  "TraceSink: stage span stack corrupted");
-        openStages_.pop_back();
-    }
     TraceEvent ev;
     ev.phase = TraceEvent::Phase::Complete;
-    ev.category = span.category;
-    ev.name = std::move(span.name);
-    ev.start = span.start;
-    ev.duration = eq_.now() - span.start;
+    ev.category = category;
+    ev.name = name;
+    ev.start = start;
+    ev.duration = duration;
     push(std::move(ev));
 }
 
@@ -166,38 +119,6 @@ TraceSink::counter(std::string name, std::int64_t value)
     ev.start = eq_.now();
     ev.value = value;
     push(std::move(ev));
-}
-
-void
-TraceSink::attribute(Ticks t)
-{
-    if (!enabled_ || t <= 0)
-        return;
-    if (openStages_.empty()) {
-        unattributed_ += t;
-        return;
-    }
-    stageSelf_[open_[openStages_.back()].name] += t;
-    attributed_ += t;
-}
-
-void
-TraceSink::attributeIdle(Ticks t)
-{
-    if (!enabled_ || t <= 0)
-        return;
-    idle_ += t;
-}
-
-TraceSink::Conservation
-TraceSink::checkConservation() const
-{
-    Conservation c;
-    c.elapsed = eq_.now() - origin_;
-    c.attributed = attributed_;
-    c.idle = idle_;
-    c.unattributed = unattributed_;
-    return c;
 }
 
 void
@@ -232,25 +153,6 @@ TraceSink::writeChromeTrace(std::ostream &os) const
         os << '}';
     }
     os << "]}";
-}
-
-void
-TraceSink::writeCsvSummary(std::ostream &os) const
-{
-    Conservation c = checkConservation();
-    os << "stage,ticks,usec,percent\n";
-    auto row = [&](const std::string &name, Ticks t) {
-        double pct = c.elapsed > 0 ? 100.0 * static_cast<double>(t) /
-                                         static_cast<double>(c.elapsed)
-                                   : 0.0;
-        os << name << ',' << t << ',' << toUsec(t) << ',' << pct
-           << '\n';
-    };
-    for (const auto &[name, ticks] : stageSelf_)
-        row(name, ticks);
-    row("idle", c.idle);
-    row("unattributed", c.unattributed);
-    os << "total," << c.elapsed << ',' << toUsec(c.elapsed) << ",100\n";
 }
 
 } // namespace svtsim

@@ -9,7 +9,6 @@
 #include <exception>
 
 #include "sim/log.h"
-#include "sim/trace.h"
 #include "sim/worker_pool.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -382,25 +381,8 @@ Cluster::stepMachine(Node &n, Ticks horizon)
         return;
     }
     // Follower (or finished-driver) machine: plain horizon drain on
-    // the worker itself. The drain moves the clock from event to
-    // event with no driver code in between, so any advancement not
-    // already attributed by handler consume() calls is idle time —
-    // charge it, or the trace conservation invariant (attributed +
-    // idle + unattributed == elapsed) breaks on follower machines.
-    Machine &m = n.system->machine();
-    TraceSink *sink = m.events().traceSink();
-    if (SVTSIM_UNLIKELY(sink != nullptr)) {
-        const TraceSink::Conservation before = sink->checkConservation();
-        const Ticks t0 = m.now();
-        m.events().runUntilTick(horizon);
-        const TraceSink::Conservation after = sink->checkConservation();
-        const Ticks accounted =
-            (after.attributed + after.idle + after.unattributed) -
-            (before.attributed + before.idle + before.unattributed);
-        sink->attributeIdle((m.now() - t0) - accounted);
-        return;
-    }
-    m.events().runUntilTick(horizon);
+    // the worker itself, with no driver code between events.
+    n.system->machine().drainUntil(horizon);
 }
 
 std::uint64_t

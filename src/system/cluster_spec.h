@@ -79,11 +79,6 @@ class ClusterSpec
     /** Shorthand: seed from the harness context. */
     ClusterBuild realize(const ClusterContext &ctx) const;
 
-    int machineCount() const
-    {
-        return static_cast<int>(machines_.size());
-    }
-
   private:
     struct MachineDecl
     {

@@ -48,7 +48,6 @@ struct TopologySpec
     int smtWays = 2;
 
     int totalCores() const { return sockets * coresPerSocket; }
-    int totalThreads() const { return totalCores() * smtWays; }
 };
 
 /** SMT-sibling placement policy (see the file comment). */

@@ -2,8 +2,8 @@
  * @file
  * Bench-facing trace plumbing: a ScopedTrace that attaches a
  * TraceSink to a Machine for the duration of a measured run and
- * exports Chrome trace JSON (`<file>`) plus a CSV stage summary
- * (`<file>.csv`) on the way out. The `--trace=<file>` flag itself is
+ * exports Chrome trace JSON (`<file>`) plus a CSV stage summary of
+ * the Machine's ledger (`<file>.csv`) on the way out. The `--trace=<file>` flag itself is
  * parsed by BenchHarness, which labels one session per sweep
  * scenario.
  */

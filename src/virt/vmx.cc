@@ -132,7 +132,6 @@ VmxEngine::vmentry(bool launch)
 
     current_->setState(Vmcs::State::Launched);
     inGuest_ = true;
-    ++entries_;
     entryMetric_.inc();
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmx,
                          "vmx.entry");

@@ -56,7 +56,6 @@ class VmxEngine
     const Vmcs *currentVmcs() const { return current_; }
     HwContext &context() { return core_.context(ctx_); }
     SmtCore &core() { return core_; }
-    int contextIndex() const { return ctx_; }
 
     // -- Root-mode operations (host hypervisor software) ---------------
     void vmxon();
@@ -102,7 +101,6 @@ class VmxEngine
     bool guestVmwrite(VmcsField field, std::uint64_t value);
 
     // -- Statistics ----------------------------------------------------------
-    std::uint64_t entryCount() const { return entries_; }
     std::uint64_t exitCount() const { return exits_; }
     std::uint64_t shadowAccessCount() const { return shadowAccesses_; }
 
@@ -116,7 +114,6 @@ class VmxEngine
     bool vmxOn_ = false;
     bool inGuest_ = false;
     Vmcs *current_ = nullptr;
-    std::uint64_t entries_ = 0;
     std::uint64_t exits_ = 0;
     std::uint64_t shadowAccesses_ = 0;
     /** Interned PMU handles; every engine on a machine shares the same

@@ -520,12 +520,13 @@ TEST(Machine, PopWithoutPushPanics)
 TEST(Machine, CountersAccumulate)
 {
     Machine m(MachineTopology{1, 1, 2});
-    // count()/counter() are a compat shim over the PMU registry: the
-    // key must have been interned by some component first.
-    m.metrics().counter(MetricScope::Machine, "test", "exit:CPUID");
+    // counter() reads the PMU registry by name: the key must have been
+    // interned by some component first.
+    Counter cpuid =
+        m.metrics().counter(MetricScope::Machine, "test", "exit:CPUID");
     m.metrics().counter(MetricScope::Machine, "test", "exit:HLT");
-    m.count("exit:CPUID");
-    m.count("exit:CPUID", 4);
+    cpuid.inc();
+    cpuid.inc(4);
     EXPECT_EQ(m.counter("exit:CPUID"), 5u);
     EXPECT_EQ(m.counter("exit:HLT"), 0u);
     m.resetCounters();
@@ -535,7 +536,6 @@ TEST(Machine, CountersAccumulate)
 TEST(Machine, CountOfUnregisteredKeyThrows)
 {
     Machine m(MachineTopology{1, 1, 2});
-    EXPECT_THROW(m.count("no.such.metric"), FatalError);
     EXPECT_THROW(m.counter("no.such.metric"), FatalError);
 }
 

@@ -119,12 +119,9 @@ TEST(MetricsRegistry, ResetKeepsHandlesAlive)
 TEST(MetricsRegistry, NameCompatSurface)
 {
     MetricsRegistry reg;
-    reg.counter(MetricScope::Machine, "test", "known");
+    reg.counter(MetricScope::Machine, "test", "known").inc(3);
     reg.gauge(MetricScope::Machine, "test", "level");
-    reg.addByName("known", 3);
     EXPECT_EQ(reg.counterValue("known"), 3u);
-    EXPECT_THROW(reg.addByName("unknown", 1), FatalError);
-    EXPECT_THROW(reg.addByName("level", 1), FatalError);
     EXPECT_THROW(reg.counterValue("unknown"), FatalError);
     EXPECT_THROW(reg.counterValue("level"), FatalError);
 

@@ -127,7 +127,7 @@ mixedWorkloadRun(VirtMode mode, std::uint64_t seed)
         }
     }
     rec.elapsed = machine.now() - t0;
-    rec.counters = machine.counters();
+    rec.counters = machine.metrics().counterValues();
     return rec;
 }
 

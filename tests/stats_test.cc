@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the stats module: summaries, percentiles, histograms,
+ * Unit tests for the stats module: summaries, percentiles,
  * the paper's confidence methodology, and table rendering.
  */
 
@@ -13,7 +13,6 @@
 #include "sim/log.h"
 #include "sim/random.h"
 #include "stats/confidence.h"
-#include "stats/histogram.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 
@@ -211,64 +210,6 @@ TEST(Percentiles, PropertyAgainstSortedReference)
             EXPECT_DOUBLE_EQ(p.quantile(q), expect);
         }
     }
-}
-
-// ------------------------------------------------------------ histogram
-
-TEST(Histogram, BinsAndEdges)
-{
-    Histogram h(0, 10, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.7);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(1), 2u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 1.0);
-}
-
-TEST(Histogram, UnderAndOverflow)
-{
-    Histogram h(0, 10, 5);
-    h.add(-1);
-    h.add(10);
-    h.add(1e9);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0, 10, 0), FatalError);
-    EXPECT_THROW(Histogram(10, 10, 5), FatalError);
-    EXPECT_THROW(Histogram(10, 5, 5), FatalError);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0, 1, 4);
-    h.add(0.5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.binCount(2), 0u);
-}
-
-TEST(Histogram, RenderNonEmpty)
-{
-    Histogram h(0, 10, 10);
-    for (int i = 0; i < 50; ++i)
-        h.add(5.5);
-    std::string out = h.render();
-    EXPECT_NE(out.find('#'), std::string::npos);
-}
-
-TEST(Histogram, BinIndexOutOfRangePanics)
-{
-    Histogram h(0, 1, 2);
-    EXPECT_THROW(h.binCount(2), PanicError);
 }
 
 // ----------------------------------------------------------- confidence

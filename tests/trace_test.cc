@@ -1,146 +1,199 @@
 /**
  * @file
- * Trace subsystem tests: TraceSink mechanics (spans, bounded buffer,
- * exporters) and the time-conservation invariant over full nested
- * trap round trips, including the SW SVt ring exchange.
+ * Trace subsystem tests: span recording and exclusive attribution
+ * through Machine scopes, the bounded event buffer, the exporters, and
+ * the time-conservation invariant over full nested trap round trips
+ * (including the SW SVt ring exchange) and over a two-machine cluster.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/log.h"
 #include "sim/trace.h"
+#include "system/cluster_spec.h"
 #include "system/nested_system.h"
+#include "system/trace_session.h"
+#include "workloads/remote_peer.h"
 
 namespace svtsim {
 namespace {
 
-// ------------------------------------------------------- sink mechanics
+/** A small machine with a sink attached (detached on destruction). */
+struct Traced
+{
+    explicit Traced(bool enable = true,
+                    std::size_t capacity = TraceSink::defaultCapacity)
+        : machine(MachineTopology{1, 1, 2}),
+          sink(machine.events(), capacity)
+    {
+        machine.setTraceSink(&sink);
+        sink.setEnabled(enable);
+    }
+    ~Traced() { machine.setTraceSink(nullptr); }
+
+    Machine machine;
+    TraceSink sink;
+};
+
+// ------------------------------------------------ spans and attribution
 
 TEST(TraceSink, DisabledSinkRecordsNothing)
 {
-    EventQueue eq;
-    TraceSink sink(eq);
-    EXPECT_FALSE(sink.enabled());
-    sink.instant(TraceCategory::Sim, "x");
-    sink.counter("c", 1);
-    auto h = sink.beginSpan(TraceCategory::Sim, "span");
-    eq.advanceBy(nsec(10));
-    sink.endSpan(h);
-    sink.attribute(nsec(10));
-    EXPECT_TRUE(sink.events().empty());
-    EXPECT_EQ(sink.checkConservation().attributed, 0);
-    EXPECT_EQ(sink.checkConservation().unattributed, 0);
+    Traced t(false);
+    EXPECT_FALSE(t.sink.enabled());
+    t.sink.instant(TraceCategory::Sim, "x");
+    t.sink.counter("c", 1);
+    {
+        TimeScope s(t.machine, ScopeId::StageL2);
+        t.machine.consume(nsec(10));
+    }
+    EXPECT_TRUE(t.sink.events().empty());
+    auto c = t.machine.conservation();
+    EXPECT_EQ(c.elapsed, 0);
+    EXPECT_EQ(c.attributed, 0);
+    EXPECT_EQ(c.unattributed, 0);
+    EXPECT_EQ(t.machine.selfTicks(ScopeId::StageL2), 0);
 }
 
 TEST(TraceSink, SpansRecordStartAndDuration)
 {
-    EventQueue eq;
-    TraceSink sink(eq);
-    sink.setEnabled(true);
-    eq.advanceBy(nsec(5));
-    auto h = sink.beginSpan(TraceCategory::Vmx, "vmx.window");
-    eq.advanceBy(nsec(20));
-    sink.endSpan(h);
-    ASSERT_EQ(sink.events().size(), 1u);
-    const TraceEvent &ev = sink.events()[0];
+    Traced t;
+    t.machine.consume(nsec(5));
+    {
+        TimeScope s(t.machine, exitScope(ExitReason::Cpuid));
+        t.machine.consume(nsec(20));
+    }
+    ASSERT_EQ(t.sink.events().size(), 1u);
+    const TraceEvent &ev = t.sink.events()[0];
     EXPECT_EQ(ev.phase, TraceEvent::Phase::Complete);
-    EXPECT_EQ(ev.name, "vmx.window");
+    EXPECT_EQ(ev.category, TraceCategory::Exit);
+    EXPECT_EQ(ev.name, "exit.CPUID");
     EXPECT_EQ(ev.start, nsec(5));
     EXPECT_EQ(ev.duration, nsec(20));
 }
 
-TEST(TraceSink, OutOfOrderSpanClosePanics)
+TEST(TraceSink, ScopePushedWhileDisabledEmitsNoSpan)
 {
-    EventQueue eq;
-    TraceSink sink(eq);
-    sink.setEnabled(true);
-    auto outer = sink.beginSpan(TraceCategory::Sim, "outer");
-    sink.beginSpan(TraceCategory::Sim, "inner");
-    EXPECT_THROW(sink.endSpan(outer), PanicError);
+    Traced t(false);
+    {
+        TimeScope s(t.machine, ScopeId::StageL1Handler);
+        t.sink.setEnabled(true);
+        t.machine.consume(nsec(8));
+    }
+    EXPECT_TRUE(t.sink.events().empty());
+    // Machine's scope stack is the one span stack: the stage was open
+    // when the window opened, so the ledger still charges it.
+    EXPECT_EQ(t.machine.selfTicks(ScopeId::StageL1Handler), nsec(8));
+    EXPECT_TRUE(t.machine.conservation().fullyAttributed());
 }
 
 TEST(TraceSink, BoundedBufferDropsAndCounts)
 {
-    EventQueue eq;
-    TraceSink sink(eq, 4);
-    sink.setEnabled(true);
+    Traced t(true, 4);
     for (int i = 0; i < 10; ++i)
-        sink.instant(TraceCategory::Sim, "e");
-    EXPECT_EQ(sink.events().size(), 4u);
-    EXPECT_EQ(sink.droppedEvents(), 6u);
+        t.sink.instant(TraceCategory::Sim, "e");
+    EXPECT_EQ(t.sink.events().size(), 4u);
+    EXPECT_EQ(t.sink.droppedEvents(), 6u);
     // Attribution stays exact regardless of event drops.
-    auto h = sink.beginSpan(TraceCategory::Stage, "stage.x");
-    sink.attribute(nsec(7));
-    sink.endSpan(h);
-    EXPECT_EQ(sink.stageSelfTotals().at("stage.x"), nsec(7));
+    {
+        TimeScope s(t.machine, ScopeId::StageL0Handler);
+        t.machine.consume(nsec(7));
+    }
+    EXPECT_EQ(t.sink.droppedEvents(), 7u);
+    EXPECT_EQ(t.machine.selfTicks(ScopeId::StageL0Handler), nsec(7));
+    EXPECT_TRUE(t.machine.conservation().fullyAttributed());
 }
 
 TEST(TraceSink, ExclusiveAttributionChargesInnermostStage)
 {
-    EventQueue eq;
-    TraceSink sink(eq);
-    sink.setEnabled(true);
-    auto outer = sink.beginSpan(TraceCategory::Stage, "stage.outer");
-    sink.attribute(nsec(10));
-    auto inner = sink.beginSpan(TraceCategory::Stage, "stage.inner");
-    sink.attribute(nsec(3));
-    // Non-stage spans are transparent to attribution.
-    auto dev = sink.beginSpan(TraceCategory::Io, "virtqueue.op");
-    sink.attribute(nsec(2));
-    sink.endSpan(dev);
-    sink.endSpan(inner);
-    sink.endSpan(outer);
-    sink.attribute(nsec(4));
-    EXPECT_EQ(sink.stageSelfTotals().at("stage.outer"), nsec(10));
-    EXPECT_EQ(sink.stageSelfTotals().at("stage.inner"), nsec(5));
-    auto c = sink.checkConservation();
+    Traced t;
+    Machine &m = t.machine;
+    {
+        TimeScope outer(m, ScopeId::StageL0Handler);
+        m.consume(nsec(10));
+        {
+            TimeScope inner(m, ScopeId::StageL1Handler);
+            m.consume(nsec(3));
+            // exit.* scopes are transparent to attribution.
+            TimeScope exit(m, exitScope(ExitReason::Cpuid));
+            m.consume(nsec(2));
+        }
+    }
+    m.consume(nsec(4));
+    EXPECT_EQ(m.selfTicks(ScopeId::StageL0Handler), nsec(10));
+    EXPECT_EQ(m.selfTicks(ScopeId::StageL1Handler), nsec(5));
+    EXPECT_EQ(m.selfTicks(exitScope(ExitReason::Cpuid)), 0);
+    // The inclusive buckets still see every open scope.
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), nsec(15));
+    auto c = m.conservation();
     EXPECT_EQ(c.attributed, nsec(15));
     EXPECT_EQ(c.unattributed, nsec(4));
+    EXPECT_TRUE(c.conserved());
 }
 
 TEST(TraceSink, ConservationSeparatesIdleAndUnattributed)
 {
-    EventQueue eq;
-    Machine machine(MachineTopology{1, 1, 2});
-    TraceSink sink(machine.events());
-    machine.setTraceSink(&sink);
-    sink.setEnabled(true);
-
-    machine.consume(nsec(10)); // no open stage -> unattributed
+    Traced t;
+    Machine &m = t.machine;
+    m.consume(nsec(10)); // no open stage -> unattributed
     {
-        TimeScope s(machine, ScopeId::StageL1Handler);
-        machine.consume(nsec(30));
+        TimeScope s(m, ScopeId::StageL1Handler);
+        m.consume(nsec(30));
     }
-    machine.idleUntil(machine.now() + nsec(60));
+    m.idleUntil(m.now() + nsec(60));
 
-    auto c = sink.checkConservation();
+    auto c = m.conservation();
     EXPECT_EQ(c.elapsed, nsec(100));
     EXPECT_EQ(c.attributed, nsec(30));
     EXPECT_EQ(c.idle, nsec(60));
     EXPECT_EQ(c.unattributed, nsec(10));
     EXPECT_TRUE(c.conserved());
     EXPECT_FALSE(c.fullyAttributed());
-    machine.setTraceSink(nullptr);
+}
+
+TEST(TraceSink, ReEnablingOpensAFreshWindow)
+{
+    Traced t;
+    Machine &m = t.machine;
+    {
+        TimeScope s(m, ScopeId::StageL2);
+        m.consume(nsec(10));
+    }
+    t.sink.setEnabled(false);
+    m.consume(nsec(5)); // no enabled sink: nothing accrues
+    t.sink.setEnabled(true);
+    EXPECT_EQ(m.conservation().elapsed, 0);
+    EXPECT_EQ(m.conservation().attributed, 0);
+    {
+        TimeScope s(m, ScopeId::StageL2);
+        m.consume(nsec(3));
+    }
+    EXPECT_EQ(m.selfTicks(ScopeId::StageL2), nsec(3));
+    auto c = m.conservation();
+    EXPECT_EQ(c.elapsed, nsec(3));
+    EXPECT_TRUE(c.fullyAttributed());
 }
 
 // ------------------------------------------------------------ exporters
 
 TEST(TraceSink, ChromeTraceExportShape)
 {
-    EventQueue eq;
-    TraceSink sink(eq);
-    sink.setEnabled(true);
-    auto h = sink.beginSpan(TraceCategory::Stage, "stage.\"x\"\\y");
-    eq.advanceBy(usec(1));
-    sink.endSpan(h);
-    sink.instant(TraceCategory::Irq, "irq.raise", 33);
-    sink.counter("ring.depth", 2);
+    Traced t;
+    {
+        TimeScope s(t.machine, ScopeId::StageL2);
+        t.machine.consume(usec(1));
+    }
+    t.sink.instant(TraceCategory::Irq, "irq.\"x\"\\y", 33);
+    t.sink.counter("ring.depth", 2);
 
     std::ostringstream os;
-    sink.writeChromeTrace(os);
+    t.sink.writeChromeTrace(os);
     std::string json = os.str();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -149,31 +202,32 @@ TEST(TraceSink, ChromeTraceExportShape)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     // Names with quotes/backslashes are escaped.
-    EXPECT_NE(json.find("stage.\\\"x\\\"\\\\y"), std::string::npos);
-    EXPECT_EQ(json.find("stage.\"x\""), std::string::npos);
+    EXPECT_NE(json.find("irq.\\\"x\\\"\\\\y"), std::string::npos);
+    EXPECT_EQ(json.find("irq.\"x\""), std::string::npos);
 }
 
 TEST(TraceSink, CsvSummarySumsToElapsed)
 {
-    EventQueue eq;
     Machine machine(MachineTopology{1, 1, 2});
-    TraceSink sink(machine.events());
-    machine.setTraceSink(&sink);
-    sink.setEnabled(true);
+    const std::string path = testing::TempDir() + "trace_csv_summary.json";
+    std::string report;
     {
-        TimeScope s(machine, ScopeId::StageL0Handler);
-        machine.consume(nsec(40));
+        ScopedTrace trace(machine, path);
+        {
+            TimeScope s(machine, ScopeId::StageL0Handler);
+            machine.consume(nsec(40));
+        }
+        machine.consume(nsec(15));
+        machine.idleUntil(machine.now() + nsec(45));
+        report = trace.finish();
     }
-    machine.consume(nsec(15));
-    machine.idleUntil(machine.now() + nsec(45));
+    EXPECT_EQ(report.substr(report.rfind(' ') + 1), "conserved");
 
-    std::ostringstream os;
-    sink.writeCsvSummary(os);
-    std::istringstream is(os.str());
+    std::ifstream is(path + ".csv");
     std::string line;
     ASSERT_TRUE(std::getline(is, line));
     EXPECT_EQ(line, "stage,ticks,usec,percent");
-    Ticks sum = 0, total = -1;
+    Ticks sum = 0, total = -1, l0 = -1;
     while (std::getline(is, line)) {
         auto c1 = line.find(',');
         auto c2 = line.find(',', c1 + 1);
@@ -183,34 +237,40 @@ TEST(TraceSink, CsvSummarySumsToElapsed)
             total = ticks;
         else
             sum += ticks;
+        if (name == "stage.l0_handler")
+            l0 = ticks;
     }
+    EXPECT_EQ(l0, nsec(40));
     EXPECT_EQ(total, nsec(100));
     EXPECT_EQ(sum, total);
-    machine.setTraceSink(nullptr);
 }
 
 // ------------------------------- conservation over real nested rounds
 
 /** Attach a sink to a built system, run @p rounds cpuid round trips
- *  with tracing live, and return the conservation snapshot. */
-TraceSink::Conservation
-cpuidConservation(NestedSystem &sys, TraceSink &sink, int rounds)
+ *  with tracing live, and return the conservation snapshot (and the
+ *  stage.channel self time through @p channel). */
+Machine::Conservation
+cpuidConservation(NestedSystem &sys, int rounds, Ticks *channel = nullptr)
 {
-    sys.machine().setTraceSink(&sink);
+    Machine &m = sys.machine();
+    TraceSink sink(m.events());
+    m.setTraceSink(&sink);
     sys.api().cpuid(1); // warm up (EPT fills) outside the window
     sink.setEnabled(true);
     for (int i = 0; i < rounds; ++i)
         sys.api().cpuid(1);
-    auto c = sink.checkConservation();
-    sys.machine().setTraceSink(nullptr);
+    auto c = m.conservation();
+    if (channel)
+        *channel = m.selfTicks(ScopeId::StageChannel);
+    m.setTraceSink(nullptr);
     return c;
 }
 
 TEST(TraceConservation, NestedCpuidRoundTripFullyAttributed)
 {
     NestedSystem sys(VirtMode::Nested);
-    TraceSink sink(sys.machine().events());
-    auto c = cpuidConservation(sys, sink, 20);
+    auto c = cpuidConservation(sys, 20);
     EXPECT_GT(c.elapsed, 0);
     EXPECT_TRUE(c.conserved())
         << "attributed=" << c.attributed << " idle=" << c.idle
@@ -229,8 +289,8 @@ TEST(TraceConservation, SwSvtRingExchangeFullyAttributed)
     // the pops inside stage.channel, a full ring exchange conserves
     // and fully attributes.
     NestedSystem sys(VirtMode::SwSvt);
-    TraceSink sink(sys.machine().events());
-    auto c = cpuidConservation(sys, sink, 20);
+    Ticks channel = 0;
+    auto c = cpuidConservation(sys, 20, &channel);
     EXPECT_TRUE(c.conserved());
     EXPECT_TRUE(c.fullyAttributed())
         << "unattributed=" << c.unattributed;
@@ -240,15 +300,13 @@ TEST(TraceConservation, SwSvtRingExchangeFullyAttributed)
     Ticks per_round =
         2 * (costs.monitorSetup + costs.mwaitWakeSmt +
              costs.ringPayloadValue * ringPayloadValues);
-    EXPECT_EQ(sink.stageSelfTotals().at("stage.channel"),
-              20 * per_round);
+    EXPECT_EQ(channel, 20 * per_round);
 }
 
 TEST(TraceConservation, HwSvtCpuidRoundTripConserves)
 {
     NestedSystem sys(VirtMode::HwSvt);
-    TraceSink sink(sys.machine().events());
-    auto c = cpuidConservation(sys, sink, 10);
+    auto c = cpuidConservation(sys, 10);
     EXPECT_TRUE(c.conserved());
     EXPECT_TRUE(c.fullyAttributed())
         << "unattributed=" << c.unattributed;
@@ -278,6 +336,68 @@ TEST(TraceConservation, InstrumentationEmitsExpectedEvents)
     EXPECT_TRUE(saw_channel_stage);
     EXPECT_TRUE(saw_post);
     EXPECT_TRUE(saw_pop);
+}
+
+// --------------------------------- conservation on cluster machines
+
+/**
+ * A nested memcached server (a driver) and a native client that is a
+ * pure event follower: its requests are scheduled events and its
+ * responses arrive through the link, so it never consumes. Every
+ * machine conserves at any cluster-jobs count, and the follower's
+ * whole elapsed time is the idle its horizon drains were charged.
+ */
+TEST(TraceConservation, ClusterFollowerDrainsAreIdle)
+{
+    for (int jobs : {1, 2}) {
+        ClusterBuild b = ClusterSpec()
+                             .machine("server", VirtMode::Nested)
+                             .machine("client", VirtMode::Native)
+                             .link("server", "client")
+                             .realize(7);
+        VirtioNetStack net(b.stack("server"), b.port("server", "client"));
+        MemcachedServer server(b.stack("server"), net);
+
+        Machine &client = b.machine("client");
+        NetPort &port = b.port("client", "server");
+        EtcWorkload etc;
+        Rng rng(3);
+        std::uint64_t answered = 0;
+        port.setReceiveHandler([&](NetPacket) { ++answered; });
+        for (std::uint64_t i = 1; i <= 40; ++i) {
+            client.events().schedule(
+                usec(50) * static_cast<Ticks>(i),
+                [&, i] { port.send(etc.sampleRequest(rng, i)); },
+                "test-request");
+        }
+
+        std::vector<std::unique_ptr<TraceSink>> sinks;
+        for (int i = 0; i < b.cluster().size(); ++i) {
+            Machine &m = b.cluster().machine(i);
+            sinks.push_back(std::make_unique<TraceSink>(m.events()));
+            m.setTraceSink(sinks.back().get());
+            sinks.back()->setEnabled(true);
+        }
+        b.driver("server",
+                 [&](NestedSystem &) { server.serveUntil(msec(3)); });
+        b.run(jobs);
+
+        EXPECT_GT(answered, 0u) << "jobs=" << jobs;
+        for (int i = 0; i < b.cluster().size(); ++i) {
+            Machine &m = b.cluster().machine(i);
+            auto c = m.conservation();
+            EXPECT_GT(c.elapsed, 0);
+            EXPECT_TRUE(c.conserved())
+                << b.cluster().machineName(i) << " jobs=" << jobs
+                << " attributed=" << c.attributed << " idle=" << c.idle
+                << " unattributed=" << c.unattributed
+                << " elapsed=" << c.elapsed;
+            if (&m == &client) {
+                EXPECT_EQ(c.idle, c.elapsed) << "jobs=" << jobs;
+            }
+            m.setTraceSink(nullptr);
+        }
+    }
 }
 
 } // namespace
