@@ -56,12 +56,6 @@ GuestHypervisor::registerIoPort(std::uint16_t port,
 }
 
 void
-GuestHypervisor::setMsr(std::uint32_t index, std::uint64_t value)
-{
-    msrs_[index] = value;
-}
-
-void
 GuestHypervisor::wireL2IrqRaiser(
     std::function<void(std::uint8_t)> raiser)
 {

@@ -130,9 +130,6 @@ class GuestHypervisor
      *  EPT in the paper's naming). */
     Ept &ept() { return ept12_; }
 
-    /** MSR values L1 emulates for L2 (non-passthrough set). */
-    void setMsr(std::uint32_t index, std::uint64_t value);
-
     /**
      * MSR-bitmap passthrough: accesses to these MSRs do not exit (the
      * combined L0/L1 MSR bitmaps permit them); the guest reads and

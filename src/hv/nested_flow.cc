@@ -788,13 +788,8 @@ VirtStack::handleL0Exit(const ExitInfo &info, VmxEngine *engine)
         return result;
       }
       case ExitReason::Vmcall: {
-        std::uint64_t nr = vcpuL1_->gpr(Gpr::Rax);
+        // L0 models no hypercalls: an L1 vmcall returns ~0.
         std::uint64_t result = ~0ULL;
-        auto it = l0Hypercalls_.find(nr);
-        if (it != l0Hypercalls_.end()) {
-            result = it->second(vcpuL1_->gpr(Gpr::Rbx),
-                                vcpuL1_->gpr(Gpr::Rcx));
-        }
         vcpuL1_->setGpr(Gpr::Rax, result);
         advance_rip(3);
         return result;
@@ -1071,25 +1066,8 @@ L1Api::halt()
     e0.vmexit(ExitInfo{.reason = ExitReason::Hlt, .instrLength = 1});
     stack_.singleGuestRunning_ = false;
     stack_.machine_.consume(c.handlerDispatch);
-    for (;;) {
-        stack_.l2DeliveredVector_ = -1;
-        stack_.pumpInterrupts();
-        if (stack_.l2DeliveredVector_ >= 0)
-            return stack_.l2DeliveredVector_;
-        Ticks next = stack_.machine_.events().nextEventTime();
-        if (next == maxTick)
-            panic("L1Api::halt with no pending events (workload "
-                  "deadlock)");
-        stack_.machine_.idleUntil(next);
-    }
-}
-
-int
-L1Api::pollInterrupt()
-{
     stack_.l2DeliveredVector_ = -1;
-    stack_.pumpInterrupts();
-    return stack_.l2DeliveredVector_;
+    return waitForInterrupt("L1Api");
 }
 
 // ----------------------------------------------------------------- L2Api
@@ -1283,34 +1261,15 @@ L2Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
 int
 L2Api::halt()
 {
-    stack_.l2DeliveredVector_ = -1;
-    stack_.pumpInterrupts();
-    if (stack_.l2DeliveredVector_ >= 0)
-        return stack_.l2DeliveredVector_;
+    if (int v = pollInterrupt(); v >= 0)
+        return v;
     {
         TimeScope s(stack_.machine_, ScopeId::StageL2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     stack_.nestedExitFromL2(
         ExitInfo{.reason = ExitReason::Hlt, .instrLength = 1});
-    for (;;) {
-        stack_.pumpInterrupts();
-        if (stack_.l2DeliveredVector_ >= 0)
-            return stack_.l2DeliveredVector_;
-        Ticks next = stack_.machine_.events().nextEventTime();
-        if (next == maxTick)
-            panic("L2Api::halt with no pending events (workload "
-                  "deadlock)");
-        stack_.machine_.idleUntil(next);
-    }
-}
-
-int
-L2Api::pollInterrupt()
-{
-    stack_.l2DeliveredVector_ = -1;
-    stack_.pumpInterrupts();
-    return stack_.l2DeliveredVector_;
+    return waitForInterrupt("L2Api");
 }
 
 // ------------------------------------------------------------- L1Backend

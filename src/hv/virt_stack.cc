@@ -351,14 +351,6 @@ VirtStack::registerL0IoPort(
 }
 
 void
-VirtStack::registerL0Hypercall(
-    std::uint64_t nr,
-    std::function<std::uint64_t(std::uint64_t, std::uint64_t)> handler)
-{
-    l0Hypercalls_[nr] = std::move(handler);
-}
-
-void
 VirtStack::raiseHostIrq(std::uint8_t vector)
 {
     int target = 0;
@@ -720,25 +712,33 @@ NativeApi::vmcall(std::uint64_t, std::uint64_t, std::uint64_t)
 int
 NativeApi::halt()
 {
+    stack_.l2DeliveredVector_ = -1;
+    return waitForInterrupt("NativeApi");
+}
+
+// ---------------------------------------------------------- LevelApiBase
+
+int
+LevelApiBase::pollInterrupt()
+{
+    stack_.l2DeliveredVector_ = -1;
+    stack_.pumpInterrupts();
+    return stack_.l2DeliveredVector_;
+}
+
+int
+LevelApiBase::waitForInterrupt(const char *api)
+{
     for (;;) {
-        stack_.l2DeliveredVector_ = -1;
         stack_.pumpInterrupts();
         if (stack_.l2DeliveredVector_ >= 0)
             return stack_.l2DeliveredVector_;
         Ticks next = stack_.machine_.events().nextEventTime();
         if (next == maxTick)
-            panic("NativeApi::halt with no pending events (workload "
-                  "deadlock)");
+            panic("%s::halt with no pending events (workload "
+                  "deadlock)", api);
         stack_.machine_.idleUntil(next);
     }
-}
-
-int
-NativeApi::pollInterrupt()
-{
-    stack_.l2DeliveredVector_ = -1;
-    stack_.pumpInterrupts();
-    return stack_.l2DeliveredVector_;
 }
 
 } // namespace svtsim

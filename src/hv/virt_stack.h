@@ -88,12 +88,6 @@ class VirtStack
                                     bool)>
             handler);
 
-    /** Register an L1->L0 hypercall (e.g. the SW SVt pairing call). */
-    void registerL0Hypercall(
-        std::uint64_t nr,
-        std::function<std::uint64_t(std::uint64_t, std::uint64_t)>
-            handler);
-
     /** A physical device interrupt arriving at L0. */
     void raiseHostIrq(std::uint8_t vector);
 
@@ -152,6 +146,7 @@ class VirtStack
     SvtUnit &svtUnit() { return *svt_; }
 
   private:
+    friend class LevelApiBase;
     friend class NativeApi;
     friend class L1Api;
     friend class L2Api;
@@ -344,11 +339,6 @@ class VirtStack
              std::function<std::uint64_t(std::uint16_t, std::uint64_t,
                                          bool)>>
         l0IoPorts_;
-
-    /** L0's hypercall table. */
-    std::map<std::uint64_t,
-             std::function<std::uint64_t(std::uint64_t, std::uint64_t)>>
-        l0Hypercalls_;
 
     /** Armed Section 5.3 preemption scenario. */
     Ticks pendingPreemption_ = 0;

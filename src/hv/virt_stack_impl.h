@@ -27,7 +27,15 @@ class LevelApiBase : public GuestApi
         stack_.setIrqHandler(level(), vector, std::move(handler));
     }
 
+    int pollInterrupt() final;
+
   protected:
+    /** halt()'s wait: pump interrupts, idling to the next event
+     *  between tries, until one is delivered (the caller resets the
+     *  delivered vector first). @p api names the caller in the
+     *  deadlock panic. */
+    int waitForInterrupt(const char *api);
+
     VirtStack &stack_;
 };
 
@@ -53,7 +61,6 @@ class NativeApi : public LevelApiBase
     std::uint64_t vmcall(std::uint64_t nr, std::uint64_t a0,
                          std::uint64_t a1) override;
     int halt() override;
-    int pollInterrupt() override;
 
   private:
     CpuidDb db_;
@@ -83,7 +90,6 @@ class L1Api : public LevelApiBase
     std::uint64_t vmcall(std::uint64_t nr, std::uint64_t a0,
                          std::uint64_t a1) override;
     int halt() override;
-    int pollInterrupt() override;
 
   private:
     HwContext &ctx() { return stack_.l1Context(); }
@@ -108,7 +114,6 @@ class L2Api : public LevelApiBase
     std::uint64_t vmcall(std::uint64_t nr, std::uint64_t a0,
                          std::uint64_t a1) override;
     int halt() override;
-    int pollInterrupt() override;
 
   private:
     HwContext &ctx() { return stack_.l2Context(); }

@@ -1,61 +1,15 @@
 #include "io/virtio_blk.h"
 
-#include <algorithm>
-#include <string>
-
 #include "hv/vectors.h"
 #include "sim/log.h"
 
 namespace svtsim {
 
-namespace {
-
-/** Queue-suffixed counter prefix; single-queue keeps the legacy
- *  names ("l2.blk.q", "l2.blk.compl"). */
-std::string
-qname(const char *base, int q, int queues)
-{
-    if (queues == 1)
-        return base;
-    return std::string(base) + ".q" + std::to_string(q);
-}
-
-} // namespace
-
 VirtioBlkStack::VirtioBlkStack(VirtStack &stack, RamDisk &disk)
-    : stack_(stack), disk_(disk),
-      queues_(stack.config().virtioQueues),
-      l1Compl_(stack.machine(), "l1.blk.compl")
+    : VhostDevice(stack, "blk", "l2.blk.q", "l2.blk.compl",
+                  ioaddr::l2BlkDoorbell, vec::l2VirtioBlk),
+      disk_(disk), l1Compl_(stack.machine(), "l1.blk.compl")
 {
-    Machine &m = stack_.machine();
-    const StackConfig &cfg = stack_.config();
-    for (int q = 0; q < queues_; ++q) {
-        qs_.push_back(std::make_unique<BlkQueue>(
-            m, qname("l2.blk.q", q, queues_),
-            qname("l2.blk.compl", q, queues_)));
-        coalesce_.push_back(std::make_unique<IrqCoalescer>(
-            m, qname("l2.blk.compl", q, queues_) + ".coalesce",
-            cfg.virtioCoalesceCount, cfg.virtioCoalesceTimeout,
-            [this] { stack_.raiseL2Irq(vec::l2VirtioBlk); }));
-    }
-    pollRearmMetric_ = m.metrics().counter(
-        MetricScope::Machine, "virtio", "blk.poll_rearm");
-    stack_.l1Hv().registerMmio(
-        ioaddr::l2BlkDoorbell,
-        static_cast<std::uint64_t>(queues_) * pageSize,
-        [this](Gpa addr, int size, std::uint64_t value,
-               bool is_write) {
-            int q = static_cast<int>((addr - ioaddr::l2BlkDoorbell) /
-                                     pageSize);
-            return l1VhostBlk(q, addr, size, value, is_write);
-        });
-    // L1's own virtio-blk doorbell is kicked by L1's I/O thread from
-    // a different vCPU; register a no-op for completeness.
-    stack_.registerL0Mmio(
-        ioaddr::l1BlkDoorbell, pageSize,
-        [](Gpa, int, std::uint64_t, bool) -> std::uint64_t {
-            return 0;
-        });
     disk_.setCompletionHandler(
         [this](std::uint64_t id) { onDiskComplete(id); });
 
@@ -75,90 +29,32 @@ void
 VirtioBlkStack::submit(std::uint64_t id, std::uint64_t lba,
                        std::uint32_t bytes, bool write)
 {
-    GuestApi &l2 = stack_.apiAt(2);
     inflight_[id] = Request{lba, bytes, write};
-    int q = static_cast<int>(id % static_cast<std::uint64_t>(queues_));
-    bool kick = qs_[static_cast<std::size_t>(q)]->ring.post(
-        VirtioBuffer{id, bytes, lba, !write});
-    if (kick)
-        l2.mmioWrite(ioaddr::l2BlkDoorbell +
-                         static_cast<Gpa>(q) * pageSize,
-                     4, 1);
-}
-
-std::uint64_t
-VirtioBlkStack::l1VhostBlk(int q, Gpa, int, std::uint64_t, bool)
-{
-    // Runs in L1 context inside the reflected kick. KVM's side only
-    // signals the backend; the filesystem work on L2's image file
-    // (a file in L1's ramfs) happens on L1's I/O thread, which runs
-    // on a different vCPU.
-    if (q < 0 || q >= queues_)
-        panic("virtio-blk doorbell for queue %d of %d", q, queues_);
-    GuestApi &l1 = stack_.apiAt(1);
-    l1.compute(nsec(400)); // eventfd signal
-    vhostBlkPoll(q);
-    return 0;
+    post(VirtioBuffer{id, bytes, lba, !write});
 }
 
 void
-VirtioBlkStack::vhostBlkPoll(int q)
+VirtioBlkStack::vhostBuffer(int q, const VirtioBuffer &buf)
 {
+    // L1's I/O thread does the filesystem work on L2's image file (a
+    // file in L1's ramfs): block layer + page-cache copy.
     Machine &m = stack_.machine();
     const CostModel &c = m.costs();
-    BlkQueue &bq = *qs_[static_cast<std::size_t>(q)];
-    VirtioBuffer buf;
-    bool drained_any = false;
-    while (bq.ring.takeQuiet(buf)) {
-        drained_any = true;
-        auto it = inflight_.find(buf.id);
-        simAssert(it != inflight_.end(), "unknown blk request");
-        const Request &req = it->second;
-        // L1's file backend: block layer + page-cache copy.
-        Ticks fs = c.blockLayerPerRequest +
-                   static_cast<Ticks>(req.bytes) * c.diskCopyPerByte;
-        if (req.write)
-            fs += c.blockWriteSurcharge;
-        Ticks l1_done = bq.l1Worker.completeAt(
-            m.now() + c.l1IoThreadWake, fs);
-        // L0's vhost-blk picks the request off L1's own virtio disk
-        // (the kick there comes from L1's I/O thread, not from the
-        // measured vCPU) and hands it to the ramdisk.
-        Ticks l0_done =
-            l0BlkWorker_.completeAt(l1_done, c.vhostPerBuffer);
-        std::uint64_t id = buf.id;
-        std::uint64_t lba = req.lba;
-        std::uint32_t bytes = req.bytes;
-        bool write = req.write;
-        m.events().schedule(l0_done, [this, id, lba, bytes, write] {
-            disk_.submit(id, lba, bytes, write);
-        }, "vhost-blk");
-    }
-    if (drained_any)
-        bq.lastDrain = m.now();
-    bool pipeline_busy = bq.l1Worker.freeAt() > m.now();
-    bool lingering = m.now() - bq.lastDrain <= c.vhostLingerPoll;
-    bool repoll = pipeline_busy || lingering;
-    if (!repoll && !bq.ring.availEmpty()) {
-        // Idle-tick guard: a request posted at the exact tick the
-        // worker drained the ring empty would otherwise be stranded
-        // (its kick was suppressed while we ran).
-        repoll = true;
-        pollRearmMetric_.inc();
-    }
-    if (repoll) {
-        bq.ring.deviceBusy();
-        if (!bq.pollScheduled) {
-            bq.pollScheduled = true;
-            Ticks cadence = std::max(bq.l1Worker.freeAt() - m.now(),
-                                     usec(10));
-            m.events().scheduleIn(cadence, [this, q] {
-                qs_[static_cast<std::size_t>(q)]->pollScheduled =
-                    false;
-                vhostBlkPoll(q);
-            }, "vhost-blk-poll");
-        }
-    }
+    auto it = inflight_.find(buf.id);
+    simAssert(it != inflight_.end(), "unknown blk request");
+    Request req = it->second;
+    Ticks fs = c.blockLayerPerRequest +
+               static_cast<Ticks>(req.bytes) * c.diskCopyPerByte;
+    if (req.write)
+        fs += c.blockWriteSurcharge;
+    // L0's vhost-blk picks the request off L1's own virtio disk (the
+    // kick there comes from L1's I/O thread, not from the measured
+    // vCPU) and hands it to the ramdisk.
+    Ticks l0_done =
+        l0BlkWorker_.completeAt(onL1Worker(q, fs), c.vhostPerBuffer);
+    m.events().schedule(l0_done, [this, id = buf.id, req] {
+        disk_.submit(id, req.lba, req.bytes, req.write);
+    }, "vhost-blk");
 }
 
 void
@@ -198,22 +94,11 @@ VirtioBlkStack::l1BlkIrq()
     while (l1Compl_.popUsed(buf)) {
         l1.compute(c.vhostPerBuffer +
                    static_cast<Ticks>(buf.bytes) * c.diskCopyPerByte);
-        auto q = static_cast<std::size_t>(
-            buf.id % static_cast<std::uint64_t>(queues_));
-        qs_[q]->complq.complete(buf);
-        coalesce_[q]->note();
+        complete(buf);
         any = true;
     }
-    if (any) {
-        ++l1IrqBatches_;
-        // L1-grade sensitive housekeeping per *interrupt* (its own
-        // EOI, irqfd signalling, TPR updates). Charging this inside
-        // the completion loop double-billed the EOI per buffer and
-        // inflated l0.exit.WRMSR whenever a batch carried more than
-        // one completion.
-        for (int i = 0; i < c.l1IoBackendTraps; ++i)
-            l1.wrmsr(msr::ia32X2apicEoi, 0);
-    }
+    if (any)
+        endL1Batch();
 }
 
 void
@@ -222,8 +107,8 @@ VirtioBlkStack::l2BlkIrq()
     const CostModel &c = stack_.machine().costs();
     GuestApi &l2 = stack_.apiAt(2);
     VirtioBuffer buf;
-    for (auto &bq : qs_) {
-        while (bq->complq.popUsed(buf)) {
+    for (int q = 0; q < queues(); ++q) {
+        while (queue(q).completion.popUsed(buf)) {
             // Guest block layer completion path.
             l2.compute(c.blockLayerPerRequest / 2);
             ++completed_;

@@ -7,34 +7,28 @@
  *      --kick--> L0 vhost-blk --> RamDisk
  *   completion --> L0 IRQ --> L1 IRQ --> L2 IRQ --> completion cb
  *
- * With StackConfig::virtioQueues > 1 the L2-facing device becomes a
- * multi-queue virtio-blk: per-queue doorbell pages, submission and
- * completion Virtqueues and L1 backend workers, sharded by request id.
- * Completion interrupts per queue run through an IrqCoalescer
- * (exit-elision ladder rung 2).
+ * The queue machinery (doorbells, polling, completion coalescing, the
+ * L1 EOI charge) is VhostDevice's; this class adds the file backend
+ * and the request map.
  */
 
 #ifndef SVTSIM_IO_VIRTIO_BLK_H
 #define SVTSIM_IO_VIRTIO_BLK_H
 
+#include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
-#include "hv/virt_stack.h"
-#include "io/async_stage.h"
-#include "io/irq_coalescer.h"
 #include "io/ramdisk.h"
-#include "io/virtio_net.h" // ioaddr
-#include "io/virtqueue.h"
+#include "io/vhost_device.h"
 
 namespace svtsim {
 
 /**
  * The full nested virtio-blk stack plus its L2 driver interface.
  */
-class VirtioBlkStack
+class VirtioBlkStack : public VhostDevice
 {
   public:
     VirtioBlkStack(VirtStack &stack, RamDisk &disk);
@@ -48,14 +42,6 @@ class VirtioBlkStack
     void setCompletionHandler(std::function<void(std::uint64_t)> fn);
 
     std::uint64_t completedCount() const { return completed_; }
-    int queues() const { return queues_; }
-
-    /** L1 virtio-blk interrupt batches handled so far. The L1-grade
-     *  EOI/housekeeping traps are charged once per batch (not per
-     *  completion), so `l0.exit.WRMSR` grows by exactly
-     *  l1IoBackendTraps per batch — the invariant the EOI-attribution
-     *  metrics test locks in. */
-    std::uint64_t l1IrqBatches() const { return l1IrqBatches_; }
 
   private:
     struct Request
@@ -65,40 +51,15 @@ class VirtioBlkStack
         bool write;
     };
 
-    /** Per-queue state: submission + completion rings and the L1
-     *  backend worker that services the submissions. */
-    struct BlkQueue
-    {
-        BlkQueue(Machine &machine, const std::string &qn,
-                 const std::string &cn)
-            : ring(machine, qn), complq(machine, cn)
-        {
-        }
-
-        Virtqueue ring;
-        Virtqueue complq;
-        /** L1's vhost-blk / file-backend worker (separate vCPU). */
-        AsyncStage l1Worker;
-        bool pollScheduled = false;
-        Ticks lastDrain = -sec(1);
-    };
-
-    std::uint64_t l1VhostBlk(int q, Gpa addr, int size,
-                             std::uint64_t value, bool is_write);
-    /** Drain queue @p q into the off-vCPU backend pipeline; lingers
-     *  like the net path (QEMU iothread adaptive polling). */
-    void vhostBlkPoll(int q);
+    /** L1's file backend on L2's image, then L0's vhost-blk into
+     *  the ramdisk. */
+    void vhostBuffer(int q, const VirtioBuffer &buf) override;
     void onDiskComplete(std::uint64_t id);
     void l0DiskIrq();
     void l1BlkIrq();
     void l2BlkIrq();
 
-    VirtStack &stack_;
     RamDisk &disk_;
-    int queues_;
-    std::vector<std::unique_ptr<BlkQueue>> qs_;
-    /** Per-queue completion-interrupt coalescing. */
-    std::vector<std::unique_ptr<IrqCoalescer>> coalesce_;
     Virtqueue l1Compl_;
     /** L0's vhost-blk worker (separate core), shared (one disk). */
     AsyncStage l0BlkWorker_;
@@ -106,9 +67,6 @@ class VirtioBlkStack
     std::unordered_map<std::uint64_t, Request> inflight_;
     std::function<void(std::uint64_t)> completionHandler_;
     std::uint64_t completed_ = 0;
-    std::uint64_t l1IrqBatches_ = 0;
-    /** Polls re-armed by the idle-tick guard (see virtio-net). */
-    Counter pollRearmMetric_;
 };
 
 } // namespace svtsim

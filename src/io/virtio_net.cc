@@ -1,67 +1,17 @@
 #include "io/virtio_net.h"
 
-#include <algorithm>
-#include <string>
-
 #include "hv/vectors.h"
-#include "sim/log.h"
 
 namespace svtsim {
 
-namespace {
-
-/** Queue-suffixed counter prefix; the single-queue name matches the
- *  pre-multi-queue schema ("l2.net.tx", not "l2.net.tx.q0"). */
-std::string
-qname(const char *base, int q, int queues)
-{
-    if (queues == 1)
-        return base;
-    return std::string(base) + ".q" + std::to_string(q);
-}
-
-} // namespace
-
 VirtioNetStack::VirtioNetStack(VirtStack &stack, NetPort &port)
-    : stack_(stack), port_(port),
-      queues_(stack.config().virtioQueues),
+    : VhostDevice(stack, "net", "l2.net.tx", "l2.net.rx",
+                  ioaddr::l2NetDoorbell, vec::l2VirtioNet),
+      port_(port), unreaped_(static_cast<std::size_t>(queues()), 0),
       l1Rx_(stack.machine(), "l1.net.rx")
 {
-    Machine &m = stack_.machine();
-    const StackConfig &cfg = stack_.config();
-    for (int q = 0; q < queues_; ++q) {
-        tx_.push_back(std::make_unique<TxQueue>(
-            m, qname("l2.net.tx", q, queues_)));
-        l2Rx_.push_back(std::make_unique<Virtqueue>(
-            m, qname("l2.net.rx", q, queues_)));
-        rxCoalesce_.push_back(std::make_unique<IrqCoalescer>(
-            m, qname("l2.net.rx", q, queues_) + ".coalesce",
-            cfg.virtioCoalesceCount, cfg.virtioCoalesceTimeout,
-            [this] { stack_.raiseL2Irq(vec::l2VirtioNet); }));
-    }
-    rxDropMetric_ = m.metrics().counter(MetricScope::Machine, "virtio",
-                                        "net.rx_drop");
-    pollRearmMetric_ = m.metrics().counter(
-        MetricScope::Machine, "virtio", "net.poll_rearm");
-    // L2's device: emulated by L1 (vhost in L1's kernel). One doorbell
-    // page per queue.
-    stack_.l1Hv().registerMmio(
-        ioaddr::l2NetDoorbell,
-        static_cast<std::uint64_t>(queues_) * pageSize,
-        [this](Gpa addr, int size, std::uint64_t value,
-               bool is_write) {
-            int q = static_cast<int>((addr - ioaddr::l2NetDoorbell) /
-                                     pageSize);
-            return l1VhostTx(q, addr, size, value, is_write);
-        });
-    // L1's own virtio-net doorbell: its vhost thread kicks it from a
-    // different vCPU, so this handler only exists for completeness.
-    stack_.registerL0Mmio(
-        ioaddr::l1NetDoorbell, pageSize,
-        [](Gpa, int, std::uint64_t, bool) -> std::uint64_t {
-            return 0;
-        });
-
+    rxDropMetric_ = stack_.machine().metrics().counter(
+        MetricScope::Machine, "virtio", "net.rx_drop");
     port_.setReceiveHandler([this](NetPacket pkt) { onWireRx(pkt); });
 
     stack_.setIrqHandler(0, vec::hostNic, [this] { l0NicIrq(); });
@@ -79,96 +29,40 @@ void
 VirtioNetStack::send(std::uint32_t bytes, std::uint64_t id,
                      std::uint64_t payload)
 {
-    GuestApi &l2 = stack_.apiAt(2);
     // Guest TCP/IP stack per segment.
-    l2.compute(stack_.machine().costs().tcpStackPerSegment);
-    int q = static_cast<int>(id % static_cast<std::uint64_t>(queues_));
-    bool kick = tx_[static_cast<std::size_t>(q)]->ring.post(
-        VirtioBuffer{id, bytes, payload, false});
-    if (kick)
-        l2.mmioWrite(ioaddr::l2NetDoorbell +
-                         static_cast<Gpa>(q) * pageSize,
-                     4, 1);
+    stack_.apiAt(2).compute(stack_.machine().costs().tcpStackPerSegment);
+    post(VirtioBuffer{id, bytes, payload, false});
     ++txPackets_;
 }
 
-std::uint64_t
-VirtioNetStack::l1VhostTx(int q, Gpa, int, std::uint64_t, bool)
-{
-    // Runs in L1 context inside the reflected EPT_MISCONFIG handler.
-    // KVM's side of the kick only signals the vhost worker's eventfd;
-    // the packet processing itself happens on the vhost threads (L1)
-    // and L0's vhost-net, which run on other vCPUs/cores: wall-clock
-    // pipeline delay, not measured-vCPU time.
-    if (q < 0 || q >= queues_)
-        panic("virtio-net doorbell for queue %d of %d", q, queues_);
-    GuestApi &l1 = stack_.apiAt(1);
-    l1.compute(nsec(400)); // eventfd signal
-    vhostTxPoll(q);
-    return 0;
-}
-
 void
-VirtioNetStack::vhostTxPoll(int q)
+VirtioNetStack::vhostBuffer(int q, const VirtioBuffer &buf)
 {
     Machine &m = stack_.machine();
     const CostModel &c = m.costs();
-    TxQueue &txq = *tx_[static_cast<std::size_t>(q)];
-    VirtioBuffer buf;
-    bool drained_any = false;
-    while (txq.ring.takeQuiet(buf)) {
-        drained_any = true;
-        Ticks l1_done = txq.l1Vhost.completeAt(
-            m.now() + c.l1IoThreadWake,
-            c.vhostPerBuffer +
-                static_cast<Ticks>(buf.bytes) * c.netCopyPerByte);
-        Ticks l0_done = l0TxVhost_.completeAt(
-            l1_done,
-            c.nicPerPacket +
-                static_cast<Ticks>(buf.bytes) * c.netCopyPerByte);
-        NetPacket pkt{buf.id, buf.bytes, buf.payload};
-        auto *port = &port_;
-        m.events().schedule(l0_done,
-                            [port, pkt] { port->send(pkt); },
-                            "vhost-tx");
-        txq.ring.completeQuiet(buf);
-        ++txq.unreaped;
-    }
-    if (drained_any)
-        txq.lastDrain = m.now();
-    // The worker keeps polling the ring while its pipeline is busy
-    // (virtio EVENT_IDX) and for a busy-poll linger window after the
-    // last drained buffer (vhost busyloop_timeout): a bulk sender
-    // posts descriptors without paying a doorbell exit per segment.
-    bool pipeline_busy = txq.l1Vhost.freeAt() > m.now();
-    bool lingering = m.now() - txq.lastDrain <= c.vhostLingerPoll;
-    bool repoll = pipeline_busy || lingering;
-    if (!repoll && !txq.ring.availEmpty()) {
-        // A descriptor landed at the exact tick the worker drained
-        // the ring empty: its kick was suppressed while we ran, so
-        // going idle now would strand it. Re-arm one more poll.
-        repoll = true;
-        pollRearmMetric_.inc();
-    }
-    if (repoll) {
-        txq.ring.deviceBusy();
-        if (!txq.pollScheduled) {
-            txq.pollScheduled = true;
-            Ticks cadence = std::max(txq.l1Vhost.freeAt() - m.now(),
-                                     usec(10));
-            m.events().scheduleIn(cadence, [this, q] {
-                tx_[static_cast<std::size_t>(q)]->pollScheduled =
-                    false;
-                vhostTxPoll(q);
-            }, "vhost-tx-poll");
-        }
-    }
+    Ticks l1_done = onL1Worker(
+        q, c.vhostPerBuffer +
+               static_cast<Ticks>(buf.bytes) * c.netCopyPerByte);
+    Ticks l0_done = l0TxVhost_.completeAt(
+        l1_done,
+        c.nicPerPacket + static_cast<Ticks>(buf.bytes) * c.netCopyPerByte);
+    NetPacket pkt{buf.id, buf.bytes, buf.payload};
+    auto *port = &port_;
+    m.events().schedule(l0_done, [port, pkt] { port->send(pkt); },
+                        "vhost-tx");
+    queue(q).ring.completeQuiet(buf);
+    ++unreaped_[static_cast<std::size_t>(q)];
+}
+
+void
+VirtioNetStack::vhostPolled(int q, bool awake)
+{
     // Tx-completion interrupts are heavily suppressed (NAPI tx): the
     // guest reaps descriptors when the worker goes idle or when a
     // large batch has accumulated, not per segment.
-    if (txq.unreaped > 0 &&
-        ((!pipeline_busy && !lingering) || txq.unreaped >= 64)) {
-        txq.unreaped = 0;
+    std::uint64_t &unreaped = unreaped_[static_cast<std::size_t>(q)];
+    if (unreaped > 0 && (!awake || unreaped >= 64)) {
+        unreaped = 0;
         stack_.raiseL2Irq(vec::l2VirtioNet);
     }
 }
@@ -219,25 +113,18 @@ VirtioNetStack::l1NetIrq()
     while (l1Rx_.popUsed(buf)) {
         l1.compute(c.vhostPerBuffer +
                    static_cast<Ticks>(buf.bytes) * c.netCopyPerByte);
-        auto q = static_cast<std::size_t>(
-            buf.id % static_cast<std::uint64_t>(queues_));
-        if (l2Rx_[q]->usedFull()) {
+        if (queue(queueOf(buf.id)).completion.usedFull()) {
             // The guest is not keeping up: the ring is full and the
             // packet is dropped, exactly like an overloaded virtio
             // queue.
             rxDropMetric_.inc();
             continue;
         }
-        l2Rx_[q]->complete(buf);
-        rxCoalesce_[q]->note();
+        complete(buf);
         any = true;
     }
-    if (any) {
-        // L1-grade sensitive housekeeping per interrupt (its own EOI,
-        // irqfd signalling, TPR updates).
-        for (int i = 0; i < c.l1IoBackendTraps; ++i)
-            l1.wrmsr(msr::ia32X2apicEoi, 0);
-    }
+    if (any)
+        endL1Batch();
 }
 
 void
@@ -247,11 +134,11 @@ VirtioNetStack::l2NetIrq()
     const CostModel &c = stack_.machine().costs();
     VirtioBuffer buf;
     // Reap tx completions (skb freeing).
-    for (auto &txq : tx_)
-        while (txq->ring.popUsed(buf))
+    for (int q = 0; q < queues(); ++q)
+        while (queue(q).ring.popUsed(buf))
             l2.compute(c.memAccess * 8);
-    for (auto &rxq : l2Rx_) {
-        while (rxq->popUsed(buf)) {
+    for (int q = 0; q < queues(); ++q) {
+        while (queue(q).completion.popUsed(buf)) {
             l2.compute(c.tcpStackPerSegment);
             ++rxPackets_;
             if (rxHandler_)

@@ -83,20 +83,6 @@ Virtqueue::take(VirtioBuffer &out)
         deviceRunning_ = false;
         return false;
     }
-    machine_.consume(machine_.costs().memAccess * 2);
-    out = avail_.front();
-    avail_.pop_front();
-    noteAvailDepth();
-    return true;
-}
-
-bool
-Virtqueue::takeQuiet(VirtioBuffer &out)
-{
-    if (avail_.empty()) {
-        deviceRunning_ = false;
-        return false;
-    }
     out = avail_.front();
     avail_.pop_front();
     noteAvailDepth();

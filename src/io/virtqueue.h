@@ -70,15 +70,13 @@ class Virtqueue
     bool usedFull() const { return used_.size() >= size_; }
 
     // -- Device side --------------------------------------------------
-    /** Device takes the next available buffer. */
-    bool take(VirtioBuffer &out);
-
     /**
-     * Cost-free variant of take() for event-context device workers
-     * (their per-buffer time is modeled by the worker's service time,
-     * and event handlers must not consume vCPU time).
+     * Device takes the next available buffer; an empty ring marks the
+     * device idle (the next post kicks). Cost-free: the device
+     * workers model per-buffer time as their service time, and event
+     * handlers must not consume vCPU time.
      */
-    bool takeQuiet(VirtioBuffer &out);
+    bool take(VirtioBuffer &out);
 
     bool availEmpty() const { return avail_.empty(); }
     std::size_t availDepth() const { return avail_.size(); }

@@ -52,7 +52,6 @@ EventQueue::schedule(Ticks when, EventClosure fn, std::string_view label)
     rec.fn = std::move(fn);
     rec.when = when;
     rec.seq = nextSeq_++;
-    rec.labelId = label.empty() ? 0 : internLabel(label);
     placeRecord(idx, rec);
     ++liveCount_;
     return makeId(idx, rec.gen);
@@ -101,14 +100,6 @@ EventQueue::lookup(EventId id) const
         rec.gen != static_cast<std::uint32_t>(id >> 32))
         return nullptr;
     return &rec;
-}
-
-std::string_view
-EventQueue::eventLabel(EventId id) const
-{
-    const Record *rec = lookup(id);
-    return rec ? std::string_view(labels_[rec->labelId])
-               : std::string_view();
 }
 
 std::uint32_t
@@ -511,34 +502,6 @@ EventQueue::runUntil(const std::function<bool()> &pred)
             return true;
     }
     return false;
-}
-
-std::uint16_t
-EventQueue::internLabel(std::string_view label)
-{
-    // Hot call sites pass the same string literal every time: a tiny
-    // direct-mapped cache keyed on the literal's address turns repeat
-    // interning into a pointer compare. The content check against the
-    // interned copy keeps a recycled allocation at the same address
-    // from aliasing a stale entry.
-    LabelCacheEntry &e = labelCache_
-        [(reinterpret_cast<std::uintptr_t>(label.data()) >> 4) & 15];
-    if (e.data == label.data() && e.size == label.size() &&
-        labels_[e.id] == label)
-        return e.id;
-    auto it = labelIds_.find(std::string(label));
-    if (it == labelIds_.end()) {
-        if (labels_.size() > 0xffff)
-            panic("EventQueue: too many distinct event labels");
-        const std::uint16_t id =
-            static_cast<std::uint16_t>(labels_.size());
-        labels_.emplace_back(label);
-        it = labelIds_.emplace(labels_.back(), id).first;
-    }
-    e.data = label.data();
-    e.size = label.size();
-    e.id = it->second;
-    return it->second;
 }
 
 } // namespace svtsim

@@ -1,7 +1,7 @@
 /**
  * @file
- * Discrete-event core: EventQueue and the Clock view used by the
- * synchronous execution model.
+ * Discrete-event core: the EventQueue behind the synchronous
+ * execution model.
  *
  * The simulator mixes two styles:
  *
@@ -11,7 +11,7 @@
  *    descriptor) that synchronous code observes later.
  *
  *  - Synchronous code (guest programs, hypervisor exit handlers)
- *    consumes modeled time via Clock::consume(). Consuming time runs
+ *    consumes modeled time via Machine::consume(). Consuming time runs
  *    every event whose timestamp is passed, in order, so device
  *    completions and interrupts appear at the right simulated instant.
  *
@@ -22,7 +22,7 @@
  * deschedule() and fire are O(1) (plus at most numLevels cascades over
  * an event's lifetime), the steady-state schedule->fire cycle performs
  * zero heap allocations (closures live inline in the record via
- * EventClosure, labels are interned once), and deschedule() unlinks
+ * EventClosure), and deschedule() unlinks
  * the record from its slot eagerly — there is no lazy-deletion debris,
  * so empty()/size()/nextEventTime() always agree. Events beyond the
  * wheel horizon (2^56 ticks ~ 20 simulated hours) sit in an ordered
@@ -41,9 +41,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -121,7 +119,8 @@ class EventQueue
     Ticks now() const { return now_; }
 
     /**
-     * Schedule @p fn to run at absolute time @p when.
+     * Schedule @p fn to run at absolute time @p when. @p label is
+     * kept only for the schedule-in-the-past panic message.
      *
      * @return A handle that can be passed to deschedule().
      * @pre when >= now().
@@ -257,12 +256,6 @@ class EventQueue
      */
     bool pending(EventId id) const { return lookup(id) != nullptr; }
 
-    /** Interned label of a pending event ("" if none/unknown). */
-    std::string_view eventLabel(EventId id) const;
-
-    /** Number of distinct interned labels (introspection/tests). */
-    std::size_t internedLabelCount() const { return labels_.size() - 1; }
-
     // -- Wheel geometry (public for tests and the speed bench) ------------
     /** log2 of slots per level. */
     static constexpr int slotBits = 8;
@@ -295,7 +288,6 @@ class EventQueue
         std::uint32_t next = nil;
         /** Bumped on every free; stale EventIds fail the gen check. */
         std::uint32_t gen = 0;
-        std::uint16_t labelId = 0;
         std::uint8_t level = levelFree;
         std::uint8_t slot = 0;
     };
@@ -372,8 +364,6 @@ class EventQueue
      */
     void gatedAdvance(Ticks when, bool idle);
 
-    std::uint16_t internLabel(std::string_view label);
-
     // -- Arena -------------------------------------------------------------
     std::vector<std::unique_ptr<Record[]>> chunks_;
     std::uint32_t freeHead_ = nil;
@@ -387,20 +377,6 @@ class EventQueue
     /** Events beyond the wheel horizon, ordered by (when, seq). */
     std::map<std::pair<Ticks, std::uint64_t>, std::uint32_t> far_;
 
-    // -- Labels ------------------------------------------------------------
-    /** labels_[0] is the empty label. */
-    std::vector<std::string> labels_{std::string()};
-    std::unordered_map<std::string, std::uint16_t> labelIds_;
-    struct LabelCacheEntry
-    {
-        const char *data = nullptr;
-        std::size_t size = 0;
-        std::uint16_t id = 0;
-    };
-    /** Direct-mapped cache keyed on the literal's address, so hot
-     *  call sites skip the hash lookup after the first schedule. */
-    LabelCacheEntry labelCache_[16];
-
     Ticks now_ = 0;
     /** Exclusive bound on event execution while a gate is installed. */
     Ticks horizon_ = maxTick;
@@ -410,46 +386,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
     TraceSink *traceSink_ = nullptr;
     FaultInjector *faultInjector_ = nullptr;
-};
-
-/**
- * A per-executor view of simulated time.
- *
- * Synchronous code holds a Clock and calls consume() to model the cost
- * of the work it performs. The clock forwards to the shared EventQueue
- * so device events interleave correctly.
- *
- * The Clock also tracks an "accounting scope" stack so benchmarks can
- * attribute elapsed time to stages (e.g., the six parts of Table 1).
- */
-class Clock
-{
-  public:
-    explicit Clock(EventQueue &eq) : eq_(&eq) {}
-
-    /** Current simulated time. */
-    Ticks now() const { return eq_->now(); }
-
-    /**
-     * Consume @p t ticks of simulated time (runs due events).
-     * A negative @p t is a cost-model arithmetic bug (a subtraction
-     * that went past zero) and panics — silently ignoring it used to
-     * mask exactly the bugs advanceBy's own assert was written to
-     * catch.
-     */
-    void
-    consume(Ticks t)
-    {
-        simAssert(t >= 0, "Clock::consume negative time");
-        if (t > 0)
-            eq_->advanceBy(t);
-    }
-
-    /** Underlying event queue. */
-    EventQueue &queue() { return *eq_; }
-
-  private:
-    EventQueue *eq_;
 };
 
 } // namespace svtsim

@@ -228,6 +228,17 @@ TEST_F(RamDiskTest, SubmitWithoutHandlerPanics)
     EXPECT_THROW(disk.submit(1, 0, 512, false), PanicError);
 }
 
+/** Post gaps around the vhost linger window: a buffer posted exactly
+ *  when the worker concludes it is idle (linger boundary, poll-cadence
+ *  ticks) had its kick suppressed and could strand. */
+std::vector<Ticks>
+idleTickGaps()
+{
+    const Ticks linger = paperCosts().vhostLingerPoll;
+    return {linger - usec(1), linger - 1,         linger, linger + 1,
+            linger + usec(1), linger + usec(10), 2 * linger};
+}
+
 // --------------------------------------------------- end-to-end network
 
 /** Full system with a 1-byte-echo peer on the wire. */
@@ -332,6 +343,43 @@ TEST(VirtioNet, BatchedSegmentsShareKicks)
                  before;
     EXPECT_GE(kicks, 1u);
     EXPECT_LE(kicks, 3u);
+}
+
+TEST(VirtioNet, EoiTrapsAreChargedPerInterruptBatchNotPerBuffer)
+{
+    // The L1 EOI/housekeeping wrmsr traps belong to the interrupt,
+    // not to each forwarded packet. Echo round trips never batch, so
+    // the peer sends a 32-packet burst in one tick; the net rig has
+    // no other L1 wrmsr source, so the trap count must match the
+    // batch count exactly.
+    NetRig rig(VirtMode::Nested);
+    int got = 0;
+    rig.net.setRxHandler([&](NetPacket) { ++got; });
+    for (std::uint64_t i = 0; i < 32; ++i)
+        rig.link.port(1).send(NetPacket{100 + i, 64, 0});
+    while (got < 32)
+        rig.sys.api().halt();
+    const auto traps = static_cast<std::uint64_t>(
+        rig.sys.machine().costs().l1IoBackendTraps);
+    EXPECT_GT(rig.net.l1IrqBatches(), 0u);
+    EXPECT_LT(rig.net.l1IrqBatches(), 32u);
+    EXPECT_EQ(rig.sys.machine().counter("l0.exit.MSR_WRITE"),
+              rig.net.l1IrqBatches() * traps);
+}
+
+TEST(VirtioNet, PostAtTheExactIdleTickIsNotStranded)
+{
+    // The idle-tick guard on the tx ring: a segment sent at the exact
+    // tick the vhost worker goes idle must still go out.
+    for (Ticks gap : idleTickGaps()) {
+        NetRig rig(VirtMode::Nested);
+        rig.pingPong(1);            // prime the worker
+        rig.sys.api().compute(gap); // land on the boundary
+        Ticks t = rig.pingPong(1);
+        EXPECT_GT(t, 0) << "gap " << toUsec(gap) << "us";
+        EXPECT_EQ(rig.net.rxPackets(), 2u)
+            << "gap " << toUsec(gap) << "us";
+    }
 }
 
 // --------------------------------------------------- end-to-end disk
@@ -448,16 +496,11 @@ TEST(VirtioBlk, EoiTrapsAreChargedPerInterruptBatchNotPerBuffer)
 
 TEST(VirtioBlk, PostAtTheExactIdleTickIsNotStranded)
 {
-    // Regression sweep for the kick-suppression race: a request
-    // posted exactly when the vhost worker concludes it is idle
-    // (linger window boundary, poll-cadence ticks) had its doorbell
-    // suppressed and could strand until the next unrelated kick. The
-    // idle-tick guard re-arms one poll instead; every gap must
-    // complete without a stall.
-    const Ticks linger = paperCosts().vhostLingerPoll;
-    for (Ticks gap :
-         {linger - usec(1), linger - 1, linger, linger + 1,
-          linger + usec(1), linger + usec(10), 2 * linger}) {
+    // Regression sweep for the kick-suppression race: without the
+    // idle-tick guard a stranded request waited for the next
+    // unrelated kick. The guard re-arms one poll instead; every gap
+    // must complete without a stall.
+    for (Ticks gap : idleTickGaps()) {
         BlkRig rig(VirtMode::Nested);
         rig.oneRequest(4096, false); // prime the worker
         rig.sys.api().compute(gap);  // land on the boundary

@@ -450,19 +450,6 @@ TEST(EventQueue, NextEventTimeIsConstAndStable)
     EXPECT_TRUE(ran);
 }
 
-TEST(Clock, ConsumeAdvancesSharedQueue)
-{
-    EventQueue eq;
-    Clock clock(eq);
-    bool fired = false;
-    eq.schedule(nsec(10), [&] { fired = true; });
-    clock.consume(nsec(5));
-    EXPECT_FALSE(fired);
-    clock.consume(nsec(5));
-    EXPECT_TRUE(fired);
-    EXPECT_EQ(clock.now(), nsec(10));
-}
-
 // Property: interleaved random schedule/cancel/advance keeps the queue
 // consistent: every non-cancelled event fires exactly once, in order.
 TEST(EventQueue, PropertyRandomizedConsistency)
