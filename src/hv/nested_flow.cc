@@ -217,8 +217,9 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
     bool handled_in_l0 = false;
     if (info.reason == ExitReason::EptViolation) {
         // L0 first tries to satisfy the fault from its shadow-EPT
-        // merge of ept12 and ept01 (the Turtles multi-dimensional
-        // paging scheme): only faults L1 has not mapped are reflected.
+        // merge of ept12 and its own EPT for L1 (the Turtles
+        // multi-dimensional paging scheme): only faults L1 has not
+        // mapped are reflected.
         TimeScope l0(machine_, ScopeId::StageL0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         EptAccess acc = (info.qualification & 1) ? EptAccess::Write
@@ -764,29 +765,6 @@ VirtStack::handleL0Exit(const ExitInfo &info, VmxEngine *engine)
         advance_rip(3);
         return 0;
       }
-      case ExitReason::EptMisconfig: {
-        machine_.consume(c.mmioDecode);
-        const MmioRegion *region = nullptr;
-        for (const auto &r : l0Mmio_) {
-            if (info.guestPhysAddr >= r.base &&
-                info.guestPhysAddr < r.base + r.size) {
-                region = &r;
-                break;
-            }
-        }
-        if (!region) {
-            panic("L1 MMIO access to unmapped gpa %#llx",
-                  static_cast<unsigned long long>(info.guestPhysAddr));
-        }
-        bool is_write = info.qualification & 1;
-        int size = static_cast<int>(info.qualification >> 1 & 0xf);
-        std::uint64_t result = region->handler(
-            info.guestPhysAddr, size, info.value, is_write);
-        if (!is_write)
-            vcpuL1_->setGpr(Gpr::Rax, result);
-        advance_rip(3);
-        return result;
-      }
       case ExitReason::Vmcall: {
         // L0 models no hypercalls: an L1 vmcall returns ~0.
         std::uint64_t result = ~0ULL;
@@ -795,18 +773,13 @@ VirtStack::handleL0Exit(const ExitInfo &info, VmxEngine *engine)
         return result;
       }
       case ExitReason::IoInstruction: {
+        // L0 emulates no devices for L1: every port floats.
         machine_.consume(c.emulMsr);
-        auto port =
-            static_cast<std::uint16_t>(info.qualification >> 16);
-        bool is_write = info.qualification & 1;
-        std::uint64_t result = ~0ULL;
-        auto it = l0IoPorts_.find(port);
-        if (it != l0IoPorts_.end())
-            result = it->second(port, info.value, is_write);
+        const bool is_write = info.qualification & 1;
         if (!is_write)
-            vcpuL1_->setGpr(Gpr::Rax, result);
+            vcpuL1_->setGpr(Gpr::Rax, ~0ULL);
         advance_rip(2);
-        return result;
+        return ~0ULL;
       }
       case ExitReason::Invept:
         // Emulated INVEPT tears down the shadow EPT: translations
@@ -980,40 +953,18 @@ L1Api::wrmsr(std::uint32_t index, std::uint64_t value)
                                 .value = value});
 }
 
+// L0 maps no MMIO devices into L1's physical space.
+
 std::uint64_t
-L1Api::mmioRead(Gpa addr, int size)
+L1Api::mmioRead(Gpa addr, int)
 {
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    auto r = stack_.ept01_->translate(addr, EptAccess::Read);
-    if (r.kind == Ept::Result::Kind::Misconfig) {
-        ExitInfo info;
-        info.reason = ExitReason::EptMisconfig;
-        info.qualification = static_cast<std::uint64_t>(size) << 1;
-        info.guestPhysAddr = addr;
-        info.instrLength = 3;
-        return stack_.l1TrapRound(info);
-    }
     panic("L1 MMIO read of unregistered gpa %#llx",
           static_cast<unsigned long long>(addr));
 }
 
 void
-L1Api::mmioWrite(Gpa addr, int size, std::uint64_t value)
+L1Api::mmioWrite(Gpa addr, int, std::uint64_t)
 {
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    auto r = stack_.ept01_->translate(addr, EptAccess::Write);
-    if (r.kind == Ept::Result::Kind::Misconfig) {
-        ExitInfo info;
-        info.reason = ExitReason::EptMisconfig;
-        info.qualification = 1 | static_cast<std::uint64_t>(size) << 1;
-        info.guestPhysAddr = addr;
-        info.instrLength = 3;
-        info.value = value;
-        stack_.l1TrapRound(info);
-        return;
-    }
     panic("L1 MMIO write to unregistered gpa %#llx",
           static_cast<unsigned long long>(addr));
 }

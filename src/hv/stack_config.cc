@@ -77,12 +77,6 @@ validateStackConfig(const StackConfig &config)
               mode);
     }
 
-    if (config.eagerStateLoad && config.mode == VirtMode::Native) {
-        fatal("StackConfig: eagerStateLoad tunes VM-entry state "
-              "loading and native mode performs no VM entries; clear "
-              "eagerStateLoad or pick a virtualized mode");
-    }
-
     if (config.postedInterrupts && !isNestedMode(config.mode)) {
         fatal("StackConfig: postedInterrupts elides *nested* exits on "
               "the L2 interrupt delivery path, which mode %s does not "
@@ -129,11 +123,6 @@ validateStackConfig(const StackConfig &config)
               config.virtioCoalesceCount,
               static_cast<long long>(config.virtioCoalesceTimeout),
               mode);
-    }
-
-    if (config.coreIndex < 0) {
-        fatal("StackConfig: coreIndex must be non-negative (got %d)",
-              config.coreIndex);
     }
 }
 

@@ -73,10 +73,6 @@ struct StackConfig
      *  default: the paper's prototype assumes the happy path). */
     SvtWatchdogConfig svtWatchdog{};
 
-    /** Eagerly load full guest state at VM entry instead of lazily
-     *  (ablation; the paper's systems are lazy, Section 3.1). */
-    bool eagerStateLoad = false;
-
     /**
      * HW SVt extension sketched in Section 3.1: "SVt could
      * selectively bypass some virtualization levels when triggering a
@@ -122,9 +118,6 @@ struct StackConfig
      * timeout so a tail batch smaller than the count is never stranded.
      */
     Ticks virtioCoalesceTimeout = 0;
-
-    /** Core on which the stack runs. */
-    int coreIndex = 0;
 };
 
 /**
@@ -143,8 +136,6 @@ struct StackConfig
  *    SVt trap path: requires an SVt mode (SwSvt or HwSvt).
  *  - hwVmcsShadowing=false only changes behaviour when a nested L1
  *    issues vmread/vmwrite: requires a nested mode.
- *  - eagerStateLoad tunes VM-entry state loading: Native has no
- *    VM entries.
  *  - postedInterrupts elides *nested* exits on the L2 interrupt path:
  *    requires a nested mode.
  *  - virtioQueues must be in [1, 8]; >1 requires a nested mode (the
@@ -153,8 +144,6 @@ struct StackConfig
  *    count > 1 requires a timeout > 0 (otherwise a tail batch smaller
  *    than the count would never be delivered); non-default coalescing
  *    requires a nested mode.
- *  - coreIndex must be non-negative (the upper bound is checked
- *    against the actual machine by VirtStack).
  */
 void validateStackConfig(const StackConfig &config);
 

@@ -28,24 +28,20 @@ virtModeName(VirtMode mode)
 
 namespace {
 
-/** Validate the config before any member construction touches it. */
-int
-checkedCoreIndex(Machine &machine, const StackConfig &config)
+/** Validate the config before any member construction touches it;
+ *  the stack runs on the machine's first core. */
+SmtCore &
+checkedCore(Machine &machine, const StackConfig &config)
 {
     validateStackConfig(config);
-    if (config.coreIndex >= machine.numCores()) {
-        fatal("StackConfig: coreIndex %d out of range; the machine "
-              "has %d cores",
-              config.coreIndex, machine.numCores());
-    }
-    return config.coreIndex;
+    return machine.core(0);
 }
 
 } // namespace
 
 VirtStack::VirtStack(Machine &machine, StackConfig config)
     : machine_(machine), config_(config),
-      core_(machine.core(checkedCoreIndex(machine, config)))
+      core_(checkedCore(machine, config))
 {
     setupCommon();
     switch (config_.mode) {
@@ -78,7 +74,6 @@ VirtStack::setupCommon()
     vmcs02_ = std::make_unique<Vmcs>("vmcs02");
     vmcs01s_ = std::make_unique<Vmcs>("vmcs01-sibling");
 
-    ept01_ = std::make_unique<Ept>("ept01");
     ept02_ = std::make_unique<Ept>("ept02");
 
     vcpuL1_ = std::make_unique<Vcpu>(machine_, "l0.vcpu[l1]");
@@ -331,23 +326,6 @@ VirtStack::l2Context()
     if (config_.mode != VirtMode::HwSvt)
         return core_.context(0);
     return core_.context(svtMultiplexed_ ? 1 : 2);
-}
-
-void
-VirtStack::registerL0Mmio(Gpa base, std::uint64_t size,
-                          L0MmioHandler handler)
-{
-    l0Mmio_.push_back(MmioRegion{base, size, std::move(handler)});
-    ept01_->markMmio(base, (size + pageSize - 1) / pageSize);
-}
-
-void
-VirtStack::registerL0IoPort(
-    std::uint16_t port,
-    std::function<std::uint64_t(std::uint16_t, std::uint64_t, bool)>
-        handler)
-{
-    l0IoPorts_[port] = std::move(handler);
 }
 
 void
@@ -654,52 +632,34 @@ NativeApi::wrmsr(std::uint32_t index, std::uint64_t value)
     msrs_[index] = value;
 }
 
+// Bare metal maps no MMIO devices and its I/O ports float.
+
 std::uint64_t
-NativeApi::mmioRead(Gpa addr, int size)
+NativeApi::mmioRead(Gpa addr, int)
 {
-    stack_.pumpInterrupts();
-    stack_.machine_.consume(stack_.machine_.costs().llcAccess);
-    for (const auto &r : stack_.l0Mmio_) {
-        if (addr >= r.base && addr < r.base + r.size)
-            return r.handler(addr, size, 0, false);
-    }
     panic("NativeApi: MMIO read of unmapped address %#llx",
           static_cast<unsigned long long>(addr));
 }
 
 void
-NativeApi::mmioWrite(Gpa addr, int size, std::uint64_t value)
+NativeApi::mmioWrite(Gpa addr, int, std::uint64_t)
 {
-    stack_.pumpInterrupts();
-    stack_.machine_.consume(stack_.machine_.costs().llcAccess);
-    for (const auto &r : stack_.l0Mmio_) {
-        if (addr >= r.base && addr < r.base + r.size) {
-            r.handler(addr, size, value, true);
-            return;
-        }
-    }
     panic("NativeApi: MMIO write to unmapped address %#llx",
           static_cast<unsigned long long>(addr));
 }
 
 void
-NativeApi::ioOut(std::uint16_t port, std::uint64_t value)
+NativeApi::ioOut(std::uint16_t, std::uint64_t)
 {
     stack_.pumpInterrupts();
     stack_.machine_.consume(stack_.machine_.costs().llcAccess);
-    auto it = stack_.l0IoPorts_.find(port);
-    if (it != stack_.l0IoPorts_.end())
-        it->second(port, value, true);
 }
 
 std::uint64_t
-NativeApi::ioIn(std::uint16_t port)
+NativeApi::ioIn(std::uint16_t)
 {
     stack_.pumpInterrupts();
     stack_.machine_.consume(stack_.machine_.costs().llcAccess);
-    auto it = stack_.l0IoPorts_.find(port);
-    if (it != stack_.l0IoPorts_.end())
-        return it->second(port, 0, false);
     return ~0ULL;
 }
 

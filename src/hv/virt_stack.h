@@ -42,10 +42,6 @@ class DeadlockError : public SimError
     explicit DeadlockError(const std::string &what) : SimError(what) {}
 };
 
-/** Handler for an L1 MMIO access emulated by L0 (L1's virtio devs). */
-using L0MmioHandler = std::function<std::uint64_t(
-    Gpa addr, int size, std::uint64_t value, bool is_write)>;
-
 /**
  * The assembled stack. See DESIGN.md section 3 for the execution
  * model: guest code runs synchronously; sensitive operations walk the
@@ -77,17 +73,6 @@ class VirtStack
     GuestHypervisor &l1Hv() { return *guestHv_; }
 
     // -- Device plumbing ---------------------------------------------------
-    /** Register an L0-emulated MMIO region in L1's physical space. */
-    void registerL0Mmio(Gpa base, std::uint64_t size,
-                        L0MmioHandler handler);
-
-    /** Register an I/O port emulated by L0 (L1's devices). */
-    void registerL0IoPort(
-        std::uint16_t port,
-        std::function<std::uint64_t(std::uint16_t, std::uint64_t,
-                                    bool)>
-            handler);
-
     /** A physical device interrupt arriving at L0. */
     void raiseHostIrq(std::uint8_t vector);
 
@@ -302,7 +287,6 @@ class VirtStack
     std::unique_ptr<Vmcs> vmcs02_;  ///< L0's descriptor of L2.
     std::unique_ptr<Vmcs> vmcs01s_; ///< SW SVt: sibling vCPU of L1.
 
-    std::unique_ptr<Ept> ept01_; ///< L0's EPT for L1.
     std::unique_ptr<Ept> ept02_; ///< L0's merged EPT for L2.
 
     std::unique_ptr<Vcpu> vcpuL1_;     ///< L0's vcpu struct for L1.
@@ -320,25 +304,11 @@ class VirtStack
     std::unique_ptr<CommandRing> ringToSvt_;
     std::unique_ptr<CommandRing> ringFromSvt_;
 
-    struct MmioRegion
-    {
-        Gpa base;
-        std::uint64_t size;
-        L0MmioHandler handler;
-    };
-    std::vector<MmioRegion> l0Mmio_;
-
     std::array<std::map<std::uint8_t, std::function<void()>>, 3>
         irqHandlers_;
 
     /** L0's emulated MSR state for L1. */
     std::map<std::uint32_t, std::uint64_t> l0Msrs_;
-
-    /** L0's emulated I/O ports (for L1). */
-    std::map<std::uint16_t,
-             std::function<std::uint64_t(std::uint16_t, std::uint64_t,
-                                         bool)>>
-        l0IoPorts_;
 
     /** Armed Section 5.3 preemption scenario. */
     Ticks pendingPreemption_ = 0;

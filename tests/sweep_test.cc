@@ -285,18 +285,6 @@ TEST(StackConfigValidation, RejectsEachInconsistentCombo)
         EXPECT_THROW(NestedSystem(VirtMode::Native, cfg), FatalError);
         EXPECT_THROW(NestedSystem(VirtMode::Single, cfg), FatalError);
     }
-    {
-        StackConfig cfg;
-        cfg.eagerStateLoad = true;
-        EXPECT_THROW(NestedSystem(VirtMode::Native, cfg), FatalError);
-    }
-    {
-        StackConfig cfg;
-        cfg.coreIndex = -1;
-        EXPECT_THROW(NestedSystem(VirtMode::Nested, cfg), FatalError);
-        cfg.coreIndex = 10000;
-        EXPECT_THROW(NestedSystem(VirtMode::Nested, cfg), FatalError);
-    }
 }
 
 TEST(StackConfigValidation, AcceptsConsistentCombos)
@@ -316,7 +304,6 @@ TEST(StackConfigValidation, AcceptsConsistentCombos)
     {
         StackConfig cfg;
         cfg.hwVmcsShadowing = false;
-        cfg.eagerStateLoad = true;
         EXPECT_NO_THROW(NestedSystem(VirtMode::Nested, cfg));
     }
 }
