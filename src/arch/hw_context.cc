@@ -34,17 +34,4 @@ HwContext::wrmsr(std::uint32_t index, std::uint64_t v)
     msrs_[index] = v;
 }
 
-void
-HwContext::copyArchStateFrom(const HwContext &other)
-{
-    writeGprs(other.readGprs());
-    rip = other.rip;
-    rflags = other.rflags;
-    for (int i = 0; i < numCtrls; ++i) {
-        writeCr(static_cast<Ctrl>(i),
-                other.readCr(static_cast<Ctrl>(i)));
-    }
-    msrs_ = other.msrs_;
-}
-
 } // namespace svtsim

@@ -57,10 +57,6 @@ class HwContext
      *  stall, or mwait). */
     bool stalled = false;
 
-    /** Copy the full architectural register state from another
-     *  context (used by tests and by eager state loads). */
-    void copyArchStateFrom(const HwContext &other);
-
   private:
     int index_;
     RenameMap rename_;

@@ -110,7 +110,6 @@ bool
 Lapic::postInterrupt(std::uint8_t vector)
 {
     pir_.set(vector);
-    ++posted_;
     postedMetric_.inc();
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->instant(TraceCategory::Irq, "irq.post", vector);

@@ -92,9 +92,6 @@ class Lapic
     /** Whether any posted vectors await a sync. */
     bool hasPosted() const { return pir_.any(); }
 
-    /** Interrupts posted so far (for tests). */
-    std::uint64_t postedCount() const { return posted_; }
-
     // -- Inter-processor interrupts ------------------------------------
     /**
      * Send an IPI to @p dst; it becomes pending there after the
@@ -144,7 +141,6 @@ class Lapic
     /** In-flight IPI events targeting this APIC; the destructor
      *  deschedules them so their closures cannot outlive us. */
     std::vector<EventId> inflightIpis_;
-    std::uint64_t posted_ = 0;
     Counter raisedMetric_;
     Counter ipiMetric_;
     Counter postedMetric_;

@@ -130,7 +130,6 @@ CommandRing::post(const ChannelMessage &msg)
         // protocol is request/response, so in correct operation depth
         // never exceeds one and this path only triggers under fault
         // plans or protocol bugs — worth a counter, not a panic).
-        ++full_;
         fullMetric_.inc();
         SVTSIM_TRACE_INSTANT(machine_.traceSink(),
                              TraceCategory::Channel, "ring.full");
@@ -166,7 +165,6 @@ CommandRing::post(const ChannelMessage &msg)
     }
     slots_[(head_ + count_) % slots_.size()] = msg;
     ++count_;
-    ++posted_;
     postedMetric_.inc();
     noteDepth();
     return true;

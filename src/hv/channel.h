@@ -163,8 +163,6 @@ class CommandRing
     void clear();
 
     std::size_t depth() const { return count_; }
-    std::uint64_t postedCount() const { return posted_; }
-    std::uint64_t fullCount() const { return full_; }
 
   private:
     /** Update the depth gauge and mirror it as a trace counter. */
@@ -182,8 +180,6 @@ class CommandRing
     std::vector<ChannelMessage> slots_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    std::uint64_t posted_ = 0;
-    std::uint64_t full_ = 0;
     Counter postedMetric_;
     Counter fullMetric_;
     Gauge depthMetric_;

@@ -71,12 +71,6 @@ GuestHypervisor::onL1TimerFired()
     }
 }
 
-std::uint64_t
-GuestHypervisor::handledCount(ExitReason reason) const
-{
-    return handled_[static_cast<std::size_t>(reason)];
-}
-
 void
 GuestHypervisor::skipInstruction(L1Backend &backend)
 {
@@ -99,8 +93,6 @@ bool
 GuestHypervisor::handleNestedExit(const ExitInfo &info,
                                   L1Backend &backend)
 {
-    ++handled_[static_cast<std::size_t>(info.reason)];
-
     // L1's KVM reads the exit reason from vmcs01' first.
     std::uint64_t reason = backend.vmcsRead(VmcsField::ExitReasonField);
     if (static_cast<ExitReason>(reason) != info.reason)

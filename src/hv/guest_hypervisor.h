@@ -13,7 +13,6 @@
 #ifndef SVTSIM_HV_GUEST_HYPERVISOR_H
 #define SVTSIM_HV_GUEST_HYPERVISOR_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -152,9 +151,6 @@ class GuestHypervisor
      */
     void onL1TimerFired();
 
-    /** Number of exits this hypervisor handled, per reason. */
-    std::uint64_t handledCount(ExitReason reason) const;
-
   private:
     void handleCpuid(L1Backend &backend);
     void handleRdmsr(L1Backend &backend);
@@ -189,10 +185,6 @@ class GuestHypervisor
         L1MmioHandler handler;
     };
     std::vector<MmioRegion> mmio_;
-
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(ExitReason::NumReasons)>
-        handled_{};
 };
 
 } // namespace svtsim

@@ -190,7 +190,6 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
             svt_->directReflect(1);
             l2Running_ = false;
         }
-        ++reflected_;
         directReflectMetric_.inc();
         bool resume;
         {
@@ -242,7 +241,6 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
 
     bool resume = true;
     if (!handled_in_l0) {
-        ++reflected_;
         reflectMetric_.inc();
         transformVmcs02ToVmcs12();
         resume = reflectToL1(info);

@@ -114,9 +114,6 @@ class VirtStack
     void postL1Housekeeping(Ticks cost);
 
     // -- Introspection -------------------------------------------------------
-    /** Nested exits reflected to L1 so far. */
-    std::uint64_t reflectedExits() const { return reflected_; }
-
     /** SW SVt: whether the watchdog degraded the stack onto the
      *  conventional nested trap path (until the quiet period ends). */
     bool svtDegraded() const { return svtDegraded_; }
@@ -345,7 +342,6 @@ class VirtStack
     /** Vector most recently delivered into L2 (-1 if none). */
     int l2DeliveredVector_ = -1;
 
-    std::uint64_t reflected_ = 0;
     bool inL1Window_ = false;
     bool pumping_ = false;
 

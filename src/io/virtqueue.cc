@@ -43,7 +43,6 @@ Virtqueue::post(const VirtioBuffer &buf)
     if (avail_.size() >= size_ || pressured) {
         // Back-pressure, not a protocol violation: the driver spins
         // until the device frees a slot. The buffer is never lost.
-        ++full_;
         fullMetric_.inc();
         SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Io,
                              "virtqueue.full." + name_);
@@ -51,12 +50,10 @@ Virtqueue::post(const VirtioBuffer &buf)
     }
     machine_.consume(machine_.costs().virtqueueDescriptor);
     avail_.push_back(buf);
-    ++posted_;
     postedMetric_.inc();
     noteAvailDepth();
     if (!deviceRunning_) {
         deviceRunning_ = true;
-        ++kicks_;
         kicksMetric_.inc();
         SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Io,
                              "virtqueue.kick." + name_);

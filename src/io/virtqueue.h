@@ -91,11 +91,6 @@ class Virtqueue
      *  kick suppression while the backend pipeline is busy). */
     void deviceBusy() { deviceRunning_ = true; }
 
-    // -- Statistics ------------------------------------------------------
-    std::uint64_t postedCount() const { return posted_; }
-    std::uint64_t kicksNeeded() const { return kicks_; }
-    std::uint64_t fullCount() const { return full_; }
-
   private:
     /** Update the avail-depth gauge and mirror it as a trace counter. */
     void noteAvailDepth();
@@ -106,9 +101,6 @@ class Virtqueue
     std::deque<VirtioBuffer> avail_;
     std::deque<VirtioBuffer> used_;
     bool deviceRunning_ = false;
-    std::uint64_t posted_ = 0;
-    std::uint64_t kicks_ = 0;
-    std::uint64_t full_ = 0;
     Counter postedMetric_;
     Counter kicksMetric_;
     Counter fullMetric_;

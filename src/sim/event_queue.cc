@@ -29,11 +29,10 @@ namespace svtsim {
  *     list order is seq order (same-tick FIFO; see DESIGN.md for why
  *     a direct insert can never be overtaken by a later cascade).
  *
- * Events whose timestamp differs from now_ above the wheel's top
- * level (2^56 ticks, ~20 simulated hours — saturated maxTick timers)
- * wait in far_, an ordered map, and are pulled into the wheel when
- * now_ enters their epoch. All far events are later than all wheel
- * events (they differ from now_ in a byte above the wheel).
+ * Eight levels cover all 64 bits, so every non-negative timestamp —
+ * a saturated maxTick timer included — has a slot. nextDue() is the
+ * one walk that finds the next due tick; advancing, draining to a
+ * horizon and running one event are loops over it.
  */
 
 EventQueue::~EventQueue() = default;
@@ -83,7 +82,7 @@ EventQueue::deschedule(EventId id)
         return false;
     const std::uint32_t idx = static_cast<std::uint32_t>(id) - 1;
     Record &rec = recordAt(idx);
-    unlink(rec, idx);
+    unlink(rec);
     freeRecord(idx, rec);
     --liveCount_;
     return true;
@@ -130,11 +129,6 @@ EventQueue::placeRecord(std::uint32_t idx, Record &rec)
 {
     const std::uint64_t diff =
         static_cast<std::uint64_t>(rec.when ^ now_);
-    if (SVTSIM_UNLIKELY(diff >> wheelBits)) {
-        rec.level = levelFar;
-        far_.emplace(std::make_pair(rec.when, rec.seq), idx);
-        return;
-    }
     const int level = diff ? topBitIndex(diff) / slotBits : 0;
     const int slot = static_cast<int>(
         (rec.when >> (level * slotBits)) & slotMask);
@@ -161,12 +155,8 @@ EventQueue::linkTail(int level, int slot, std::uint32_t idx,
 }
 
 void
-EventQueue::unlink(Record &rec, std::uint32_t idx)
+EventQueue::unlink(Record &rec)
 {
-    if (SVTSIM_UNLIKELY(rec.level == levelFar)) {
-        far_.erase(std::make_pair(rec.when, rec.seq));
-        return;
-    }
     Slot &sl = slots_[rec.level][rec.slot];
     if (rec.prev != nil)
         recordAt(rec.prev).next = rec.next;
@@ -178,7 +168,6 @@ EventQueue::unlink(Record &rec, std::uint32_t idx)
         sl.tail = rec.prev;
     if (sl.head == nil)
         clearOccupied(rec.level, rec.slot);
-    (void)idx;
 }
 
 void
@@ -216,9 +205,12 @@ EventQueue::lowestOccupiedLevel() const
 Ticks
 EventQueue::slotBase(int level, int slot) const
 {
+    // The top level's window is the whole timeline: no bits above it
+    // (and a shift by 64 would be undefined).
     const int shift = (level + 1) * slotBits;
-    return ((now_ >> shift) << shift) |
-           (static_cast<Ticks>(slot) << (level * slotBits));
+    const Ticks above =
+        level == numLevels - 1 ? 0 : (now_ >> shift) << shift;
+    return above | (static_cast<Ticks>(slot) << (level * slotBits));
 }
 
 void
@@ -235,14 +227,15 @@ EventQueue::moveTimeTo(Ticks t)
     // now-current slot down, highest level first so its events land
     // in already-cascaded lower levels. Skipped slots between the old
     // and new positions are empty by the caller's precondition (no
-    // live event earlier than t).
-    int top = topBitIndex(diff) / slotBits;
-    top = std::min(top, numLevels - 1);
-    for (int k = top; k >= 1; --k)
-        cascade(k,
-                static_cast<int>((t >> (k * slotBits)) & slotMask));
-    if (diff >> wheelBits)
-        pullFar();
+    // live event earlier than t). Both times are non-negative, so
+    // top is at most numLevels - 1. Most entered slots are empty, and
+    // this runs on every consume, so the emptiness test stays inline.
+    for (int k = topBitIndex(diff) / slotBits; k >= 1; --k) {
+        const int slot =
+            static_cast<int>((t >> (k * slotBits)) & slotMask);
+        if (slots_[k][slot].head != nil)
+            cascade(k, slot);
+    }
 }
 
 void
@@ -250,8 +243,6 @@ EventQueue::cascade(int level, int slot)
 {
     Slot &sl = slots_[level][slot];
     std::uint32_t idx = sl.head;
-    if (idx == nil)
-        return;
     sl.head = sl.tail = nil;
     clearOccupied(level, slot);
     // Walk in list order so same-tick events keep their seq order in
@@ -264,26 +255,12 @@ EventQueue::cascade(int level, int slot)
     }
 }
 
-void
-EventQueue::pullFar()
-{
-    while (!far_.empty()) {
-        const auto it = far_.begin();
-        const Ticks when = it->first.first;
-        if (static_cast<std::uint64_t>(when ^ now_) >> wheelBits)
-            break; // still beyond the wheel horizon
-        const std::uint32_t idx = it->second;
-        far_.erase(it);
-        placeRecord(idx, recordAt(idx));
-    }
-}
-
 Ticks
 EventQueue::nextEventTime() const
 {
     const int level = lowestOccupiedLevel();
     if (level < 0)
-        return far_.empty() ? maxTick : far_.begin()->first.first;
+        return maxTick;
     const int slot = firstOccupied(level);
     if (level == 0)
         return level0Time(slot);
@@ -303,17 +280,39 @@ EventQueue::fireCurrentSlot(Ticks t)
     // A handler may schedule at the current tick (appended to this
     // slot's tail: runs in this loop) or advance time recursively
     // (now_ moves past t: the recursion fired the rest, stop).
-    while (now_ == t) {
-        const std::uint32_t idx = slots_[0][slot].head;
-        if (idx == nil)
-            break;
-        Record &rec = recordAt(idx);
-        unlink(rec, idx);
-        EventClosure fn = std::move(rec.fn);
-        freeRecord(idx, rec);
-        --liveCount_;
-        ++executed_;
-        fn();
+    while (now_ == t && slots_[0][slot].head != nil)
+        fireHead(slot);
+}
+
+void
+EventQueue::fireHead(int slot)
+{
+    const std::uint32_t idx = slots_[0][slot].head;
+    Record &rec = recordAt(idx);
+    unlink(rec);
+    EventClosure fn = std::move(rec.fn);
+    freeRecord(idx, rec);
+    --liveCount_;
+    ++executed_;
+    fn();
+}
+
+bool
+EventQueue::nextDue(Ticks last, Ticks &t)
+{
+    for (;;) {
+        const int level = lowestOccupiedLevel();
+        if (level < 0)
+            return false;
+        const int slot = firstOccupied(level);
+        if (level == 0) {
+            t = level0Time(slot);
+            return t <= last;
+        }
+        const Ticks base = slotBase(level, slot);
+        if (base > last)
+            return false; // every event in the slot is >= base > last
+        moveTimeTo(base); // cascades the slot down; re-scan
     }
 }
 
@@ -389,62 +388,20 @@ EventQueue::gatedAdvance(Ticks when, bool idle)
 std::uint64_t
 EventQueue::runUntilTick(Ticks limit)
 {
-    std::uint64_t fired = 0;
-    for (;;) {
-        const int level = lowestOccupiedLevel();
-        if (level < 0) {
-            if (far_.empty())
-                break;
-            const Ticks farWhen = far_.begin()->first.first;
-            if (farWhen >= limit)
-                break;
-            moveTimeTo(farWhen); // pulls the far epoch into the wheel
-            continue;
-        }
-        const int slot = firstOccupied(level);
-        if (level > 0) {
-            const Ticks base = slotBase(level, slot);
-            if (base >= limit)
-                break; // every event in the slot is >= base >= limit
-            moveTimeTo(base); // cascades the slot down; re-scan
-            continue;
-        }
-        const Ticks t = level0Time(slot);
-        if (t >= limit)
-            break;
-        const std::uint64_t before = executed_;
+    const std::uint64_t before = executed_;
+    Ticks t;
+    while (nextDue(limit - 1, t)) {
         moveTimeTo(t);
         fireCurrentSlot(t);
-        fired += executed_ - before;
     }
-    return fired;
+    return executed_ - before;
 }
 
 void
 EventQueue::advanceUngated(Ticks when)
 {
-    for (;;) {
-        const int level = lowestOccupiedLevel();
-        if (level < 0) {
-            if (far_.empty())
-                break;
-            const Ticks farWhen = far_.begin()->first.first;
-            if (farWhen > when)
-                break;
-            moveTimeTo(farWhen); // pulls the far epoch into the wheel
-            continue;
-        }
-        const int slot = firstOccupied(level);
-        if (level > 0) {
-            const Ticks base = slotBase(level, slot);
-            if (base > when)
-                break;
-            moveTimeTo(base); // cascades the slot down; re-scan
-            continue;
-        }
-        const Ticks t = level0Time(slot);
-        if (t > when)
-            break;
+    Ticks t;
+    while (nextDue(when, t)) {
         moveTimeTo(t);
         fireCurrentSlot(t);
     }
@@ -463,33 +420,12 @@ EventQueue::advanceBy(Ticks delta)
 bool
 EventQueue::runNext()
 {
-    for (;;) {
-        const int level = lowestOccupiedLevel();
-        if (level < 0) {
-            if (far_.empty())
-                return false;
-            moveTimeTo(far_.begin()->first.first);
-            continue;
-        }
-        const int slot = firstOccupied(level);
-        if (level > 0) {
-            moveTimeTo(slotBase(level, slot));
-            continue;
-        }
-        const Ticks t = level0Time(slot);
-        moveTimeTo(t);
-        const std::uint32_t idx = slots_[0][slot].head;
-        simAssert(idx != nil,
-                  "EventQueue: occupied level-0 slot with no records");
-        Record &rec = recordAt(idx);
-        unlink(rec, idx);
-        EventClosure fn = std::move(rec.fn);
-        freeRecord(idx, rec);
-        --liveCount_;
-        ++executed_;
-        fn();
-        return true;
-    }
+    Ticks t;
+    if (!nextDue(maxTick, t))
+        return false;
+    moveTimeTo(t);
+    fireHead(static_cast<int>(t & slotMask));
+    return true;
 }
 
 bool

@@ -24,9 +24,10 @@
  * zero heap allocations (closures live inline in the record via
  * EventClosure), and deschedule() unlinks
  * the record from its slot eagerly — there is no lazy-deletion debris,
- * so empty()/size()/nextEventTime() always agree. Events beyond the
- * wheel horizon (2^56 ticks ~ 20 simulated hours) sit in an ordered
- * far map until the wheel advances into their epoch.
+ * so empty()/size()/nextEventTime() always agree. Eight 8-bit levels
+ * cover every non-negative timestamp, so the wheel is the only event
+ * store, and one private walk (nextDue) finds the next due tick for
+ * every way of moving time forward.
  *
  * Determinism contract (unchanged): events at the same tick run in
  * scheduling order. Level-0 slots are exact-tick buckets and every
@@ -39,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -101,7 +101,7 @@ constexpr EventId invalidEventId = 0;
  * runs deterministic.
  *
  * Cancellation is eager end to end: deschedule() unlinks the record
- * from its wheel slot (or the far map) and releases the closure — and
+ * from its wheel slot and releases the closure — and
  * anything it captured — immediately, so a schedule/cancel churn loop
  * (a re-armed watchdog) leaves no debris behind.
  */
@@ -261,23 +261,22 @@ class EventQueue
     static constexpr int slotBits = 8;
     /** Slots per wheel level. */
     static constexpr int numSlots = 1 << slotBits;
-    /** Wheel levels; level k spans ticks [2^(8k), 2^(8(k+1))). */
-    static constexpr int numLevels = 7;
-    /** Ticks covered by the wheel before the far map takes over. */
-    static constexpr int wheelBits = slotBits * numLevels;
+    /**
+     * Wheel levels; level k spans ticks [2^(8k), 2^(8(k+1))). Eight
+     * levels cover all 64 bits of a Ticks value.
+     */
+    static constexpr int numLevels = 8;
 
   private:
     static constexpr std::uint32_t nil = 0xffffffffu;
     static constexpr int slotMask = numSlots - 1;
-    /** Record::level value for events parked in the far map. */
-    static constexpr std::uint8_t levelFar = 0xfe;
     /** Record::level value for free arena slots. */
     static constexpr std::uint8_t levelFree = 0xff;
     static constexpr std::uint32_t chunkSize = 256;
 
     /**
      * One event. Lives in the arena; linked into exactly one wheel
-     * slot (via prev/next) or the far map while pending.
+     * slot (via prev/next) while pending.
      */
     struct Record
     {
@@ -325,7 +324,7 @@ class EventQueue
     /** Bucket a record by when vs now_ and append to its slot. */
     void placeRecord(std::uint32_t idx, Record &rec);
     void linkTail(int level, int slot, std::uint32_t idx, Record &rec);
-    void unlink(Record &rec, std::uint32_t idx);
+    void unlink(Record &rec);
 
     void markOccupied(int level, int slot);
     void clearOccupied(int level, int slot);
@@ -339,21 +338,37 @@ class EventQueue
     {
         return (now_ & ~static_cast<Ticks>(slotMask)) | slot;
     }
-    /** Window base of level-k slot @p slot (k >= 1). */
+    /**
+     * Window base of level-k slot @p slot (k >= 1) in the current
+     * window of level k + 1; the top level's window is all of time.
+     */
     Ticks slotBase(int level, int slot) const;
 
     /**
      * Jump now_ to @p t, cascading the wheel slots that t's windows
-     * enter and pulling newly-reachable far events in.
+     * enter.
      * @pre no live event has a timestamp < t.
      */
     void moveTimeTo(Ticks t);
-    /** Re-bucket every record in level-k slot @p slot vs new now_. */
+    /** Re-bucket every record in non-empty level-k slot @p slot vs
+     *  the new now_. */
     void cascade(int level, int slot);
-    void pullFar();
+
+    /**
+     * The one "find the next due tick" walk: cascade until the
+     * earliest pending event sits in a level-0 slot and store its
+     * tick in @p t. Cascading moves now_ only up to window bases at
+     * or before that tick.
+     *
+     * @return False, leaving @p t unset, if no event is due at or
+     *         before @p last.
+     */
+    SVTSIM_ALWAYS_INLINE bool nextDue(Ticks last, Ticks &t);
 
     /** Fire all events at tick t (== now_) in seq order. */
     void fireCurrentSlot(Ticks t);
+    /** Fire the first event of level-0 slot @p slot (non-empty). */
+    SVTSIM_ALWAYS_INLINE void fireHead(int slot);
 
     /** advanceTo() body without the horizon check. */
     void advanceUngated(Ticks when);
@@ -374,8 +389,6 @@ class EventQueue
     std::uint64_t occupied_[numLevels][numSlots / 64] = {};
     /** Bit k set iff level k has any occupied slot. */
     std::uint32_t levelSummary_ = 0;
-    /** Events beyond the wheel horizon, ordered by (when, seq). */
-    std::map<std::pair<Ticks, std::uint64_t>, std::uint32_t> far_;
 
     Ticks now_ = 0;
     /** Exclusive bound on event execution while a gate is installed. */

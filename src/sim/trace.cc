@@ -2,35 +2,10 @@
 
 #include <ostream>
 
+#include "sim/json.h"
 #include "sim/log.h"
 
 namespace svtsim {
-
-namespace {
-
-/** Minimal JSON string escaping (names are ASCII identifiers, but be
- *  safe about quotes/backslashes/control bytes). */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 const char *
 traceCategoryName(TraceCategory c)
@@ -134,7 +109,7 @@ TraceSink::writeChromeTrace(std::ostream &os) const
             os << ',';
         first = false;
         os << "{\"name\":";
-        writeJsonString(os, ev.name);
+        jsonString(os, ev.name);
         os << ",\"cat\":\"" << traceCategoryName(ev.category)
            << "\",\"pid\":0,\"tid\":0,\"ts\":" << us(ev.start);
         switch (ev.phase) {

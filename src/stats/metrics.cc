@@ -1,48 +1,14 @@
 #include "stats/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
+#include "sim/json.h"
 #include "sim/log.h"
 #include "stats/table.h"
 
 namespace svtsim {
-
-namespace {
-
-/** Minimal JSON string escaping (metric names are ASCII). */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
-
-/** Shortest round-trippable double; deterministic because the
- *  underlying integer data is. */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 const char *
 metricScopeName(MetricScope scope)

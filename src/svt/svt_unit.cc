@@ -74,7 +74,6 @@ SvtUnit::vmResume()
     uregs_.current = uregs_.vm;
     uregs_.isVm = true;
     core_.retargetFetch(static_cast<int>(uregs_.current));
-    ++switches_;
     switchMetric_.inc();
     vmResumeMetric_.inc();
 }
@@ -95,7 +94,6 @@ SvtUnit::vmTrap()
     uregs_.current = uregs_.visor;
     uregs_.isVm = false;
     core_.retargetFetch(static_cast<int>(uregs_.current));
-    ++switches_;
     switchMetric_.inc();
     vmTrapMetric_.inc();
 }
@@ -114,7 +112,6 @@ SvtUnit::directReflect(int handler_ctx)
     uregs_.current = static_cast<std::uint64_t>(handler_ctx);
     uregs_.isVm = true;
     core_.retargetFetch(handler_ctx);
-    ++switches_;
     switchMetric_.inc();
     directReflectMetric_.inc();
 }
@@ -163,7 +160,6 @@ SvtUnit::ctxtld(int lvl, Gpr reg, std::uint64_t &out)
     }
     machine_.consume(machine_.costs().ctxtRegAccess);
     out = ctx->readGpr(reg);
-    ++crossAccesses_;
     ctxtldMetric_.inc();
     return Access::Ok;
 }
@@ -179,7 +175,6 @@ SvtUnit::ctxtst(int lvl, Gpr reg, std::uint64_t value)
     }
     machine_.consume(machine_.costs().ctxtRegAccess);
     ctx->writeGpr(reg, value);
-    ++crossAccesses_;
     ctxtstMetric_.inc();
     return Access::Ok;
 }
@@ -199,7 +194,6 @@ SvtUnit::ctxtld(int lvl, SvtSpecialReg reg, std::uint64_t &out)
       case SvtSpecialReg::Cr3: out = ctx->readCr(Ctrl::Cr3); break;
       case SvtSpecialReg::Cr4: out = ctx->readCr(Ctrl::Cr4); break;
     }
-    ++crossAccesses_;
     ctxtldMetric_.inc();
     return Access::Ok;
 }
@@ -219,7 +213,6 @@ SvtUnit::ctxtst(int lvl, SvtSpecialReg reg, std::uint64_t value)
       case SvtSpecialReg::Cr3: ctx->writeCr(Ctrl::Cr3, value); break;
       case SvtSpecialReg::Cr4: ctx->writeCr(Ctrl::Cr4, value); break;
     }
-    ++crossAccesses_;
     ctxtstMetric_.inc();
     return Access::Ok;
 }

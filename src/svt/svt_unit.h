@@ -145,10 +145,6 @@ class SvtUnit
     void setGuestGprTrap(Gpr reg, bool trap);
     bool guestGprTraps(Gpr reg) const;
 
-    // -- Statistics ------------------------------------------------------------
-    std::uint64_t switchCount() const { return switches_; }
-    std::uint64_t crossAccessCount() const { return crossAccesses_; }
-
   private:
     void requireEnabled(const char *op) const;
     HwContext *targetContext(int lvl, bool &traps);
@@ -158,8 +154,6 @@ class SvtUnit
     bool enabled_ = false;
     SvtUregs uregs_;
     std::bitset<numGprs> guestTrapMask_;
-    std::uint64_t switches_ = 0;
-    std::uint64_t crossAccesses_ = 0;
     /** PMU handles for stall/resume transitions and cross-context
      *  register traffic; shared across all SvtUnits on a machine. */
     Counter switchMetric_;

@@ -1,48 +1,18 @@
 #include "system/bench_harness.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 
+#include "sim/json.h"
 #include "sim/log.h"
 #include "sim/worker_pool.h"
 
 namespace svtsim {
 
 namespace {
-
-/** Minimal JSON string escaping (names are ASCII identifiers). */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
-
-/** Shortest round-trippable double representation; deterministic
- *  across worker counts because the values themselves are. */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 bool
 parseUint(const std::string &text, std::uint64_t &out)

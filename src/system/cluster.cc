@@ -272,34 +272,22 @@ Cluster::~Cluster()
 
 int
 Cluster::addMachine(const std::string &name, VirtMode mode,
-                    StackConfig config,
-                    std::optional<std::uint64_t> seedOffset)
+                    StackConfig config)
 {
-    simAssert(!ran_, "Cluster::addMachine after run()");
-    const int id = size();
-    const std::uint64_t offset =
-        seedOffset ? *seedOffset : static_cast<std::uint64_t>(id);
-    auto node = std::make_unique<Node>();
-    node->name = name;
-    node->system =
-        std::make_unique<NestedSystem>(mode, config, baseSeed_ + offset);
-    nodes_.push_back(std::move(node));
-    return id;
+    config.mode = mode;
+    return addMachine(name, paperTopology(mode), config);
 }
 
 int
 Cluster::addMachine(const std::string &name,
-                    const MachineTopology &topo, StackConfig config,
-                    std::optional<std::uint64_t> seedOffset)
+                    const MachineTopology &topo, StackConfig config)
 {
     simAssert(!ran_, "Cluster::addMachine after run()");
     const int id = size();
-    const std::uint64_t offset =
-        seedOffset ? *seedOffset : static_cast<std::uint64_t>(id);
     auto node = std::make_unique<Node>();
     node->name = name;
-    node->system =
-        std::make_unique<NestedSystem>(topo, config, baseSeed_ + offset);
+    node->system = std::make_unique<NestedSystem>(
+        topo, config, baseSeed_ + static_cast<std::uint64_t>(id));
     nodes_.push_back(std::move(node));
     return id;
 }

@@ -58,7 +58,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,15 +97,14 @@ class Cluster
     /**
      * Add a machine built like a sweep scenario's NestedSystem:
      * paper topology for @p mode, validated config, seeded with
-     * baseSeed + seedOffset (default offset: the machine index, so
-     * machines get decorrelated RNG streams).
+     * baseSeed + the machine index, so machines get decorrelated RNG
+     * streams.
      *
      * @return The machine id (dense, starting at 0) used in merge
      *         ordering and CrossLink construction.
      */
     int addMachine(const std::string &name, VirtMode mode,
-                   StackConfig config = {},
-                   std::optional<std::uint64_t> seedOffset = {});
+                   StackConfig config = {});
 
     /**
      * Add a machine with an explicit topology (the fleet scheduler's
@@ -114,8 +112,7 @@ class Cluster
      * box); the mode comes from @p config.mode.
      */
     int addMachine(const std::string &name,
-                   const MachineTopology &topo, StackConfig config,
-                   std::optional<std::uint64_t> seedOffset = {});
+                   const MachineTopology &topo, StackConfig config);
 
     int size() const { return static_cast<int>(nodes_.size()); }
     NestedSystem &system(int id);

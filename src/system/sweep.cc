@@ -129,7 +129,7 @@ SweepRunner::runOne(const Scenario &scenario,
 {
     result.name_ = scenario.name;
     result.mode_ = scenario.mode;
-    result.seed_ = options.baseSeed + scenario.seedOffset;
+    result.seed_ = options.baseSeed;
     if (scenario.clusterRun) {
         try {
             ClusterContext ctx(result.seed_, options.clusterJobs,

@@ -67,9 +67,6 @@ struct Scenario
     std::string name;
     VirtMode mode = VirtMode::Nested;
     StackConfig config{};
-    /** Added to the sweep's base seed (scenarios that want decorrelated
-     *  streams set distinct offsets; most leave 0). */
-    std::uint64_t seedOffset = 0;
     /** Topology override; defaults to paperTopology(mode). */
     std::optional<MachineTopology> topology;
     ScenarioFn run;
@@ -103,8 +100,7 @@ class ClusterContext
   public:
     ~ClusterContext();
 
-    /** Base seed for the Cluster (already includes the scenario's
-     *  seed offset). */
+    /** Base seed for the Cluster (the sweep's seed). */
     std::uint64_t seed() const { return seed_; }
     /** --cluster-jobs: worker count for Cluster::run (1 = the
      *  sequential oracle). */
@@ -219,7 +215,7 @@ struct SweepOptions
 {
     /** Worker threads; 1 runs inline on the calling thread. */
     int jobs = 1;
-    /** Base seed; each scenario runs at baseSeed + seedOffset. */
+    /** Seed every scenario runs at. */
     std::uint64_t baseSeed = 1;
     /** When non-empty, each scenario exports a trace labeled with its
      *  name (see ScopedTrace). */

@@ -163,7 +163,6 @@ VmxEngine::vmexit(const ExitInfo &info)
     ctx.writeCr(Ctrl::Cr4, current_->read(VmcsField::HostCr4));
 
     inGuest_ = false;
-    ++exits_;
     exitMetric_.inc();
     exitReasonMetric_[static_cast<std::size_t>(info.reason)].inc();
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmx,
@@ -183,7 +182,6 @@ VmxEngine::guestVmread(VmcsField field, std::uint64_t &value)
     if (shadowing && shadow && vmcsFieldIsShadowable(field)) {
         machine_.consume(machine_.costs().vmShadowAccess);
         value = shadow->read(field);
-        ++shadowAccesses_;
         shadowReadMetric_.inc();
         SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmcs,
                              "vmcs.shadow_read");
@@ -205,7 +203,6 @@ VmxEngine::guestVmwrite(VmcsField field, std::uint64_t value)
         vmcsFieldClass(field) != VmcsFieldClass::ExitInfo) {
         machine_.consume(machine_.costs().vmShadowAccess);
         shadow->write(field, value);
-        ++shadowAccesses_;
         shadowWriteMetric_.inc();
         SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmcs,
                              "vmcs.shadow_write");

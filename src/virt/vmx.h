@@ -100,10 +100,6 @@ class VmxEngine
     /** A guest vmwrite; same contract as guestVmread(). */
     bool guestVmwrite(VmcsField field, std::uint64_t value);
 
-    // -- Statistics ----------------------------------------------------------
-    std::uint64_t exitCount() const { return exits_; }
-    std::uint64_t shadowAccessCount() const { return shadowAccesses_; }
-
   private:
     /** MSR-list switch cost applicable to the current VMCS. */
     Ticks hypervisorStateSwitchCost() const;
@@ -114,8 +110,6 @@ class VmxEngine
     bool vmxOn_ = false;
     bool inGuest_ = false;
     Vmcs *current_ = nullptr;
-    std::uint64_t exits_ = 0;
-    std::uint64_t shadowAccesses_ = 0;
     /** Interned PMU handles; every engine on a machine shares the same
      *  aggregate slots (registration is idempotent on name). */
     Counter entryMetric_;

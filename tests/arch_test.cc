@@ -160,23 +160,6 @@ TEST(HwContext, MsrDefaultsToZero)
     EXPECT_EQ(c.rdmsr(msr::ia32Efer), 0x500u);
 }
 
-TEST(HwContext, CopyArchState)
-{
-    PhysRegFile prf(128);
-    HwContext src(prf, 0), dst(prf, 1);
-    src.writeGpr(Gpr::Rdx, 0x42);
-    src.rip = 0xfeed;
-    src.rflags = 0x246;
-    src.wrmsr(msr::ia32Lstar, 0x777);
-    src.writeCr(Ctrl::Cr0, 0x80000011);
-    dst.copyArchStateFrom(src);
-    EXPECT_EQ(dst.readGpr(Gpr::Rdx), 0x42u);
-    EXPECT_EQ(dst.rip, 0xfeedu);
-    EXPECT_EQ(dst.rflags, 0x246u);
-    EXPECT_EQ(dst.rdmsr(msr::ia32Lstar), 0x777u);
-    EXPECT_EQ(dst.readCr(Ctrl::Cr0), 0x80000011u);
-}
-
 TEST(HwContext, BulkGprWriteMatchesSequentialWrites)
 {
     // Two identical cores, each with a sibling context, whose free

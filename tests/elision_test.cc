@@ -323,8 +323,9 @@ TEST(MultiQueueVirtio, CompletionsStayFifoWithinEachQueue)
     std::vector<bool> seen(4, false);
     for (std::uint64_t id : order) {
         auto q = static_cast<std::size_t>(id % 4);
-        if (seen[q])
+        if (seen[q]) {
             EXPECT_LT(last[q], id) << "queue " << q << " reordered";
+        }
         last[q] = id;
         seen[q] = true;
     }

@@ -4,7 +4,7 @@
  * test against the retired binary-heap implementation (the oracle), a
  * zero-steady-state-allocation lock-in for the arena + small-buffer
  * closures, and regression tests for the wheel-specific machinery
- * (cascades, far map, handle generations, label interning).
+ * (cascades, the top level, handle generations).
  */
 
 #include <gtest/gtest.h>
@@ -391,11 +391,11 @@ TEST(EventWheel, SameTickFifoAcrossCascadeBoundaries)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventWheel, FarHorizonEventsFireInOrder)
+TEST(EventWheel, TopLevelEventsFireInOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    const Ticks beyond = static_cast<Ticks>(1) << 57; // past the wheel
+    const Ticks beyond = static_cast<Ticks>(1) << 57; // level 7
     eq.schedule(beyond + 5, [&] { order.push_back(2); });
     eq.schedule(beyond, [&] { order.push_back(1); });
     eq.schedule(maxTick, [&] { order.push_back(3); });
@@ -407,6 +407,25 @@ TEST(EventWheel, FarHorizonEventsFireInOrder)
     eq.advanceTo(maxTick);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(eq.empty());
+
+    // From a non-zero now(): the top-level slot base must not carry
+    // now()'s low bits (else the final advance skips the slot and
+    // strands its events behind now()), and a direct insert into a
+    // top-level slot fires after the events already queued there.
+    EventQueue late;
+    std::vector<int> lateOrder;
+    const Ticks target = beyond + 3;
+    late.advanceTo(1000);
+    late.schedule(target, [&] { lateOrder.push_back(1); });
+    late.schedule(target, [&] { lateOrder.push_back(2); });
+    const EventId forever = late.schedule(maxTick, [] {});
+    late.advanceTo(beyond - 1); // just before target's top-level window
+    late.schedule(target, [&] { lateOrder.push_back(3); });
+    EXPECT_TRUE(late.deschedule(forever));
+    late.advanceTo(target);
+    EXPECT_EQ(lateOrder, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(late.now(), target);
+    EXPECT_TRUE(late.empty());
 }
 
 TEST(EventWheel, StaleHandleDoesNotAliasRecycledRecord)
@@ -443,8 +462,8 @@ TEST(EventWheel, HandlerSchedulingAtCurrentTickRunsInSameAdvance)
 
 TEST(EventWheel, ManyEventsAcrossAllLevels)
 {
-    // Sweep deltas through every wheel level (and the far map) and
-    // verify global time ordering plus exact counts.
+    // Sweep deltas through every wheel level and verify global time
+    // ordering plus exact counts.
     EventQueue eq;
     std::vector<Ticks> fired;
     int n = 0;

@@ -260,7 +260,7 @@ TEST(VirtioFault, BackpressureStallsTheProducer)
     Virtqueue q(machine, "q", 8);
     Ticks t0 = machine.now();
     q.post(VirtioBuffer{1, 512, 0, false});
-    EXPECT_EQ(q.fullCount(), 1u);
+    EXPECT_EQ(machine.counter("q.full"), 1u);
     EXPECT_GE(machine.now() - t0, machine.costs().ringFullWait);
     // The buffer was stalled, not lost.
     VirtioBuffer buf;

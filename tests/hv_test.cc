@@ -33,6 +33,14 @@ topoFor(VirtMode mode)
     return t;
 }
 
+/** Nested exits L0 reflected to L1, by either reflect path. */
+std::uint64_t
+reflectCount(const Machine &machine)
+{
+    return machine.counter("l0.reflect") +
+           machine.counter("l0.direct_reflect");
+}
+
 struct Rig
 {
     explicit Rig(VirtMode mode, bool shadowing = true,
@@ -620,7 +628,7 @@ TEST(SwSvt, CommandRingCarriesTrapAndResume)
     rig.stack->api().cpuid(1);
     // Each reflected exit posts exactly one CMD_VM_TRAP and one
     // CMD_VM_RESUME (Figure 5).
-    EXPECT_GE(rig.stack->reflectedExits(), 1u);
+    EXPECT_GE(reflectCount(rig.machine), 1u);
 }
 
 TEST(SwSvt, PreemptionWithFixInjectsSvtBlocked)
@@ -762,7 +770,7 @@ measurePins(Transport t, PinCase pc, StageSums *sums = nullptr)
     p[0] = machine.now() - t0;
     for (std::size_t i = 1; i <= std::size(pinScopes); ++i)
         p[i] = machine.scopeTotal(pinScopes[i - 1]);
-    p[9] = static_cast<std::int64_t>(stack.reflectedExits());
+    p[9] = static_cast<std::int64_t>(reflectCount(machine));
     for (std::size_t i = 10; i < p.size(); ++i) {
         p[i] = static_cast<std::int64_t>(
             machine.metrics().counterValue(pinNames[i]));
@@ -885,22 +893,26 @@ TEST(HwSvt, ReflectUsesThreadSwitchesNotContextSaves)
 {
     Rig rig(VirtMode::HwSvt);
     rig.stack->api().cpuid(1);
-    auto switches_before = rig.stack->svtUnit().switchCount();
+    auto switches_before = rig.machine.counter("svt.switch");
     rig.stack->api().cpuid(1);
     // One L2 trap: L2->L0, L0->L1, (folded trap: L1->L0->L1),
     // L1->L0, L0->L2 = at least 4 switches.
-    EXPECT_GE(rig.stack->svtUnit().switchCount(), switches_before + 4);
+    EXPECT_GE(rig.machine.counter("svt.switch"), switches_before + 4);
 }
 
 TEST(HwSvt, CrossContextAccessesReplaceRegisterSync)
 {
     Rig rig(VirtMode::HwSvt);
     rig.stack->api().cpuid(1);
-    auto before = rig.stack->svtUnit().crossAccessCount();
+    auto crossAccesses = [&rig] {
+        return rig.machine.counter("svt.ctxtld") +
+               rig.machine.counter("svt.ctxtst");
+    };
+    auto before = crossAccesses();
     rig.stack->api().cpuid(1);
     // The L1 handler reads the leaf and writes 4 result registers
     // plus RIP updates through ctxtld/ctxtst.
-    EXPECT_GE(rig.stack->svtUnit().crossAccessCount(), before + 5);
+    EXPECT_GE(crossAccesses(), before + 5);
 }
 
 TEST(HwSvt, L2RegistersLiveInContext2)
@@ -1044,7 +1056,7 @@ TEST(Channel, RingProtocol)
     ring.post(msg);
     Ticks before = machine.now();
     EXPECT_TRUE(ring.post(msg));
-    EXPECT_EQ(ring.fullCount(), 1u);
+    EXPECT_EQ(machine.counter("ring.test.full"), 1u);
     EXPECT_GE(machine.now() - before, machine.costs().ringFullWait);
     EXPECT_EQ(ring.depth(), 3u);
 }
@@ -1065,7 +1077,7 @@ TEST(Channel, RingKeepsFifoOrderAcrossWrapAndGrowth)
     post(2);
     post(3);
     post(4);
-    EXPECT_EQ(ring.fullCount(), 1u);
+    EXPECT_EQ(machine.counter("ring.test.full"), 1u);
     post(5);
     EXPECT_EQ(ring.depth(), 4u);
     for (std::uint64_t tag = 2; tag <= 5; ++tag)

@@ -74,8 +74,8 @@ TEST(VirtqueueProperty, RandomSequencePreservesFifoAndCounts)
             }
             EXPECT_EQ(q.availDepth(), model_avail.size());
         }
-        EXPECT_EQ(q.kicksNeeded(), kicks);
-        EXPECT_EQ(q.postedCount(), next_id - 1);
+        EXPECT_EQ(machine.counter("prop.kicks"), kicks);
+        EXPECT_EQ(machine.counter("prop.posted"), next_id - 1);
     }
 }
 

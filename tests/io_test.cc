@@ -58,8 +58,8 @@ TEST_F(VirtqueueTest, KickSuppressionWhileDeviceRuns)
     }
     // Device drained and went idle: next post kicks again.
     EXPECT_TRUE(q.post(VirtioBuffer{4, 1, 0, false}));
-    EXPECT_EQ(q.kicksNeeded(), 2u);
-    EXPECT_EQ(q.postedCount(), 4u);
+    EXPECT_EQ(machine.counter("q.kicks"), 2u);
+    EXPECT_EQ(machine.counter("q.posted"), 4u);
 }
 
 TEST_F(VirtqueueTest, FifoOrder)
@@ -83,7 +83,7 @@ TEST_F(VirtqueueTest, FullRingBackPressuresInsteadOfPanicking)
     // lost; the full counter records the stall.
     Ticks before = machine.now();
     q.post(VirtioBuffer{2, 1, 0, false});
-    EXPECT_EQ(q.fullCount(), 1u);
+    EXPECT_EQ(machine.counter("q.full"), 1u);
     EXPECT_GE(machine.now() - before, machine.costs().ringFullWait);
     VirtioBuffer buf;
     for (std::uint64_t i = 0; i < 3; ++i) {

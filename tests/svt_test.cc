@@ -87,7 +87,7 @@ TEST_F(SvtUnitTest, TrapRetargetsToVisor)
     EXPECT_EQ(unit.uregs().current, 0u);
     EXPECT_FALSE(unit.uregs().isVm);
     EXPECT_EQ(machine.core(0).activeContext(), 0);
-    EXPECT_EQ(unit.switchCount(), 2u);
+    EXPECT_EQ(machine.counter("svt.switch"), 2u);
 }
 
 TEST_F(SvtUnitTest, SwitchCostIsSquashOnly)
@@ -170,7 +170,9 @@ TEST_F(SvtUnitTest, CrossContextGprReadWrite)
     EXPECT_EQ(v, 0x77u);
     EXPECT_EQ(unit.ctxtst(1, Gpr::Rbx, 0x88), SvtUnit::Access::Ok);
     EXPECT_EQ(machine.core(0).context(1).readGpr(Gpr::Rbx), 0x88u);
-    EXPECT_EQ(unit.crossAccessCount(), 2u);
+    EXPECT_EQ(machine.counter("svt.ctxtld") +
+                  machine.counter("svt.ctxtst"),
+              2u);
 }
 
 TEST_F(SvtUnitTest, CrossContextDoesNotDisturbOwnRegisters)

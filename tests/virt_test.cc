@@ -299,7 +299,7 @@ TEST_F(VmxTest, EntryExitRoundTripMovesState)
     EXPECT_EQ(engine.context().readCr(Ctrl::Cr3), 0x111000u);
     EXPECT_EQ(vmcs.read(VmcsField::GuestRip), 0x400010u);
     EXPECT_EQ(vmcs.exitInfo().reason, ExitReason::Cpuid);
-    EXPECT_EQ(engine.exitCount(), 1u);
+    EXPECT_EQ(machine.counter("vmx.exit"), 1u);
     EXPECT_EQ(machine.counter("vmx.exit.CPUID"), 1u);
 }
 
@@ -390,7 +390,9 @@ TEST_F(VmxTest, ShadowReadHitsWithoutTrap)
     std::uint64_t value = 0;
     EXPECT_TRUE(engine.guestVmread(VmcsField::ExitReasonField, value));
     EXPECT_EQ(value, static_cast<std::uint64_t>(ExitReason::Cpuid));
-    EXPECT_EQ(engine.shadowAccessCount(), 1u);
+    EXPECT_EQ(machine.counter("vmx.shadow_read") +
+                  machine.counter("vmx.shadow_write"),
+              1u);
 }
 
 TEST_F(VmxTest, ShadowWriteUpdatesShadow)
