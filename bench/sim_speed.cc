@@ -15,6 +15,9 @@
  *  - mixed_fig7:     the fig7-style I/O mix — per-round completion +
  *    IPI timers at ns scale, a cancelled timeout, occasional slow
  *    timers, randomized (seeded) deltas.
+ *  - consume_heavy:  the trap-round shape — long runs of tiny
+ *    advanceBy() charges between sparse periodic timers, where most
+ *    advances cross no pending event.
  *
  * Unlike the sweep benches this measures host wall clock, so the JSON
  * is not byte-deterministic; the workload event counts and simulated
@@ -210,6 +213,46 @@ runMixedFig7(std::uint64_t iters, std::uint64_t seed)
     return r;
 }
 
+/**
+ * Consume-heavy: trap rounds of 200 advanceBy() charges of 20-200 ns
+ * each (the Machine::consume calls of one replayed round), against
+ * eight periodic timers that together fire about once per 5 us, so
+ * about 45 charges pass between consecutive events. The charge
+ * sequence is seeded and drawn before the clock starts, so the timed
+ * loop is queue work only.
+ */
+template <class Q>
+SpeedResult
+runConsumeHeavy(std::uint64_t rounds, std::uint64_t seed)
+{
+    constexpr int timers = 8;
+    constexpr int chargesPerRound = 200;
+    Q q;
+    Rng rng(seed);
+    SpeedResult r;
+    std::uint64_t fired = 0;
+    for (int i = 0; i < timers; ++i) {
+        const Ticks period = usec(40) + nsec(i);
+        q.scheduleIn(period, PeriodicTimer<Q>{&q, &fired, period});
+    }
+    std::vector<Ticks> charges(4096);
+    for (Ticks &c : charges)
+        c = nsec(20 + static_cast<Ticks>(rng.below(181)));
+    std::size_t next = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+        for (int k = 0; k < chargesPerRound; ++k) {
+            q.advanceBy(charges[next]);
+            next = (next + 1) % charges.size();
+        }
+    }
+    r.wallSec = elapsedSec(t0);
+    r.fired = fired;
+    r.ops = rounds * chargesPerRound + 2 * fired;
+    r.simTicks = q.now();
+    return r;
+}
+
 /** Best-of-N wrapper: keeps the run with the smallest wall time. */
 template <class Fn>
 SpeedResult
@@ -300,6 +343,7 @@ runSpeedBench(int argc, char **argv, const BenchOptions &options)
     const std::uint64_t scheduleIters = quick ? 200000 : 3200000;
     const std::uint64_t cancelIters = quick ? 20000 : 400000;
     const std::uint64_t mixedIters = quick ? 20000 : 300000;
+    const std::uint64_t consumeRounds = quick ? 10000 : 200000;
     const std::uint64_t seed = options.seed;
 
     std::vector<WorkloadRow> rows;
@@ -328,6 +372,17 @@ runSpeedBench(int argc, char **argv, const BenchOptions &options)
          bestOf(reps, [&] {
              return runMixedFig7<ReferenceEventQueue>(mixedIters,
                                                       seed);
+         })});
+    rows.push_back(
+        {"consume_heavy",
+         bestOf(reps,
+                [&] {
+                    return runConsumeHeavy<EventQueue>(consumeRounds,
+                                                       seed);
+                }),
+         bestOf(reps, [&] {
+             return runConsumeHeavy<ReferenceEventQueue>(consumeRounds,
+                                                         seed);
          })});
 
     // Sanity: both implementations must have processed the identical

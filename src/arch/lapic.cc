@@ -1,6 +1,7 @@
 #include "arch/lapic.h"
 
 #include <algorithm>
+#include <bitset>
 
 #include "sim/compiler.h"
 #include "sim/fault.h"
@@ -34,10 +35,20 @@ Lapic::~Lapic()
         eq_.deschedule(id);
 }
 
+namespace {
+
+std::uint64_t
+vectorBit(std::uint8_t vector)
+{
+    return 1ull << (vector & 63);
+}
+
+} // namespace
+
 void
 Lapic::raise(std::uint8_t vector)
 {
-    pending_.set(vector);
+    pending_[vector >> 6] |= vectorBit(vector);
     raisedMetric_.inc();
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->instant(TraceCategory::Irq, "irq.raise", vector);
@@ -75,9 +86,9 @@ int
 Lapic::highestPending() const
 {
     // x86 priority: the higher vector number wins.
-    for (int v = 255; v >= 0; --v)
-        if (pending_.test(static_cast<std::size_t>(v)))
-            return v;
+    for (int w = 3; w >= 0; --w)
+        if (pending_[w])
+            return w * 64 + topBitIndex(pending_[w]);
     return -1;
 }
 
@@ -86,7 +97,7 @@ Lapic::ack()
 {
     int v = highestPending();
     if (v >= 0) {
-        pending_.reset(static_cast<std::size_t>(v));
+        pending_[v >> 6] &= ~vectorBit(static_cast<std::uint8_t>(v));
         if (TraceSink *sink = eq_.traceSink();
             SVTSIM_UNLIKELY(sink != nullptr))
             sink->instant(TraceCategory::Irq, "irq.ack", v);
@@ -97,19 +108,19 @@ Lapic::ack()
 bool
 Lapic::isPending(std::uint8_t vector) const
 {
-    return pending_.test(vector);
+    return (pending_[vector >> 6] & vectorBit(vector)) != 0;
 }
 
 void
 Lapic::clear(std::uint8_t vector)
 {
-    pending_.reset(vector);
+    pending_[vector >> 6] &= ~vectorBit(vector);
 }
 
 bool
 Lapic::postInterrupt(std::uint8_t vector)
 {
-    pir_.set(vector);
+    pir_[vector >> 6] |= vectorBit(vector);
     postedMetric_.inc();
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->instant(TraceCategory::Irq, "irq.post", vector);
@@ -122,9 +133,12 @@ Lapic::postInterrupt(std::uint8_t vector)
 int
 Lapic::syncPosted()
 {
-    int moved = static_cast<int>(pir_.count());
-    pending_ |= pir_;
-    pir_.reset();
+    int moved = 0;
+    for (int w = 0; w < 4; ++w) {
+        moved += static_cast<int>(std::bitset<64>(pir_[w]).count());
+        pending_[w] |= pir_[w];
+        pir_[w] = 0;
+    }
     notifOutstanding_ = false;
     return moved;
 }

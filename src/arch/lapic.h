@@ -6,7 +6,6 @@
 #ifndef SVTSIM_ARCH_LAPIC_H
 #define SVTSIM_ARCH_LAPIC_H
 
-#include <bitset>
 #include <cstdint>
 #include <vector>
 
@@ -55,7 +54,7 @@ class Lapic
      */
     void assertExternal(std::uint8_t vector);
 
-    bool hasPending() const { return pending_.any(); }
+    bool hasPending() const { return any(pending_); }
 
     /** Highest-priority pending vector, or -1 if none. */
     int highestPending() const;
@@ -90,7 +89,7 @@ class Lapic
     int syncPosted();
 
     /** Whether any posted vectors await a sync. */
-    bool hasPosted() const { return pir_.any(); }
+    bool hasPosted() const { return any(pir_); }
 
     // -- Inter-processor interrupts ------------------------------------
     /**
@@ -121,6 +120,15 @@ class Lapic
     Lapic *redirect = nullptr;
 
   private:
+    /** A 256-vector bitmap, vector v at bit v % 64 of word v / 64. */
+    using VectorSet = std::uint64_t[4];
+
+    static bool
+    any(const VectorSet &set)
+    {
+        return (set[0] | set[1] | set[2] | set[3]) != 0;
+    }
+
     /** Follow the redirect chain to the delivery target (8-hop cycle
      *  guard, shared by assertExternal and in-flight IPI delivery). */
     Lapic *resolveRedirect();
@@ -131,9 +139,9 @@ class Lapic
     EventQueue &eq_;
     const CostModel &costs_;
     int id_;
-    std::bitset<256> pending_;
+    VectorSet pending_ = {};
     /** Posted-interrupt requests awaiting a syncPosted(). */
-    std::bitset<256> pir_;
+    VectorSet pir_ = {};
     /** The descriptor's outstanding-notification (ON) bit: set while a
      *  notification is in flight, so repeated posts coalesce. */
     bool notifOutstanding_ = false;

@@ -9,20 +9,23 @@ namespace svtsim {
  *
  * Level k buckets pending events by byte k of their absolute
  * timestamp: an event goes to the level of the highest byte in which
- * its timestamp differs from now_ (its "distance magnitude"), into
- * slot (when >> 8k) & 255. Three invariants carry the design:
+ * its timestamp differs from the wheel's reference time wheelNow_
+ * (its "distance magnitude"), into slot (when >> 8k) & 255. wheelNow_
+ * trails the visible clock now_: an advance that crosses no pending
+ * event moves only now_, and the wheel catches up at the next walk.
+ * Three invariants carry the design:
  *
  *  1. Level-0 slots are exact-tick buckets: every event in a level-0
  *     slot has timestamp == window_base + slot, so firing a slot in
  *     list order is firing one tick's events.
  *
- *  2. For every level k >= 1, the slot whose window contains now_ is
- *     empty — its contents were cascaded down when now_ entered it
- *     (moveTimeTo). Hence all occupied level-k slots lie strictly in
- *     the future, and every event at level k is later than every
- *     event at any level < k (they differ from now_ in a higher
- *     byte). The next event therefore lives in the first occupied
- *     slot of the lowest occupied level.
+ *  2. For every level k >= 1, the slot whose window contains
+ *     wheelNow_ is empty — its contents were cascaded down when
+ *     wheelNow_ entered it (moveTimeTo). Hence all occupied level-k
+ *     slots lie strictly after wheelNow_, and every event at level k
+ *     is later than every event at any level < k (they differ from
+ *     wheelNow_ in a higher byte). The next event therefore lives in
+ *     the first occupied slot of the lowest occupied level.
  *
  *  3. Slot lists append on every insertion — direct schedule or
  *     cascade — and cascades walk lists in order, so within a tick
@@ -32,7 +35,9 @@ namespace svtsim {
  * Eight levels cover all 64 bits, so every non-negative timestamp —
  * a saturated maxTick timer included — has a slot. nextDue() is the
  * one walk that finds the next due tick; advancing, draining to a
- * horizon and running one event are loops over it.
+ * horizon and running one event are loops over it. Each walk leaves
+ * dueBound_, a lower bound on every pending timestamp, for the inline
+ * advance fast path.
  */
 
 EventQueue::~EventQueue() = default;
@@ -53,6 +58,7 @@ EventQueue::schedule(Ticks when, EventClosure fn, std::string_view label)
     rec.seq = nextSeq_++;
     placeRecord(idx, rec);
     ++liveCount_;
+    dueBound_ = std::min(dueBound_, when);
     return makeId(idx, rec.gen);
 }
 
@@ -128,7 +134,7 @@ void
 EventQueue::placeRecord(std::uint32_t idx, Record &rec)
 {
     const std::uint64_t diff =
-        static_cast<std::uint64_t>(rec.when ^ now_);
+        static_cast<std::uint64_t>(rec.when ^ wheelNow_);
     const int level = diff ? topBitIndex(diff) / slotBits : 0;
     const int slot = static_cast<int>(
         (rec.when >> (level * slotBits)) & slotMask);
@@ -209,17 +215,17 @@ EventQueue::slotBase(int level, int slot) const
     // (and a shift by 64 would be undefined).
     const int shift = (level + 1) * slotBits;
     const Ticks above =
-        level == numLevels - 1 ? 0 : (now_ >> shift) << shift;
+        level == numLevels - 1 ? 0 : (wheelNow_ >> shift) << shift;
     return above | (static_cast<Ticks>(slot) << (level * slotBits));
 }
 
 void
 EventQueue::moveTimeTo(Ticks t)
 {
-    if (t == now_)
+    if (t == wheelNow_)
         return;
-    const Ticks old = now_;
-    now_ = t;
+    const Ticks old = wheelNow_;
+    wheelNow_ = t;
     const std::uint64_t diff = static_cast<std::uint64_t>(old ^ t);
     if (SVTSIM_LIKELY(!(diff >> slotBits)))
         return; // still inside the same level-0 window everywhere
@@ -228,8 +234,8 @@ EventQueue::moveTimeTo(Ticks t)
     // in already-cascaded lower levels. Skipped slots between the old
     // and new positions are empty by the caller's precondition (no
     // live event earlier than t). Both times are non-negative, so
-    // top is at most numLevels - 1. Most entered slots are empty, and
-    // this runs on every consume, so the emptiness test stays inline.
+    // top is at most numLevels - 1. Most entered slots are empty, so
+    // the emptiness test stays inline.
     for (int k = topBitIndex(diff) / slotBits; k >= 1; --k) {
         const int slot =
             static_cast<int>((t >> (k * slotBits)) & slotMask);
@@ -302,22 +308,28 @@ EventQueue::nextDue(Ticks last, Ticks &t)
 {
     for (;;) {
         const int level = lowestOccupiedLevel();
-        if (level < 0)
+        if (level < 0) {
+            dueBound_ = maxTick;
             return false;
+        }
         const int slot = firstOccupied(level);
         if (level == 0) {
-            t = level0Time(slot);
+            t = dueBound_ = level0Time(slot);
             return t <= last;
         }
-        const Ticks base = slotBase(level, slot);
+        const Ticks base = dueBound_ = slotBase(level, slot);
         if (base > last)
             return false; // every event in the slot is >= base > last
-        moveTimeTo(base); // cascades the slot down; re-scan
+        // Cascade the slot down and re-scan. The clock follows the
+        // wheel to the window base, so a drain that fires nothing
+        // still leaves now() there (see runUntilTick()).
+        moveTimeTo(base);
+        now_ = std::max(now_, base);
     }
 }
 
 void
-EventQueue::advanceTo(Ticks when)
+EventQueue::advanceToSlow(Ticks when)
 {
     if (SVTSIM_UNLIKELY(when < now_)) {
         panic("EventQueue::advanceTo into the past (when=%lld now=%lld)",
@@ -392,6 +404,7 @@ EventQueue::runUntilTick(Ticks limit)
     Ticks t;
     while (nextDue(limit - 1, t)) {
         moveTimeTo(t);
+        now_ = t;
         fireCurrentSlot(t);
     }
     return executed_ - before;
@@ -403,18 +416,12 @@ EventQueue::advanceUngated(Ticks when)
     Ticks t;
     while (nextDue(when, t)) {
         moveTimeTo(t);
+        now_ = t;
         fireCurrentSlot(t);
     }
+    // Nothing is due at or before when: only the clock moves.
     if (when > now_)
-        moveTimeTo(when);
-}
-
-void
-EventQueue::advanceBy(Ticks delta)
-{
-    simAssert(delta >= 0, "EventQueue::advanceBy negative delta");
-    // Saturate instead of overflowing (see scheduleIn).
-    advanceTo(delta >= maxTick - now_ ? maxTick : now_ + delta);
+        now_ = when;
 }
 
 bool
@@ -424,6 +431,7 @@ EventQueue::runNext()
     if (!nextDue(maxTick, t))
         return false;
     moveTimeTo(t);
+    now_ = t;
     fireHead(static_cast<int>(t & slotMask));
     return true;
 }

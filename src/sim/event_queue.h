@@ -160,23 +160,45 @@ class EventQueue
      * <= @p when in order. Each event runs with now() set to its own
      * timestamp; afterwards now() == when.
      *
+     * A target below both the due bound (no pending event is earlier)
+     * and the horizon crosses nothing: only now() moves, and the
+     * wheel catches up at the next walk.
+     *
      * @pre when >= now().
      */
-    void advanceTo(Ticks when);
+    SVTSIM_ALWAYS_INLINE void
+    advanceTo(Ticks when)
+    {
+        if (SVTSIM_LIKELY(when >= now_ && when < dueBound_ &&
+                          when < horizon_)) {
+            now_ = when;
+            return;
+        }
+        advanceToSlow(when);
+    }
 
     /**
      * Advance time by @p delta ticks (see advanceTo()). Saturates at
      * maxTick instead of overflowing.
      */
-    void advanceBy(Ticks delta);
+    SVTSIM_ALWAYS_INLINE void
+    advanceBy(Ticks delta)
+    {
+        simAssert(delta >= 0, "EventQueue::advanceBy negative delta");
+        advanceTo(delta >= maxTick - now_ ? maxTick : now_ + delta);
+    }
 
     /**
-     * Run every event with timestamp < @p limit, in order, leaving
-     * now() at the last fired event's timestamp (or unchanged if
-     * nothing fired). Unlike advanceTo(), time never moves onto
-     * @p limit itself, and unlike runUntil() no predicate call is
-     * paid per event — this is the cluster epoch drain ("fire
-     * everything this machine owns below the horizon").
+     * Run every event with timestamp < @p limit, in order. Unlike
+     * advanceTo(), time never moves onto @p limit itself, and unlike
+     * runUntil() no predicate call is paid per event — this is the
+     * cluster epoch drain ("fire everything this machine owns below
+     * the horizon").
+     *
+     * now() ends at the last fired event's timestamp, or later at a
+     * window base below @p limit: finding the next event cascades the
+     * wheel, and now() follows it even when nothing fires (one event
+     * at 300 with now() == 0: runUntilTick(280) leaves now() at 256).
      *
      * @return Number of events fired.
      */
@@ -333,10 +355,10 @@ class EventQueue
     /** Lowest level with any occupied slot, or -1 (wheel empty). */
     int lowestOccupiedLevel() const;
 
-    /** Absolute time of level-0 slot @p slot in the current window. */
+    /** Absolute time of level-0 slot @p slot in the wheel's window. */
     Ticks level0Time(int slot) const
     {
-        return (now_ & ~static_cast<Ticks>(slotMask)) | slot;
+        return (wheelNow_ & ~static_cast<Ticks>(slotMask)) | slot;
     }
     /**
      * Window base of level-k slot @p slot (k >= 1) in the current
@@ -345,20 +367,21 @@ class EventQueue
     Ticks slotBase(int level, int slot) const;
 
     /**
-     * Jump now_ to @p t, cascading the wheel slots that t's windows
-     * enter.
+     * Jump wheelNow_ to @p t, cascading the wheel slots that t's
+     * windows enter. Leaves now_ alone.
      * @pre no live event has a timestamp < t.
      */
     void moveTimeTo(Ticks t);
     /** Re-bucket every record in non-empty level-k slot @p slot vs
-     *  the new now_. */
+     *  the new wheelNow_. */
     void cascade(int level, int slot);
 
     /**
      * The one "find the next due tick" walk: cascade until the
      * earliest pending event sits in a level-0 slot and store its
-     * tick in @p t. Cascading moves now_ only up to window bases at
-     * or before that tick.
+     * tick in @p t. Cascading moves the wheel (and now_, if it is
+     * behind) only up to window bases at or before that tick. Every
+     * return refreshes dueBound_.
      *
      * @return False, leaving @p t unset, if no event is due at or
      *         before @p last.
@@ -370,6 +393,9 @@ class EventQueue
     /** Fire the first event of level-0 slot @p slot (non-empty). */
     SVTSIM_ALWAYS_INLINE void fireHead(int slot);
 
+    /** advanceTo() past the fast path: the past-time panic, then
+     *  the gate handoff or the plain loop. */
+    void advanceToSlow(Ticks when);
     /** advanceTo() body without the horizon check. */
     void advanceUngated(Ticks when);
     /**
@@ -390,7 +416,19 @@ class EventQueue
     /** Bit k set iff level k has any occupied slot. */
     std::uint32_t levelSummary_ = 0;
 
+    /** The visible clock. */
     Ticks now_ = 0;
+    /**
+     * The wheel's reference time: slots are bucketed against it.
+     * Always <= now_, and no live event is earlier.
+     */
+    Ticks wheelNow_ = 0;
+    /**
+     * Lower bound on every pending event's timestamp (maxTick when
+     * none). schedule() lowers it, nextDue() refreshes it, and
+     * deschedule() leaves it stale-low, which is safe.
+     */
+    Ticks dueBound_ = maxTick;
     /** Exclusive bound on event execution while a gate is installed. */
     Ticks horizon_ = maxTick;
     AdvanceGate *gate_ = nullptr;

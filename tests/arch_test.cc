@@ -293,6 +293,35 @@ TEST_F(LapicTest, HigherVectorWins)
     EXPECT_EQ(apic.ack(), 32);
 }
 
+TEST_F(LapicTest, AckCrossesWordBoundariesInPriorityOrder)
+{
+    Lapic apic(eq, costs, 0);
+    for (int v : {64, 255, 0, 127, 63, 128})
+        apic.raise(static_cast<std::uint8_t>(v));
+    for (int v : {255, 128, 127, 64, 63, 0})
+        EXPECT_EQ(apic.ack(), v);
+    EXPECT_EQ(apic.ack(), -1);
+    EXPECT_FALSE(apic.hasPending());
+}
+
+TEST_F(LapicTest, SyncPostedMergesEveryWord)
+{
+    Lapic apic(eq, costs, 0);
+    apic.raise(200);
+    EXPECT_TRUE(apic.postInterrupt(1));
+    EXPECT_FALSE(apic.postInterrupt(100));
+    EXPECT_FALSE(apic.postInterrupt(250));
+    EXPECT_TRUE(apic.hasPosted());
+    EXPECT_FALSE(apic.isPending(100));
+    EXPECT_EQ(apic.syncPosted(), 3);
+    EXPECT_FALSE(apic.hasPosted());
+    for (int v : {250, 200, 100, 1})
+        EXPECT_EQ(apic.ack(), v);
+    EXPECT_EQ(apic.ack(), -1);
+    // The sync cleared the outstanding notification.
+    EXPECT_TRUE(apic.postInterrupt(5));
+}
+
 TEST_F(LapicTest, ClearSpecificVector)
 {
     Lapic apic(eq, costs, 0);

@@ -78,6 +78,70 @@ TEST(RunUntilTick, EmptyWindowIsANoOp)
     EXPECT_EQ(q.nextEventTime(), 500);
 }
 
+TEST(RunUntilTick, CascadeMovesClockToWindowBase)
+{
+    // Finding the next event cascades its level-1 slot down, and the
+    // clock follows the wheel to that slot's base (256) even though
+    // nothing fires below the limit. Machine::drainUntil charges the
+    // move as idle time, so the committed outputs depend on it.
+    EventQueue q;
+    q.schedule(300, [] {});
+    EXPECT_EQ(q.runUntilTick(280), 0u);
+    EXPECT_EQ(q.now(), 256);
+    EXPECT_EQ(q.nextEventTime(), 300);
+}
+
+// ---------------------------------------------------------------------
+// AdvanceGate: an advance past the horizon waits at the gate even when
+// no event is due, so the fast path must test the horizon too.
+
+/** Grants the horizon 100 ticks at a time and counts the waits. */
+class StepGate : public AdvanceGate
+{
+  public:
+    explicit StepGate(EventQueue &q) : q_(q) {}
+
+    Ticks
+    awaitHorizon(Ticks) override
+    {
+        ++waits;
+        return q_.horizon() + 100;
+    }
+
+    int waits = 0;
+
+  private:
+    EventQueue &q_;
+};
+
+TEST(AdvanceGate, AdvancePastHorizonWaitsOnceAndIdleReturnsEarly)
+{
+    EventQueue q;
+    StepGate gate(q);
+    bool fired = false;
+    q.schedule(10000, [&] { fired = true; });
+    q.setAdvanceGate(&gate, 100);
+
+    // Nothing is due before 10,000, but 150 is past the horizon.
+    q.advanceBy(150);
+    EXPECT_EQ(gate.waits, 1);
+    EXPECT_EQ(q.horizon(), 200);
+    EXPECT_EQ(q.now(), 150);
+
+    // An idle wait hands control back after one re-grant, short of
+    // its target.
+    q.idleTo(1000);
+    EXPECT_EQ(gate.waits, 2);
+    EXPECT_EQ(q.horizon(), 300);
+    EXPECT_LT(q.now(), 1000);
+    EXPECT_FALSE(fired);
+
+    q.setAdvanceGate(nullptr, 0);
+    q.advanceTo(10000);
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(gate.waits, 2);
+}
+
 // ---------------------------------------------------------------------
 // WorkerPool::runTasks (the zero-alloc epoch submit path).
 

@@ -92,6 +92,7 @@ struct Op
         Schedule,     ///< scheduleIn(delta), possibly chained
         Cancel,       ///< deschedule the handle from schedule op a
         AdvanceBy,    ///< advanceBy(delta)
+        AdvanceBurst, ///< advanceBy(steps[i]) for each step
         RunNext,      ///< runNext()
         RunUntil,     ///< runUntil(executed >= current + a)
         CheckNext,    ///< compare nextEventTime()
@@ -100,6 +101,11 @@ struct Op
     Ticks delta = 0;
     std::size_t a = 0;
     int chain = 0;
+    /** Schedule: land exactly on the queue's nextEventTime() (when
+     *  one is pending) instead of at delta. */
+    bool onNext = false;
+    /** AdvanceBurst: the tiny consumes of a trap round. */
+    std::vector<Ticks> steps;
 };
 
 template <class Q, class Id>
@@ -139,8 +145,19 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
         ops.reserve(static_cast<std::size_t>(opsPerTrial));
         std::size_t scheduled = 0;
         for (int i = 0; i < opsPerTrial; ++i) {
-            const double roll = rng.uniform();
             Op op;
+            if (rng.below(16) == 0) {
+                // A burst of small advances, most of which cross no
+                // event: the lazy clock's fast path.
+                op.kind = Op::AdvanceBurst;
+                const std::uint64_t n = 1 + rng.below(64);
+                for (std::uint64_t k = 0; k < n; ++k)
+                    op.steps.push_back(
+                        static_cast<Ticks>(rng.below(301)));
+                ops.push_back(std::move(op));
+                continue;
+            }
+            const double roll = rng.uniform();
             if (roll < 0.45 || scheduled == 0) {
                 op.kind = Op::Schedule;
                 // Mix of distances: same-tick, level-0, mid-wheel,
@@ -160,6 +177,7 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
                 else
                     op.delta = maxTick; // saturating far/"infinite"
                 op.chain = rng.chance(0.15) ? 2 : 0;
+                op.onNext = rng.below(8) == 0;
                 ++scheduled;
             } else if (roll < 0.70) {
                 op.kind = Op::Cancel;
@@ -189,10 +207,16 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
 
         for (const Op &op : ops) {
             switch (op.kind) {
-            case Op::Schedule:
-                wheel.scheduleChained(op.delta, op.chain);
-                oracle.scheduleChained(op.delta, op.chain);
+            case Op::Schedule: {
+                const Ticks next = wheel.q.nextEventTime();
+                ASSERT_EQ(next, oracle.q.nextEventTime());
+                const Ticks delta = op.onNext && next != maxTick
+                                        ? next - wheel.q.now()
+                                        : op.delta;
+                wheel.scheduleChained(delta, op.chain);
+                oracle.scheduleChained(delta, op.chain);
                 break;
+            }
             case Op::Cancel: {
                 const bool a = wheel.q.deschedule(wheel.handles[op.a]);
                 const bool b =
@@ -203,6 +227,14 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
             case Op::AdvanceBy:
                 wheel.q.advanceBy(op.delta);
                 oracle.q.advanceBy(op.delta);
+                break;
+            case Op::AdvanceBurst:
+                for (const Ticks step : op.steps) {
+                    wheel.q.advanceBy(step);
+                    oracle.q.advanceBy(step);
+                    ASSERT_EQ(wheel.q.now(), oracle.q.now());
+                    ASSERT_EQ(wheel.log.size(), oracle.log.size());
+                }
                 break;
             case Op::RunNext:
                 ASSERT_EQ(wheel.q.runNext(), oracle.q.runNext());
