@@ -121,6 +121,12 @@ class VirtStack
     /** Hardware context running L2 guest register state. */
     HwContext &l2Context();
 
+    /** Register caches: L0's vcpu structs for L1 and for L2, and L1's
+     *  for L2 (nested modes). */
+    const Vcpu &vcpuL1() const { return *vcpuL1_; }
+    const Vcpu &vcpuL2InL0() const { return *vcpuL2InL0_; }
+    const Vcpu &vcpuL2InL1() const { return *vcpuL2InL1_; }
+
     Vmcs &vmcs01() { return *vmcs01_; }
     Vmcs &vmcs12() { return *vmcs12_; }
     Vmcs &vmcs02() { return *vmcs02_; }
