@@ -2,12 +2,14 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot primitives
  * (wall-clock performance of the simulator itself, not simulated
- * time): event queue operations, VMCS accesses, EPT walks, and the
- * full nested-trap round in each mode.
+ * time): event queue operations, VMCS accesses, EPT walks, one
+ * context's register spill and reload, and the full nested-trap round
+ * in each mode.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "arch/smt_core.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "system/bench_harness.h"
@@ -57,6 +59,25 @@ BM_EptTranslate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EptTranslate);
+
+void
+BM_ContextGprTransfer(benchmark::State &state)
+{
+    // The register-file layer of a trap round: spill a context's GPRs
+    // into a vCPU-struct image and reload them.
+    EventQueue eq;
+    CostModel costs;
+    SmtCore core(eq, costs, 0, 2, 0);
+    HwContext &ctx = core.context(1);
+    GprValues spill{};
+    for (auto _ : state) {
+        spill = ctx.readGprs();
+        ++spill[0];
+        ctx.writeGprs(spill);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_ContextGprTransfer);
 
 void
 BM_NestedCpuidRound(benchmark::State &state)

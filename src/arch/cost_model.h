@@ -139,8 +139,8 @@ struct CostModel
     /** Thread stall + fetch retarget on an SVt trap/resume: squash of
      *  in-flight instructions only; no state movement. */
     Ticks svtSwitch = nsec(20);
-    /** One ctxtld/ctxtst cross-context register access (rename-map
-     *  indexed physical register file read/write). */
+    /** One ctxtld/ctxtst cross-context register access (in hardware
+     *  a rename-map indexed physical register file read/write). */
     Ticks ctxtRegAccess = nsec(2);
     /** Loading the SVt_* VMCS fields into the per-core u-registers at
      *  vmptrld (three field reads). */

@@ -7,16 +7,16 @@ namespace svtsim {
 SmtCore::SmtCore(EventQueue &eq, const CostModel &costs, int id,
                  int num_contexts, int numa_node, std::size_t prf_size,
                  MetricsRegistry *metrics)
-    : eq_(eq), costs_(costs), id_(id), numaNode_(numa_node),
-      prf_(prf_size)
+    : eq_(eq), costs_(costs), id_(id), numaNode_(numa_node)
 {
     if (num_contexts < 1)
         fatal("SmtCore requires at least one hardware context");
     if (prf_size < static_cast<std::size_t>(num_contexts) * numGprs * 2) {
-        fatal("PhysRegFile too small for %d contexts", num_contexts);
+        fatal("Physical register file of %zu too small for %d contexts",
+              prf_size, num_contexts);
     }
     for (int i = 0; i < num_contexts; ++i) {
-        contexts_.push_back(std::make_unique<HwContext>(prf_, i));
+        contexts_.push_back(std::make_unique<HwContext>(i));
         lapics_.push_back(std::make_unique<Lapic>(
             eq_, costs_, id_ * 64 + i, metrics));
     }

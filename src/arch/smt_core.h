@@ -1,6 +1,6 @@
 /**
  * @file
- * SMT core: N hardware contexts over one shared physical register file.
+ * SMT core: N hardware contexts, each with its own register storage.
  */
 
 #ifndef SVTSIM_ARCH_SMT_CORE_H
@@ -12,7 +12,6 @@
 #include "arch/cost_model.h"
 #include "arch/hw_context.h"
 #include "arch/lapic.h"
-#include "arch/phys_reg_file.h"
 #include "sim/event_queue.h"
 
 namespace svtsim {
@@ -21,10 +20,13 @@ namespace svtsim {
  * A physical core with SMT hardware contexts.
  *
  * The baseline core knows nothing about SVt; it provides the raw
- * resources (replicated per-thread state, shared physical register
- * file, one local APIC per context) plus an "active context" notion
- * used by the single-effective-thread execution styles (SVt, and the
- * baseline where SMT is disabled for security per Section 1).
+ * resources (replicated per-thread state, each context's registers in
+ * its own storage, one local APIC per context) plus an "active
+ * context" notion used by the single-effective-thread execution styles
+ * (SVt, and the baseline where SMT is disabled for security per
+ * Section 1). The core's physical register file is kept only as a
+ * capacity: construction rejects a file too small to back every
+ * context's GPRs twice (committed state plus rename headroom).
  */
 class SmtCore
 {
@@ -37,7 +39,8 @@ class SmtCore
      * @param id Core number.
      * @param num_contexts SMT width (Table 4: 2; HW SVt studies 3+).
      * @param numa_node NUMA node the core belongs to.
-     * @param prf_size Physical register file capacity.
+     * @param prf_size Physical register file capacity (checked
+     *        against num_contexts, not modelled register by register).
      * @param metrics Owning machine's registry (nullptr for bare cores
      *        built in unit tests: lapic metrics become inert).
      */
@@ -53,8 +56,6 @@ class SmtCore
     HwContext &context(int i);
     const HwContext &context(int i) const;
     Lapic &lapic(int i);
-
-    PhysRegFile &prf() { return prf_; }
 
     /** Context currently being fetched from. */
     int activeContext() const { return active_; }
@@ -74,7 +75,6 @@ class SmtCore
     const CostModel &costs_;
     int id_;
     int numaNode_;
-    PhysRegFile prf_;
     std::vector<std::unique_ptr<HwContext>> contexts_;
     std::vector<std::unique_ptr<Lapic>> lapics_;
     int active_ = 0;

@@ -8,7 +8,6 @@
 #ifndef SVTSIM_HV_VCPU_H
 #define SVTSIM_HV_VCPU_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,8 +43,9 @@ class Vcpu
         gprs_[static_cast<std::size_t>(reg)] = v;
     }
 
-    /** The whole cache, for bulk syncs between vCPU structs. */
-    std::array<std::uint64_t, numGprs> &gprs() { return gprs_; }
+    /** The whole cache, for bulk syncs with vCPU structs and
+     *  hardware contexts. */
+    GprValues &gprs() { return gprs_; }
 
     /** Cached instruction pointer. */
     std::uint64_t rip = 0;
@@ -59,7 +59,7 @@ class Vcpu
 
   private:
     std::string name_;
-    std::array<std::uint64_t, numGprs> gprs_{};
+    GprValues gprs_{};
     std::unique_ptr<Lapic> lapic_;
 };
 

@@ -11,7 +11,8 @@
  *  - VM trap / VM resume turned into thread stall/resume events that
  *    retarget instruction fetch (no state movement);
  *  - ctxtld/ctxtst instructions that access another context's
- *    registers through the shared physical register file, with the
+ *    registers (in hardware through the shared physical register
+ *    file; here by reading the target HwContext's storage), with the
  *    target selected *indirectly* through the lvl argument so context
  *    identifiers stay virtualizable.
  */

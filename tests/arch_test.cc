@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the arch module: physical register file, rename maps,
- * hardware contexts, SMT core, local APIC, machine and attribution.
+ * Unit tests for the arch module: hardware contexts, SMT core, local
+ * APIC, machine and attribution.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "arch/hw_context.h"
 #include "arch/lapic.h"
 #include "arch/machine.h"
-#include "arch/phys_reg_file.h"
 #include "arch/regs.h"
 #include "arch/smt_core.h"
 #include "sim/log.h"
@@ -22,123 +21,11 @@
 namespace svtsim {
 namespace {
 
-// -------------------------------------------------------- phys reg file
-
-TEST(PhysRegFile, AllocateFreeRoundTrip)
-{
-    PhysRegFile prf(8);
-    EXPECT_EQ(prf.freeCount(), 8u);
-    PhysReg r = prf.alloc();
-    EXPECT_EQ(prf.freeCount(), 7u);
-    prf.write(r, 0xdead);
-    EXPECT_EQ(prf.read(r), 0xdeadu);
-    prf.free(r);
-    EXPECT_EQ(prf.freeCount(), 8u);
-}
-
-TEST(PhysRegFile, ExhaustionPanics)
-{
-    PhysRegFile prf(2);
-    prf.alloc();
-    prf.alloc();
-    EXPECT_THROW(prf.alloc(), PanicError);
-}
-
-TEST(PhysRegFile, UseAfterFreePanics)
-{
-    PhysRegFile prf(2);
-    PhysReg r = prf.alloc();
-    prf.free(r);
-    EXPECT_THROW(prf.read(r), PanicError);
-    EXPECT_THROW(prf.write(r, 1), PanicError);
-    EXPECT_THROW(prf.free(r), PanicError);
-}
-
-TEST(PhysRegFile, OutOfRangePanics)
-{
-    PhysRegFile prf(2);
-    EXPECT_THROW(prf.read(100), PanicError);
-}
-
-TEST(PhysRegFile, EmptyPoolRejected)
-{
-    EXPECT_THROW(PhysRegFile(0), FatalError);
-}
-
-TEST(PhysRegFile, FreshAllocationIsZeroed)
-{
-    PhysRegFile prf(2);
-    PhysReg r = prf.alloc();
-    prf.write(r, 77);
-    prf.free(r);
-    PhysReg r2 = prf.alloc();
-    EXPECT_EQ(prf.read(r2), 0u);
-}
-
-// ------------------------------------------------------------ rename map
-
-TEST(RenameMap, ReadsBackWrites)
-{
-    PhysRegFile prf(64);
-    RenameMap map(prf);
-    map.write(Gpr::Rax, 123);
-    map.write(Gpr::R15, 456);
-    EXPECT_EQ(map.read(Gpr::Rax), 123u);
-    EXPECT_EQ(map.read(Gpr::R15), 456u);
-}
-
-TEST(RenameMap, WriteAllocatesFreshPhysicalRegister)
-{
-    PhysRegFile prf(64);
-    RenameMap map(prf);
-    PhysReg before = map.physOf(Gpr::Rbx);
-    map.write(Gpr::Rbx, 9);
-    PhysReg after = map.physOf(Gpr::Rbx);
-    EXPECT_NE(before, after);
-    EXPECT_EQ(prf.read(after), 9u);
-}
-
-TEST(RenameMap, SteadyStateOccupancy)
-{
-    PhysRegFile prf(64);
-    RenameMap map(prf);
-    std::size_t occupied = 64 - prf.freeCount();
-    // Many writes must not leak physical registers.
-    for (int i = 0; i < 1000; ++i)
-        map.write(static_cast<Gpr>(i % numGprs), i);
-    EXPECT_EQ(64 - prf.freeCount(), occupied);
-}
-
-TEST(RenameMap, DestructorReleasesRegisters)
-{
-    PhysRegFile prf(64);
-    {
-        RenameMap map(prf);
-        EXPECT_LT(prf.freeCount(), 64u);
-    }
-    EXPECT_EQ(prf.freeCount(), 64u);
-}
-
-TEST(RenameMap, TwoMapsShareOnePool)
-{
-    // The structural property behind ctxtld/ctxtst: two contexts' maps
-    // index the same physical file.
-    PhysRegFile prf(64);
-    RenameMap a(prf), b(prf);
-    a.write(Gpr::Rcx, 11);
-    b.write(Gpr::Rcx, 22);
-    EXPECT_EQ(a.read(Gpr::Rcx), 11u);
-    EXPECT_EQ(b.read(Gpr::Rcx), 22u);
-    // Cross-context access by physical index sees the other's value.
-    EXPECT_EQ(prf.read(b.physOf(Gpr::Rcx)), 22u);
-}
-
 // ------------------------------------------------------------ hw context
 
 TEST(HwContext, IndependentArchState)
 {
-    PhysRegFile prf(128);
-    HwContext c0(prf, 0), c1(prf, 1);
+    HwContext c0(0), c1(1);
     c0.writeGpr(Gpr::Rax, 1);
     c1.writeGpr(Gpr::Rax, 2);
     c0.rip = 0x1000;
@@ -153,45 +40,28 @@ TEST(HwContext, IndependentArchState)
 
 TEST(HwContext, MsrDefaultsToZero)
 {
-    PhysRegFile prf(64);
-    HwContext c(prf, 0);
+    HwContext c(0);
     EXPECT_EQ(c.rdmsr(msr::ia32Efer), 0u);
     c.wrmsr(msr::ia32Efer, 0x500);
     EXPECT_EQ(c.rdmsr(msr::ia32Efer), 0x500u);
 }
 
-TEST(HwContext, BulkGprWriteMatchesSequentialWrites)
+TEST(HwContext, BulkGprWriteReadsBack)
 {
-    // Two identical cores, each with a sibling context, whose free
-    // lists were scrambled the same way before the transfer.
-    PhysRegFile bulkPrf(64), seqPrf(64);
-    HwContext bulk(bulkPrf, 0), bulkSibling(bulkPrf, 1);
-    HwContext seq(seqPrf, 0), seqSibling(seqPrf, 1);
-    for (int i = 0; i < 40; ++i) {
-        auto reg = static_cast<Gpr>((i * 7) % numGprs);
-        HwContext &b = (i % 3) ? bulk : bulkSibling;
-        HwContext &q = (i % 3) ? seq : seqSibling;
-        b.writeGpr(reg, static_cast<std::uint64_t>(i));
-        q.writeGpr(reg, static_cast<std::uint64_t>(i));
-    }
+    HwContext c(0);
+    for (int i = 0; i < numGprs; ++i)
+        EXPECT_EQ(c.readGpr(static_cast<Gpr>(i)), 0u) << i;
     GprValues values;
     for (int i = 0; i < numGprs; ++i)
         values[static_cast<std::size_t>(i)] = 0x1000u + i;
-
-    bulk.writeGprs(values);
+    c.writeGprs(values);
+    EXPECT_EQ(c.readGprs(), values);
     for (int i = 0; i < numGprs; ++i)
-        seq.writeGpr(static_cast<Gpr>(i), values[static_cast<std::size_t>(i)]);
-
-    for (int i = 0; i < numGprs; ++i) {
-        auto reg = static_cast<Gpr>(i);
-        EXPECT_EQ(bulk.physOf(reg), seq.physOf(reg)) << i;
-        EXPECT_EQ(bulk.readGpr(reg), seq.readGpr(reg)) << i;
-        EXPECT_EQ(bulkSibling.physOf(reg), seqSibling.physOf(reg)) << i;
-    }
-    EXPECT_EQ(bulk.readGprs(), values);
-    ASSERT_EQ(bulkPrf.freeCount(), seqPrf.freeCount());
-    while (bulkPrf.freeCount() > 0)
-        EXPECT_EQ(bulkPrf.alloc(), seqPrf.alloc());
+        EXPECT_EQ(c.readGpr(static_cast<Gpr>(i)), 0x1000u + i) << i;
+    // A single write after the bulk load shows up in the bulk read.
+    c.writeGpr(Gpr::R9, 7);
+    values[static_cast<std::size_t>(Gpr::R9)] = 7;
+    EXPECT_EQ(c.readGprs(), values);
 }
 
 // -------------------------------------------------------------- smt core
@@ -240,19 +110,50 @@ TEST_F(SmtCoreTest, InvalidContextPanics)
     EXPECT_THROW(core.lapic(2), PanicError);
 }
 
-TEST_F(SmtCoreTest, ContextsShareThePhysicalFile)
+TEST_F(SmtCoreTest, WritesLeaveSiblingContextsUnchanged)
 {
-    SmtCore core(eq, costs, 0, 2, 0);
-    core.context(0).writeGpr(Gpr::Rax, 5);
-    core.context(1).writeGpr(Gpr::Rax, 6);
-    PhysReg p1 = core.context(1).physOf(Gpr::Rax);
-    EXPECT_EQ(core.prf().read(p1), 6u);
-    EXPECT_EQ(core.context(0).readGpr(Gpr::Rax), 5u);
+    for (int width : {2, 3}) {
+        SmtCore core(eq, costs, 0, width, 0);
+        // Give every context a distinct register image.
+        std::vector<GprValues> images(static_cast<std::size_t>(width));
+        for (int c = 0; c < width; ++c) {
+            GprValues &img = images[static_cast<std::size_t>(c)];
+            for (int r = 0; r < numGprs; ++r)
+                img[static_cast<std::size_t>(r)] =
+                    static_cast<std::uint64_t>(100 * c + r);
+            core.context(c).writeGprs(img);
+        }
+        for (int c = 0; c < width; ++c) {
+            HwContext &ctx = core.context(c);
+            GprValues &img = images[static_cast<std::size_t>(c)];
+            ctx.writeGpr(Gpr::Rax, 0xa0 + c);
+            img[static_cast<std::size_t>(Gpr::Rax)] = 0xa0u + c;
+            for (int o = 0; o < width; ++o)
+                EXPECT_EQ(core.context(o).readGprs(),
+                          images[static_cast<std::size_t>(o)])
+                    << "width " << width << " writeGpr on " << c
+                    << " checked on " << o;
+            for (auto &v : img)
+                v ^= 0xffff;
+            ctx.writeGprs(img);
+            for (int o = 0; o < width; ++o)
+                EXPECT_EQ(core.context(o).readGprs(),
+                          images[static_cast<std::size_t>(o)])
+                    << "width " << width << " writeGprs on " << c
+                    << " checked on " << o;
+        }
+    }
 }
 
 TEST_F(SmtCoreTest, TinyPrfRejected)
 {
     EXPECT_THROW(SmtCore(eq, costs, 0, 4, 0, 16), FatalError);
+    // The rule is contexts x GPRs x 2: 128 registers back 4 contexts.
+    EXPECT_THROW(SmtCore(eq, costs, 0, 4, 0, 127), FatalError);
+    EXPECT_NO_THROW(SmtCore(eq, costs, 0, 4, 0, 128));
+    // The default file backs 10 contexts, not 11.
+    EXPECT_NO_THROW(SmtCore(eq, costs, 0, 10, 0));
+    EXPECT_THROW(SmtCore(eq, costs, 0, 11, 0), FatalError);
 }
 
 TEST_F(SmtCoreTest, ZeroContextsRejected)
