@@ -28,39 +28,9 @@ WorkerPool::submit(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(Item{std::move(task), nullptr});
+        queue_.push_back(std::move(task));
     }
     taskReady_.notify_one();
-}
-
-void
-WorkerPool::runTasks(std::function<void()> *const *tasks,
-                     std::size_t count)
-{
-    if (count == 0)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < count; ++i)
-            queue_.push_back(Item{{}, tasks[i]});
-    }
-    // The caller takes a task itself, so wake at most count - 1
-    // workers.
-    if (count == 2)
-        taskReady_.notify_one();
-    else if (count > 2)
-        taskReady_.notify_all();
-    for (;;) {
-        Item item;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (queue_.empty())
-                break;
-            takeFront(item);
-        }
-        runItem(item);
-    }
-    wait();
 }
 
 void
@@ -79,31 +49,10 @@ WorkerPool::defaultWorkers()
 }
 
 void
-WorkerPool::takeFront(Item &item)
-{
-    item = std::move(queue_.front());
-    queue_.pop_front();
-    ++inFlight_;
-}
-
-void
-WorkerPool::runItem(Item &item)
-{
-    if (item.borrowed != nullptr)
-        (*item.borrowed)();
-    else
-        item.owned();
-    std::lock_guard<std::mutex> lock(mutex_);
-    --inFlight_;
-    if (queue_.empty() && inFlight_ == 0)
-        allDone_.notify_all();
-}
-
-void
 WorkerPool::workerLoop()
 {
     for (;;) {
-        Item item;
+        std::function<void()> task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             taskReady_.wait(lock, [this] {
@@ -113,9 +62,15 @@ WorkerPool::workerLoop()
                 // stopping_ and nothing left to drain.
                 return;
             }
-            takeFront(item);
+            task = std::move(queue_.front());
+            queue_.pop_front();
+            ++inFlight_;
         }
-        runItem(item);
+        task();
+        std::lock_guard<std::mutex> lock(mutex_);
+        --inFlight_;
+        if (queue_.empty() && inFlight_ == 0)
+            allDone_.notify_all();
     }
 }
 

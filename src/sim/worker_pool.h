@@ -10,6 +10,12 @@
  * caller-owned, per-task slots and aggregate in submission order.
  * Tasks must not throw; exceptions that would escape a task terminate
  * the process, so callers wrap their work in a catch-all.
+ *
+ * Only the sweep engine's scenario-level parallelism (--jobs) runs
+ * here: a scenario takes milliseconds to seconds, so one mutex/condvar
+ * hand-off per task is noise. Cluster epochs (--cluster-jobs) last one
+ * link lookahead, a few microseconds of host time, and meet at an
+ * EpochCrew's ticket barrier instead (system/epoch_crew.h).
  */
 
 #ifndef SVTSIM_SIM_WORKER_POOL_H
@@ -41,20 +47,6 @@ class WorkerPool
     /** Enqueue a task. Thread-safe. */
     void submit(std::function<void()> task);
 
-    /**
-     * Epoch/bulk path: run @p count persistent tasks and block until
-     * all of them (and any earlier submit()s) have completed. The
-     * tasks are borrowed by pointer — nothing is copied or
-     * heap-allocated per task — so a caller that re-runs the same
-     * task set every window (the cluster engine's per-machine epoch
-     * slots) pays no per-window allocation. The pointed-to callables
-     * must stay alive and unmodified until this call returns. The
-     * calling thread runs queued tasks beside the workers (an owned
-     * submit() item included) before it waits.
-     */
-    void runTasks(std::function<void()> *const *tasks,
-                  std::size_t count);
-
     /** Block until every task submitted so far has completed. */
     void wait();
 
@@ -64,27 +56,12 @@ class WorkerPool
     static int defaultWorkers();
 
   private:
-    /**
-     * Queue entry: either an owned callable (submit()) or a borrowed
-     * pointer to a caller-owned persistent slot (runTasks()).
-     */
-    struct Item
-    {
-        std::function<void()> owned;
-        std::function<void()> *borrowed = nullptr;
-    };
-
     void workerLoop();
-    /** Pop the queue's front into @p item and count it in flight.
-     *  Requires mutex_ held and a non-empty queue. */
-    void takeFront(Item &item);
-    /** Run @p item (mutex_ not held), then retire it. */
-    void runItem(Item &item);
 
     std::mutex mutex_;
     std::condition_variable taskReady_;
     std::condition_variable allDone_;
-    std::deque<Item> queue_;
+    std::deque<std::function<void()>> queue_;
     std::size_t inFlight_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> threads_;

@@ -1,5 +1,7 @@
 #include "system/cluster.h"
 
+#include <pthread.h>
+#include <sched.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -9,7 +11,7 @@
 #include <exception>
 
 #include "sim/log.h"
-#include "sim/worker_pool.h"
+#include "system/epoch_crew.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
@@ -80,7 +82,179 @@ namespace {
  */
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
+/**
+ * An epoch wait first spins this many pauses (about a microsecond),
+ * then yields this many times, then parks in atomic::wait. The yields
+ * poll for about as long as an epoch's barrier work and steps take
+ * (tens of microseconds) without holding a CPU that the thread being
+ * waited for may need on an oversubscribed host. Parking costs a
+ * futex wake on the other side, which on a virtualised host can take
+ * longer than a whole epoch.
+ */
+constexpr int kSpinPauses = 48;
+constexpr int kSpinYields = 200;
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+/**
+ * Spin, yield, then park until @p word no longer reads @p old;
+ * returns the value read (acquire). Writers store the words it waits
+ * on seq_cst: libstdc++'s notify skips the futex wake when its
+ * (seq_cst) count of waiters reads zero, and only a seq_cst store is
+ * ordered before that load, so a waiter that has just registered
+ * cannot miss both the new value and the wake.
+ */
+std::uint32_t
+awaitChange(const std::atomic<std::uint32_t> &word, std::uint32_t old)
+{
+    for (int i = 0; i < kSpinPauses + kSpinYields; ++i) {
+        const std::uint32_t v = word.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+        if (i < kSpinPauses)
+            cpuRelax();
+        else
+            std::this_thread::yield();
+    }
+    for (;;) {
+        word.wait(old, std::memory_order_acquire);
+        const std::uint32_t v = word.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+    }
+}
+
+/**
+ * Move the calling crew member off the coordinator's CPU, to the
+ * (@p index + 1)-th CPU after it in the thread's affinity mask, then
+ * give the thread its full mask back. A new thread starts on its
+ * creator's CPU, and a host that does not balance load across CPUs
+ * (a cpuset with sched_load_balance off) keeps it there, so every
+ * member would time-share the coordinator's CPU. The restored mask
+ * leaves the scheduler free to move the member later.
+ */
+void
+leaveCoordinatorCpu(int coordinatorCpu, int index)
+{
+    cpu_set_t mask;
+    if (coordinatorCpu < 0 ||
+        pthread_getaffinity_np(pthread_self(), sizeof mask, &mask) != 0)
+        return;
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &mask))
+            cpus.push_back(c);
+    if (cpus.size() < 2)
+        return;
+    const std::size_t at = static_cast<std::size_t>(
+        std::find(cpus.begin(), cpus.end(), coordinatorCpu) -
+        cpus.begin());
+    const std::size_t hop =
+        1 + static_cast<std::size_t>(index) % (cpus.size() - 1);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[(at + hop) % cpus.size()], &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0)
+        pthread_setaffinity_np(pthread_self(), sizeof mask, &mask);
+}
+
+/** Ticket layout: generation (bits 63..32), step count (31..16),
+ *  next unclaimed step index (15..0). */
+constexpr std::uint64_t
+packTicket(std::uint32_t generation, std::size_t count)
+{
+    return (static_cast<std::uint64_t>(generation) << 32) |
+           (static_cast<std::uint64_t>(count) << 16);
+}
+
 } // namespace
+
+EpochCrew::EpochCrew(int members, Step step) : step_(std::move(step))
+{
+    const int coordinatorCpu = sched_getcpu();
+    threads_.reserve(static_cast<std::size_t>(std::max(0, members)));
+    for (int i = 0; i < members; ++i)
+        threads_.emplace_back([this, coordinatorCpu, i] {
+            leaveCoordinatorCpu(coordinatorCpu, i);
+            memberLoop();
+        });
+}
+
+EpochCrew::~EpochCrew()
+{
+    stopping_.store(true, std::memory_order_relaxed);
+    generation_.store(gen_ + 1);
+    generation_.notify_all();
+    for (auto &t : threads_)
+        t.join();
+}
+
+void
+EpochCrew::run(std::size_t count)
+{
+    if (threads_.empty() || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            step_(i);
+        return;
+    }
+    simAssert(count <= kMaxSteps, "EpochCrew: too many steps in one "
+                                  "epoch");
+    ++gen_;
+    // No step of the previous epoch is still running (run() waited
+    // for all of them), so nobody can count into the reset.
+    finished_.store(0, std::memory_order_relaxed);
+    ticket_.store(packTicket(gen_, count), std::memory_order_release);
+    generation_.store(gen_);
+    generation_.notify_all();
+    claimSteps();
+    // Only claimed steps are waited for: once the ticket is exhausted
+    // every step is claimed, and idle members are not counted.
+    for (std::uint32_t f;
+         (f = finished_.load(std::memory_order_acquire)) != count;)
+        awaitChange(finished_, f);
+}
+
+void
+EpochCrew::claimSteps()
+{
+    std::uint64_t t = ticket_.load(std::memory_order_acquire);
+    for (;;) {
+        const std::uint64_t next = t & 0xffff;
+        const std::uint64_t count = (t >> 16) & 0xffff;
+        if (next >= count)
+            return;
+        // Fails, reloading t, when another thread claimed first or
+        // the coordinator published a new generation meanwhile.
+        if (!ticket_.compare_exchange_weak(t, t + 1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_acquire))
+            continue;
+        step_(static_cast<std::size_t>(next));
+        if (finished_.fetch_add(1) + 1 == count)
+            finished_.notify_one();
+        t = ticket_.load(std::memory_order_acquire);
+    }
+}
+
+void
+EpochCrew::memberLoop()
+{
+    std::uint32_t seen = 0;
+    for (;;) {
+        seen = awaitChange(generation_, seen);
+        if (stopping_.load(std::memory_order_relaxed))
+            return;
+        claimSteps();
+    }
+}
 
 /**
  * A driver's stackful fiber (glibc ucontext) and the AdvanceGate its
@@ -343,8 +517,8 @@ Ticks
 Cluster::floorOf(const Node &n) const
 {
     // Only called at the barrier, while every fiber is parked or
-    // finished; the pool's task hand-off orders the state the last
-    // epoch step wrote before these reads.
+    // finished; the crew's finished count (release/acquire) orders
+    // the state the last epoch step wrote before these reads.
     const Ticks next = n.system->machine().events().nextEventTime();
     if (n.gate && !n.gate->finished)
         return std::min(next, n.gate->parkedTarget);
@@ -369,7 +543,7 @@ Cluster::stepMachine(Node &n, Ticks horizon)
         return;
     }
     // Follower (or finished-driver) machine: plain horizon drain on
-    // the worker itself, with no driver code between events.
+    // the stepping thread itself, with no driver code between events.
     n.system->machine().drainUntil(horizon);
 }
 
@@ -396,8 +570,8 @@ Cluster::mergeStaged()
     return scratch_.size();
 }
 
-std::vector<Ticks>
-Cluster::pairLookahead() const
+std::vector<std::vector<Cluster::Inbound>>
+Cluster::inboundLookahead() const
 {
     const int n = size();
     std::vector<Ticks> dist(
@@ -425,7 +599,14 @@ Cluster::pairLookahead() const
                     at(i, j) = via;
             }
         }
-    return dist;
+    std::vector<std::vector<Inbound>> inbound(
+        static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+            if (at(j, i) < maxTick)
+                inbound[static_cast<std::size_t>(i)].push_back(
+                    {j, at(j, i)});
+    return inbound;
 }
 
 ClusterStats
@@ -452,32 +633,30 @@ Cluster::run(int jobs)
             n.gate->resume(0);
         }
 
-        // The coordinator steps machines beside the pool's workers, so
-        // at most min(jobs, machines) threads run epoch steps.
-        std::unique_ptr<WorkerPool> pool;
-        if (const int workers = std::min(jobs, size()) - 1; workers > 0)
-            pool = std::make_unique<WorkerPool>(workers);
-
-        // Reusable per-machine epoch-step slots (WorkerPool bulk
-        // path): built once, borrowed by pointer every window.
-        for (auto &np : nodes_) {
-            Node *n = np.get();
-            // Pool tasks must not throw: a follower drain that panics
-            // (an event handler bug) is recorded and surfaced after
-            // the barrier instead of escaping into the pool.
-            n->step = [this, n] {
-                try {
-                    stepMachine(*n, n->horizon);
-                } catch (const std::exception &e) {
-                    recordError(n->name + ": " + e.what());
-                }
-            };
-        }
-        std::vector<std::function<void()> *> active;
+        // The machines stepping this epoch, in machine-id order; the
+        // crew's step k advances active[k] to its horizon.
+        std::vector<Node *> active;
         active.reserve(nodes_.size());
+        // Crew steps must not throw: a follower drain that panics (an
+        // event handler bug) is recorded and surfaced after the
+        // barrier instead of escaping a member thread.
+        auto step = [this, &active](std::size_t k) {
+            Node &node = *active[k];
+            try {
+                stepMachine(node, node.horizon);
+            } catch (const std::exception &e) {
+                recordError(node.name + ": " + e.what());
+            }
+        };
+        // The coordinator steps machines beside the members, so at
+        // most min(jobs, machines) threads run epoch steps; none are
+        // started at jobs <= 1.
+        EpochCrew crew(std::min(jobs, size()) - 1, step);
 
-        // Per-pair lookahead matrix; fixed once links are final.
-        const std::vector<Ticks> dist = pairLookahead();
+        // Per-pair lookahead, fixed once links are final: each
+        // machine's inbound (j, C[j][i]) pairs with finite C.
+        const std::vector<std::vector<Inbound>> inbound =
+            inboundLookahead();
         const int n = size();
         std::vector<Ticks> floors(static_cast<std::size_t>(n));
 
@@ -511,15 +690,16 @@ Cluster::run(int jobs)
                 // at itself via a round trip (request out, response
                 // in), so the self-term is load-bearing — without it
                 // a request/response neighbor gets over-granted.
-                // maxTick when nothing can ever reach i.
+                // maxTick when nothing can ever reach i (an empty
+                // inbound list).
                 Ticks h = maxTick;
-                for (int j = 0; j < n; ++j) {
-                    const Ticks d =
-                        dist[static_cast<std::size_t>(j) * n + i];
-                    const Ticks fj = floors[static_cast<std::size_t>(j)];
-                    if (d >= maxTick || fj >= maxTick - d)
+                for (const Inbound &in :
+                     inbound[static_cast<std::size_t>(i)]) {
+                    const Ticks fj =
+                        floors[static_cast<std::size_t>(in.from)];
+                    if (fj >= maxTick - in.latency)
                         continue;
-                    h = std::min(h, fj + d);
+                    h = std::min(h, fj + in.latency);
                 }
                 bool needs =
                     node.system->machine().events().nextEventTime() < h;
@@ -529,7 +709,7 @@ Cluster::run(int jobs)
                     continue;
                 node.horizon = h;
                 node.granted = std::max(node.granted, h);
-                active.push_back(&node.step);
+                active.push_back(&node);
             }
             // The global-min-floor machine always gets a horizon
             // above its floor, so someone can step.
@@ -537,13 +717,7 @@ Cluster::run(int jobs)
                       "Cluster: epoch horizon failed to advance");
             ++stats.epochs;
             stats.steps += active.size();
-            // A lone step runs inline: a pool round trip would only
-            // add a hand-off to a worker and back.
-            if (pool && active.size() > 1)
-                pool->runTasks(active.data(), active.size());
-            else
-                for (auto *s : active)
-                    (*s)();
+            crew.run(active.size());
             {
                 std::lock_guard<std::mutex> lk(errorMutex_);
                 if (!driverError_.empty())

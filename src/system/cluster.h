@@ -25,12 +25,17 @@
  *      hop of the classic min(floors) + min(latency); with
  *      heterogeneous links machines behind slow wires get
  *      proportionally larger windows instead of everyone collapsing
- *      to the slowest wire.
+ *      to the slowest wire. run() lists each machine's finite
+ *      (j, C[j][i]) pairs once, so an epoch visits only those, not
+ *      all n^2.
  *   3. Every machine with work below its H_i advances to it
- *      concurrently on a WorkerPool worker (or inline, in machine-id
- *      order, when jobs <= 1 — the sequential oracle). Machines never
- *      touch each other's state inside a window; outbound packets are
- *      staged in the links.
+ *      concurrently on an epoch crew (system/epoch_crew.h): the
+ *      coordinator and min(jobs, machines) - 1 member threads claim
+ *      the epoch's steps by ticket, and the coordinator waits only
+ *      for claimed steps to finish. At jobs <= 1 every step runs
+ *      inline in machine-id order — the sequential oracle. Machines
+ *      never touch each other's state inside a window; outbound
+ *      packets are staged in the links.
  *   4. At the barrier the staged packets are merged into destination
  *      queues in canonical (deliveryTick, srcMachineId, seq) order.
  *
@@ -44,12 +49,11 @@
  * with a driver runs it on a stackful fiber whose EventQueue wears an
  * AdvanceGate: an advance that would cross the horizon drains what it
  * owns and parks by switching back to whoever resumed the fiber; the
- * epoch step resumes it with the new horizon on the thread that runs
- * the step (the coordinator, or at jobs > 1 a WorkerPool worker
- * beside it) and returns when it parks again or finishes. There are
- * no driver threads, and a fiber may move between threads from one
- * epoch to the next — the pool's task hand-off orders its state
- * between them.
+ * epoch step resumes it with the new horizon on whichever crew
+ * thread claimed the step and returns when it parks again or
+ * finishes. There are no driver threads, and a fiber may move between
+ * threads from one epoch to the next — the crew's generation publish
+ * (release) and ticket claim (acquire) order its state between them.
  */
 
 #ifndef SVTSIM_SYSTEM_CLUSTER_H
@@ -66,8 +70,6 @@
 #include "system/nested_system.h"
 
 namespace svtsim {
-
-class WorkerPool;
 
 /** Aggregate run statistics (diagnostics and the speed bench). */
 struct ClusterStats
@@ -144,8 +146,9 @@ class Cluster
      * drivers at all, until every queue drains). @p jobs <= 1 runs
      * every epoch step inline on the caller, in machine-id order —
      * the sequential oracle whose output any parallel run must match
-     * byte for byte. Otherwise the caller and min(jobs, size()) - 1
-     * pool workers run each epoch's steps.
+     * byte for byte. Otherwise the caller and an epoch crew of
+     * min(jobs, size()) - 1 member threads, alive for this call, run
+     * each epoch's steps.
      *
      * May be called once per Cluster. Rethrows the first driver
      * error (SimError) after all drivers have unwound.
@@ -168,8 +171,6 @@ class Cluster
         std::unique_ptr<NestedSystem> system;
         std::function<void(NestedSystem &)> driver;
         std::unique_ptr<DriverGate> gate;
-        /** Reusable epoch-step slot handed to WorkerPool::runTasks. */
-        std::function<void()> step;
         /** This machine's horizon for the current epoch (written by
          *  the coordinator before the step runs, read by step). */
         Ticks horizon = 0;
@@ -181,18 +182,27 @@ class Cluster
     /** Earliest time machine @p n can next act (coordinator side;
      *  requires the machine parked/finished/follower). */
     Ticks floorOf(const Node &n) const;
-    /** Advance machine @p n's window to @p horizon (worker side). */
+    /** Advance machine @p n's window to @p horizon (crew side). */
     void stepMachine(Node &n, Ticks horizon);
     /** Keep @p what as the first error run() rethrows. Thread-safe. */
     void recordError(const std::string &what);
     /** Merge staged link packets canonically; returns count. Checks
      *  each arrival against the destination's granted horizon. */
     std::uint64_t mergeStaged();
-    /** At-least-one-hop all-pairs shortest-path latency matrix over
+    /** A finite entry C[from][i] of the lookahead matrix: machine
+     *  @c from can cause an arrival at machine i no sooner than
+     *  @c latency past its floor. */
+    struct Inbound
+    {
+        int from;
+        Ticks latency;
+    };
+    /** Each machine's inbound pairs, in machine-id order, from the
+     *  at-least-one-hop all-pairs shortest-path latency matrix over
      *  the links (Floyd-Warshall with the diagonal seeded
-     *  unreachable, so [i][i] is the shortest cycle through i;
-     *  maxTick = unreachable). */
-    std::vector<Ticks> pairLookahead() const;
+     *  unreachable, so C[i][i] is the shortest cycle through i). A
+     *  machine nothing can reach gets an empty list. */
+    std::vector<std::vector<Inbound>> inboundLookahead() const;
 
     std::uint64_t baseSeed_;
     std::vector<std::unique_ptr<Node>> nodes_;

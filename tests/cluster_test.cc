@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the conservative parallel cluster engine and its
- * supporting layers: the EventQueue horizon fast path, the WorkerPool
- * bulk-submit path, CrossLink ordering/latency properties, and the
+ * supporting layers: the EventQueue horizon fast path, the epoch
+ * crew's ticket barrier, CrossLink ordering/latency properties, and the
  * headline determinism contract — a cluster run is byte-identical for
  * any worker count, including under fault injection — and the driver
  * fibers: they run on the threads that step their machines, and their
@@ -10,9 +10,11 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,8 +25,8 @@
 #include "sim/event_queue.h"
 #include "sim/fault.h"
 #include "sim/log.h"
-#include "sim/worker_pool.h"
 #include "system/cluster.h"
+#include "system/epoch_crew.h"
 #include "system/nested_system.h"
 #include "workloads/netperf.h"
 
@@ -143,39 +145,108 @@ TEST(AdvanceGate, AdvancePastHorizonWaitsOnceAndIdleReturnsEarly)
 }
 
 // ---------------------------------------------------------------------
-// WorkerPool::runTasks (the zero-alloc epoch submit path).
+// EpochCrew: the cluster's epoch barrier.
 
-TEST(WorkerPoolRunTasks, RunsEveryBorrowedSlotAndIsReusable)
+/** CPUs this process may run on. */
+int
+affinityCpus()
 {
-    WorkerPool pool(3);
-    std::atomic<int> counter{0};
-    std::vector<std::function<void()>> slots;
-    for (int i = 0; i < 8; ++i)
-        slots.push_back([&counter] { ++counter; });
-    std::vector<std::function<void()> *> ptrs;
-    for (auto &s : slots)
-        ptrs.push_back(&s);
-
-    pool.runTasks(ptrs.data(), ptrs.size());
-    EXPECT_EQ(counter.load(), 8);
-    // Slots are reusable across windows without re-allocation.
-    pool.runTasks(ptrs.data(), ptrs.size());
-    EXPECT_EQ(counter.load(), 16);
-    // Empty bulk submit returns immediately.
-    pool.runTasks(ptrs.data(), 0);
-    EXPECT_EQ(counter.load(), 16);
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    return CPU_COUNT(&set);
 }
 
-TEST(WorkerPoolRunTasks, MixesWithSubmit)
+TEST(EpochCrew, EveryPublishedStepRunsOnceUnderItsOwnEpoch)
 {
-    WorkerPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    std::function<void()> task = [&counter] { counter += 10; };
-    std::function<void()> *ptr = &task;
-    pool.runTasks(&ptr, 1);
-    pool.wait();
-    EXPECT_EQ(counter.load(), 11);
+    constexpr std::uint32_t kEpochs = 10000;
+    // Every 500th epoch follows a pause long enough for the members
+    // to park, then publishes two steps: the coordinator usually
+    // claims both before any member is awake again.
+    constexpr std::uint32_t kParkEvery = 500;
+    std::vector<std::uint32_t> counts(kEpochs);
+    std::vector<std::size_t> offsets(kEpochs + 1, 0);
+    std::uint64_t lcg = 12345;
+    for (std::uint32_t e = 0; e < kEpochs; ++e) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        counts[e] = e % kParkEvery == kParkEvery - 1
+                        ? 2
+                        : static_cast<std::uint32_t>((lcg >> 33) % 18);
+        offsets[e + 1] = offsets[e] + counts[e];
+    }
+
+    int coordinatorOnly = 0;
+    for (int members = 1; members <= 3; ++members) {
+        // One slot per published (epoch, index): a step counts itself
+        // in the slot of the epoch the coordinator is running.
+        std::vector<std::atomic<std::uint32_t>> runs(offsets[kEpochs]);
+        std::atomic<std::uint32_t> current{0};
+        std::atomic<std::uint32_t> foreign{0};
+        std::atomic<std::uint32_t> onMembers{0};
+        const std::thread::id coordinator = std::this_thread::get_id();
+        EpochCrew crew(members, [&](std::size_t k) {
+            const std::uint32_t e =
+                current.load(std::memory_order_relaxed);
+            if (k >= counts[e]) {
+                foreign.fetch_add(1);
+                return;
+            }
+            runs[offsets[e] + k].fetch_add(1,
+                                           std::memory_order_relaxed);
+            if (std::this_thread::get_id() != coordinator)
+                onMembers.fetch_add(1, std::memory_order_relaxed);
+        });
+
+        for (std::uint32_t e = 0; e < kEpochs; ++e) {
+            const bool parkFirst = e % kParkEvery == kParkEvery - 1;
+            if (parkFirst)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            current.store(e, std::memory_order_relaxed);
+            const std::uint32_t memberRunsBefore = onMembers.load();
+            crew.run(counts[e]);
+            // run() returns only once every step of the epoch is done.
+            for (std::uint32_t k = 0; k < counts[e]; ++k) {
+                ASSERT_EQ(runs[offsets[e] + k].load(), 1u)
+                    << "members " << members << " epoch " << e
+                    << " step " << k;
+            }
+            if (parkFirst && onMembers.load() == memberRunsBefore)
+                ++coordinatorOnly;
+        }
+        // No step ran twice, late, or outside its epoch's range.
+        EXPECT_EQ(foreign.load(), 0u) << "members " << members;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_EQ(runs[i].load(), 1u) << "members " << members
+                                          << " slot " << i;
+        }
+        // With a CPU to spare, members took part. (On one CPU either
+        // side may take every step.)
+        if (affinityCpus() > 1) {
+            EXPECT_GT(onMembers.load(), 0u) << "members " << members;
+        }
+    }
+    // ...and the coordinator outran parked members at least once.
+    if (affinityCpus() > 1) {
+        EXPECT_GT(coordinatorOnly, 0);
+    }
+}
+
+TEST(EpochCrew, DestroyedWithParkedMembersJoins)
+{
+    std::atomic<int> ran{0};
+    {
+        EpochCrew crew(3, [&](std::size_t) { ++ran; });
+        crew.run(5);
+        crew.run(0);
+        crew.run(1);
+        // Long enough for every member to give up spinning and park.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_EQ(ran.load(), 6);
+    // A crew that never ran an epoch joins too, started or not.
+    { EpochCrew idle(2, [](std::size_t) {}); }
 }
 
 // ---------------------------------------------------------------------
@@ -631,6 +702,59 @@ TEST(Cluster, DriverErrorUnwindsParkedFibers)
         EXPECT_TRUE(quietReturned) << "jobs " << jobs;
         EXPECT_EQ(quietReached, msec(1)) << "jobs " << jobs;
     }
+}
+
+TEST(Cluster, DriverErrorOnAMemberThreadIsRethrown)
+{
+    // Four drivers on a star, four crew threads. A driver that lands
+    // on the coordinator sleeps, so the members claim the epoch's
+    // other steps; "boom" throws the first time a member runs it.
+    constexpr int kMachines = 4;
+    const std::thread::id coordinator = std::this_thread::get_id();
+    std::atomic<bool> boomOnMember{false};
+    std::vector<Ticks> reached(kMachines, 0);
+    {
+        Cluster cluster(1);
+        for (int i = 0; i < kMachines; ++i)
+            cluster.addMachine(i == kMachines - 1
+                                   ? "boom"
+                                   : "quiet" + std::to_string(i),
+                               VirtMode::Native);
+        for (int i = 1; i < kMachines; ++i)
+            cluster.connect(0, i, usec(1), 10e9);
+        for (int i = 0; i < kMachines; ++i) {
+            const bool boom = i == kMachines - 1;
+            cluster.setDriver(i, [&, i, boom](NestedSystem &sys) {
+                Machine &m = sys.machine();
+                while (m.now() < msec(1)) {
+                    m.idleUntil(m.now() + usec(2));
+                    if (std::this_thread::get_id() == coordinator) {
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(50));
+                    } else if (boom) {
+                        boomOnMember = true;
+                        throw SimError("deliberate member failure");
+                    }
+                }
+                reached[static_cast<std::size_t>(i)] = m.now();
+            });
+        }
+        try {
+            cluster.run(kMachines);
+            ADD_FAILURE() << "run() did not rethrow";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "boom: deliberate member failure"),
+                      std::string::npos);
+        }
+        // Destroying the Cluster asserts no driver fiber is live.
+    }
+    EXPECT_TRUE(boomOnMember.load());
+    // The quiet drivers ran their tails to the end, wherever they were
+    // parked last.
+    for (int i = 0; i < kMachines - 1; ++i)
+        EXPECT_EQ(reached[static_cast<std::size_t>(i)], msec(1))
+            << "machine " << i;
 }
 
 TEST(Cluster, NonStdDriverExceptionIsContained)
