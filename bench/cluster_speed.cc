@@ -27,9 +27,9 @@
 
 #include "arch/cost_model.h"
 #include "io/virtio_net.h"
-#include "sim/worker_pool.h"
 #include "system/bench_harness.h"
 #include "system/cluster_spec.h"
+#include "system/epoch_crew.h"
 #include "workloads/remote_peer.h"
 
 using namespace svtsim;
@@ -169,7 +169,7 @@ runClusterSpeed(int argc, char **argv, const BenchOptions &options)
         return 2;
     }
     if (cfg.jobs <= 0)
-        cfg.jobs = WorkerPool::defaultWorkers();
+        cfg.jobs = EpochCrew::hardwareThreads();
 
     const unsigned cores = std::thread::hardware_concurrency();
 

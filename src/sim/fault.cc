@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 #include "sim/log.h"
@@ -89,7 +90,8 @@ parseDouble(const std::string &text, double &out)
     return true;
 }
 
-/** Parse "NUMBER(ns|us|ms)" into Ticks. */
+/** Parse "NUMBER(ns|us|ms)" into Ticks; false when the tick count
+ *  is negative or does not fit in Ticks. */
 bool
 parseTime(const std::string &text, Ticks &out)
 {
@@ -100,17 +102,18 @@ parseTime(const std::string &text, Ticks &out)
         --unit;
     }
     double value = 0;
-    if (!parseDouble(text.substr(0, unit), value) || value < 0)
+    if (!parseDouble(text.substr(0, unit), value))
         return false;
-    std::string suffix = text.substr(unit);
-    if (suffix == "ns")
-        out = nsec(value);
-    else if (suffix == "us")
-        out = usec(value);
-    else if (suffix == "ms")
-        out = usec(value * 1000.0);
-    else
+    // nsec()/usec()'s products, range-checked before the cast (a double
+    // at or past 2^63 has no Ticks value); -1 marks an unknown unit.
+    const std::string suffix = text.substr(unit);
+    const double ticks = suffix == "ns"   ? value * 1e3
+                         : suffix == "us" ? value * 1e6
+                         : suffix == "ms" ? value * 1000.0 * 1e6
+                                          : -1.0;
+    if (!(ticks >= 0 && ticks < static_cast<double>(maxTick)))
         return false;
+    out = static_cast<Ticks>(ticks);
     return true;
 }
 
@@ -179,10 +182,15 @@ parseClause(const std::string &text)
                       trigger.c_str());
             }
         }
+        // decide() fires on [first, first + count), which must not wrap.
+        if (clause.count > UINT64_MAX - clause.first)
+            fatal("fault trigger '%s': occurrence window ends past "
+                  "2^64 - 1", trigger.c_str());
     } else if (trigger[0] == 'p') {
         clause.probabilistic = true;
+        // A range test, so that a NaN (which fails both) is rejected.
         if (!parseDouble(trigger.substr(1), clause.probability) ||
-            clause.probability < 0.0 || clause.probability > 1.0) {
+            !(clause.probability >= 0.0 && clause.probability <= 1.0)) {
             fatal("fault trigger '%s': probability must be in [0, 1]",
                   trigger.c_str());
         }

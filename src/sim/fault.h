@@ -18,6 +18,9 @@
  *                                     probability PROB in [0, 1]
  *     TIME    := NUMBER ('ns'|'us'|'ms')
  *
+ * A NaN probability, a TIME past the Ticks range and a window whose
+ * end N + COUNT passes 2^64 - 1 are rejected like any malformed text.
+ *
  * Examples: `ipi.drop@n2`, `ipi.delay@p0.5,d2us`,
  * `ring.post.drop@n1+3;virtio.completion.delay@p0.1,d50us`.
  */

@@ -8,7 +8,7 @@
 
 #include "sim/json.h"
 #include "sim/log.h"
-#include "sim/worker_pool.h"
+#include "system/epoch_crew.h"
 
 namespace svtsim {
 
@@ -209,24 +209,20 @@ BenchHarness::main(int argc, char **argv)
             return 0;
         } else if (arg == "--list") {
             list_only = true;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
+        } else if (arg.rfind("--jobs=", 0) == 0 ||
+                   arg.rfind("--cluster-jobs=", 0) == 0) {
+            // Both take a thread count; 0 asks for one per hardware
+            // thread.
+            const std::size_t eq = arg.find('=');
+            const std::string flag = arg.substr(0, eq);
             std::uint64_t n = 0;
-            if (!parseUint(value("--jobs="), n) || n > 4096) {
-                std::cerr << name_ << ": bad --jobs value '"
-                          << value("--jobs=") << "'\n";
+            if (!parseUint(arg.substr(eq + 1), n) || n > 4096) {
+                std::cerr << name_ << ": bad " << flag << " value '"
+                          << arg.substr(eq + 1) << "'\n";
                 return usage(std::cerr, 2);
             }
-            options.jobs = n == 0 ? WorkerPool::defaultWorkers()
-                                  : static_cast<int>(n);
-        } else if (arg.rfind("--cluster-jobs=", 0) == 0) {
-            std::uint64_t n = 0;
-            if (!parseUint(value("--cluster-jobs="), n) || n > 4096) {
-                std::cerr << name_ << ": bad --cluster-jobs value '"
-                          << value("--cluster-jobs=") << "'\n";
-                return usage(std::cerr, 2);
-            }
-            options.clusterJobs = n == 0 ? WorkerPool::defaultWorkers()
-                                         : static_cast<int>(n);
+            (flag == "--jobs" ? options.jobs : options.clusterJobs) =
+                n == 0 ? EpochCrew::hardwareThreads() : static_cast<int>(n);
         } else if (arg.rfind("--seed=", 0) == 0) {
             if (!parseUint(value("--seed="), options.seed)) {
                 std::cerr << name_ << ": bad --seed value '"

@@ -1,13 +1,14 @@
 /**
  * @file
- * The cluster engine's epoch barrier: a crew of threads that meets the
- * coordinator once per epoch and shares out that epoch's machine steps.
- *
- * Cluster::run builds one crew per run with min(jobs, machines) - 1
- * member threads; the coordinator (the thread calling run()) is the
- * crew's last hand. An epoch lasts one link lookahead, a few
- * microseconds of host time, so the meeting point is three atomics
- * rather than a mutex, a queue and condvars:
+ * The simulator's one thread mechanism: a crew of threads that meets
+ * its coordinator once per epoch and shares out that epoch's indexed
+ * steps. Cluster::run (--cluster-jobs) publishes one epoch per
+ * lookahead window, a step per runnable machine; runSweep (--jobs)
+ * publishes its scenarios, a step per result slot. Each builds
+ * min(jobs, items) - 1 members; the coordinator (the thread calling
+ * run()) is the crew's last hand. A cluster epoch lasts one link
+ * lookahead, a few microseconds of host time, so the meeting point is
+ * three atomics rather than a mutex, a queue and condvars:
  *
  *  - the *generation* word, which members wait on;
  *  - the *ticket*, one 64-bit word packing the generation, the epoch's
@@ -39,9 +40,6 @@
  * its affinity mask allows one), then gets its full mask back: a new
  * thread starts beside its creator, and a host that never balances
  * load across CPUs would otherwise keep the whole crew on one.
- *
- * Used only by Cluster (and implemented in cluster.cc); declared here
- * so tests can drive it directly.
  */
 
 #ifndef SVTSIM_SYSTEM_EPOCH_CREW_H
@@ -78,6 +76,9 @@ class EpochCrew
 
     EpochCrew(const EpochCrew &) = delete;
     EpochCrew &operator=(const EpochCrew &) = delete;
+
+    /** One per hardware thread, at least 1 (what jobs = 0 asks for). */
+    static int hardwareThreads();
 
     /**
      * Coordinator side: run steps 0 .. @p count - 1 of a new epoch on

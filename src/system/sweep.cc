@@ -1,11 +1,12 @@
 #include "system/sweep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 
 #include "sim/log.h"
-#include "sim/worker_pool.h"
 #include "system/cluster.h"
+#include "system/epoch_crew.h"
 #include "system/trace_session.h"
 
 namespace svtsim {
@@ -116,8 +117,8 @@ class SweepRunner
                             const SweepOptions &options);
 
   private:
-    /** Run one scenario into its slot; never throws (SimError is
-     *  captured on the result so pool tasks stay noexcept). */
+    /** Run one scenario into its slot; never throws (an exception is
+     *  captured on the result, as a crew step must not throw). */
     static void runOne(const Scenario &scenario,
                        const SweepOptions &options,
                        ScenarioResult &result);
@@ -130,20 +131,16 @@ SweepRunner::runOne(const Scenario &scenario,
     result.name_ = scenario.name;
     result.mode_ = scenario.mode;
     result.seed_ = options.baseSeed;
-    if (scenario.clusterRun) {
-        try {
+    try {
+        if (scenario.clusterRun) {
             ClusterContext ctx(result.seed_, options.clusterJobs,
                                options, scenario.name);
             scenario.clusterRun(ctx, result);
             result.finalTicks_ = ctx.finalTicks_;
             result.metricsSnapshot_ = std::move(ctx.snapshot_);
             result.traceReport_ = std::move(ctx.traceReport_);
-        } catch (const SimError &e) {
-            result.error_ = e.what();
+            return;
         }
-        return;
-    }
-    try {
         StackConfig config = scenario.config;
         config.mode = scenario.mode;
         NestedSystem sys =
@@ -158,10 +155,10 @@ SweepRunner::runOne(const Scenario &scenario,
         scenario.run(sys, result);
         result.finalTicks_ = sys.machine().now();
         result.metricsSnapshot_ = sys.machine().snapshotMetrics();
-        // Capture instead of letting the destructor print: workers
-        // must not write to stderr in completion order.
+        // Capture instead of letting the destructor print: crew
+        // threads must not write to stderr in completion order.
         result.traceReport_ = trace.finish();
-    } catch (const SimError &e) {
+    } catch (const std::exception &e) {
         result.error_ = e.what();
     }
 }
@@ -184,24 +181,20 @@ SweepRunner::run(const std::vector<Scenario> &scenarios,
     }
 
     SweepResults results;
-    results.results_.resize(scenarios.size());
+    const std::size_t n = scenarios.size();
+    results.results_.resize(n);
 
-    if (options.jobs <= 1) {
-        for (std::size_t i = 0; i < scenarios.size(); ++i)
-            runOne(scenarios[i], options, results.results_[i]);
-        return results;
-    }
-
-    WorkerPool pool(options.jobs);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const Scenario *scenario = &scenarios[i];
-        ScenarioResult *slot = &results.results_[i];
-        pool.submit(
-            [scenario, slot, &options] {
-                runOne(*scenario, options, *slot);
-            });
-    }
-    pool.wait();
+    // Step k of a round runs scenario first + k into its slot; the
+    // caller is the crew's last hand, so at most min(jobs, scenarios)
+    // threads run scenarios and none are started at jobs <= 1.
+    std::size_t first = 0;
+    EpochCrew crew(std::min(options.jobs, static_cast<int>(n)) - 1,
+                   [&](std::size_t k) {
+                       runOne(scenarios[first + k], options,
+                              results.results_[first + k]);
+                   });
+    for (; first < n; first += EpochCrew::kMaxSteps)
+        crew.run(std::min(EpochCrew::kMaxSteps, n - first));
     return results;
 }
 
@@ -210,8 +203,8 @@ runSweep(const std::vector<Scenario> &scenarios,
          const SweepOptions &options)
 {
     SweepResults results = SweepRunner::run(scenarios, options);
-    // Conservation reports surface once the pool has drained, in
-    // declaration order, so stderr is reproducible across --jobs.
+    // Conservation reports surface once every scenario has finished,
+    // in declaration order, so stderr is reproducible across --jobs.
     for (const auto &r : results.all()) {
         if (!r.traceReport().empty())
             std::fprintf(stderr, "%s\n", r.traceReport().c_str());

@@ -3,13 +3,14 @@
  * Deterministic parallel sweep engine.
  *
  * A sweep runs a declarative list of independent scenarios — each a
- * (VirtMode, StackConfig, seed) triple plus a run callback — on a
- * fixed-size worker pool, one fully isolated NestedSystem per task.
- * Scenarios share no mutable state (each NestedSystem owns its
- * machine, event queue and RNG), so results are bit-identical
- * regardless of the worker count: every scenario writes into its own
- * pre-allocated result slot and aggregation happens in declaration
- * order after the pool drains.
+ * (VirtMode, StackConfig, seed) triple plus a run callback — as the
+ * indexed steps of an EpochCrew (system/epoch_crew.h), one fully
+ * isolated NestedSystem per scenario. Scenarios share no mutable state
+ * (each NestedSystem owns its machine, event queue and RNG), so
+ * results are bit-identical regardless of the thread count: every
+ * scenario writes into its own pre-allocated result slot and
+ * aggregation happens in declaration order once every scenario has
+ * finished.
  *
  * Determinism contract:
  *  - a scenario's result is a pure function of (mode, config,
@@ -158,7 +159,7 @@ class ScenarioResult
      *  fingerprint (identical across reruns and worker counts). */
     Ticks finalTicks() const { return finalTicks_; }
 
-    /** Non-empty when the scenario raised a SimError. */
+    /** Non-empty when the scenario raised an exception. */
     const std::string &error() const { return error_; }
     bool ok() const { return error_.empty(); }
 
@@ -213,7 +214,8 @@ class SweepResults
 /** Execution knobs of a sweep (the BenchHarness CLI surface). */
 struct SweepOptions
 {
-    /** Worker threads; 1 runs inline on the calling thread. */
+    /** Threads running scenarios, the caller included, at most one
+     *  per scenario; 1 runs them inline in declaration order. */
     int jobs = 1;
     /** Seed every scenario runs at. */
     std::uint64_t baseSeed = 1;
@@ -236,8 +238,9 @@ struct SweepOptions
  * Run every scenario and aggregate results in declaration order.
  *
  * Scenario names must be unique and every scenario must have a run
- * callback (FatalError otherwise, before anything executes). SimError
- * raised inside a scenario is captured on its result, not propagated;
+ * callback (FatalError otherwise, before anything executes). A
+ * std::exception (SimError or other) raised inside a scenario is
+ * captured on its result, not propagated, whichever thread ran it;
  * callers check SweepResults::allOk().
  */
 SweepResults runSweep(const std::vector<Scenario> &scenarios,

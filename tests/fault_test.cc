@@ -23,6 +23,7 @@
 #include "io/virtqueue.h"
 #include "sim/fault.h"
 #include "sim/log.h"
+#include "sim/random.h"
 #include "system/bench_harness.h"
 #include "system/nested_system.h"
 
@@ -82,13 +83,110 @@ TEST(FaultPlan, RejectsMalformedSpecs)
 {
     // Unknown site, missing trigger, malformed trigger, probability
     // out of range, 1-based occurrence violated, delay on a non-delay
-    // site, delay site without a delay, bad time unit.
+    // site, delay site without a delay, bad time unit, a NaN
+    // probability, a delay past the Ticks range, an occurrence window
+    // whose end wraps.
     for (const char *bad :
          {"bogus.site@n1", "ipi.drop", "ipi.drop@x1", "ipi.drop@p1.5",
           "ipi.drop@n0", "ipi.drop@n1,d1us", "ipi.delay@n1",
-          "ipi.delay@n1,d5s", "ipi.delay@n1,q5us"}) {
+          "ipi.delay@n1,d5s", "ipi.delay@n1,q5us", "ipi.drop@pnan",
+          "ipi.delay@n1,d1e300ms", "ipi.drop@n18446744073709551615+2"}) {
         EXPECT_THROW(FaultPlan::parse(bad), FatalError) << bad;
     }
+}
+
+TEST(FaultPlan, RandomSpecsParseOrThrowFatalError)
+{
+    // Seeded strings over the grammar's tokens, mostly shaped like
+    // clauses so that parsing gets past the site name. Every string
+    // must parse into in-range clauses or raise FatalError; anything
+    // else escaping is a parser bug. The range checks also catch an
+    // out-of-range double-to-Ticks cast (it reads INT64_MIN on x86-64),
+    // which GCC's -fsanitize=undefined does not include.
+    const std::vector<std::string> sites = {
+        "ring.post.drop",      "ring.doorbell.delay",
+        "ring.wake.spurious",  "ipi.drop",
+        "ipi.delay",           "virtio.completion.delay",
+        "virtio.backpressure", "ipi.dela",
+        ""};
+    const std::vector<std::string> digits = {"0", "1", "2", "5", "9"};
+    const std::vector<std::string> hostile = {
+        ".", "e", "-", "nan", "inf", "18446744073709551615", "300"};
+    const std::vector<std::string> units = {"ns", "us", "ms", "s", ""};
+    const std::vector<std::string> glue = {"@", "n", "p", "+", ",d",
+                                           ";", " ", ","};
+    Rng rng(2024);
+    auto pick = [&rng](const std::vector<std::string> &from) {
+        return from[rng.below(from.size())];
+    };
+    // A plain decimal three times in four, else a hostile token
+    // followed by a run of digits and hostile tokens.
+    auto number = [&] {
+        const bool plain = rng.below(4) != 0;
+        std::string out = plain ? pick(digits) : pick(hostile);
+        for (std::uint64_t i = 0, len = rng.below(4); i < len; ++i)
+            out += plain || rng.below(2) ? pick(digits) : pick(hostile);
+        return out;
+    };
+
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 10000; ++i) {
+        std::string spec;
+        for (std::uint64_t c = 0, clauses = 1 + rng.below(3);
+             c < clauses; ++c) {
+            if (c > 0)
+                spec += rng.below(2) ? ";" : " ; ";
+            if (rng.below(8) == 0) {
+                // Token soup: no clause shape at all.
+                for (std::uint64_t t = 0, len = rng.below(8); t < len;
+                     ++t)
+                    spec += rng.below(2) ? pick(glue) : number();
+                continue;
+            }
+            const std::string site = pick(sites);
+            spec += site + "@";
+            if (rng.below(2)) {
+                spec += "p" + (rng.below(2) ? "0." + number() : number());
+            } else {
+                spec += "n" + number();
+                if (rng.below(3) == 0)
+                    spec += "+" + number();
+            }
+            // Delay sites take a delay, the others must not; one clause
+            // in eight gets it the wrong way round.
+            const bool delaySite =
+                site.size() > 6 &&
+                site.compare(site.size() - 6, 6, ".delay") == 0;
+            if (delaySite != (rng.below(8) == 0))
+                spec += ",d" + number() + pick(units);
+        }
+        try {
+            FaultPlan plan = FaultPlan::parse(spec);
+            ++parsed;
+            for (const FaultClause &clause : plan.clauses()) {
+                if (clause.probabilistic) {
+                    EXPECT_TRUE(clause.probability >= 0.0 &&
+                                clause.probability <= 1.0)
+                        << spec;
+                } else {
+                    EXPECT_GE(clause.first, 1u) << spec;
+                    EXPECT_GE(clause.count, 1u) << spec;
+                    EXPECT_GT(clause.first + clause.count, clause.first)
+                        << spec;
+                }
+                EXPECT_GE(clause.delay, 0) << spec;
+            }
+        } catch (const FatalError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "'" << spec << "' raised " << e.what();
+        } catch (...) {
+            ADD_FAILURE() << "'" << spec << "' raised a non-std exception";
+        }
+    }
+    // Both outcomes are common, so neither path goes untested.
+    EXPECT_GT(parsed, 1000) << rejected;
+    EXPECT_GT(rejected, 1000) << parsed;
 }
 
 // ------------------------------------------------------------- determinism

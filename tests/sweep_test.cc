@@ -8,14 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sim/worker_pool.h"
 #include "system/bench_harness.h"
+#include "system/epoch_crew.h"
 #include "system/sweep.h"
 #include "workloads/microbench.h"
 
@@ -70,40 +70,6 @@ expectIdentical(const SweepResults &a, const SweepResults &b)
     }
 }
 
-TEST(WorkerPool, RunsEveryTask)
-{
-    WorkerPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i] { sum += i; });
-    pool.wait();
-    EXPECT_EQ(sum, 5050);
-}
-
-TEST(WorkerPool, WaitIsReusable)
-{
-    WorkerPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count, 1);
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count, 11);
-}
-
-TEST(WorkerPool, DestructorDrainsQueue)
-{
-    std::atomic<int> count{0};
-    {
-        WorkerPool pool(1);
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&count] { ++count; });
-    }
-    EXPECT_EQ(count, 20);
-}
-
 TEST(Sweep, SameSeedTwiceIsIdentical)
 {
     SweepOptions opts;
@@ -124,6 +90,25 @@ TEST(Sweep, JobsOneAndJobsEightAreIdentical)
     SweepResults b = runSweep(probeSweep(), parallel);
     ASSERT_TRUE(a.allOk());
     ASSERT_TRUE(b.allOk());
+    expectIdentical(a, b);
+
+    // A sweep longer than one crew round (EpochCrew::kMaxSteps steps)
+    // runs every scenario once, into its own slot. The scenarios are
+    // cluster bodies that build nothing, so the sweep stays cheap.
+    std::vector<Scenario> many(EpochCrew::kMaxSteps + 2);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+        many[i].name = "s" + std::to_string(i);
+        many[i].clusterRun = [i](ClusterContext &, ScenarioResult &r) {
+            r.record("index", static_cast<double>(i));
+        };
+    }
+    a = runSweep(many, serial);
+    b = runSweep(many, parallel);
+    ASSERT_EQ(a.all().size(), many.size());
+    for (std::size_t i = 0; i < many.size(); ++i) {
+        ASSERT_EQ(a.all()[i].name(), many[i].name);
+        ASSERT_EQ(a.all()[i].metric("index"), static_cast<double>(i));
+    }
     expectIdentical(a, b);
 }
 
@@ -156,12 +141,27 @@ TEST(Sweep, ScenarioErrorIsCapturedNotPropagated)
         fatal("scenario exploded on purpose");
     };
     sweep.push_back(std::move(bad));
-    SweepResults res = runSweep(sweep, SweepOptions{});
-    EXPECT_FALSE(res.allOk());
-    EXPECT_FALSE(res.at("exploder").ok());
-    EXPECT_NE(res.at("exploder").error().find("exploded"),
-              std::string::npos);
-    EXPECT_TRUE(res.at("nested-baseline").ok());
+    Scenario thrower;
+    thrower.name = "thrower";
+    thrower.clusterRun = [](ClusterContext &, ScenarioResult &) {
+        throw std::out_of_range("not a SimError");
+    };
+    sweep.push_back(std::move(thrower));
+    // Inline, and at jobs = 4, where the errors may be raised on crew
+    // member threads and must still land on their own results.
+    for (int jobs : {1, 4}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        SweepResults res = runSweep(sweep, opts);
+        EXPECT_FALSE(res.allOk()) << "jobs " << jobs;
+        EXPECT_FALSE(res.at("exploder").ok()) << "jobs " << jobs;
+        EXPECT_NE(res.at("exploder").error().find("exploded"),
+                  std::string::npos)
+            << "jobs " << jobs;
+        EXPECT_EQ(res.at("thrower").error(), "not a SimError")
+            << "jobs " << jobs;
+        EXPECT_TRUE(res.at("nested-baseline").ok()) << "jobs " << jobs;
+    }
 }
 
 TEST(Sweep, RejectsDuplicateNamesAndMissingCallbacks)
