@@ -120,29 +120,6 @@ class ReferenceEventQueue
         advanceTo(delta >= maxTick - now_ ? maxTick : now_ + delta);
     }
 
-    bool
-    runNext()
-    {
-        popCancelled();
-        if (heap_.empty())
-            return false;
-        std::function<void()> fn = takeTop();
-        fn();
-        return true;
-    }
-
-    bool
-    runUntil(const std::function<bool()> &pred)
-    {
-        if (pred())
-            return true;
-        while (runNext()) {
-            if (pred())
-                return true;
-        }
-        return false;
-    }
-
     std::uint64_t executedCount() const { return executed_; }
 
     bool

@@ -111,12 +111,6 @@ Lapic::isPending(std::uint8_t vector) const
     return (pending_[vector >> 6] & vectorBit(vector)) != 0;
 }
 
-void
-Lapic::clear(std::uint8_t vector)
-{
-    pending_[vector >> 6] &= ~vectorBit(vector);
-}
-
 bool
 Lapic::postInterrupt(std::uint8_t vector)
 {

@@ -66,9 +66,6 @@ class Lapic
     /** Whether a specific vector is pending. */
     bool isPending(std::uint8_t vector) const;
 
-    /** Clear a specific pending vector (used by emulated injection). */
-    void clear(std::uint8_t vector);
-
     // -- Posted interrupts (exit-elision ladder rung 1) ----------------
     /**
      * Set @p vector in the posted-interrupt request bitmap instead of

@@ -76,7 +76,7 @@ Machine::Machine(MachineTopology topo, CostModel costs,
         for (int c = 0; c < topo_.coresPerNode; ++c) {
             cores_.push_back(std::make_unique<SmtCore>(
                 eq_, costs_, id++, topo_.threadsPerCore, node,
-                SmtCore::defaultPrfSize, &metrics_));
+                &metrics_));
         }
     }
 }

@@ -5,15 +5,15 @@
 namespace svtsim {
 
 SmtCore::SmtCore(EventQueue &eq, const CostModel &costs, int id,
-                 int num_contexts, int numa_node, std::size_t prf_size,
+                 int num_contexts, int numa_node,
                  MetricsRegistry *metrics)
     : eq_(eq), costs_(costs), id_(id), numaNode_(numa_node)
 {
     if (num_contexts < 1)
         fatal("SmtCore requires at least one hardware context");
-    if (prf_size < static_cast<std::size_t>(num_contexts) * numGprs * 2) {
+    if (prfSize < static_cast<std::size_t>(num_contexts) * numGprs * 2) {
         fatal("Physical register file of %zu too small for %d contexts",
-              prf_size, num_contexts);
+              prfSize, num_contexts);
     }
     for (int i = 0; i < num_contexts; ++i) {
         contexts_.push_back(std::make_unique<HwContext>(i));
@@ -56,7 +56,6 @@ SmtCore::retargetFetch(int target)
     context(active_).stalled = true;
     context(target).stalled = false;
     active_ = target;
-    ++retargets_;
 }
 
 } // namespace svtsim

@@ -25,13 +25,14 @@ namespace svtsim {
  * context" notion used by the single-effective-thread execution styles
  * (SVt, and the baseline where SMT is disabled for security per
  * Section 1). The core's physical register file is kept only as a
- * capacity: construction rejects a file too small to back every
- * context's GPRs twice (committed state plus rename headroom).
+ * capacity: construction rejects an SMT width whose GPRs it cannot
+ * back twice (committed state plus rename headroom).
  */
 class SmtCore
 {
   public:
-    static constexpr std::size_t defaultPrfSize = 320;
+    /** Physical register file capacity: backs at most 10 contexts. */
+    static constexpr std::size_t prfSize = 320;
 
     /**
      * @param eq Shared event queue.
@@ -39,14 +40,11 @@ class SmtCore
      * @param id Core number.
      * @param num_contexts SMT width (Table 4: 2; HW SVt studies 3+).
      * @param numa_node NUMA node the core belongs to.
-     * @param prf_size Physical register file capacity (checked
-     *        against num_contexts, not modelled register by register).
      * @param metrics Owning machine's registry (nullptr for bare cores
      *        built in unit tests: lapic metrics become inert).
      */
     SmtCore(EventQueue &eq, const CostModel &costs, int id,
             int num_contexts, int numa_node,
-            std::size_t prf_size = defaultPrfSize,
             MetricsRegistry *metrics = nullptr);
 
     int id() const { return id_; }
@@ -67,9 +65,6 @@ class SmtCore
      */
     void retargetFetch(int target);
 
-    /** Number of fetch retargets (for stats/tests). */
-    std::uint64_t retargetCount() const { return retargets_; }
-
   private:
     EventQueue &eq_;
     const CostModel &costs_;
@@ -78,7 +73,6 @@ class SmtCore
     std::vector<std::unique_ptr<HwContext>> contexts_;
     std::vector<std::unique_ptr<Lapic>> lapics_;
     int active_ = 0;
-    std::uint64_t retargets_ = 0;
 };
 
 } // namespace svtsim

@@ -386,7 +386,7 @@ VirtStack::reflectToL1(const ExitInfo &info)
             // 5.3 stall or a lost doorbell degraded the stack first.
             serviceSvtThreadPreemption();
             if (svtDegraded_ ||
-                !svtAwaitRing(*ringToSvt_, msg, "CMD_VM_TRAP lost"))
+                !svtAwaitRing(*ringToSvt_, msg))
                 continue;
             vcpuL2InL1_->gprs() = msg.gprs;
         } else {
@@ -423,8 +423,7 @@ VirtStack::reflectToL1(const ExitInfo &info)
             machine_.consume(c.handlerDispatch);
             if (resume)
                 e0.vmptrld(vmcs02_.get());
-        } else if (svtAwaitRing(*ringFromSvt_, msg,
-                                "CMD_VM_RESUME lost")) {
+        } else if (svtAwaitRing(*ringFromSvt_, msg)) {
             vcpuL2InL0_->gprs() = msg.gprs;
         } else {
             // The response is gone beyond retries, but the L1 handler
@@ -500,7 +499,7 @@ VirtStack::serviceSvtThreadPreemption()
         // now-free context (draining the IPI) and carry on.
         TimeScope t(machine_, ScopeId::StageSvtWatchdog);
         machine_.consume(wd.timeout);
-        svtFallback("section 5.3 preemption stall");
+        svtFallback();
         vcpuL1_->lapic().raise(vec::l1Ipi);
         drainL1Ipis();
         machine_.consume(duration);
@@ -536,7 +535,7 @@ VirtStack::serviceSvtThreadPreemption()
                 "Enable StackConfig::svtWatchdog to degrade "
                 "gracefully.");
         }
-        svtFallback("section 5.3 IPI lost");
+        svtFallback();
         // Watchdog recovery: L0 re-raises the vector directly (it
         // knows the kernel thread is spinning for the ack).
         vcpuL1_->lapic().raise(vec::l1Ipi);
@@ -556,22 +555,15 @@ VirtStack::serviceSvtThreadPreemption()
 void
 VirtStack::drainL1Ipis()
 {
-    const CostModel &c = machine_.costs();
     enterL1Window();
-    int v;
-    while ((v = vcpuL1_->lapic().ack()) >= 0) {
-        machine_.consume(c.interruptDeliver);
-        runIrqHandler(1, v);
-        machine_.consume(c.eoiWrite);
-    }
+    ackAndHandleIrqs(vcpuL1_->lapic(), 1);
     leaveL1Window();
 }
 
 // -------------------------------------------- SW SVt heartbeat watchdog
 
 bool
-VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
-                        const char *lost)
+VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg)
 {
     bool arrived = ring.hasMessage();
     if (!arrived) {
@@ -600,7 +592,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
         }
     }
     if (!arrived) {
-        svtFallback(lost);
+        svtFallback();
         return false;
     }
     // The receiver observes the command (monitor/mwait wake) and
@@ -613,7 +605,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
 }
 
 void
-VirtStack::svtFallback(const char *why)
+VirtStack::svtFallback()
 {
     // Tear the handshake down: discard ring state, reroute exits to
     // the conventional nested trap path and start the quiet period.
@@ -624,9 +616,6 @@ VirtStack::svtFallback(const char *why)
     svtFallbackMetric_.inc();
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Svt,
                          "svt.fallback");
-    inform(std::string("SW SVt watchdog: degrading to the "
-                       "conventional nested path (") +
-           why + ")");
 }
 
 void

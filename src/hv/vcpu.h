@@ -51,8 +51,6 @@ class Vcpu
     std::uint64_t rip = 0;
     /** Cached flags. */
     std::uint64_t rflags = 0x2;
-    /** Whether the guest is halted waiting for an interrupt. */
-    bool halted = false;
 
     /** Virtual local APIC presented to this vCPU. */
     Lapic &lapic() { return *lapic_; }

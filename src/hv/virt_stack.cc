@@ -470,15 +470,7 @@ VirtStack::deliverL1Irqs()
 {
     // Precondition: L0 in control (L2 exited).
     enterL1Window();
-    int n = 0;
-    int v;
-    const CostModel &costs = machine_.costs();
-    while ((v = vcpuL1_->lapic().ack()) >= 0) {
-        machine_.consume(costs.interruptDeliver);
-        runIrqHandler(1, v);
-        machine_.consume(costs.eoiWrite);
-        ++n;
-    }
+    int n = ackAndHandleIrqs(vcpuL1_->lapic(), 1);
     // Piggyback injection of any L2 vectors the handlers raised;
     // otherwise the L1 vCPU idles again.
     n += maybeInjectAndResumeL2(/*l2_was_running=*/false);
@@ -518,20 +510,26 @@ VirtStack::deliverPostedToL2()
 }
 
 int
+VirtStack::ackAndHandleIrqs(Lapic &apic, int level, int *last)
+{
+    const CostModel &costs = machine_.costs();
+    int n = 0;
+    int v;
+    while ((v = apic.ack()) >= 0) {
+        machine_.consume(costs.interruptDeliver);
+        runIrqHandler(level, v);
+        machine_.consume(costs.eoiWrite);
+        if (last)
+            *last = v;
+        ++n;
+    }
+    return n;
+}
+
+int
 VirtStack::pumpNative()
 {
-    int total = 0;
-    Lapic &phys = core_.lapic(0);
-    const CostModel &costs = machine_.costs();
-    int v;
-    while ((v = phys.ack()) >= 0) {
-        machine_.consume(costs.interruptDeliver);
-        runIrqHandler(0, v);
-        machine_.consume(costs.eoiWrite);
-        l2DeliveredVector_ = v;
-        ++total;
-    }
-    return total;
+    return ackAndHandleIrqs(core_.lapic(0), 0, &l2DeliveredVector_);
 }
 
 int

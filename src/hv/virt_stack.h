@@ -205,7 +205,7 @@ class VirtStack
     void svtSwitchOwner(int level);
 
     /** SW SVt: handle a pending preemption + IPI against the
-     *  SVt-thread (Section 5.3); returns extra delay consumed. */
+     *  SVt-thread (Section 5.3), consuming the preemption window. */
     void serviceSvtThreadPreemption();
 
     // -- SW SVt watchdog (graceful degradation) --------------------------
@@ -217,14 +217,14 @@ class VirtStack
      * DeadlockError (the Section 5.3 hang).
      *
      * @return True when the message arrived; false when retries were
-     *         exhausted and the stack degraded (svtFallback(@p lost)).
+     *         exhausted and the stack degraded (svtFallback()).
      */
-    bool svtAwaitRing(CommandRing &ring, ChannelMessage &msg,
-                      const char *lost);
+    bool svtAwaitRing(CommandRing &ring, ChannelMessage &msg);
 
     /** Degrade from SW SVt to the conventional nested trap path:
-     *  reset the rings, start the quiet period, bump svt.fallback. */
-    void svtFallback(const char *why);
+     *  reset the rings, start the quiet period, bump svt.fallback and
+     *  emit its trace instant. */
+    void svtFallback();
 
     /** Re-promote to SW SVt once the quiet period has elapsed. */
     void maybeRepromoteSvt();
@@ -272,6 +272,14 @@ class VirtStack
     int deliverPostedToL2();
 
     void runIrqHandler(int level, int vector);
+
+    /**
+     * Ack every vector pending in @p apic and run @p level's handler
+     * for each, paying the delivery and the EOI write. @p last, if
+     * given, receives the last vector delivered.
+     * @return Number of vectors delivered.
+     */
+    int ackAndHandleIrqs(Lapic &apic, int level, int *last = nullptr);
 
     /** Single-level (mode Single) interrupt delivery. */
     int pumpSingle();

@@ -84,8 +84,6 @@ class CrossLink
     /** The NetPort at end 0 (machine a) / end 1 (machine b). */
     NetPort &port(int end);
 
-    Ticks latency() const { return latency_; }
-
     /** Packets delivered *to* @p end so far. */
     std::uint64_t delivered(int end) const
     {

@@ -424,28 +424,4 @@ EventQueue::advanceUngated(Ticks when)
         now_ = when;
 }
 
-bool
-EventQueue::runNext()
-{
-    Ticks t;
-    if (!nextDue(maxTick, t))
-        return false;
-    moveTimeTo(t);
-    now_ = t;
-    fireHead(static_cast<int>(t & slotMask));
-    return true;
-}
-
-bool
-EventQueue::runUntil(const std::function<bool()> &pred)
-{
-    if (pred())
-        return true;
-    while (runNext()) {
-        if (pred())
-            return true;
-    }
-    return false;
-}
-
 } // namespace svtsim

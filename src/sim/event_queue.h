@@ -39,7 +39,6 @@
 #define SVTSIM_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -190,9 +189,8 @@ class EventQueue
 
     /**
      * Run every event with timestamp < @p limit, in order. Unlike
-     * advanceTo(), time never moves onto @p limit itself, and unlike
-     * runUntil() no predicate call is paid per event — this is the
-     * cluster epoch drain ("fire everything this machine owns below
+     * advanceTo(), time never moves onto @p limit itself — this is
+     * the cluster epoch drain ("fire everything this machine owns below
      * the horizon").
      *
      * now() ends at the last fired event's timestamp, or later at a
@@ -229,21 +227,6 @@ class EventQueue
 
     /** Current exclusive advance horizon (maxTick when un-gated). */
     Ticks horizon() const { return horizon_; }
-
-    /**
-     * Run the next pending event, advancing now() to its timestamp.
-     *
-     * @return True if an event ran, false if the queue was empty.
-     */
-    bool runNext();
-
-    /**
-     * Run events until @p pred returns true or the queue drains.
-     * @p pred is evaluated after every event.
-     *
-     * @return True if pred held; false if the queue drained first.
-     */
-    bool runUntil(const std::function<bool()> &pred);
 
     /** Total number of events executed so far (for stats/tests). */
     std::uint64_t executedCount() const { return executed_; }

@@ -1,31 +1,10 @@
 #include "sim/log.h"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <vector>
 
 namespace svtsim {
-
-namespace {
-
-/** Atomic so parallel sweep workers can warn() while another thread
- *  adjusts verbosity without a data race. */
-std::atomic<LogLevel> g_level{LogLevel::Warn};
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
 
 namespace log_detail {
 
@@ -49,19 +28,5 @@ format(const char *fmt, ...)
 }
 
 } // namespace log_detail
-
-void
-warn(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Inform)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
 
 } // namespace svtsim

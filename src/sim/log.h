@@ -2,20 +2,17 @@
  * @file
  * Error reporting and status messages.
  *
- * Follows the gem5 idiom (panic/fatal/warn/inform), adapted to a library
- * setting: contract violations raise SimError exceptions instead of
- * aborting the process, so tests can exercise error paths.
+ * Follows the gem5 idiom (panic/fatal), adapted to a library setting:
+ * contract violations raise SimError exceptions instead of aborting
+ * the process, so tests can exercise error paths.
  *
  *  - panic():  a bug in the simulator itself; should never happen.
  *  - fatal():  the user configured something invalid.
- *  - warn():   suspicious but recoverable condition.
- *  - inform(): informational status.
  */
 
 #ifndef SVTSIM_SIM_LOG_H
 #define SVTSIM_SIM_LOG_H
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -50,13 +47,6 @@ std::string format(const char *fmt, ...)
 
 } // namespace log_detail
 
-/** Global verbosity switch for warn()/inform() output. */
-enum class LogLevel { Quiet, Warn, Inform };
-
-/** Get/set the process-wide log level (default: Warn). */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 /** Report an internal simulator bug and raise PanicError. */
 template <typename... Args>
 [[noreturn]] void
@@ -84,12 +74,6 @@ fatal(const char *fmt, Args &&...args)
                                             std::forward<Args>(args)...));
     }
 }
-
-/** Print a warning to stderr (honours the log level). */
-void warn(const std::string &msg);
-
-/** Print a status message to stderr (honours the log level). */
-void inform(const std::string &msg);
 
 /** Assert an internal invariant; raises PanicError on failure. */
 inline void

@@ -91,60 +91,4 @@ Rng::generalizedPareto(double location, double scale, double shape)
     return location + scale * (std::pow(1.0 - u, -shape) - 1.0) / shape;
 }
 
-Rng
-Rng::fork()
-{
-    // Two draws keep the child stream decorrelated from the parent's
-    // subsequent output.
-    std::uint64_t a = next();
-    std::uint64_t b = next();
-    return Rng(a ^ (b << 1) ^ 0xa5a5a5a5a5a5a5a5ULL);
-}
-
-// ZipfSampler: rejection-inversion (Hörmann & Derflinger 1996), sampling
-// ranks in [1, n] internally and returning rank-1.
-
-ZipfSampler::ZipfSampler(std::uint64_t n, double s)
-    : n_(n), s_(s)
-{
-    simAssert(n > 0, "ZipfSampler requires n > 0");
-    simAssert(s > 0 && s != 1.0,
-              "ZipfSampler requires exponent s > 0, s != 1");
-    hx0_ = h(0.5) - 1.0;
-    hxn_ = h(static_cast<double>(n_) + 0.5);
-    cut_ = 1.0 - hInv(h(1.5) - std::pow(2.0, -s_));
-}
-
-double
-ZipfSampler::h(double x) const
-{
-    // Integral of x^-s: x^(1-s) / (1-s).
-    return std::pow(x, 1.0 - s_) / (1.0 - s_);
-}
-
-double
-ZipfSampler::hInv(double x) const
-{
-    return std::pow((1.0 - s_) * x, 1.0 / (1.0 - s_));
-}
-
-std::uint64_t
-ZipfSampler::operator()(Rng &rng) const
-{
-    for (;;) {
-        double u = hxn_ + rng.uniform() * (hx0_ - hxn_);
-        double x = hInv(u);
-        std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
-        if (k < 1)
-            k = 1;
-        if (k > n_)
-            k = n_;
-        double kd = static_cast<double>(k);
-        if (kd - x <= cut_ ||
-            u >= h(kd + 0.5) - std::pow(kd, -s_)) {
-            return k - 1;
-        }
-    }
-}
-
 } // namespace svtsim

@@ -11,7 +11,6 @@
 #define SVTSIM_SIM_RANDOM_H
 
 #include <cstdint>
-#include <vector>
 
 namespace svtsim {
 
@@ -60,40 +59,8 @@ class Rng
      */
     double generalizedPareto(double location, double scale, double shape);
 
-    /** Fork an independent stream (for per-entity generators). */
-    Rng fork();
-
   private:
     std::uint64_t state_;
-};
-
-/**
- * Zipf-distributed integer sampler over [0, n), exponent s.
- *
- * Used for key popularity in the key-value store workload. Uses the
- * rejection-inversion method of Hörmann and Derflinger so construction
- * is O(1) and sampling is O(1) expected, independent of n.
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::uint64_t n, double s);
-
-    /** Sample a rank in [0, n); rank 0 is the most popular. */
-    std::uint64_t operator()(Rng &rng) const;
-
-    std::uint64_t n() const { return n_; }
-    double s() const { return s_; }
-
-  private:
-    double h(double x) const;
-    double hInv(double x) const;
-
-    std::uint64_t n_;
-    double s_;
-    double hx0_;
-    double hxn_;
-    double cut_;
 };
 
 } // namespace svtsim

@@ -1,7 +1,6 @@
 #include "system/bench_harness.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -17,12 +16,10 @@ namespace {
 bool
 parseUint(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (errno != 0 || end == nullptr || *end != '\0')
+    const char *end = text.data() + text.size();
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
         return false;
     out = v;
     return true;

@@ -21,15 +21,6 @@ Ept::map(Gpa gpa, Hpa hpa, EptPerms perms, std::uint64_t npages)
 }
 
 void
-Ept::unmap(Gpa gpa, std::uint64_t npages)
-{
-    if (gpa % pageSize)
-        fatal("Ept::unmap requires a page-aligned address");
-    for (std::uint64_t i = 0; i < npages; ++i)
-        entries_.erase((gpa >> pageShift) + i);
-}
-
-void
 Ept::markMmio(Gpa gpa, std::uint64_t npages)
 {
     if (gpa % pageSize)
@@ -66,16 +57,9 @@ Ept::translate(Gpa gpa, EptAccess access) const
 }
 
 void
-Ept::invalidate()
-{
-    ++invalidations_;
-}
-
-void
 Ept::clear()
 {
     entries_.clear();
-    ++invalidations_;
 }
 
 } // namespace svtsim

@@ -51,9 +51,6 @@ class Ept
     void map(Gpa gpa, Hpa hpa, EptPerms perms = {},
              std::uint64_t npages = 1);
 
-    /** Remove mappings; unmapped pages fault as violations. */
-    void unmap(Gpa gpa, std::uint64_t npages = 1);
-
     /** Mark a region as misconfigured MMIO (device doorbells). */
     void markMmio(Gpa gpa, std::uint64_t npages = 1);
 
@@ -70,15 +67,11 @@ class Ept
     /** Translate @p gpa for @p access. */
     Result translate(Gpa gpa, EptAccess access) const;
 
-    /** Invalidate cached translations (INVEPT); counts invocations. */
-    void invalidate();
-
     /** Drop every mapping (shadow-EPT teardown on INVEPT emulation:
      *  translations re-merge lazily on the next faults). */
     void clear();
 
     std::uint64_t mappedPages() const { return entries_.size(); }
-    std::uint64_t invalidations() const { return invalidations_; }
     const std::string &name() const { return name_; }
 
   private:
@@ -91,7 +84,6 @@ class Ept
 
     std::string name_;
     std::unordered_map<std::uint64_t, Entry> entries_;
-    std::uint64_t invalidations_ = 0;
 };
 
 } // namespace svtsim

@@ -214,18 +214,15 @@ Vmcs::write(VmcsField field, std::uint64_t value)
 {
     check(field);
     values_[static_cast<std::size_t>(field)] = value;
-    ++writes_;
 }
 
 void
 Vmcs::copyClassFrom(const Vmcs &src, VmcsFieldClass cls)
 {
-    const auto &fields = fieldsByClass[static_cast<std::size_t>(cls)];
-    for (VmcsField f : fields) {
+    for (VmcsField f : fieldsByClass[static_cast<std::size_t>(cls)]) {
         const auto i = static_cast<std::size_t>(f);
         values_[i] = src.values_[i];
     }
-    writes_ += fields.size();
 }
 
 void

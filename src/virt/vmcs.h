@@ -151,10 +151,7 @@ class Vmcs
     Vmcs *shadowLink() const { return shadowLink_; }
     void setShadowLink(Vmcs *shadow) { shadowLink_ = shadow; }
 
-    /**
-     * Copy every field of class @p cls from @p src, in field order.
-     * Counts one write per field, as a per-field write() loop would.
-     */
+    /** Copy every field of class @p cls from @p src, in field order. */
     void copyClassFrom(const Vmcs &src, VmcsFieldClass cls);
 
     /** Deposit hardware exit information into the exit-info fields. */
@@ -163,9 +160,6 @@ class Vmcs
     /** Reconstruct exit information from the exit-info fields. */
     ExitInfo exitInfo() const;
 
-    /** Count of writes (for dirty-tracking tests). */
-    std::uint64_t writeCount() const { return writes_; }
-
   private:
     void check(VmcsField field) const;
 
@@ -173,7 +167,6 @@ class Vmcs
     std::array<std::uint64_t, numVmcsFields> values_{};
     State state_ = State::Clear;
     Vmcs *shadowLink_ = nullptr;
-    std::uint64_t writes_ = 0;
 };
 
 } // namespace svtsim

@@ -36,17 +36,6 @@ VmxEngine::vmxon()
 }
 
 void
-VmxEngine::vmxoff()
-{
-    if (!vmxOn_)
-        panic("vmxoff outside VMX operation");
-    if (inGuest_)
-        panic("vmxoff in guest mode");
-    vmxOn_ = false;
-    current_ = nullptr;
-}
-
-void
 VmxEngine::vmptrld(Vmcs *vmcs)
 {
     if (!vmxOn_)
@@ -57,19 +46,6 @@ VmxEngine::vmptrld(Vmcs *vmcs)
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmx,
                          "vmx.vmptrld");
     current_ = vmcs;
-}
-
-void
-VmxEngine::vmclear(Vmcs *vmcs)
-{
-    if (!vmxOn_)
-        panic("vmclear outside VMX operation");
-    if (!vmcs)
-        panic("vmclear of null VMCS");
-    machine_.consume(machine_.costs().vmptrld);
-    vmcs->setState(Vmcs::State::Clear);
-    if (current_ == vmcs)
-        current_ = nullptr;
 }
 
 std::uint64_t

@@ -59,13 +59,9 @@ class VmxEngine
 
     // -- Root-mode operations (host hypervisor software) ---------------
     void vmxon();
-    void vmxoff();
 
     /** Make @p vmcs current (VMPTRLD). */
     void vmptrld(Vmcs *vmcs);
-
-    /** Clear launch state (VMCLEAR). */
-    void vmclear(Vmcs *vmcs);
 
     /** Read a field of the current VMCS (root mode: never traps). */
     std::uint64_t vmread(VmcsField field);

@@ -5,12 +5,11 @@
 namespace svtsim {
 
 void
-GuestOs::idleWait(GuestApi &api, const std::function<bool()> &pred,
-                  Ticks tick)
+GuestOs::idleWait(GuestApi &api, const std::function<bool()> &pred)
 {
     while (!pred()) {
         api.wrmsr(msr::ia32TscDeadline,
-                  static_cast<std::uint64_t>(api.now() + tick));
+                  static_cast<std::uint64_t>(api.now() + msec(1)));
         // The wakeup may already have been delivered while arming the
         // watchdog (the arm itself traps, and interrupts are accepted
         // at instruction boundaries): the idle governor re-checks the

@@ -21,14 +21,11 @@ class GuestOs
      * @p pred holds, cancel/re-arm on wakeups. In a nested guest both
      * MSR writes are reflected exits (the MSR_WRITE profile entries
      * of Section 6.2), exactly like a tickless Linux kernel's
-     * cpuidle + hrtimer reprogramming behaves.
-     *
-     * @param tick Idle watchdog period (the kernel never sleeps
-     *        unbounded).
+     * cpuidle + hrtimer reprogramming behaves. The idle watchdog
+     * fires every 1 ms: the kernel never sleeps unbounded.
      */
     static void idleWait(GuestApi &api,
-                         const std::function<bool()> &pred,
-                         Ticks tick = msec(1));
+                         const std::function<bool()> &pred);
 };
 
 } // namespace svtsim

@@ -46,7 +46,7 @@ MutilateClient::arm(Flow &flow, Ticks end)
 }
 
 void
-MutilateClient::run(Ticks duration, Ticks grace)
+MutilateClient::run(Ticks duration)
 {
     Machine &m = machine_;
     const Ticks end = m.now() + duration;
@@ -69,7 +69,7 @@ MutilateClient::run(Ticks duration, Ticks grace)
     // under overload never complete; the grace bounds the wait).
     // Under a cluster gate idleUntil can return early at an epoch
     // boundary, so loop until the clock really arrives.
-    const Ticks drained = end + grace;
+    const Ticks drained = end + msec(5);
     while (m.now() < drained)
         m.idleUntil(drained);
     for (auto &flowp : flows_)

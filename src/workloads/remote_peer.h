@@ -71,11 +71,11 @@ class MutilateClient
 
     /**
      * Offer every flow's load for @p duration (from the machine's
-     * current clock), then idle through @p grace to drain in-flight
-     * responses. Synchronous: call from the client machine's cluster
-     * driver. Receive handlers are cleared on return.
+     * current clock), then idle through a 5 ms grace to drain
+     * in-flight responses. Synchronous: call from the client machine's
+     * cluster driver. Receive handlers are cleared on return.
      */
-    void run(Ticks duration, Ticks grace = msec(5));
+    void run(Ticks duration);
 
     /** Offer @p qps on the only flow for @p duration; run()'s rules. */
     MemcachedPoint runLoad(double qps, Ticks duration);

@@ -91,14 +91,14 @@ TEST_F(SmtCoreTest, RetargetFetchStallsAndResumes)
     core.retargetFetch(0);
     EXPECT_EQ(core.activeContext(), 0);
     EXPECT_FALSE(core.context(0).stalled);
-    EXPECT_EQ(core.retargetCount(), 2u);
 }
 
 TEST_F(SmtCoreTest, RetargetToSelfIsNoop)
 {
     SmtCore core(eq, costs, 0, 2, 0);
     core.retargetFetch(0);
-    EXPECT_EQ(core.retargetCount(), 0u);
+    EXPECT_EQ(core.activeContext(), 0);
+    EXPECT_FALSE(core.context(0).stalled);
 }
 
 TEST_F(SmtCoreTest, InvalidContextPanics)
@@ -147,11 +147,8 @@ TEST_F(SmtCoreTest, WritesLeaveSiblingContextsUnchanged)
 
 TEST_F(SmtCoreTest, TinyPrfRejected)
 {
-    EXPECT_THROW(SmtCore(eq, costs, 0, 4, 0, 16), FatalError);
-    // The rule is contexts x GPRs x 2: 128 registers back 4 contexts.
-    EXPECT_THROW(SmtCore(eq, costs, 0, 4, 0, 127), FatalError);
-    EXPECT_NO_THROW(SmtCore(eq, costs, 0, 4, 0, 128));
-    // The default file backs 10 contexts, not 11.
+    // The rule is contexts x GPRs x 2: the file backs 10 contexts,
+    // not 11.
     EXPECT_NO_THROW(SmtCore(eq, costs, 0, 10, 0));
     EXPECT_THROW(SmtCore(eq, costs, 0, 11, 0), FatalError);
 }
@@ -221,16 +218,6 @@ TEST_F(LapicTest, SyncPostedMergesEveryWord)
     EXPECT_EQ(apic.ack(), -1);
     // The sync cleared the outstanding notification.
     EXPECT_TRUE(apic.postInterrupt(5));
-}
-
-TEST_F(LapicTest, ClearSpecificVector)
-{
-    Lapic apic(eq, costs, 0);
-    apic.raise(50);
-    apic.raise(60);
-    apic.clear(60);
-    EXPECT_FALSE(apic.isPending(60));
-    EXPECT_TRUE(apic.isPending(50));
 }
 
 TEST_F(LapicTest, IpiArrivesAfterLatency)

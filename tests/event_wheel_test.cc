@@ -93,8 +93,6 @@ struct Op
         Cancel,       ///< deschedule the handle from schedule op a
         AdvanceBy,    ///< advanceBy(delta)
         AdvanceBurst, ///< advanceBy(steps[i]) for each step
-        RunNext,      ///< runNext()
-        RunUntil,     ///< runUntil(executed >= current + a)
         CheckNext,    ///< compare nextEventTime()
     };
     Kind kind;
@@ -191,11 +189,6 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
                     op.delta = static_cast<Ticks>(rng.below(1u << 20));
                 else
                     op.delta = static_cast<Ticks>(rng.below(1u << 28));
-            } else if (roll < 0.94) {
-                op.kind = Op::RunNext;
-            } else if (roll < 0.97) {
-                op.kind = Op::RunUntil;
-                op.a = 1 + rng.below(4);
             } else {
                 op.kind = Op::CheckNext;
             }
@@ -236,23 +229,6 @@ TEST(EventWheelDifferential, MatchesReferenceHeapOnRandomOps)
                     ASSERT_EQ(wheel.log.size(), oracle.log.size());
                 }
                 break;
-            case Op::RunNext:
-                ASSERT_EQ(wheel.q.runNext(), oracle.q.runNext());
-                break;
-            case Op::RunUntil: {
-                const std::uint64_t targetW =
-                    wheel.q.executedCount() + op.a;
-                const std::uint64_t targetO =
-                    oracle.q.executedCount() + op.a;
-                ASSERT_EQ(wheel.q.runUntil([&] {
-                    return wheel.q.executedCount() >= targetW;
-                }),
-                          oracle.q.runUntil([&] {
-                              return oracle.q.executedCount() >=
-                                     targetO;
-                          }));
-                break;
-            }
             case Op::CheckNext:
                 ASSERT_EQ(wheel.q.nextEventTime(),
                           oracle.q.nextEventTime());
@@ -336,8 +312,6 @@ TEST(EventWheel, CancelEverythingKeepsAccessorsConsistent)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.size(), 0u);
     EXPECT_EQ(eq.nextEventTime(), maxTick);
-    EXPECT_FALSE(eq.runNext());
-    EXPECT_FALSE(eq.runUntil([] { return false; }));
     eq.advanceBy(usec(1));
     EXPECT_EQ(eq.executedCount(), 0u);
 
@@ -349,23 +323,6 @@ TEST(EventWheel, CancelEverythingKeepsAccessorsConsistent)
     eq.advanceBy(nsec(10));
     EXPECT_TRUE(ran);
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventWheel, RunUntilOnCancelledOnlyQueueReturnsImmediately)
-{
-    EventQueue eq;
-    EventId a = eq.scheduleIn(nsec(10), [] {});
-    EventId b = eq.scheduleIn(usec(10), [] {});
-    eq.deschedule(a);
-    eq.deschedule(b);
-    int predCalls = 0;
-    EXPECT_FALSE(eq.runUntil([&] {
-        ++predCalls;
-        return false;
-    }));
-    // Initial evaluation only: nothing to run.
-    EXPECT_EQ(predCalls, 1);
-    EXPECT_EQ(eq.now(), 0);
 }
 
 // --------------------------------------------- overflow saturation

@@ -85,14 +85,6 @@ TEST(Log, SimAssertPassesAndFails)
     EXPECT_THROW(simAssert(false, "broken"), PanicError);
 }
 
-TEST(Log, LevelRoundTrip)
-{
-    LogLevel prev = logLevel();
-    setLogLevel(LogLevel::Quiet);
-    EXPECT_EQ(logLevel(), LogLevel::Quiet);
-    setLogLevel(prev);
-}
-
 // ------------------------------------------------------------------ rng
 
 TEST(Rng, DeterministicFromSeed)
@@ -208,55 +200,6 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-TEST(Rng, ForkDecorrelates)
-{
-    Rng parent(31);
-    Rng child = parent.fork();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += (parent.next() == child.next());
-    EXPECT_LT(same, 2);
-}
-
-TEST(Zipf, RanksInRange)
-{
-    Rng rng(37);
-    ZipfSampler zipf(1000, 0.99);
-    for (int i = 0; i < 20000; ++i)
-        EXPECT_LT(zipf(rng), 1000u);
-}
-
-TEST(Zipf, SkewTowardLowRanks)
-{
-    Rng rng(41);
-    ZipfSampler zipf(10000, 0.99);
-    int low = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        low += (zipf(rng) < 100);
-    // With s=0.99 over 10k items, the top-100 ranks should absorb a
-    // large share of the mass (analytically ~half).
-    EXPECT_GT(low, n / 3);
-}
-
-TEST(Zipf, FrequencyMonotonicity)
-{
-    Rng rng(43);
-    ZipfSampler zipf(50, 1.2);
-    std::vector<int> hits(50, 0);
-    for (int i = 0; i < 200000; ++i)
-        ++hits[zipf(rng)];
-    EXPECT_GT(hits[0], hits[9]);
-    EXPECT_GT(hits[9], hits[49]);
-}
-
-TEST(Zipf, RejectsBadParameters)
-{
-    EXPECT_THROW(ZipfSampler(0, 0.99), PanicError);
-    EXPECT_THROW(ZipfSampler(10, 1.0), PanicError);
-    EXPECT_THROW(ZipfSampler(10, -1.0), PanicError);
-}
-
 // --------------------------------------------------------- event queue
 
 TEST(EventQueue, StartsEmptyAtZero)
@@ -365,38 +308,6 @@ TEST(EventQueue, EventsCanScheduleEvents)
     });
     eq.advanceTo(nsec(100));
     EXPECT_EQ(fired, (std::vector<Ticks>{nsec(10), nsec(15)}));
-}
-
-TEST(EventQueue, RunNextSingleSteps)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.schedule(nsec(10), [&] { ++count; });
-    eq.schedule(nsec(20), [&] { ++count; });
-    EXPECT_TRUE(eq.runNext());
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(eq.now(), nsec(10));
-    EXPECT_TRUE(eq.runNext());
-    EXPECT_FALSE(eq.runNext());
-}
-
-TEST(EventQueue, RunUntilPredicate)
-{
-    EventQueue eq;
-    int count = 0;
-    for (int i = 1; i <= 10; ++i)
-        eq.schedule(nsec(i * 10), [&] { ++count; });
-    EXPECT_TRUE(eq.runUntil([&] { return count >= 4; }));
-    EXPECT_EQ(count, 4);
-    EXPECT_EQ(eq.now(), nsec(40));
-}
-
-TEST(EventQueue, RunUntilDrainsOnUnmetPredicate)
-{
-    EventQueue eq;
-    eq.schedule(nsec(10), [] {});
-    EXPECT_FALSE(eq.runUntil([] { return false; }));
-    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, ExecutedCountTracks)

@@ -242,6 +242,13 @@ TEST(BenchHarness, RejectsUnknownFlags)
     BenchHarness bench = makeHarness();
     EXPECT_EQ(runHarness(bench, {"--bogus"}), 2);
     EXPECT_EQ(runHarness(bench, {"--jobs=notanumber"}), 2);
+    // Numeric flags take decimal digits only: no sign, no leading
+    // space, no base prefix, nothing trailing.
+    for (const char *arg :
+         {"--seed=-1", "--seed= 010", "--seed=0x10", "--seed=", "--seed=5x",
+          "--jobs=+2", "--jobs=-1", "--jobs= 2", "--cluster-jobs=+1",
+          "--seed=18446744073709551616"})
+        EXPECT_EQ(runHarness(bench, {arg}), 2) << arg;
 }
 
 TEST(BenchHarness, FailingScenarioYieldsExitOne)

@@ -57,6 +57,22 @@ class Hasher
     std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+/** A stack feature a configuration drives beyond the random ops. */
+enum class Extra
+{
+    None,
+    /** Arm a 30 us SVt-thread preemption every 10th op (Section 5.3),
+     *  with the SVT_BLOCKED fix on. */
+    Preempt,
+    /** The same preemptions with the fix off: only the watchdog
+     *  (armed by an empty fault plan) keeps the stack alive. */
+    PreemptNoFix,
+    /** HW SVt direct reflect of whitelisted exits (Section 3.1). */
+    DirectReflect,
+    /** Post 0-70 us of L1 housekeeping before every op. */
+    Housekeeping,
+};
+
 struct DiffConfig
 {
     const char *name;
@@ -67,6 +83,7 @@ struct DiffConfig
     /** SW SVt only: a ring fault plan, run with the watchdog armed. */
     const char *faults;
     std::uint64_t expected;
+    Extra extra = Extra::None;
 };
 
 enum class Op
@@ -113,7 +130,33 @@ struct DiffRun
     std::uint64_t hash = 0;
     std::uint64_t fallbacks = 0;   ///< svt.fallback
     std::uint64_t multiplexes = 0; ///< svt.ctx_multiplex
+    std::uint64_t extras = 0;      ///< rounds that took cfg.extra's path
 };
+
+/** The counter that shows @p extra's path was taken. */
+const char *
+extraCounter(Extra extra)
+{
+    switch (extra) {
+      case Extra::Preempt:
+        return "swsvt.svt_blocked";
+      case Extra::PreemptNoFix:
+        return "swsvt.preemption";
+      case Extra::DirectReflect:
+        return "l0.direct_reflect";
+      case Extra::Housekeeping:
+        return "l1.housekeeping.overlapped";
+      case Extra::None:
+        break;
+    }
+    return nullptr;
+}
+
+std::uint64_t
+counterOrZero(const MetricsRegistry &m, const char *name)
+{
+    return name && m.has(name) ? m.counterValue(name) : 0;
+}
 
 DiffRun
 runConfig(const DiffConfig &cfg)
@@ -123,6 +166,8 @@ runConfig(const DiffConfig &cfg)
     sc.mode = cfg.mode;
     sc.hwVmcsShadowing = cfg.shadowing;
     sc.postedInterrupts = cfg.posted;
+    sc.svtBlockedFix = cfg.extra != Extra::PreemptNoFix;
+    sc.svtDirectReflect = cfg.extra == Extra::DirectReflect;
     if (cfg.faults) {
         sc.svtWatchdog.enabled = true;
         sc.svtWatchdog.timeout = usec(10);
@@ -147,6 +192,12 @@ runConfig(const DiffConfig &cfg)
         const auto op =
             static_cast<Op>(rng.below(static_cast<int>(Op::NumOps)));
         h.add(static_cast<std::uint64_t>(op));
+        if ((cfg.extra == Extra::Preempt ||
+             cfg.extra == Extra::PreemptNoFix) &&
+            i % 10 == 0)
+            stack.armSvtThreadPreemption(usec(30));
+        if (cfg.extra == Extra::Housekeeping)
+            stack.postL1Housekeeping(usec(10) * (i % 8));
         switch (op) {
           case Op::Cpuid: {
             CpuidResult r = api.cpuid(
@@ -218,17 +269,15 @@ runConfig(const DiffConfig &cfg)
         h.add(static_cast<std::uint64_t>(
             machine.scopeTotal(static_cast<ScopeId>(s))));
     const MetricsRegistry &m = machine.metrics();
-    return DiffRun{h.value(),
-                   m.has("svt.fallback") ? m.counterValue("svt.fallback")
-                                         : 0,
-                   m.has("svt.ctx_multiplex")
-                       ? m.counterValue("svt.ctx_multiplex")
-                       : 0};
+    return DiffRun{h.value(), counterOrZero(m, "svt.fallback"),
+                   counterOrZero(m, "svt.ctx_multiplex"),
+                   counterOrZero(m, extraCounter(cfg.extra))};
 }
 
 // The two watchdog plans lose three posts in a row (the command and
 // both retries), twice: the first window starts at a CMD_VM_TRAP post
-// (fallback before L1 ran) or at a CMD_VM_RESUME post (after).
+// (fallback before L1 ran) or at a CMD_VM_RESUME post (after). The
+// last four rows drive the stack features the random ops never reach.
 const DiffConfig configs[] = {
     // clang-format off
     {"Nested",             VirtMode::Nested, 2, true,  false, nullptr,
@@ -264,6 +313,14 @@ const DiffConfig configs[] = {
      0x678b09845e08f8d0},
     {"HwSvt2MuxPosted",    VirtMode::HwSvt,  2, true,  true,  nullptr,
      0xffffe4dc9ef7b895},
+    {"SwSvtPreempt",       VirtMode::SwSvt,  2, true,  false, nullptr,
+     0xa8cb9edfda22c75e, Extra::Preempt},
+    {"SwSvtPreemptNoFix",  VirtMode::SwSvt,  2, true,  false, "",
+     0x159bb76046ecfd12, Extra::PreemptNoFix},
+    {"HwSvt3Direct",       VirtMode::HwSvt,  3, true,  false, nullptr,
+     0x4793eeaae9d4cbd4, Extra::DirectReflect},
+    {"SwSvtHousekeeping",  VirtMode::SwSvt,  2, true,  false, nullptr,
+     0x5a7e53ab70255673, Extra::Housekeeping},
     // clang-format on
 };
 
@@ -287,6 +344,7 @@ TEST_P(TrapDifferential, HashIsPinned)
     EXPECT_EQ(run.fallbacks > 0, cfg.faults != nullptr);
     EXPECT_EQ(run.multiplexes > 0,
               cfg.mode == VirtMode::HwSvt && cfg.contexts == 2);
+    EXPECT_EQ(run.extras > 0, cfg.extra != Extra::None);
     char hex[32];
     std::snprintf(hex, sizeof hex, "0x%016llx",
                   static_cast<unsigned long long>(run.hash));
