@@ -1,9 +1,9 @@
 /**
  * @file
  * Cluster-engine speed bench: wall-clock scaling of the conservative
- * parallel cluster engine on an N-machine memcached pool (N nested
- * servers, one bare-metal mutilate client fanned out over N
- * CrossLinks).
+ * parallel cluster engine on an 8-machine memcached pool (8 nested
+ * servers, one bare-metal mutilate client fanned out over 8
+ * CrossLinks; 4 with --quick).
  *
  * The same scenario runs twice — `--cluster-jobs`-style parallel and
  * with the sequential oracle (1 worker) — and the bench enforces that
@@ -17,8 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -36,13 +34,15 @@ using namespace svtsim;
 
 namespace {
 
+/** Offered load per server. */
+constexpr double kQps = 8000;
+/** ToR-switch scale wire latency. */
+constexpr Ticks kLatency = usec(25);
+
 struct RunConfig
 {
-    int machines = 8;      ///< Server machines (plus 1 client).
-    int jobs = 0;          ///< Parallel workers (0 = hw threads).
-    double qps = 8000;     ///< Offered load per server.
+    int machines = 8; ///< Server machines (plus 1 client).
     Ticks duration = msec(200);
-    Ticks latency = usec(25); ///< ToR-switch scale wire latency.
     std::uint64_t seed = 1;
 };
 
@@ -67,7 +67,7 @@ runOnce(const RunConfig &cfg, int jobs)
     for (int i = 0; i < cfg.machines; ++i) {
         servers.push_back("server" + std::to_string(i));
         spec.machine(servers.back(), VirtMode::Nested);
-        spec.link("client", servers.back(), cfg.latency,
+        spec.link("client", servers.back(), kLatency,
                   CostModel{}.linkBitsPerSec);
     }
     ClusterBuild b = spec.realize(cfg.seed);
@@ -93,7 +93,7 @@ runOnce(const RunConfig &cfg, int jobs)
     // all event-driven on the single bare-metal client machine.
     MutilateClient client(b.machine("client"), cfg.seed + 1000);
     for (const std::string &s : servers)
-        client.addFlow(b.port("client", s), cfg.qps);
+        client.addFlow(b.port("client", s), kQps);
     b.driver("client", [&client, &cfg](NestedSystem &) {
         client.run(cfg.duration);
     });
@@ -125,104 +125,62 @@ runOnce(const RunConfig &cfg, int jobs)
 }
 
 int
-runClusterSpeed(int argc, char **argv, const BenchOptions &options)
+runClusterSpeed(const std::string &outPath, bool quick,
+                std::uint64_t workers, std::uint64_t seed)
 {
     RunConfig cfg;
-    cfg.seed = options.seed;
-    std::string outPath = "-";
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto num = [&](const char *prefix) {
-            return std::strtod(arg + std::strlen(prefix), nullptr);
-        };
-        if (std::strncmp(arg, "--machines=", 11) == 0) {
-            cfg.machines = static_cast<int>(num("--machines="));
-        } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-            cfg.jobs = static_cast<int>(num("--workers="));
-        } else if (std::strncmp(arg, "--qps=", 6) == 0) {
-            cfg.qps = num("--qps=");
-        } else if (std::strncmp(arg, "--duration-ms=", 14) == 0) {
-            cfg.duration = msec(num("--duration-ms="));
-        } else if (std::strncmp(arg, "--latency-us=", 13) == 0) {
-            cfg.latency = usec(num("--latency-us="));
-        } else if (std::strncmp(arg, "--out=", 6) == 0) {
-            outPath = arg + 6;
-        } else if (std::strcmp(arg, "--quick") == 0) {
-            quick = true;
-        } else {
-            std::cerr
-                << "cluster_speed: unknown argument '" << arg
-                << "'\n"
-                << "usage: cluster_speed [--machines=N] [--workers=N]"
-                   " [--qps=Q] [--duration-ms=D] [--latency-us=L]"
-                   " [--out=FILE] [--quick]\n";
-            return 2;
-        }
-    }
+    cfg.seed = seed;
     if (quick) {
-        cfg.machines = std::min(cfg.machines, 4);
+        cfg.machines = 4;
         cfg.duration = msec(40);
     }
-    if (cfg.machines < 1 || cfg.latency <= 0 || cfg.qps <= 0) {
-        std::cerr << "cluster_speed: bad configuration\n";
-        return 2;
-    }
-    if (cfg.jobs <= 0)
-        cfg.jobs = EpochCrew::hardwareThreads();
+    const int jobs = workers == 0 ? EpochCrew::hardwareThreads()
+                                  : static_cast<int>(workers);
 
     const unsigned cores = std::thread::hardware_concurrency();
 
     std::printf("cluster_speed: %d servers + 1 client, %.0f qps each, "
                 "%.0f ms, wire %.1f us (%u cores)\n",
-                cfg.machines, cfg.qps, toUsec(cfg.duration) / 1000.0,
-                toUsec(cfg.latency), cores);
+                cfg.machines, kQps, toUsec(cfg.duration) / 1000.0,
+                toUsec(kLatency), cores);
 
     RunOutcome seq = runOnce(cfg, 1);
-    RunOutcome par = runOnce(cfg, cfg.jobs);
+    RunOutcome par = runOnce(cfg, jobs);
 
     const bool identical = seq.fingerprint == par.fingerprint;
     if (!identical) {
         std::cerr << "cluster_speed: FINGERPRINT DIVERGENCE between "
                      "1 and "
-                  << cfg.jobs << " workers\n  seq: " << seq.fingerprint
+                  << jobs << " workers\n  seq: " << seq.fingerprint
                   << "\n  par: " << par.fingerprint << "\n";
     }
     const double speedup =
         par.wallSec > 0 ? seq.wallSec / par.wallSec : 0;
 
-    std::ostream *os = &std::cout;
-    std::ofstream file;
-    if (outPath != "-") {
-        file.open(outPath);
-        if (!file) {
-            std::cerr << "cluster_speed: cannot open '" << outPath
-                      << "'\n";
-            return 1;
-        }
-        os = &file;
-    }
-    *os << "{\n"
-        << "  \"bench\": \"cluster_speed\",\n"
-        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-        << "  \"seed\": " << cfg.seed << ",\n"
-        << "  \"machines\": " << cfg.machines << ",\n"
-        << "  \"workers\": " << cfg.jobs << ",\n"
-        << "  \"cores\": " << cores << ",\n"
-        << "  \"qps\": " << cfg.qps << ",\n"
-        << "  \"duration_ms\": " << toUsec(cfg.duration) / 1000.0
-        << ",\n"
-        << "  \"latency_us\": " << toUsec(cfg.latency) << ",\n"
-        << "  \"seq_wall_s\": " << seq.wallSec << ",\n"
-        << "  \"par_wall_s\": " << par.wallSec << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"identical\": " << (identical ? "true" : "false")
-        << ",\n"
-        << "  \"fingerprint\": \"" << seq.fingerprint << "\"\n}\n";
+    if (!writeOutput("cluster_speed", outPath, [&](std::ostream &os) {
+            os << "{\n"
+               << "  \"bench\": \"cluster_speed\",\n"
+               << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+               << "  \"seed\": " << cfg.seed << ",\n"
+               << "  \"machines\": " << cfg.machines << ",\n"
+               << "  \"workers\": " << jobs << ",\n"
+               << "  \"cores\": " << cores << ",\n"
+               << "  \"qps\": " << kQps << ",\n"
+               << "  \"duration_ms\": " << toUsec(cfg.duration) / 1000.0
+               << ",\n"
+               << "  \"latency_us\": " << toUsec(kLatency) << ",\n"
+               << "  \"seq_wall_s\": " << seq.wallSec << ",\n"
+               << "  \"par_wall_s\": " << par.wallSec << ",\n"
+               << "  \"speedup\": " << speedup << ",\n"
+               << "  \"identical\": " << (identical ? "true" : "false")
+               << ",\n"
+               << "  \"fingerprint\": \"" << seq.fingerprint << "\"\n}\n";
+        }))
+        return 1;
 
     std::printf("sequential %.3f s   %d workers %.3f s   speedup "
                 "%.2fx   fingerprints %s\n",
-                seq.wallSec, cfg.jobs, par.wallSec, speedup,
+                seq.wallSec, jobs, par.wallSec, speedup,
                 identical ? "identical" : "DIVERGED");
     return identical ? 0 : 1;
 }
@@ -234,8 +192,20 @@ main(int argc, char **argv)
 {
     BenchHarness bench("cluster_speed",
                        "wall-clock scaling of the parallel cluster "
-                       "engine on an N-machine memcached pool, with "
+                       "engine on an 8-machine memcached pool, with "
                        "byte-identity enforced between worker counts");
-    bench.onCustomMain(runClusterSpeed);
+    std::string outPath = "-";
+    bool quick = false;
+    std::uint64_t workers = 0;
+    bench.flag("--out=FILE", outPath,
+               "write the record to FILE (default \"-\" = stdout)");
+    bench.flag("--quick", quick, "CI sizes: 4 servers, 40 ms");
+    bench.flag("--workers=N", workers,
+               "parallel run's threads (0 = one per hardware thread, "
+               "the default)",
+               BenchHarness::kMaxThreads);
+    bench.onCustomMain([&](const BenchOptions &options) {
+        return runClusterSpeed(outPath, quick, workers, options.seed);
+    });
     return bench.main(argc, argv);
 }

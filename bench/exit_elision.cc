@@ -15,9 +15,7 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
@@ -144,38 +142,28 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
 int
 main(int argc, char **argv)
 {
-    // --quick is ours; strip it before the harness (which rejects
-    // unknown arguments for sweep benches) sees the command line.
-    bool quick = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-
     const VirtMode modes[] = {VirtMode::Nested, VirtMode::SwSvt,
                               VirtMode::HwSvt};
 
     BenchHarness bench("exit_elision",
                        "exit-elision ladder: posted interrupts + "
                        "multi-queue virtio with coalescing");
+    bool quick = false;
+    bench.flag("--quick", quick, "CI sizes: fewer requests, shorter runs");
     for (VirtMode mode : modes) {
         for (bool posted : {false, true}) {
             for (int queues : {1, 2, 4}) {
                 bench.add(diskName(mode, posted, queues), mode,
                           elisionConfig(mode, posted, queues),
-                          [quick](NestedSystem &sys,
-                                  ScenarioResult &r) {
+                          [&quick](NestedSystem &sys,
+                                   ScenarioResult &r) {
                               runDisk(sys, r, quick);
                           });
             }
             bench.addCluster(
                 netName(mode, posted), mode,
-                [mode, posted, quick](ClusterContext &ctx,
-                                      ScenarioResult &r) {
+                [mode, posted, &quick](ClusterContext &ctx,
+                                       ScenarioResult &r) {
                     runNet(ctx, r, mode, posted, quick);
                 });
         }
@@ -233,5 +221,5 @@ main(int argc, char **argv)
             off.metric("extint_per_req"), off.metric("wrmsr_per_req"),
             on.metric("extint_per_req"), on.metric("wrmsr_per_req"));
     });
-    return bench.main(static_cast<int>(args.size()), args.data());
+    return bench.main(argc, argv);
 }

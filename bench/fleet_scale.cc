@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -51,18 +50,6 @@ baseSpec(bool quick)
 int
 main(int argc, char **argv)
 {
-    // --quick is ours; strip it before the harness (which rejects
-    // unknown arguments for sweep benches) sees the command line.
-    bool quick = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-
     const PlacementPolicy policies[] = {PlacementPolicy::SvtPair,
                                         PlacementPolicy::SiblingShare,
                                         PlacementPolicy::Isolate};
@@ -70,14 +57,16 @@ main(int argc, char **argv)
     BenchHarness bench("fleet_scale",
                        "fleet-scale multi-tenant SMT placement "
                        "policy sweep on the full 2x8x2 topology");
+    bool quick = false;
+    bench.flag("--quick", quick, "CI sizes: fewer vCPUs, shorter runs");
     for (PlacementPolicy policy : policies) {
-        FleetSpec spec = baseSpec(quick);
-        spec.policy = policy;
         bench.addCluster(
             placementPolicyName(policy),
-            policy == PlacementPolicy::SvtPair ? spec.pairedMode
+            policy == PlacementPolicy::SvtPair ? FleetSpec{}.pairedMode
                                                : VirtMode::Nested,
-            [spec](ClusterContext &ctx, ScenarioResult &r) {
+            [policy, &quick](ClusterContext &ctx, ScenarioResult &r) {
+                FleetSpec spec = baseSpec(quick);
+                spec.policy = policy;
                 FleetScheduler scheduler(spec, ctx.seed());
                 scheduler.run(ctx, r);
             });
@@ -135,5 +124,5 @@ main(int argc, char **argv)
                     pairP99, isoP99,
                     pairP99 <= isoP99 ? "pays" : "DOES NOT pay");
     });
-    return bench.main(static_cast<int>(args.size()), args.data());
+    return bench.main(argc, argv);
 }

@@ -119,13 +119,13 @@ int
 main(int argc, char **argv)
 {
     // Wall-clock benchmarks are not a deterministic sweep; the
-    // harness owns the common flag surface and forwards the rest
+    // harness parses --seed and --help and forwards the rest
     // (--benchmark_filter and friends) to google-benchmark.
     BenchHarness bench("primitives_gbench",
                        "google-benchmark micro-benchmarks of the "
                        "simulator's hot primitives (wall clock)");
-    bench.onCustomMain(
-        [](int fwd_argc, char **fwd_argv, const BenchOptions &) {
+    bench.onForwardMain(
+        [](int fwd_argc, char **fwd_argv) {
             benchmark::Initialize(&fwd_argc, fwd_argv);
             if (benchmark::ReportUnrecognizedArguments(fwd_argc,
                                                        fwd_argv))

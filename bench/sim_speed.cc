@@ -27,8 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -319,24 +318,8 @@ writeJson(std::ostream &os, const std::vector<WorkloadRow> &rows,
 }
 
 int
-runSpeedBench(int argc, char **argv, const BenchOptions &options)
+runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
 {
-    std::string outPath = "BENCH_SPEED.json";
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--out=", 6) == 0) {
-            outPath = arg + 6;
-        } else if (std::strcmp(arg, "--quick") == 0) {
-            quick = true;
-        } else {
-            std::cerr << "sim_speed: unknown argument '" << arg
-                      << "'\n"
-                      << "usage: sim_speed [--out=FILE] [--quick]\n";
-            return 2;
-        }
-    }
-
     // Quick mode keeps sanitizer CI runs fast; the full mode sizes
     // give stable rates on an unloaded machine.
     const int reps = quick ? 1 : 3;
@@ -344,7 +327,6 @@ runSpeedBench(int argc, char **argv, const BenchOptions &options)
     const std::uint64_t cancelIters = quick ? 20000 : 400000;
     const std::uint64_t mixedIters = quick ? 20000 : 300000;
     const std::uint64_t consumeRounds = quick ? 10000 : 200000;
-    const std::uint64_t seed = options.seed;
 
     std::vector<WorkloadRow> rows;
     rows.push_back(
@@ -397,18 +379,10 @@ runSpeedBench(int argc, char **argv, const BenchOptions &options)
         }
     }
 
-    std::ostream *os = &std::cout;
-    std::ofstream file;
-    if (outPath != "-") {
-        file.open(outPath);
-        if (!file) {
-            std::cerr << "sim_speed: cannot open '" << outPath
-                      << "'\n";
-            return 1;
-        }
-        os = &file;
-    }
-    writeJson(*os, rows, quick, seed);
+    if (!writeOutput("sim_speed", outPath, [&](std::ostream &os) {
+            writeJson(os, rows, quick, seed);
+        }))
+        return 1;
 
     for (const WorkloadRow &row : rows) {
         std::printf("%-16s wheel %12.0f ev/s   reference %12.0f ev/s"
@@ -428,6 +402,14 @@ main(int argc, char **argv)
                        "wall-clock event-queue throughput: timing "
                        "wheel vs reference heap (events/sec, "
                        "simulated-us per wall-second)");
-    bench.onCustomMain(runSpeedBench);
+    std::string outPath = "BENCH_SPEED.json";
+    bool quick = false;
+    bench.flag("--out=FILE", outPath,
+               "write the record to FILE (\"-\" = stdout; default "
+               "BENCH_SPEED.json)");
+    bench.flag("--quick", quick, "CI sizes: one repetition, fewer events");
+    bench.onCustomMain([&](const BenchOptions &options) {
+        return runSpeedBench(outPath, quick, options.seed);
+    });
     return bench.main(argc, argv);
 }

@@ -1,10 +1,9 @@
 #include "sim/fault.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 
+#include "sim/decimal.h"
 #include "sim/log.h"
 
 namespace svtsim {
@@ -26,6 +25,9 @@ faultSiteName(FaultSite site)
     return "?";
 }
 
+namespace {
+
+/** Whether the site's effect is a time shift (takes/needs `dTIME`). */
 bool
 faultSiteIsDelay(FaultSite site)
 {
@@ -34,60 +36,19 @@ faultSiteIsDelay(FaultSite site)
            site == FaultSite::VirtioCompletionDelay;
 }
 
-namespace {
-
-/** All site names, for the error message of an unknown site. */
-std::string
-knownSites()
+/** The site called @p name; FatalError, listing every site, if none. */
+FaultSite
+lookupSite(const std::string &name)
 {
-    std::string out;
+    std::string known;
     for (std::size_t i = 0; i < numFaultSites; ++i) {
-        if (!out.empty())
-            out += ", ";
-        out += faultSiteName(static_cast<FaultSite>(i));
+        const auto site = static_cast<FaultSite>(i);
+        if (name == faultSiteName(site))
+            return site;
+        known += (i > 0 ? ", " : "") + std::string(faultSiteName(site));
     }
-    return out;
-}
-
-bool
-lookupSite(const std::string &name, FaultSite &out)
-{
-    for (std::size_t i = 0; i < numFaultSites; ++i) {
-        auto site = static_cast<FaultSite>(i);
-        if (name == faultSiteName(site)) {
-            out = site;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    fatal("fault spec names unknown site '%s' (known sites: %s)",
+          name.c_str(), known.c_str());
 }
 
 /** Parse "NUMBER(ns|us|ms)" into Ticks; false when the tick count
@@ -95,14 +56,10 @@ parseDouble(const std::string &text, double &out)
 bool
 parseTime(const std::string &text, Ticks &out)
 {
-    std::size_t unit = text.size();
-    while (unit > 0 &&
-           !std::isdigit(static_cast<unsigned char>(text[unit - 1])) &&
-           text[unit - 1] != '.') {
-        --unit;
-    }
+    // The unit follows the last digit or '.' (npos + 1 is 0).
+    const std::size_t unit = text.find_last_of("0123456789.") + 1;
     double value = 0;
-    if (!parseDouble(text.substr(0, unit), value))
+    if (!parseDecimal(text.substr(0, unit), value))
         return false;
     // nsec()/usec()'s products, range-checked before the cast (a double
     // at or past 2^63 has no Ticks value); -1 marks an unknown unit.
@@ -152,11 +109,7 @@ parseClause(const std::string &text)
     }
 
     FaultClause clause;
-    std::string site_name = text.substr(0, at);
-    if (!lookupSite(site_name, clause.site)) {
-        fatal("fault spec names unknown site '%s' (known sites: %s)",
-              site_name.c_str(), knownSites().c_str());
-    }
+    clause.site = lookupSite(text.substr(0, at));
 
     std::vector<std::string> parts =
         splitTrimmed(text.substr(at + 1), ',');
@@ -166,16 +119,16 @@ parseClause(const std::string &text)
               text.c_str());
     }
     if (trigger[0] == 'n') {
-        std::string body = trigger.substr(1);
-        std::size_t plus = body.find('+');
-        std::string first = body.substr(0, plus);
-        if (!parseU64(first, clause.first) || clause.first == 0) {
+        const std::string body = trigger.substr(1);
+        const std::size_t plus = body.find('+');
+        if (!parseDecimal(body.substr(0, plus), clause.first) ||
+            clause.first == 0) {
             fatal("fault trigger '%s': occurrence index must be a "
                   "positive integer (occurrences are 1-based)",
                   trigger.c_str());
         }
         if (plus != std::string::npos) {
-            if (!parseU64(body.substr(plus + 1), clause.count) ||
+            if (!parseDecimal(body.substr(plus + 1), clause.count) ||
                 clause.count == 0) {
                 fatal("fault trigger '%s': occurrence count must be a "
                       "positive integer",
@@ -189,7 +142,7 @@ parseClause(const std::string &text)
     } else if (trigger[0] == 'p') {
         clause.probabilistic = true;
         // A range test, so that a NaN (which fails both) is rejected.
-        if (!parseDouble(trigger.substr(1), clause.probability) ||
+        if (!parseDecimal(trigger.substr(1), clause.probability) ||
             !(clause.probability >= 0.0 && clause.probability <= 1.0)) {
             fatal("fault trigger '%s': probability must be in [0, 1]",
                   trigger.c_str());
@@ -245,7 +198,6 @@ FaultPlan
 FaultPlan::parse(const std::string &spec)
 {
     FaultPlan plan;
-    plan.spec_ = spec;
     for (const std::string &clause : splitTrimmed(spec, ';')) {
         if (clause.empty())
             continue;

@@ -17,9 +17,13 @@
  *              | 'p' PROB             each occurrence fires with
  *                                     probability PROB in [0, 1]
  *     TIME    := NUMBER ('ns'|'us'|'ms')
+ *     N, COUNT := DIGITS
+ *     PROB, NUMBER := DIGITS ('.' DIGITS?)?
  *
- * A NaN probability, a TIME past the Ticks range and a window whose
- * end N + COUNT passes 2^64 - 1 are rejected like any malformed text.
+ * Numbers are decimal digits only: no sign, space, exponent, hex
+ * prefix, `inf` or `nan` (sim/decimal.h, the parser the bench command
+ * line uses too). A TIME past the Ticks range and a window whose end
+ * N + COUNT passes 2^64 - 1 are rejected like any malformed text.
  *
  * Examples: `ipi.drop@n2`, `ipi.delay@p0.5,d2us`,
  * `ring.post.drop@n1+3;virtio.completion.delay@p0.1,d50us`.
@@ -70,9 +74,6 @@ constexpr std::size_t numFaultSites =
 /** Stable spec/metric name of a site, e.g. "ipi.drop". */
 const char *faultSiteName(FaultSite site);
 
-/** Whether the site's effect is a time shift (takes/needs `dTIME`). */
-bool faultSiteIsDelay(FaultSite site);
-
 /** One parsed spec clause. */
 struct FaultClause
 {
@@ -108,11 +109,7 @@ class FaultPlan
     bool empty() const { return clauses_.empty(); }
     const std::vector<FaultClause> &clauses() const { return clauses_; }
 
-    /** The original spec text (for JSON provenance fields). */
-    const std::string &spec() const { return spec_; }
-
   private:
-    std::string spec_;
     std::vector<FaultClause> clauses_;
 };
 

@@ -1,10 +1,11 @@
 #include "system/bench_harness.h"
 
-#include <charconv>
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 
+#include "sim/decimal.h"
 #include "sim/json.h"
 #include "sim/log.h"
 #include "system/epoch_crew.h"
@@ -13,113 +14,56 @@ namespace svtsim {
 
 namespace {
 
+/** Store the value @p arg gives @p flag's row in its target; false
+ *  when the value is missing, unexpected or malformed. */
 bool
-parseUint(const std::string &text, std::uint64_t &out)
+assign(const BenchHarness::Flag &flag, const std::string &arg)
 {
-    const char *end = text.data() + text.size();
-    std::uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end)
+    const std::size_t eq = arg.find('=');
+    if (bool *const *on = std::get_if<bool *>(&flag.target)) {
+        **on = true;
+        return eq == std::string::npos;
+    }
+    if (eq == std::string::npos)
         return false;
-    out = v;
+    const std::string value = arg.substr(eq + 1);
+    if (std::string *const *text = std::get_if<std::string *>(&flag.target)) {
+        **text = value;
+        return true;
+    }
+    std::uint64_t n = 0;
+    if (!parseDecimal(value, n) || n > flag.max)
+        return false;
+    *std::get<std::uint64_t *>(flag.target) = n;
     return true;
 }
 
-} // namespace
-
-BenchHarness::BenchHarness(std::string name, std::string title)
-    : name_(std::move(name)), title_(std::move(title))
-{
-}
-
-Scenario &
-BenchHarness::add(Scenario scenario)
-{
-    scenarios_.push_back(std::move(scenario));
-    return scenarios_.back();
-}
-
-Scenario &
-BenchHarness::add(std::string name, VirtMode mode, ScenarioFn run)
-{
-    return add(std::move(name), mode, StackConfig{}, std::move(run));
-}
-
-Scenario &
-BenchHarness::add(std::string name, VirtMode mode, StackConfig config,
-                  ScenarioFn run)
-{
-    Scenario s;
-    s.name = std::move(name);
-    s.mode = mode;
-    s.config = config;
-    s.run = std::move(run);
-    return add(std::move(s));
-}
-
-Scenario &
-BenchHarness::addCluster(std::string name, VirtMode mode,
-                         ClusterScenarioFn run)
-{
-    Scenario s;
-    s.name = std::move(name);
-    s.mode = mode;
-    s.clusterRun = std::move(run);
-    return add(std::move(s));
-}
-
-int
-BenchHarness::usage(std::ostream &os, int status) const
-{
-    os << "usage: " << name_
-       << " [--jobs=N] [--cluster-jobs=N] [--seed=S] [--trace=FILE]"
-          " [--json=FILE] [--metrics=FILE] [--faults=SPEC]"
-          " [--breakdown] [--list]\n\n"
-       << title_ << "\n\n"
-       << "  --jobs=N        run scenarios on N worker threads\n"
-       << "                  (0 = one per hardware thread; default 1)\n"
-       << "  --cluster-jobs=N  workers inside each cluster scenario\n"
-       << "                  (0 = one per hardware thread; default 1 =\n"
-       << "                  sequential oracle; results byte-identical\n"
-       << "                  for any value)\n"
-       << "  --seed=S        base seed for every scenario's "
-          "NestedSystem (default 1)\n"
-       << "  --trace=FILE    export per-scenario Chrome trace JSON and "
-          "a CSV summary\n"
-       << "  --json=FILE     write machine-readable results "
-          "(\"-\" = stdout)\n"
-       << "  --metrics=FILE  write the per-scenario simulated-PMU "
-          "dump (\"-\" = stdout)\n"
-       << "  --faults=SPEC   inject deterministic faults; SPEC is "
-          "';'-separated\n"
-       << "                  site@trigger clauses, e.g. "
-          "'ipi.drop@n3;ipi.delay@p0.1,d2us'\n"
-       << "  --breakdown     print a Table 1-style breakdown per "
-          "scenario\n"
-       << "  --list          list scenarios and exit\n"
-       << "  --help          this text\n";
-    if (customMain_)
-        os << "\nremaining arguments are forwarded to the underlying "
-              "benchmark runner\n";
-    return status;
-}
-
+/** The opening of both result dumps, up to the scenario list. */
 void
-BenchHarness::writeJson(std::ostream &os, const SweepResults &results,
-                        const BenchOptions &options) const
+jsonHead(std::ostream &os, const std::string &name, const std::string &title,
+         const BenchOptions &options)
 {
-    // --jobs is deliberately absent: the JSON is a *result* artifact
-    // and must be byte-identical regardless of the worker count.
     os << "{\n  \"bench\": ";
-    jsonString(os, name_);
+    jsonString(os, name);
     os << ",\n  \"title\": ";
-    jsonString(os, title_);
+    jsonString(os, title);
     os << ",\n  \"seed\": " << options.seed;
     if (!options.faultsSpec.empty()) {
         os << ",\n  \"faults\": ";
         jsonString(os, options.faultsSpec);
     }
     os << ",\n  \"scenarios\": [";
+}
+
+/** The results as JSON (stable field and metric order). */
+void
+writeJson(std::ostream &os, const std::string &name,
+          const std::string &title, const SweepResults &results,
+          const BenchOptions &options)
+{
+    // --jobs is deliberately absent: the JSON is a *result* artifact
+    // and must be byte-identical regardless of the worker count.
+    jsonHead(os, name, title, options);
     bool first_scenario = true;
     for (const auto &r : results.all()) {
         os << (first_scenario ? "\n" : ",\n");
@@ -148,24 +92,16 @@ BenchHarness::writeJson(std::ostream &os, const SweepResults &results,
     os << "\n  ]\n}\n";
 }
 
+/** The per-scenario simulated-PMU snapshots as JSON. */
 void
-BenchHarness::writeMetricsJson(std::ostream &os,
-                               const SweepResults &results,
-                               const BenchOptions &options) const
+writeMetricsJson(std::ostream &os, const std::string &name,
+                 const std::string &title, const SweepResults &results,
+                 const BenchOptions &options)
 {
     // Same contract as writeJson: --jobs is absent by design, the
     // snapshots are deterministic per scenario, and samples are
     // name-sorted, so the dump is byte-identical across worker counts.
-    os << "{\n  \"bench\": ";
-    jsonString(os, name_);
-    os << ",\n  \"title\": ";
-    jsonString(os, title_);
-    os << ",\n  \"seed\": " << options.seed;
-    if (!options.faultsSpec.empty()) {
-        os << ",\n  \"faults\": ";
-        jsonString(os, options.faultsSpec);
-    }
-    os << ",\n  \"scenarios\": [";
+    jsonHead(os, name, title, options);
     bool first = true;
     for (const auto &r : results.all()) {
         os << (first ? "\n" : ",\n");
@@ -187,91 +123,168 @@ BenchHarness::writeMetricsJson(std::ostream &os,
     os << "\n  ]\n}\n";
 }
 
+} // namespace
+
+bool
+writeOutput(const std::string &bench, const std::string &path,
+            const std::function<void(std::ostream &)> &write)
+{
+    std::ofstream file;
+    if (path != "-")
+        file.open(path);
+    if (path != "-" && !file) {
+        std::cerr << bench << ": cannot write '" << path << "'\n";
+        return false;
+    }
+    write(path == "-" ? std::cout : file);
+    return true;
+}
+
+Scenario &
+BenchHarness::add(Scenario scenario)
+{
+    scenarios_.push_back(std::move(scenario));
+    return scenarios_.back();
+}
+
+Scenario &
+BenchHarness::add(std::string name, VirtMode mode, ScenarioFn run)
+{
+    return add(std::move(name), mode, StackConfig{}, std::move(run));
+}
+
+Scenario &
+BenchHarness::add(std::string name, VirtMode mode, StackConfig config,
+                  ScenarioFn run)
+{
+    return add({std::move(name), mode, config, {}, std::move(run), {}});
+}
+
+Scenario &
+BenchHarness::addCluster(std::string name, VirtMode mode,
+                         ClusterScenarioFn run)
+{
+    return add({std::move(name), mode, {}, {}, {}, std::move(run)});
+}
+
+int
+BenchHarness::usage(const std::vector<Flag> &table, std::ostream &os,
+                    int status) const
+{
+    constexpr std::size_t column = 20;
+    os << "usage: " << name_;
+    for (const Flag &f : table)
+        os << " [" << f.name << "]";
+    os << "\n\n" << title_ << "\n\n";
+    for (const Flag &f : table)
+        os << "  " << f.name
+           << std::string(column - 2 - std::min(column - 3, f.name.size()),
+                          ' ')
+           << f.help << "\n";
+    if (forwardMain_)
+        os << "\nany other argument goes to the google-benchmark "
+              "runner\n";
+    return status;
+}
+
 int
 BenchHarness::main(int argc, char **argv)
 {
     BenchOptions options;
-    std::vector<char *> forwarded;
-    if (argc > 0)
-        forwarded.push_back(argv[0]);
-    bool list_only = false;
+    bool help = false;
+    bool list = false;
+    std::vector<Flag> table = {
+        {"--seed=S", &options.seed,
+         "base seed of every simulated machine (default 1)"},
+        {"--help", &help, "this text"},
+    };
+    if (!customMain_ && !forwardMain_) {
+        table.insert(
+            table.end(),
+            {
+                {"--jobs=N", &options.jobs,
+                 "run scenarios on N threads (0 = one per hardware "
+                 "thread)",
+                 kMaxThreads},
+                {"--cluster-jobs=N", &options.clusterJobs,
+                 "threads inside each cluster scenario (0 = one per "
+                 "hardware thread)",
+                 kMaxThreads},
+                {"--trace=FILE", &options.tracePath,
+                 "export per-scenario Chrome trace JSON and a CSV "
+                 "summary"},
+                {"--json=FILE", &options.jsonPath,
+                 "write machine-readable results (\"-\" = stdout)"},
+                {"--metrics=FILE", &options.metricsPath,
+                 "write the per-scenario simulated-PMU dump (\"-\" = "
+                 "stdout)"},
+                {"--faults=SPEC", &options.faultsSpec,
+                 "inject deterministic faults, e.g. "
+                 "'ipi.drop@n3;ipi.delay@p0.1,d2us'"},
+                {"--breakdown", &options.breakdown,
+                 "print a Table 1-style breakdown per scenario"},
+                {"--list", &list, "list scenarios and exit"},
+            });
+    }
+    table.insert(table.end(), flags_.begin(), flags_.end());
 
+    std::vector<char *> rest(argv, argv + std::min(argc, 1));
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> std::string {
-            return arg.substr(std::string(prefix).size());
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(std::cout, 0);
-            return 0;
-        } else if (arg == "--list") {
-            list_only = true;
-        } else if (arg.rfind("--jobs=", 0) == 0 ||
-                   arg.rfind("--cluster-jobs=", 0) == 0) {
-            // Both take a thread count; 0 asks for one per hardware
-            // thread.
-            const std::size_t eq = arg.find('=');
-            const std::string flag = arg.substr(0, eq);
-            std::uint64_t n = 0;
-            if (!parseUint(arg.substr(eq + 1), n) || n > 4096) {
-                std::cerr << name_ << ": bad " << flag << " value '"
-                          << arg.substr(eq + 1) << "'\n";
-                return usage(std::cerr, 2);
-            }
-            (flag == "--jobs" ? options.jobs : options.clusterJobs) =
-                n == 0 ? EpochCrew::hardwareThreads() : static_cast<int>(n);
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseUint(value("--seed="), options.seed)) {
-                std::cerr << name_ << ": bad --seed value '"
-                          << value("--seed=") << "'\n";
-                return usage(std::cerr, 2);
-            }
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            options.tracePath = value("--trace=");
-        } else if (arg.rfind("--json=", 0) == 0) {
-            options.jsonPath = value("--json=");
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            options.metricsPath = value("--metrics=");
-        } else if (arg.rfind("--faults=", 0) == 0) {
-            options.faultsSpec = value("--faults=");
-            try {
-                FaultPlan::parse(options.faultsSpec);
-            } catch (const FatalError &e) {
-                std::cerr << name_ << ": bad --faults value: "
-                          << e.what() << "\n";
-                return usage(std::cerr, 2);
-            }
-        } else if (arg == "--breakdown") {
-            options.breakdown = true;
-        } else if (customMain_) {
-            forwarded.push_back(argv[i]);
-        } else {
-            std::cerr << name_ << ": unknown argument '" << arg
-                      << "'\n";
-            return usage(std::cerr, 2);
+        const std::string arg = argv[i];
+        const std::string key = arg.substr(0, arg.find('='));
+        const auto row =
+            std::find_if(table.begin(), table.end(), [&](const Flag &f) {
+                return f.name.substr(0, f.name.find('=')) == key;
+            });
+        if (row == table.end() && forwardMain_) {
+            rest.push_back(argv[i]);
+        } else if (row == table.end()) {
+            std::cerr << name_ << ": unknown argument '" << arg << "'\n";
+            return usage(table, std::cerr, 2);
+        } else if (!assign(*row, arg)) {
+            std::cerr << name_ << ": bad argument '" << arg << "'\n";
+            return usage(table, std::cerr, 2);
         }
     }
 
-    if (list_only) {
+    FaultPlan faults;
+    try {
+        faults = FaultPlan::parse(options.faultsSpec);
+    } catch (const FatalError &e) {
+        std::cerr << name_ << ": bad --faults value: " << e.what()
+                  << "\n";
+        return usage(table, std::cerr, 2);
+    }
+
+    if (help)
+        return usage(table, std::cout, 0);
+    if (forwardMain_)
+        return forwardMain_(static_cast<int>(rest.size()), rest.data());
+    if (customMain_)
+        return customMain_(options);
+    if (list) {
         std::cout << name_ << ": " << title_ << "\n";
         for (const auto &s : scenarios_)
             std::cout << "  " << s.name << "  ["
                       << virtModeName(s.mode) << "]\n";
         return 0;
     }
+    return sweepMain(options, std::move(faults));
+}
 
-    if (customMain_) {
-        return customMain_(static_cast<int>(forwarded.size()),
-                           forwarded.data(), options);
-    }
-
+int
+BenchHarness::sweepMain(const BenchOptions &options, FaultPlan faults) const
+{
+    // A thread count of 0 asks for one per hardware thread.
+    const auto threads = [](std::uint64_t n) {
+        return n == 0 ? EpochCrew::hardwareThreads() : static_cast<int>(n);
+    };
     SweepOptions sweep_options;
-    sweep_options.jobs = options.jobs;
-    sweep_options.clusterJobs = options.clusterJobs;
+    sweep_options.jobs = threads(options.jobs);
+    sweep_options.clusterJobs = threads(options.clusterJobs);
     sweep_options.baseSeed = options.seed;
     sweep_options.tracePath = options.tracePath;
-    if (!options.faultsSpec.empty())
-        sweep_options.faults = FaultPlan::parse(options.faultsSpec);
+    sweep_options.faults = std::move(faults);
 
     SweepResults results;
     try {
@@ -281,33 +294,16 @@ BenchHarness::main(int argc, char **argv)
         return 1;
     }
 
-    if (!options.jsonPath.empty()) {
-        if (options.jsonPath == "-") {
-            writeJson(std::cout, results, options);
-        } else {
-            std::ofstream out(options.jsonPath);
-            if (!out) {
-                std::cerr << name_ << ": cannot write "
-                          << options.jsonPath << "\n";
-                return 1;
-            }
-            writeJson(out, results, options);
-        }
-    }
-
-    if (!options.metricsPath.empty()) {
-        if (options.metricsPath == "-") {
-            writeMetricsJson(std::cout, results, options);
-        } else {
-            std::ofstream out(options.metricsPath);
-            if (!out) {
-                std::cerr << name_ << ": cannot write "
-                          << options.metricsPath << "\n";
-                return 1;
-            }
-            writeMetricsJson(out, results, options);
-        }
-    }
+    if (!options.jsonPath.empty() &&
+        !writeOutput(name_, options.jsonPath, [&](std::ostream &os) {
+            writeJson(os, name_, title_, results, options);
+        }))
+        return 1;
+    if (!options.metricsPath.empty() &&
+        !writeOutput(name_, options.metricsPath, [&](std::ostream &os) {
+            writeMetricsJson(os, name_, title_, results, options);
+        }))
+        return 1;
 
     if (options.breakdown) {
         for (const auto &r : results.all()) {

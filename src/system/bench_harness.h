@@ -2,18 +2,17 @@
  * @file
  * Unified bench entry point.
  *
- * Every bench binary declares its scenarios (the sweep) and a report
- * callback (the tables), then delegates main() to a BenchHarness. The
- * harness owns the whole CLI surface — `--jobs`, `--seed`, `--trace`,
- * `--json`, `--metrics`, `--faults`, `--breakdown`, `--list`,
- * `--help` — runs the sweep on the deterministic
- * parallel engine, writes machine-readable JSON results and invokes
- * the report with results in declaration order. Output (tables, JSON,
- * per-scenario tick counts) is byte-identical for any `--jobs` value.
+ * Every bench binary declares its scenarios (the sweep), its own flags
+ * and a report callback (the tables), then delegates main() to a
+ * BenchHarness, the only code that reads the command line. main()
+ * parses one flag table, the harness's rows plus the bench's, with
+ * decimal-only numbers (sim/decimal.h), generates `--help` from it,
+ * runs the sweep on the deterministic parallel engine, writes the
+ * JSON results and reports in declaration order. Output is
+ * byte-identical for any `--jobs` value.
  *
- * Benches that are not scenario sweeps (the google-benchmark wall
- * clock micro-benchmarks) install a custom main instead; the harness
- * still parses and strips its own flags and forwards the rest.
+ * A bench that is not a sweep (a wall-clock speed bench) installs a
+ * custom main; its table is `--seed`, `--help` and its own flags.
  */
 
 #ifndef SVTSIM_SYSTEM_BENCH_HARNESS_H
@@ -23,50 +22,62 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "system/sweep.h"
 
 namespace svtsim {
 
-/** Parsed harness CLI options. */
+/** The harness's own flags, parsed (main()'s table has their help). */
 struct BenchOptions
 {
-    /** --jobs=N: worker threads (0 = one per hardware thread). */
-    int jobs = 1;
-    /** --seed=S: base seed for every scenario's NestedSystem. */
-    std::uint64_t seed = 1;
-    /** --trace=FILE: per-scenario Chrome trace + CSV export. */
-    std::string tracePath;
-    /** --json=FILE: machine-readable results ("-" for stdout). */
-    std::string jsonPath;
-    /** --metrics=FILE: per-scenario simulated-PMU dump ("-" for
-     *  stdout). */
-    std::string metricsPath;
-    /** --faults=SPEC: fault plan installed on every scenario's
-     *  machine (see FaultPlan::parse for the grammar). */
-    std::string faultsSpec;
-    /** --cluster-jobs=N: workers *inside* each cluster scenario
-     *  (0 = one per hardware thread). Results are byte-identical for
-     *  any value; 1 is the sequential oracle. */
-    int clusterJobs = 1;
-    /** --breakdown: print the Table 1-style per-scenario report. */
-    bool breakdown = false;
+    std::uint64_t jobs = 1;        ///< --jobs (0 = one per hw thread)
+    std::uint64_t seed = 1;        ///< --seed
+    std::string tracePath;         ///< --trace
+    std::string jsonPath;          ///< --json ("-" = stdout)
+    std::string metricsPath;       ///< --metrics ("-" = stdout)
+    std::string faultsSpec;        ///< --faults (see FaultPlan::parse)
+    std::uint64_t clusterJobs = 1; ///< --cluster-jobs (0 as for --jobs)
+    bool breakdown = false;        ///< --breakdown
 };
 
 /**
- * Declarative bench definition plus the shared main() implementation.
+ * Write to @p path through @p write: stdout for "-", else the file,
+ * created or truncated. Returns false, having named the path on
+ * stderr under @p bench, when the file cannot be opened.
  */
+bool writeOutput(const std::string &bench, const std::string &path,
+                 const std::function<void(std::ostream &)> &write);
+
+/** Declarative bench definition plus the shared main(). */
 class BenchHarness
 {
   public:
     using ReportFn = std::function<void(const SweepResults &results)>;
-    using CustomMainFn = std::function<int(
-        int argc, char **argv, const BenchOptions &options)>;
+    using CustomMainFn = std::function<int(const BenchOptions &options)>;
+    using ForwardMainFn = std::function<int(int argc, char **argv)>;
+
+    /** Largest thread count a flag accepts (--jobs, --cluster-jobs). */
+    static constexpr std::uint64_t kMaxThreads = 4096;
+
+    /** One row of the flag table. */
+    struct Flag
+    {
+        /** `--name` (a bool, set when present) or `--name=VALUE`;
+         *  the part before '=' is matched. */
+        std::string name;
+        std::variant<bool *, std::uint64_t *, std::string *> target;
+        std::string help;
+        std::uint64_t max = UINT64_MAX; ///< Largest accepted number.
+    };
 
     /** @param name Bench identifier (JSON "bench" field).
      *  @param title One-line description for --help/--list. */
-    BenchHarness(std::string name, std::string title);
+    BenchHarness(std::string name, std::string title)
+        : name_(std::move(name)), title_(std::move(title))
+    {
+    }
 
     /** Append a scenario; runs in declaration order. */
     Scenario &add(Scenario scenario);
@@ -87,11 +98,25 @@ class BenchHarness
     void onReport(ReportFn fn) { report_ = std::move(fn); }
 
     /**
-     * Replace the sweep with a custom main. The harness parses and
-     * strips its own flags; unrecognized arguments are forwarded (the
-     * google-benchmark bench owns them).
+     * Declare a bench flag: @p target is a bool, a std::uint64_t
+     * (decimal digits, at most @p max) or a std::string, keeps its
+     * value when the flag is absent, and is set before any scenario
+     * or custom main runs, so read it there, not when declaring.
      */
+    template <class T>
+    void
+    flag(std::string name, T &target, std::string help,
+         std::uint64_t max = UINT64_MAX)
+    {
+        flags_.push_back({std::move(name), &target, std::move(help), max});
+    }
+
+    /** Replace the sweep with a custom main. */
     void onCustomMain(CustomMainFn fn) { customMain_ = std::move(fn); }
+
+    /** A custom main for a runner with flags of its own
+     *  (google-benchmark): it gets the arguments the table lacks. */
+    void onForwardMain(ForwardMainFn fn) { forwardMain_ = std::move(fn); }
 
     /**
      * The shared main(): parse flags, run the sweep on `--jobs`
@@ -100,32 +125,18 @@ class BenchHarness
      */
     int main(int argc, char **argv);
 
-    const std::vector<Scenario> &scenarios() const
-    {
-        return scenarios_;
-    }
-
-    /** Serialize results as JSON (stable field and metric order). */
-    void writeJson(std::ostream &os, const SweepResults &results,
-                   const BenchOptions &options) const;
-
-    /**
-     * Serialize the per-scenario simulated-PMU snapshots as JSON.
-     * Like writeJson, the output is a pure function of (scenarios,
-     * seed): byte-identical for any `--jobs` value.
-     */
-    void writeMetricsJson(std::ostream &os,
-                          const SweepResults &results,
-                          const BenchOptions &options) const;
-
   private:
-    int usage(std::ostream &os, int status) const;
+    int usage(const std::vector<Flag> &table, std::ostream &os,
+              int status) const;
+    int sweepMain(const BenchOptions &options, FaultPlan faults) const;
 
     std::string name_;
     std::string title_;
     std::vector<Scenario> scenarios_;
+    std::vector<Flag> flags_;
     ReportFn report_;
     CustomMainFn customMain_;
+    ForwardMainFn forwardMain_;
 };
 
 } // namespace svtsim

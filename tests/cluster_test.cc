@@ -165,12 +165,15 @@ TEST(EpochCrew, EveryPublishedStepRunsOnceUnderItsOwnEpoch)
     // to park, then publishes two steps: the coordinator usually
     // claims both before any member is awake again.
     constexpr std::uint32_t kParkEvery = 500;
+    // Epoch 0 is a rendezvous: a step that runs on the coordinator
+    // waits, yielding, until the epoch's other step has run on a
+    // member, so members take part however busy the host is.
     std::vector<std::uint32_t> counts(kEpochs);
     std::vector<std::size_t> offsets(kEpochs + 1, 0);
     std::uint64_t lcg = 12345;
     for (std::uint32_t e = 0; e < kEpochs; ++e) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        counts[e] = e % kParkEvery == kParkEvery - 1
+        counts[e] = e == 0 || e % kParkEvery == kParkEvery - 1
                         ? 2
                         : static_cast<std::uint32_t>((lcg >> 33) % 18);
         offsets[e + 1] = offsets[e] + counts[e];
@@ -196,6 +199,9 @@ TEST(EpochCrew, EveryPublishedStepRunsOnceUnderItsOwnEpoch)
                                            std::memory_order_relaxed);
             if (std::this_thread::get_id() != coordinator)
                 onMembers.fetch_add(1, std::memory_order_relaxed);
+            else if (e == 0)
+                while (onMembers.load() == 0)
+                    std::this_thread::yield();
         });
 
         for (std::uint32_t e = 0; e < kEpochs; ++e) {
@@ -221,11 +227,8 @@ TEST(EpochCrew, EveryPublishedStepRunsOnceUnderItsOwnEpoch)
             ASSERT_EQ(runs[i].load(), 1u) << "members " << members
                                           << " slot " << i;
         }
-        // With a CPU to spare, members took part. (On one CPU either
-        // side may take every step.)
-        if (affinityCpus() > 1) {
-            EXPECT_GT(onMembers.load(), 0u) << "members " << members;
-        }
+        // Members took part: the rendezvous epoch forces it.
+        EXPECT_GT(onMembers.load(), 0u) << "members " << members;
     }
     // ...and the coordinator outran parked members at least once.
     if (affinityCpus() > 1) {

@@ -74,9 +74,11 @@ TEST(FaultPlan, ParsesMultipleClauses)
 {
     FaultPlan plan = FaultPlan::parse(
         "ipi.drop@n1;virtio.completion.delay@p0.1,d50us");
-    EXPECT_EQ(plan.clauses().size(), 2u);
-    EXPECT_EQ(plan.spec(),
-              "ipi.drop@n1;virtio.completion.delay@p0.1,d50us");
+    ASSERT_EQ(plan.clauses().size(), 2u);
+    EXPECT_EQ(plan.clauses()[0].site, FaultSite::IpiDrop);
+    EXPECT_EQ(plan.clauses()[1].site, FaultSite::VirtioCompletionDelay);
+    EXPECT_DOUBLE_EQ(plan.clauses()[1].probability, 0.1);
+    EXPECT_EQ(plan.clauses()[1].delay, usec(50));
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs)
@@ -85,12 +87,15 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     // out of range, 1-based occurrence violated, delay on a non-delay
     // site, delay site without a delay, bad time unit, a NaN
     // probability, a delay past the Ticks range, an occurrence window
-    // whose end wraps.
+    // whose end wraps, and numbers that are not plain decimals (a
+    // sign, a hex float, a hex integer).
     for (const char *bad :
          {"bogus.site@n1", "ipi.drop", "ipi.drop@x1", "ipi.drop@p1.5",
           "ipi.drop@n0", "ipi.drop@n1,d1us", "ipi.delay@n1",
           "ipi.delay@n1,d5s", "ipi.delay@n1,q5us", "ipi.drop@pnan",
-          "ipi.delay@n1,d1e300ms", "ipi.drop@n18446744073709551615+2"}) {
+          "ipi.delay@n1,d1e300ms", "ipi.drop@n18446744073709551615+2",
+          "ipi.drop@p+0.5", "ipi.drop@p0x1p-1", "ipi.delay@n1,d0x10us",
+          "ipi.delay@n1,d+2us"}) {
         EXPECT_THROW(FaultPlan::parse(bad), FatalError) << bad;
     }
 }

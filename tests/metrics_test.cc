@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -257,12 +258,15 @@ metricsDump(int jobs)
                                             sys.machine().now()));
                   });
     }
-    SweepOptions sweep_options;
-    sweep_options.jobs = jobs;
-    SweepResults results = runSweep(bench.scenarios(), sweep_options);
-    EXPECT_TRUE(results.allOk());
+    const std::string path = testing::TempDir() + "metrics_probe_" +
+                             std::to_string(jobs) + ".json";
+    std::string args[] = {"metrics_probe", "--jobs=" + std::to_string(jobs),
+                          "--metrics=" + path};
+    char *argv[] = {args[0].data(), args[1].data(), args[2].data()};
+    EXPECT_EQ(bench.main(3, argv), 0);
+    std::ifstream in(path);
     std::ostringstream os;
-    bench.writeMetricsJson(os, results, BenchOptions{});
+    os << in.rdbuf();
     return os.str();
 }
 

@@ -249,6 +249,44 @@ TEST(BenchHarness, RejectsUnknownFlags)
           "--jobs=+2", "--jobs=-1", "--jobs= 2", "--cluster-jobs=+1",
           "--seed=18446744073709551616"})
         EXPECT_EQ(runHarness(bench, {arg}), 2) << arg;
+
+    // A custom main's command line is --seed, --help and the flags it
+    // declares, validated like the harness's own.
+    BenchHarness custom("custom_bench", "custom main under test");
+    std::uint64_t workers = 0;
+    bool quick = false;
+    custom.flag("--workers=N", workers, "threads", BenchHarness::kMaxThreads);
+    custom.flag("--quick", quick, "CI sizes");
+    int ran = 0;
+    custom.onCustomMain([&](const BenchOptions &) {
+        ++ran;
+        return 0;
+    });
+    for (const char *arg :
+         {"--workers=2.9", "--workers=3abc", "--workers=1e300",
+          "--workers=-1", "--workers=+2", "--workers=4097", "--workers",
+          "--quick=1", "--json=x", "--faults=ipi.drop@n1", "--jobs=2",
+          "--cluster-jobs=4", "--breakdown", "--list", "--bogus"})
+        EXPECT_EQ(runHarness(custom, {arg}), 2) << arg;
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(runHarness(custom, {"--workers=3", "--quick", "--seed=7"}), 0);
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(workers, 3u);
+    EXPECT_TRUE(quick);
+}
+
+TEST(BenchHarness, DeclaredFlagIsReadWhenScenariosRun)
+{
+    BenchHarness bench("quick_bench", "declared flag under test");
+    bool quick = false;
+    bench.flag("--quick", quick, "CI sizes");
+    bench.add("probe", VirtMode::Native,
+              [&quick](NestedSystem &, ScenarioResult &r) {
+                  r.record("quick", quick ? 1.0 : 0.0);
+              });
+    const std::string path = testing::TempDir() + "sweep_quick.json";
+    ASSERT_EQ(runHarness(bench, {"--quick", "--json=" + path}), 0);
+    EXPECT_NE(slurp(path).find("\"quick\": 1"), std::string::npos);
 }
 
 TEST(BenchHarness, FailingScenarioYieldsExitOne)

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <ostream>
 #include <string>
 
@@ -80,10 +81,13 @@ struct DiffConfig
     int contexts;
     bool shadowing;
     bool posted;
-    /** SW SVt only: a ring fault plan, run with the watchdog armed. */
+    /** SW SVt only: a ring or IPI fault plan, run with the watchdog
+     *  armed. Every site it names must inject at least once. */
     const char *faults;
     std::uint64_t expected;
     Extra extra = Extra::None;
+    /** The watchdog degrades the stack at least once (svt.fallback). */
+    bool fallsBack = false;
 };
 
 enum class Op
@@ -131,6 +135,8 @@ struct DiffRun
     std::uint64_t fallbacks = 0;   ///< svt.fallback
     std::uint64_t multiplexes = 0; ///< svt.ctx_multiplex
     std::uint64_t extras = 0;      ///< rounds that took cfg.extra's path
+    /** fault.injected.<site> of every site cfg.faults names. */
+    std::map<std::string, std::uint64_t> injected;
 };
 
 /** The counter that shows @p extra's path was taken. */
@@ -269,15 +275,27 @@ runConfig(const DiffConfig &cfg)
         h.add(static_cast<std::uint64_t>(
             machine.scopeTotal(static_cast<ScopeId>(s))));
     const MetricsRegistry &m = machine.metrics();
-    return DiffRun{h.value(), counterOrZero(m, "svt.fallback"),
-                   counterOrZero(m, "svt.ctx_multiplex"),
-                   counterOrZero(m, extraCounter(cfg.extra))};
+    DiffRun run{h.value(), counterOrZero(m, "svt.fallback"),
+                counterOrZero(m, "svt.ctx_multiplex"),
+                counterOrZero(m, extraCounter(cfg.extra)),
+                {}};
+    if (const FaultInjector *faults = machine.events().faultInjector()) {
+        for (const FaultClause &clause : faults->plan().clauses()) {
+            const std::string name = std::string("fault.injected.") +
+                                     faultSiteName(clause.site);
+            run.injected[name] = counterOrZero(m, name.c_str());
+        }
+    }
+    return run;
 }
 
 // The two watchdog plans lose three posts in a row (the command and
 // both retries), twice: the first window starts at a CMD_VM_TRAP post
 // (fallback before L1 ran) or at a CMD_VM_RESUME post (after). The
-// last four rows drive the stack features the random ops never reach.
+// next four rows drive the stack features the random ops never reach.
+// The last four inject the ring and IPI faults a trap round can meet:
+// a late doorbell, a spurious wakeup, and a delayed or lost preemption
+// IPI.
 const DiffConfig configs[] = {
     // clang-format off
     {"Nested",             VirtMode::Nested, 2, true,  false, nullptr,
@@ -294,13 +312,13 @@ const DiffConfig configs[] = {
      0xb3dff02c2ca5549b},
     {"SwSvtTrapLost",      VirtMode::SwSvt,  2, true,  false,
      "ring.post.drop@n1+3;ring.post.drop@n151+3",
-     0xcda7751c6a40fb88},
+     0xcda7751c6a40fb88, Extra::None, true},
     {"SwSvtResumeLost",    VirtMode::SwSvt,  2, true,  false,
      "ring.post.drop@n2+3;ring.post.drop@n152+3",
-     0x312800c392e23396},
+     0x312800c392e23396, Extra::None, true},
     {"SwSvtResumeLostNoShadow", VirtMode::SwSvt, 2, false, false,
      "ring.post.drop@n2+3",
-     0x8a45b6e35b351791},
+     0x8a45b6e35b351791, Extra::None, true},
     {"HwSvt3",             VirtMode::HwSvt,  3, true,  false, nullptr,
      0xa53ec8270ab7e038},
     {"HwSvt3NoShadow",     VirtMode::HwSvt,  3, false, false, nullptr,
@@ -316,11 +334,23 @@ const DiffConfig configs[] = {
     {"SwSvtPreempt",       VirtMode::SwSvt,  2, true,  false, nullptr,
      0xa8cb9edfda22c75e, Extra::Preempt},
     {"SwSvtPreemptNoFix",  VirtMode::SwSvt,  2, true,  false, "",
-     0x159bb76046ecfd12, Extra::PreemptNoFix},
+     0x159bb76046ecfd12, Extra::PreemptNoFix, true},
     {"HwSvt3Direct",       VirtMode::HwSvt,  3, true,  false, nullptr,
      0x4793eeaae9d4cbd4, Extra::DirectReflect},
     {"SwSvtHousekeeping",  VirtMode::SwSvt,  2, true,  false, nullptr,
      0x5a7e53ab70255673, Extra::Housekeeping},
+    {"SwSvtDoorbellDelay", VirtMode::SwSvt,  2, true,  false,
+     "ring.doorbell.delay@p0.25,d1.5us",
+     0xfef3ff04e9c0b4b4},
+    {"SwSvtSpuriousWake",  VirtMode::SwSvt,  2, true,  false,
+     "ring.wake.spurious@p0.3",
+     0xc2760283071d4d8c},
+    {"SwSvtPreemptIpiDelay", VirtMode::SwSvt, 2, true, false,
+     "ipi.delay@p0.5,d2us",
+     0x2f14d5fa17f7bad1, Extra::Preempt},
+    {"SwSvtPreemptIpiDrop", VirtMode::SwSvt, 2, true,  false,
+     "ipi.drop@n2+2",
+     0x7dd908416bc52fa5, Extra::Preempt, true},
     // clang-format on
 };
 
@@ -341,7 +371,9 @@ TEST_P(TrapDifferential, HashIsPinned)
     // Same inputs, same hash: the run itself is deterministic.
     EXPECT_EQ(runConfig(cfg).hash, run.hash);
     // Each configuration reaches the path it is named for.
-    EXPECT_EQ(run.fallbacks > 0, cfg.faults != nullptr);
+    EXPECT_EQ(run.fallbacks > 0, cfg.fallsBack);
+    for (const auto &[counter, n] : run.injected)
+        EXPECT_GT(n, 0u) << counter;
     EXPECT_EQ(run.multiplexes > 0,
               cfg.mode == VirtMode::HwSvt && cfg.contexts == 2);
     EXPECT_EQ(run.extras > 0, cfg.extra != Extra::None);
