@@ -1,5 +1,8 @@
+// Fortify's longjmp check aborts a jump to another stack (DriverGate).
+#undef _FORTIFY_SOURCE
 #include "system/cluster.h"
 
+#include <setjmp.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -83,11 +86,13 @@ constexpr std::size_t kFiberStackBytes = 256 * 1024;
 } // namespace
 
 /**
- * A driver's stackful fiber (glibc ucontext) and the AdvanceGate its
- * queue wears. resume() runs the fiber on the calling thread until it
- * parks in awaitHorizon() or its driver returns; the two switch
- * points are the only places either side's stack changes hands, so
- * the fiber may be resumed by a different thread every epoch.
+ * A driver's stackful fiber and the AdvanceGate its queue wears.
+ * resume() runs the fiber on the calling thread until it parks in
+ * awaitHorizon() or its driver returns; the two switch points are the
+ * only places either side's stack changes hands, so the fiber may be
+ * resumed by a different thread every epoch. After one setcontext
+ * entry, each switch is a _setjmp by the side that leaves and a
+ * _longjmp to the other, so none makes a signal-mask system call.
  */
 class Cluster::DriverGate final : public AdvanceGate
 {
@@ -125,8 +130,11 @@ class Cluster::DriverGate final : public AdvanceGate
     /** mmap base: one PROT_NONE guard page, then the stack. */
     char *map_ = nullptr;
     std::size_t mapBytes_ = 0;
+    /** Entry context, used by the first resume() only. */
     ucontext_t fiber_{};
-    ucontext_t resumer_{};
+    bool entered_ = false;
+    jmp_buf fiberJmp_{};
+    jmp_buf resumerJmp_{};
 #if defined(__SANITIZE_ADDRESS__)
     void *fiberFakeStack_ = nullptr;
     const void *resumerStack_ = nullptr;
@@ -203,10 +211,12 @@ Cluster::DriverGate::switchToResumer([[maybe_unused]] bool last)
     __sanitizer_start_switch_fiber(last ? nullptr : &fiberFakeStack_,
                                    resumerStack_, resumerStackBytes_);
 #endif
+    if (_setjmp(fiberJmp_) == 0) {
 #if defined(__SANITIZE_THREAD__)
-    __tsan_switch_to_fiber(tsanResumer_, 0);
+        __tsan_switch_to_fiber(tsanResumer_, 0);
 #endif
-    swapcontext(&fiber_, &resumer_);
+        _longjmp(resumerJmp_, 1);
+    }
 #if defined(__SANITIZE_ADDRESS__)
     // Resumed, possibly by another thread: learn its stack afresh.
     __sanitizer_finish_switch_fiber(fiberFakeStack_, &resumerStack_,
@@ -234,11 +244,16 @@ Cluster::DriverGate::resume(Ticks horizon)
     __sanitizer_start_switch_fiber(&fakeStack, fiber_.uc_stack.ss_sp,
                                    fiber_.uc_stack.ss_size);
 #endif
+    if (_setjmp(resumerJmp_) == 0) {
 #if defined(__SANITIZE_THREAD__)
-    tsanResumer_ = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(tsanFiber_, 0);
+        tsanResumer_ = __tsan_get_current_fiber();
+        __tsan_switch_to_fiber(tsanFiber_, 0);
 #endif
-    swapcontext(&resumer_, &fiber_);
+        if (entered_)
+            _longjmp(fiberJmp_, 1);
+        entered_ = true;
+        setcontext(&fiber_);
+    }
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
 #endif

@@ -162,7 +162,7 @@ class Cluster
 
   private:
     /** A driver's fiber plus the AdvanceGate its queue wears
-     *  (defined in cluster.cc, which keeps <ucontext.h> private). */
+     *  (defined in cluster.cc, which keeps the fiber headers private). */
     class DriverGate;
 
     struct Node

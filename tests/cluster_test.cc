@@ -5,8 +5,9 @@
  * crew's ticket barrier, CrossLink ordering/latency properties, and the
  * headline determinism contract — a cluster run is byte-identical for
  * any worker count, including under fault injection — and the driver
- * fibers: they run on the threads that step their machines, and their
- * errors are contained and rethrown after every fiber has unwound.
+ * fibers: they run on the threads that step their machines, their
+ * registers and stacks survive every park, and their errors are
+ * contained and rethrown after every fiber has unwound.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -758,6 +760,109 @@ TEST(Cluster, DriverErrorOnAMemberThreadIsRethrown)
     for (int i = 0; i < kMachines - 1; ++i)
         EXPECT_EQ(reached[static_cast<std::size_t>(i)], msec(1))
             << "machine " << i;
+}
+
+struct Mix
+{
+    std::uint64_t bits = 0;
+    double sum = 0.0;
+};
+
+/** Integer and floating-point work whose locals stay live across every
+ *  call of @p park. Each of the @p rounds steps parks in this frame
+ *  and, for @p depth > 0, again from every frame of a recursion that
+ *  many calls deep. */
+[[gnu::noinline]] Mix
+churn(std::uint64_t seed, int depth, int rounds,
+      const std::function<void()> &park)
+{
+    std::uint64_t x = seed | 1;
+    double y = 1.0 + depth;
+    Mix acc;
+    for (int r = 0; r < rounds; ++r) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        y = y * 0.75 + static_cast<double>(x >> 44) * 0x1p-20;
+        park();
+        if (depth > 0) {
+            const Mix inner = churn(x, depth - 1, 1, park);
+            acc.bits ^= inner.bits;
+            acc.sum += inner.sum;
+        }
+        acc.bits = acc.bits * 0x100000001b3ull + x;
+        acc.sum += y * (r + 1);
+    }
+    return acc;
+}
+
+/** The calling thread's id, read anew each call. glibc declares
+ *  pthread_self() const, so two direct reads in one frame may fold
+ *  into one even when a park moved the fiber to another thread. */
+std::thread::id (*volatile threadId)() = [] {
+    return std::this_thread::get_id();
+};
+
+TEST(Cluster, DriverStateSurvivesParksAcrossThreads)
+{
+    // Four drivers on a star run churn() with a park at every step:
+    // 4 parks per round at depth 3, 4,000 per driver. With four crew
+    // threads, the coordinator sleeps before its first parks so that
+    // members claim steps and fibers change threads between parks.
+    constexpr int kMachines = 4;
+    constexpr int kDepth = 3;
+    constexpr int kRounds = 1000;
+    constexpr int kParks = kRounds * (kDepth + 1);
+    std::vector<Mix> want;
+    for (int i = 0; i < kMachines; ++i)
+        want.push_back(churn(0x5eed0000u + i, kDepth, kRounds, [] {}));
+
+    for (int jobs : {1, 4}) {
+        const std::thread::id coordinator = std::this_thread::get_id();
+        std::atomic<int> moved{0};
+        std::vector<Mix> got(kMachines);
+        std::vector<int> parks(kMachines, 0);
+        Cluster cluster(1);
+        for (int i = 0; i < kMachines; ++i)
+            cluster.addMachine("churn" + std::to_string(i),
+                               VirtMode::Native);
+        for (int i = 1; i < kMachines; ++i)
+            cluster.connect(0, i, usec(1), 10e9);
+        for (int i = 0; i < kMachines; ++i) {
+            cluster.setDriver(i, [&, i](NestedSystem &sys) {
+                Machine &m = sys.machine();
+                int &n = parks[static_cast<std::size_t>(i)];
+                const std::function<void()> park = [&] {
+                    const std::thread::id before = threadId();
+                    if (before == coordinator && n < 64)
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(50));
+                    m.idleUntil(m.now() + usec(3));
+                    if (threadId() != before)
+                        ++moved;
+                    ++n;
+                };
+                got[static_cast<std::size_t>(i)] =
+                    churn(0x5eed0000u + i, kDepth, kRounds, park);
+            });
+        }
+        const ClusterStats stats = cluster.run(jobs);
+
+        for (std::size_t i = 0; i < kMachines; ++i) {
+            EXPECT_EQ(parks[i], kParks) << "jobs " << jobs;
+            EXPECT_EQ(got[i].bits, want[i].bits)
+                << "machine " << i << ", jobs " << jobs;
+            EXPECT_EQ(got[i].sum, want[i].sum)
+                << "machine " << i << ", jobs " << jobs;
+        }
+        // Each 3 us advance crosses the 1 us lookahead and parks.
+        EXPECT_GE(stats.epochs, static_cast<std::uint64_t>(kParks))
+            << "jobs " << jobs;
+        if (jobs == 1)
+            EXPECT_EQ(moved.load(), 0);
+        else
+            EXPECT_GT(moved.load(), 0);
+    }
 }
 
 TEST(Cluster, NonStdDriverExceptionIsContained)
