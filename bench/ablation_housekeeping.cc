@@ -47,7 +47,7 @@ main(int argc, char **argv)
                 hkName(mode, per_req), mode,
                 [mode, per_req](ClusterContext &ctx,
                                 ScenarioResult &r) {
-                    ClusterBuild b =
+                    Cluster b =
                         ClusterSpec()
                             .machine("server", mode)
                             .machine("client", VirtMode::Native)
@@ -57,7 +57,7 @@ main(int argc, char **argv)
                     VirtioNetStack net(b.stack("server"),
                                        b.port("server", "client"));
                     MemcachedServer server(b.stack("server"), net, 42,
-                                           1000.0, usec(14.5), per_req);
+                                           per_req);
                     MutilateClient client(b.machine("client"),
                                           b.port("client", "server"));
 
@@ -73,7 +73,6 @@ main(int argc, char **argv)
                     b.run(ctx);
                     r.record("avg_usec", pt.avgUsec);
                     r.record("p99_usec", pt.p99Usec);
-                    ctx.finish(b.cluster(), r);
                 });
         }
     }

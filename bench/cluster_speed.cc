@@ -70,7 +70,7 @@ runOnce(const RunConfig &cfg, int jobs)
         spec.link("client", servers.back(), kLatency,
                   CostModel{}.linkBitsPerSec);
     }
-    ClusterBuild b = spec.realize(cfg.seed);
+    Cluster b = spec.realize(cfg.seed);
 
     // Server side: one nested virtio-net stack + serving loop each.
     std::vector<std::unique_ptr<VirtioNetStack>> nets;
@@ -105,12 +105,11 @@ runOnce(const RunConfig &cfg, int jobs)
                       std::chrono::steady_clock::now() - t0)
                       .count();
 
-    Cluster &cluster = b.cluster();
     std::ostringstream fp;
     fp << "epochs=" << stats.epochs << " steps=" << stats.steps
        << " merged=" << stats.merged;
-    for (int i = 0; i < cluster.size(); ++i)
-        fp << " t" << i << "=" << cluster.machine(i).now();
+    for (int i = 0; i < b.size(); ++i)
+        fp << " t" << i << "=" << b.machine(i).now();
     for (int i = 0; i < client.flowCount(); ++i) {
         const MutilateClient::FlowStats &flow = client.flow(i);
         char buf[96];

@@ -98,7 +98,7 @@ void
 runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
        bool posted, bool quick)
 {
-    ClusterBuild b =
+    Cluster b =
         ClusterSpec()
             .machine("server", mode, elisionConfig(mode, posted, 2))
             .machine("client", VirtMode::Native)
@@ -134,7 +134,6 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
     r.record("elided_posted_per_req",
              static_cast<double>(m.counter("l2.exit.elided.posted")) /
                  reqs);
-    ctx.finish(b.cluster(), r);
 }
 
 } // namespace

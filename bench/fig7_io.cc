@@ -42,7 +42,7 @@ void
 runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
        double rate_mult, bool full)
 {
-    ClusterBuild b =
+    Cluster b =
         ClusterSpec()
             .machine("client", mode)
             .machine("peer", VirtMode::Native)
@@ -57,7 +57,7 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
     double lat_us = 0, bw_mbps = 0;
     b.driver("client", [&](NestedSystem &) {
         if (full)
-            lat_us = netperf.runRr(1, 1, 60).meanUsec;
+            lat_us = netperf.runRr(60).meanUsec;
         bw_mbps = netperf
                       .runStream(16384, full ? msec(40) : msec(30))
                       .mbps;
@@ -70,7 +70,6 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
     } else {
         r.record("cpu_bw_mbps", bw_mbps);
     }
-    ctx.finish(b.cluster(), r);
 }
 
 void

@@ -66,7 +66,7 @@ main(int argc, char **argv)
             bench.addCluster(
                 pointName(mode, qps), mode,
                 [mode, qps](ClusterContext &ctx, ScenarioResult &r) {
-                    ClusterBuild b =
+                    Cluster b =
                         ClusterSpec()
                             .machine("server", mode)
                             .machine("client", VirtMode::Native)
@@ -92,7 +92,6 @@ main(int argc, char **argv)
                     r.record("avg_usec", pt.avgUsec);
                     r.record("p99_usec", pt.p99Usec);
                     r.record("achieved_qps", pt.achievedQps);
-                    ctx.finish(b.cluster(), r);
                 });
         }
     }

@@ -13,6 +13,7 @@
 
 #include "sim/log.h"
 #include "system/epoch_crew.h"
+#include "system/sweep.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
@@ -97,7 +98,7 @@ constexpr std::size_t kFiberStackBytes = 256 * 1024;
 class Cluster::DriverGate final : public AdvanceGate
 {
   public:
-    DriverGate(Cluster &cluster, Node &node);
+    explicit DriverGate(Node &node);
     ~DriverGate() override { releaseStack(); }
 
     DriverGate(const DriverGate &) = delete;
@@ -125,7 +126,6 @@ class Cluster::DriverGate final : public AdvanceGate
     void switchToResumer(bool last);
     void releaseStack();
 
-    Cluster &cluster_;
     Node &node_;
     /** mmap base: one PROT_NONE guard page, then the stack. */
     char *map_ = nullptr;
@@ -146,8 +146,7 @@ class Cluster::DriverGate final : public AdvanceGate
 #endif
 };
 
-Cluster::DriverGate::DriverGate(Cluster &cluster, Node &node)
-    : cluster_(cluster), node_(node)
+Cluster::DriverGate::DriverGate(Node &node) : node_(node)
 {
     const std::size_t guard =
         static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -193,11 +192,9 @@ Cluster::DriverGate::entry(unsigned hi, unsigned lo)
     try {
         n.driver(*n.system);
     } catch (const std::exception &e) {
-        gate->cluster_.recordError(n.name + ": " + e.what());
+        n.error = n.name + ": " + e.what();
     } catch (...) {
-        gate->cluster_.recordError(n.name +
-                                   ": driver threw a non-standard "
-                                   "exception");
+        n.error = n.name + ": driver threw a non-standard exception";
     }
     gate->finished = true;
     gate->switchToResumer(true);
@@ -274,7 +271,10 @@ Cluster::DriverGate::releaseStack()
 #endif
 }
 
-Cluster::Cluster(std::uint64_t baseSeed) : baseSeed_(baseSeed) {}
+Cluster::Node::Node() = default;
+Cluster::Node::~Node() = default;
+
+Cluster::Cluster(Cluster &&) noexcept = default;
 
 Cluster::~Cluster()
 {
@@ -286,72 +286,65 @@ Cluster::~Cluster()
 }
 
 int
-Cluster::addMachine(const std::string &name, VirtMode mode,
-                    StackConfig config)
+Cluster::id(const std::string &name) const
 {
-    config.mode = mode;
-    return addMachine(name, paperTopology(mode), config);
-}
-
-int
-Cluster::addMachine(const std::string &name,
-                    const MachineTopology &topo, StackConfig config)
-{
-    simAssert(!ran_, "Cluster::addMachine after run()");
-    const int id = size();
-    auto node = std::make_unique<Node>();
-    node->name = name;
-    node->system = std::make_unique<NestedSystem>(
-        topo, config, baseSeed_ + static_cast<std::uint64_t>(id));
-    nodes_.push_back(std::move(node));
-    return id;
-}
-
-NestedSystem &
-Cluster::system(int id)
-{
-    simAssert(id >= 0 && id < size(), "Cluster::system bad id");
-    return *nodes_[static_cast<std::size_t>(id)]->system;
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (nodes_[i]->name == name)
+            return static_cast<int>(i);
+    fatal("Cluster: unknown machine '%s'", name.c_str());
 }
 
 Machine &
 Cluster::machine(int id)
 {
-    return system(id).machine();
+    simAssert(id >= 0 && id < size(), "Cluster::machine bad id");
+    return nodes_[static_cast<std::size_t>(id)]->system->machine();
 }
 
-const std::string &
-Cluster::machineName(int id) const
+Machine &
+Cluster::machine(const std::string &name)
 {
-    simAssert(id >= 0 && id < size(), "Cluster::machineName bad id");
-    return nodes_[static_cast<std::size_t>(id)]->name;
+    return machine(id(name));
+}
+
+VirtStack &
+Cluster::stack(const std::string &name)
+{
+    return nodes_[static_cast<std::size_t>(id(name))]->system->stack();
+}
+
+const Cluster::Link &
+Cluster::linkBetween(const std::string &a, const std::string &b) const
+{
+    const int ia = id(a);
+    const int ib = id(b);
+    for (const Link &l : links_)
+        if ((l.a == ia && l.b == ib) || (l.a == ib && l.b == ia))
+            return l;
+    fatal("Cluster: no link between '%s' and '%s' was declared",
+          a.c_str(), b.c_str());
 }
 
 CrossLink &
-Cluster::connect(int a, int b, Ticks latency, double bits_per_sec)
+Cluster::link(const std::string &a, const std::string &b)
 {
-    simAssert(!ran_, "Cluster::connect after run()");
-    simAssert(a != b, "Cluster::connect machine to itself");
-    links_.push_back(std::make_unique<CrossLink>(
-        machine(a), a, machine(b), b, latency, bits_per_sec));
-    linkEnds_.push_back({a, b, latency});
-    lookahead_ = std::min(lookahead_, latency);
-    return *links_.back();
+    return *linkBetween(a, b).wire;
 }
 
-void
-Cluster::setDriver(int id, std::function<void(NestedSystem &)> fn)
+NetPort &
+Cluster::port(const std::string &name, const std::string &peer)
 {
-    simAssert(!ran_, "Cluster::setDriver after run()");
-    simAssert(id >= 0 && id < size(), "Cluster::setDriver bad id");
-    nodes_[static_cast<std::size_t>(id)]->driver = std::move(fn);
+    const Link &l = linkBetween(name, peer);
+    return l.wire->port(l.a == id(name) ? 0 : 1);
 }
 
-void
-Cluster::installFaultPlan(const FaultPlan &plan)
+Cluster &
+Cluster::driver(const std::string &name,
+                std::function<void(NestedSystem &)> fn)
 {
-    for (auto &np : nodes_)
-        np->system->machine().installFaultPlan(plan);
+    simAssert(!ran_, "Cluster::driver after run()");
+    nodes_[static_cast<std::size_t>(id(name))]->driver = std::move(fn);
+    return *this;
 }
 
 Ticks
@@ -367,11 +360,11 @@ Cluster::floorOf(const Node &n) const
 }
 
 void
-Cluster::recordError(const std::string &what)
+Cluster::rethrowError() const
 {
-    std::lock_guard<std::mutex> lk(errorMutex_);
-    if (driverError_.empty())
-        driverError_ = what;
+    for (const auto &np : nodes_)
+        if (!np->error.empty())
+            throw SimError(np->error);
 }
 
 void
@@ -392,8 +385,8 @@ std::uint64_t
 Cluster::mergeStaged()
 {
     scratch_.clear();
-    for (auto &l : links_)
-        l->drainStaged(scratch_);
+    for (Link &l : links_)
+        l.wire->drainStaged(scratch_);
     if (scratch_.empty())
         return 0;
     std::stable_sort(scratch_.begin(), scratch_.end(),
@@ -421,7 +414,7 @@ Cluster::inboundLookahead() const
     auto at = [&dist, n](int i, int j) -> Ticks & {
         return dist[static_cast<std::size_t>(i) * n + j];
     };
-    for (const LinkEnds &l : linkEnds_) {
+    for (const Link &l : links_) {
         at(l.a, l.b) = std::min(at(l.a, l.b), l.latency);
         at(l.b, l.a) = std::min(at(l.b, l.a), l.latency);
     }
@@ -466,7 +459,7 @@ Cluster::run(int jobs)
             if (!n.driver)
                 continue;
             anyDriver = true;
-            n.gate = std::make_unique<DriverGate>(*this, n);
+            n.gate = std::make_unique<DriverGate>(n);
             // The driver's setup code runs before the first epoch;
             // horizon 0 parks it at its first advance, which is where
             // the coordinator picks it up.
@@ -486,7 +479,8 @@ Cluster::run(int jobs)
             try {
                 stepMachine(node, node.horizon);
             } catch (const std::exception &e) {
-                recordError(node.name + ": " + e.what());
+                if (node.error.empty())
+                    node.error = node.name + ": " + e.what();
             }
         };
         // The coordinator steps machines beside the members, so at
@@ -502,6 +496,9 @@ Cluster::run(int jobs)
         std::vector<Ticks> floors(static_cast<std::size_t>(n));
 
         for (;;) {
+            // Errors from the drivers' setup or the last epoch; the
+            // crew's barrier orders every slot before this read.
+            rethrowError();
             stats.merged += mergeStaged();
 
             bool driverAlive = false;
@@ -559,11 +556,6 @@ Cluster::run(int jobs)
             ++stats.epochs;
             stats.steps += active.size();
             crew.run(active.size());
-            {
-                std::lock_guard<std::mutex> lk(errorMutex_);
-                if (!driverError_.empty())
-                    throw SimError(driverError_);
-            }
         }
     } catch (...) {
         // Release every parked driver: a maxTick grant un-gates its
@@ -581,8 +573,15 @@ Cluster::run(int jobs)
 
     for (auto &np : nodes_)
         np->system->machine().events().setAdvanceGate(nullptr, 0);
-    if (!driverError_.empty())
-        throw SimError(driverError_);
+    return stats;
+}
+
+ClusterStats
+Cluster::run(ClusterContext &ctx)
+{
+    ctx.prepare(*this);
+    const ClusterStats stats = run(ctx.jobs());
+    ctx.capture(*this);
     return stats;
 }
 

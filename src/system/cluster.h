@@ -3,9 +3,12 @@
  * Conservative-time-window parallel execution engine for multi-machine
  * scenarios.
  *
- * A Cluster owns N NestedSystems — each with its own Machine,
+ * A Cluster owns N named NestedSystems — each with its own Machine,
  * EventQueue, RNG streams and MetricsRegistry — connected by
- * CrossLinks. Execution proceeds in epochs:
+ * CrossLinks. ClusterSpec::realize (system/cluster_spec.h) is the only
+ * way to make one; the caller then wires workloads to machines, stacks
+ * and link ports by name, installs drivers and calls run() once.
+ * Execution proceeds in epochs:
  *
  *   1. The coordinator computes each machine's *floor*: the earliest
  *      simulated time at which it can next act (min of its next event
@@ -54,6 +57,12 @@
  * finishes. There are no driver threads, and a fiber may move between
  * threads from one epoch to the next — the crew's generation publish
  * (release) and ticket claim (acquire) order its state between them.
+ *
+ * A driver error is kept in its machine's own slot, written only by
+ * the thread stepping that machine. After each barrier the coordinator
+ * rethrows the lowest machine id's error, so which error surfaces
+ * when several machines fail in one epoch does not depend on thread
+ * timing either.
  */
 
 #ifndef SVTSIM_SYSTEM_CLUSTER_H
@@ -61,15 +70,15 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "io/cross_link.h"
-#include "sim/fault.h"
 #include "system/nested_system.h"
 
 namespace svtsim {
+
+class ClusterContext;
 
 /** Aggregate run statistics (diagnostics and the speed bench). */
 struct ClusterStats
@@ -84,62 +93,36 @@ struct ClusterStats
 };
 
 /**
- * N machines + cross links + drivers, advanced in conservative epochs.
+ * Named machines + cross links + drivers, advanced in conservative
+ * epochs. Machine ids are declaration indices in the ClusterSpec; a
+ * name that was not declared is a FatalError.
  */
 class Cluster
 {
   public:
-    /** @param baseSeed Seed mixed with each machine's seed offset. */
-    explicit Cluster(std::uint64_t baseSeed = 1);
+    Cluster(Cluster &&) noexcept;
     ~Cluster();
 
-    Cluster(const Cluster &) = delete;
-    Cluster &operator=(const Cluster &) = delete;
-
-    /**
-     * Add a machine built like a sweep scenario's NestedSystem:
-     * paper topology for @p mode, validated config, seeded with
-     * baseSeed + the machine index, so machines get decorrelated RNG
-     * streams.
-     *
-     * @return The machine id (dense, starting at 0) used in merge
-     *         ordering and CrossLink construction.
-     */
-    int addMachine(const std::string &name, VirtMode mode,
-                   StackConfig config = {});
-
-    /**
-     * Add a machine with an explicit topology (the fleet scheduler's
-     * per-slot machines model a single core, not the whole Table 4
-     * box); the mode comes from @p config.mode.
-     */
-    int addMachine(const std::string &name,
-                   const MachineTopology &topo, StackConfig config);
-
     int size() const { return static_cast<int>(nodes_.size()); }
-    NestedSystem &system(int id);
     Machine &machine(int id);
-    const std::string &machineName(int id) const;
+    Machine &machine(const std::string &name);
+    VirtStack &stack(const std::string &name);
+
+    /** The link between @p a and @p b (FatalError when not declared). */
+    CrossLink &link(const std::string &a, const std::string &b);
+
+    /** @p name's end of its link to @p peer — the NetPort a NIC model
+     *  or bare-metal workload on @p name plugs into. */
+    NetPort &port(const std::string &name, const std::string &peer);
 
     /**
-     * Connect two machines with a CrossLink. Link latencies feed the
-     * per-pair lookahead matrix computed at run(). Must be called
-     * before run().
-     */
-    CrossLink &connect(int a, int b, Ticks latency,
-                       double bits_per_sec);
-
-    /**
-     * Install @p fn as machine @p id's synchronous driver: it runs on
-     * a fiber under the machine's AdvanceGate for the duration of
+     * Install @p fn as @p name's synchronous driver: it runs on a
+     * fiber under the machine's AdvanceGate for the duration of
      * run(). Machines without a driver are advanced as pure event
      * followers.
      */
-    void setDriver(int id, std::function<void(NestedSystem &)> fn);
-
-    /** Install a fault plan on every machine (PR 4 semantics; each
-     *  machine's injector streams key off its own seed). */
-    void installFaultPlan(const FaultPlan &plan);
+    Cluster &driver(const std::string &name,
+                    std::function<void(NestedSystem &)> fn);
 
     /**
      * Run to completion: until every driver has returned (or, with no
@@ -150,23 +133,35 @@ class Cluster
      * min(jobs, size()) - 1 member threads, alive for this call, run
      * each epoch's steps.
      *
-     * May be called once per Cluster. Rethrows the first driver
-     * error (SimError) after all drivers have unwound.
+     * May be called once per Cluster. A driver error is rethrown as a
+     * SimError after all drivers have unwound; when several machines
+     * fail in one epoch, the lowest machine id's error wins.
      */
     ClusterStats run(int jobs);
 
-    /** min link latency (the worst-case lookahead bound), maxTick
-     *  with no links. Per-pair horizons are at least this far past
-     *  the global floor. */
-    Ticks lookahead() const { return lookahead_; }
+    /**
+     * run(ctx.jobs()) inside a sweep scenario, bracketed for it:
+     * installs the sweep's fault plan on every machine and one trace
+     * session per machine before the run, then records each machine's
+     * clock, machine 0's PMU snapshot and the trace reports into
+     * @p ctx. Once per context.
+     */
+    ClusterStats run(ClusterContext &ctx);
 
   private:
+    friend class ClusterSpec;
+    Cluster() = default;
+
     /** A driver's fiber plus the AdvanceGate its queue wears
      *  (defined in cluster.cc, which keeps the fiber headers private). */
     class DriverGate;
 
     struct Node
     {
+        /** Out of line, where DriverGate is complete. */
+        Node();
+        ~Node();
+
         std::string name;
         std::unique_ptr<NestedSystem> system;
         std::function<void(NestedSystem &)> driver;
@@ -177,15 +172,34 @@ class Cluster
         /** Largest horizon ever granted: staged arrivals below this
          *  would land in the machine's executed past. */
         Ticks granted = 0;
+        /** First error of this machine's driver or drain; written only
+         *  by the thread stepping the machine, read by the coordinator
+         *  after the barrier. */
+        std::string error;
     };
 
+    /** A CrossLink and the machine ids and latency it joins. */
+    struct Link
+    {
+        int a;
+        int b;
+        Ticks latency;
+        std::unique_ptr<CrossLink> wire;
+    };
+
+    /** Id of @p name (FatalError on unknown names). */
+    int id(const std::string &name) const;
+    /** The link joining @p a and @p b (FatalError when none). */
+    const Link &linkBetween(const std::string &a,
+                            const std::string &b) const;
     /** Earliest time machine @p n can next act (coordinator side;
      *  requires the machine parked/finished/follower). */
     Ticks floorOf(const Node &n) const;
     /** Advance machine @p n's window to @p horizon (crew side). */
     void stepMachine(Node &n, Ticks horizon);
-    /** Keep @p what as the first error run() rethrows. Thread-safe. */
-    void recordError(const std::string &what);
+    /** Throw the lowest machine id's error as a SimError, if any
+     *  (coordinator side, after the barrier). */
+    void rethrowError() const;
     /** Merge staged link packets canonically; returns count. Checks
      *  each arrival against the destination's granted horizon. */
     std::uint64_t mergeStaged();
@@ -204,24 +218,12 @@ class Cluster
      *  machine nothing can reach gets an empty list. */
     std::vector<std::vector<Inbound>> inboundLookahead() const;
 
-    std::uint64_t baseSeed_;
     std::vector<std::unique_ptr<Node>> nodes_;
-    std::vector<std::unique_ptr<CrossLink>> links_;
-    /** Link endpoints + latency, for the lookahead matrix. */
-    struct LinkEnds
-    {
-        int a;
-        int b;
-        Ticks latency;
-    };
-    std::vector<LinkEnds> linkEnds_;
-    Ticks lookahead_ = maxTick;
+    /** In creation order, which breaks exact merge ties. */
+    std::vector<Link> links_;
     bool ran_ = false;
     /** Barrier-merge scratch (reused across epochs). */
     std::vector<CrossLink::Delivery> scratch_;
-    /** First driver error, rethrown from run(). */
-    std::string driverError_;
-    std::mutex errorMutex_;
 };
 
 } // namespace svtsim

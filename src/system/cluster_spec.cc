@@ -1,5 +1,6 @@
 #include "system/cluster_spec.h"
 
+#include <memory>
 #include <unordered_set>
 
 #include "sim/log.h"
@@ -10,24 +11,15 @@ ClusterSpec &
 ClusterSpec::machine(std::string name, VirtMode mode,
                      StackConfig config)
 {
-    MachineDecl decl;
-    decl.name = std::move(name);
-    decl.mode = mode;
-    decl.config = config;
-    machines_.push_back(std::move(decl));
-    return *this;
+    config.mode = mode;
+    return machine(std::move(name), paperTopology(mode), config);
 }
 
 ClusterSpec &
 ClusterSpec::machine(std::string name, const MachineTopology &topo,
                      StackConfig config)
 {
-    MachineDecl decl;
-    decl.name = std::move(name);
-    decl.topo = topo;
-    decl.mode = config.mode;
-    decl.config = config;
-    machines_.push_back(std::move(decl));
+    machines_.push_back({std::move(name), topo, config});
     return *this;
 }
 
@@ -110,87 +102,40 @@ ClusterSpec::validate() const
     }
 }
 
-ClusterBuild
+Cluster
 ClusterSpec::realize(std::uint64_t seed) const
 {
     validate();
-    ClusterBuild build;
-    build.cluster_ = std::make_unique<Cluster>(seed);
+    Cluster cluster;
     for (const MachineDecl &m : machines_) {
-        if (m.topo) {
-            StackConfig config = m.config;
-            config.mode = m.mode;
-            build.cluster_->addMachine(m.name, *m.topo, config);
-        } else {
-            build.cluster_->addMachine(m.name, m.mode, m.config);
-        }
-        build.names_.push_back(m.name);
+        // The base seed plus the machine id decorrelates the machines'
+        // RNG streams.
+        auto node = std::make_unique<Cluster::Node>();
+        node->name = m.name;
+        node->system = std::make_unique<NestedSystem>(
+            m.topo, m.config,
+            seed + static_cast<std::uint64_t>(cluster.size()));
+        cluster.nodes_.push_back(std::move(node));
     }
     for (const LinkDecl &l : links_) {
         const int a = indexOf(l.a);
         const int b = indexOf(l.b);
-        // Defaults: the paper testbed wire, from machine a's (live)
-        // cost model so post-construction cost tweaks are honored.
-        const CostModel &costs = build.cluster_->machine(a).costs();
-        CrossLink &link = build.cluster_->connect(
-            a, b, l.latency ? *l.latency : costs.wireLatency,
-            l.bitsPerSec ? *l.bitsPerSec : costs.linkBitsPerSec);
-        build.links_.push_back({l.a, l.b, &link});
+        // Defaults: the paper testbed wire, from machine a's cost model.
+        const CostModel &costs = cluster.machine(a).costs();
+        const Ticks latency = l.latency.value_or(costs.wireLatency);
+        cluster.links_.push_back(
+            {a, b, latency,
+             std::make_unique<CrossLink>(
+                 cluster.machine(a), a, cluster.machine(b), b, latency,
+                 l.bitsPerSec.value_or(costs.linkBitsPerSec))});
     }
-    return build;
+    return cluster;
 }
 
-ClusterBuild
+Cluster
 ClusterSpec::realize(const ClusterContext &ctx) const
 {
     return realize(ctx.seed());
-}
-
-int
-ClusterBuild::id(const std::string &name) const
-{
-    for (std::size_t i = 0; i < names_.size(); ++i)
-        if (names_[i] == name)
-            return static_cast<int>(i);
-    fatal("ClusterBuild: unknown machine '%s'", name.c_str());
-}
-
-CrossLink &
-ClusterBuild::link(const std::string &a, const std::string &b)
-{
-    for (const BuiltLink &l : links_)
-        if ((l.a == a && l.b == b) || (l.a == b && l.b == a))
-            return *l.link;
-    fatal("ClusterBuild: no link between '%s' and '%s' was declared",
-          a.c_str(), b.c_str());
-}
-
-NetPort &
-ClusterBuild::port(const std::string &name, const std::string &peer)
-{
-    for (const BuiltLink &l : links_) {
-        if (l.a == name && l.b == peer)
-            return l.link->port(0);
-        if (l.a == peer && l.b == name)
-            return l.link->port(1);
-    }
-    fatal("ClusterBuild: no link between '%s' and '%s' was declared",
-          name.c_str(), peer.c_str());
-}
-
-ClusterBuild &
-ClusterBuild::driver(const std::string &name,
-                     std::function<void(NestedSystem &)> fn)
-{
-    cluster_->setDriver(id(name), std::move(fn));
-    return *this;
-}
-
-ClusterStats
-ClusterBuild::run(ClusterContext &ctx)
-{
-    ctx.prepare(*cluster_);
-    return cluster_->run(ctx.jobs());
 }
 
 } // namespace svtsim

@@ -146,12 +146,12 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
                         spec_.linkLatency, CostModel{}.linkBitsPerSec);
     }
 
-    ClusterBuild build = cs.realize(seed_);
+    Cluster cluster = cs.realize(seed_);
 
     // ---- Policy effects on slot machines -------------------------
     for (int i = 0; i < nslots; ++i)
         if (placement_.slots[i].sharedSibling)
-            applySmtContention(build.machine(slotNames[i]).costs(),
+            applySmtContention(cluster.machine(slotNames[i]).costs(),
                                spec_.smtContention);
 
     // ---- Wire workloads and drivers ------------------------------
@@ -165,17 +165,17 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             slot.sharedSibling ? 1.0 + spec_.smtContention : 1.0;
         auto rtp = std::make_unique<SlotRuntime>();
         SlotRuntime *rt = rtp.get();
-        Machine &m = build.machine(name);
+        Machine &m = cluster.machine(name);
         const Ticks duration = tenant.duration;
         switch (tenant.workload) {
         case TenantWorkload::Memcached: {
             rt->net = std::make_unique<VirtioNetStack>(
-                build.stack(name),
-                build.port(name, loadgens[slot.tenant].machineName));
+                cluster.stack(name),
+                cluster.port(name, loadgens[slot.tenant].machineName));
             rt->server = std::make_unique<MemcachedServer>(
-                build.stack(name), *rt->net,
+                cluster.stack(name), *rt->net,
                 42 + static_cast<std::uint64_t>(i));
-            build.driver(name, [rt, duration](NestedSystem &) {
+            cluster.driver(name, [rt, duration](NestedSystem &) {
                 rt->served = rt->server->serveUntil(duration);
             });
             break;
@@ -184,15 +184,15 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             rt->link = std::make_unique<CrossLink>(
                 m, m.costs().wireLatency, m.costs().linkBitsPerSec);
             rt->net = std::make_unique<VirtioNetStack>(
-                build.stack(name), rt->link->port(0));
+                cluster.stack(name), rt->link->port(0));
             rt->disk = std::make_unique<RamDisk>(m, "pgdata");
             rt->blk = std::make_unique<VirtioBlkStack>(
-                build.stack(name), *rt->disk);
+                cluster.stack(name), *rt->disk);
             rt->tpcc = std::make_unique<Tpcc>(
-                build.stack(name), *rt->net, rt->link->port(1), *rt->blk,
+                cluster.stack(name), *rt->net, rt->link->port(1), *rt->blk,
                 7 + static_cast<std::uint64_t>(i), 4.5, usec(13),
                 cpuScale);
-            build.driver(name, [rt, duration](NestedSystem &) {
+            cluster.driver(name, [rt, duration](NestedSystem &) {
                 rt->tpccResult = rt->tpcc->run(duration);
             });
             break;
@@ -200,15 +200,15 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
         case TenantWorkload::Video: {
             rt->disk = std::make_unique<RamDisk>(m, "media");
             rt->blk = std::make_unique<VirtioBlkStack>(
-                build.stack(name), *rt->disk);
+                cluster.stack(name), *rt->disk);
             VideoProfile profile;
             profile.decodeMedian = static_cast<Ticks>(
                 profile.decodeMedian * cpuScale);
             rt->video = std::make_unique<VideoPlayback>(
-                build.stack(name), *rt->blk, profile,
+                cluster.stack(name), *rt->blk, profile,
                 99 + static_cast<std::uint64_t>(i));
             const double fps = tenant.fps;
-            build.driver(name, [rt, fps, duration](NestedSystem &) {
+            cluster.driver(name, [rt, fps, duration](NestedSystem &) {
                 rt->videoResult = rt->video->run(fps, duration);
             });
             break;
@@ -221,24 +221,23 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             continue;
         LoadgenRuntime &lg = loadgens[t];
         lg.gen = std::make_unique<MutilateClient>(
-            build.machine(lg.machineName),
+            cluster.machine(lg.machineName),
             seed_ + 1000 + static_cast<std::uint64_t>(t) * 100);
         for (int i = 0; i < nslots; ++i)
             if (placement_.slots[i].tenant == t)
                 runtimes[i]->flowIdx = lg.gen->addFlow(
-                    build.port(lg.machineName, slotNames[i]),
+                    cluster.port(lg.machineName, slotNames[i]),
                     spec_.tenants[t].qpsPerVcpu);
         MutilateClient *gen = lg.gen.get();
         const Ticks duration = spec_.tenants[t].duration;
-        build.driver(lg.machineName,
-                     [gen, duration](NestedSystem &) {
-                         gen->run(duration);
-                     });
+        cluster.driver(lg.machineName, [gen, duration](NestedSystem &) {
+            gen->run(duration);
+        });
     }
 
     // ---- Run ------------------------------------------------------
     const ClusterStats stats =
-        ctx ? build.run(*ctx) : build.run(jobs);
+        ctx ? cluster.run(*ctx) : cluster.run(jobs);
 
     // ---- Roll up --------------------------------------------------
     FleetOutcome out;
@@ -258,7 +257,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             if (placement_.slots[i].tenant != t)
                 continue;
             const SlotRuntime &rt = *runtimes[i];
-            Machine &m = build.machine(slotNames[i]);
+            Machine &m = cluster.machine(slotNames[i]);
             interference +=
                 exitOverheadFraction(m.snapshotMetrics(), m.now());
             ++slots;
@@ -345,8 +344,6 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
         result->record("cluster_merged",
                        static_cast<double>(stats.merged));
     }
-    if (ctx)
-        ctx->finish(build.cluster(), *result);
     return out;
 }
 

@@ -24,28 +24,26 @@ ClusterContext::~ClusterContext() = default;
 void
 ClusterContext::prepare(Cluster &cluster)
 {
-    if (!options_.faults.empty())
-        cluster.installFaultPlan(options_.faults);
-    for (int i = 0; i < cluster.size(); ++i)
+    // A realized cluster has at least one machine, so a context that
+    // ran one already holds a trace session.
+    simAssert(traces_.empty(),
+              "ClusterContext: a scenario may run only one cluster");
+    for (int i = 0; i < cluster.size(); ++i) {
+        Machine &m = cluster.machine(i);
+        if (!options_.faults.empty())
+            m.installFaultPlan(options_.faults);
         traces_.push_back(std::make_unique<ScopedTrace>(
-            cluster.machine(i), options_.tracePath,
+            m, options_.tracePath,
             scenarioName_ + "-m" + std::to_string(i)));
+    }
 }
 
 void
-ClusterContext::finish(Cluster &cluster, ScenarioResult &result)
+ClusterContext::capture(Cluster &cluster)
 {
-    simAssert(!finished_, "ClusterContext::finish called twice");
-    finished_ = true;
-    // Every machine's final clock joins the determinism fingerprint:
-    // a divergence anywhere in the cluster shows up in the JSON diff,
-    // not just on machine 0.
     for (int i = 0; i < cluster.size(); ++i)
-        result.record("final_ticks_m" + std::to_string(i),
-                      static_cast<double>(cluster.machine(i).now()));
-    finalTicks_ = cluster.size() > 0 ? cluster.machine(0).now() : 0;
-    if (cluster.size() > 0)
-        snapshot_ = cluster.machine(0).snapshotMetrics();
+        clocks_.push_back(cluster.machine(i).now());
+    snapshot_ = cluster.machine(0).snapshotMetrics();
     for (auto &t : traces_) {
         std::string report = t->finish();
         if (!report.empty()) {
@@ -136,7 +134,14 @@ SweepRunner::runOne(const Scenario &scenario,
             ClusterContext ctx(result.seed_, options.clusterJobs,
                                options, scenario.name);
             scenario.clusterRun(ctx, result);
-            result.finalTicks_ = ctx.finalTicks_;
+            // Every machine's final clock joins the determinism
+            // fingerprint: a divergence anywhere in the cluster shows
+            // up in the JSON diff, not just on machine 0.
+            for (std::size_t i = 0; i < ctx.clocks_.size(); ++i)
+                result.record("final_ticks_m" + std::to_string(i),
+                              static_cast<double>(ctx.clocks_[i]));
+            if (!ctx.clocks_.empty())
+                result.finalTicks_ = ctx.clocks_[0];
             result.metricsSnapshot_ = std::move(ctx.snapshot_);
             result.traceReport_ = std::move(ctx.traceReport_);
             return;

@@ -50,9 +50,9 @@ using ScenarioFn =
     std::function<void(NestedSystem &sys, ScenarioResult &result)>;
 
 /**
- * Multi-machine scenario callback: builds a Cluster (machines, cross
- * links, drivers), brackets it with ctx.prepare()/ctx.finish(), and
- * runs it with ctx.jobs() workers. See ClusterContext.
+ * Multi-machine scenario callback: realizes a ClusterSpec, wires its
+ * workloads and drivers, and runs it with Cluster::run(ctx). See
+ * ClusterContext.
  */
 using ClusterScenarioFn =
     std::function<void(ClusterContext &ctx, ScenarioResult &result)>;
@@ -84,17 +84,18 @@ struct Scenario
  *
  * Usage inside the callback:
  *
- *     Cluster cluster(ctx.seed());
- *     ... addMachine / connect / setDriver ...
- *     ctx.prepare(cluster);     // faults + per-machine traces
- *     cluster.run(ctx.jobs());
+ *     Cluster cluster = spec.realize(ctx);   // seeded from the sweep
+ *     ... wire workloads, cluster.driver(name, fn) ...
+ *     cluster.run(ctx);
  *     ... record workload metrics ...
- *     ctx.finish(cluster, result);  // fingerprints + PMU + traces
  *
- * finish() records one `final_ticks_m<i>` metric per machine (the
+ * Cluster::run(ctx) installs the sweep's fault plan and one trace
+ * session per machine, runs the cluster with jobs() workers, and
+ * captures each machine's clock, machine 0's PMU snapshot and the
+ * trace reports here. Once the callback returns, the sweep records one
+ * `final_ticks_m<i>` metric per machine after the callback's own (the
  * cluster determinism fingerprint, compared byte-for-byte across
- * --cluster-jobs counts) and captures machine 0's PMU snapshot and
- * the per-machine trace conservation reports into the result.
+ * --cluster-jobs counts). One cluster run per context.
  */
 class ClusterContext
 {
@@ -107,29 +108,30 @@ class ClusterContext
      *  sequential oracle). */
     int jobs() const { return jobs_; }
 
-    /** Call after building the cluster, before run(): installs the
-     *  sweep-level fault plan on every machine and attaches one trace
-     *  session per machine (labeled `<scenario>-m<i>`). */
-    void prepare(Cluster &cluster);
-
-    /** Call after run(): records per-machine fingerprint metrics on
-     *  @p result and captures PMU snapshot + trace reports. */
-    void finish(Cluster &cluster, ScenarioResult &result);
-
   private:
+    friend class Cluster;
     friend class SweepRunner;
     ClusterContext(std::uint64_t seed, int jobs,
                    const SweepOptions &options, std::string name);
+
+    /** Before the run: installs the sweep-level fault plan on every
+     *  machine and attaches one trace session per machine (labeled
+     *  `<scenario>-m<i>`). Panics on a second run. */
+    void prepare(Cluster &cluster);
+
+    /** After the run: captures clocks, PMU snapshot and trace
+     *  reports. */
+    void capture(Cluster &cluster);
 
     std::uint64_t seed_;
     int jobs_;
     const SweepOptions &options_;
     std::string scenarioName_;
     std::vector<std::unique_ptr<ScopedTrace>> traces_;
-    Ticks finalTicks_ = 0;
+    /** Each machine's clock when the run ended, by machine id. */
+    std::vector<Ticks> clocks_;
     MetricsSnapshot snapshot_;
     std::string traceReport_;
-    bool finished_ = false;
 };
 
 /** Outcome of one scenario, in a caller-owned slot. */

@@ -63,9 +63,9 @@ Netperf::Netperf(VirtStack &stack, VirtioNetStack &net)
 }
 
 NetperfRrResult
-Netperf::runRr(std::uint32_t req_bytes, std::uint32_t resp_bytes,
-               int transactions)
+Netperf::runRr(int transactions)
 {
+    constexpr std::uint32_t kBytes = 1;
     Machine &machine = stack_.machine();
     GuestApi &api = stack_.api();
 
@@ -73,13 +73,13 @@ Netperf::runRr(std::uint32_t req_bytes, std::uint32_t resp_bytes,
     net_.setRxHandler([&](NetPacket) { ++received; });
 
     Percentiles lat;
-    const std::uint64_t payload = peerwire::rrRequest(resp_bytes);
+    const std::uint64_t payload = peerwire::rrRequest(kBytes);
     // One warm-up transaction outside the measurement.
     int total = transactions + 1;
     for (int i = 0; i < total; ++i) {
         std::uint64_t want = received + 1;
         Ticks t0 = machine.now();
-        net_.send(req_bytes, static_cast<std::uint64_t>(i), payload);
+        net_.send(kBytes, static_cast<std::uint64_t>(i), payload);
         GuestOs::idleWait(api, [&] { return received >= want; });
         if (i > 0)
             lat.add(toUsec(machine.now() - t0));

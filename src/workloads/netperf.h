@@ -108,12 +108,9 @@ class Netperf
   public:
     Netperf(VirtStack &stack, VirtioNetStack &net);
 
-    /**
-     * TCP_RR: @p transactions request/response rounds of
-     * @p req_bytes / @p resp_bytes.
-     */
-    NetperfRrResult runRr(std::uint32_t req_bytes,
-                          std::uint32_t resp_bytes, int transactions);
+    /** TCP_RR: @p transactions rounds of a 1-byte request and a
+     *  1-byte response (Figure 7's latency test). */
+    NetperfRrResult runRr(int transactions);
 
     /**
      * TCP_STREAM: transmit @p seg_bytes segments for @p duration with

@@ -97,14 +97,20 @@ MutilateClient::runLoad(double qps, Ticks duration)
     return point;
 }
 
+namespace {
+
+/** Background L1-kernel housekeeping (scheduler ticks, RCU) that
+ *  interferes with the serving vCPU: its rate and the cost of each
+ *  event. */
+constexpr double kHousekeepingRateHz = 1000.0;
+constexpr Ticks kHousekeepingCost = usec(14.5);
+
+} // namespace
+
 MemcachedServer::MemcachedServer(VirtStack &stack, VirtioNetStack &net,
                                  std::uint64_t seed,
-                                 double l1_housekeeping_rate_hz,
-                                 Ticks l1_housekeeping_cost,
                                  double l1_housekeeping_per_request)
     : stack_(stack), net_(net), rng_(seed),
-      housekeepingRate_(l1_housekeeping_rate_hz),
-      housekeepingCost_(l1_housekeeping_cost),
       housekeepingPerRequest_(l1_housekeeping_per_request)
 {
 }
@@ -120,7 +126,7 @@ MemcachedServer::receive(const NetPacket &pkt)
         static_cast<std::uint32_t>(pkt.payload >> 1)});
     double events = housekeepingPerRequest_;
     while (events >= 1.0 || rng_.chance(events)) {
-        stack_.postL1Housekeeping(housekeepingCost_);
+        stack_.postL1Housekeeping(kHousekeepingCost);
         events -= 1.0;
         if (events <= 0)
             break;
@@ -145,16 +151,14 @@ MemcachedServer::serveOne()
 void
 MemcachedServer::scheduleHousekeeping(Ticks end)
 {
-    if (housekeepingRate_ <= 0)
-        return;
     Machine &m = stack_.machine();
     Ticks gap = static_cast<Ticks>(
-        rng_.exponential(1e12 / housekeepingRate_));
+        rng_.exponential(1e12 / kHousekeepingRateHz));
     Ticks when = m.now() + std::max<Ticks>(gap, 1);
     if (when >= end)
         return;
     m.events().schedule(when, [this, end] {
-        stack_.postL1Housekeeping(housekeepingCost_);
+        stack_.postL1Housekeeping(kHousekeepingCost);
         scheduleHousekeeping(end);
     }, "l1-housekeeping");
 }

@@ -117,10 +117,6 @@ class MemcachedServer
 {
   public:
     /**
-     * @param l1_housekeeping_rate_hz Background rate of L1-kernel
-     *        housekeeping (scheduler ticks, RCU) interfering with the
-     *        serving vCPU (0 disables).
-     * @param l1_housekeeping_cost Cost of each event.
      * @param l1_housekeeping_per_request Load-proportional L1 work
      *        (vhost bookkeeping, irqfd signalling on the paired L1
      *        vCPU) in events per request. Serviced serially in the
@@ -128,8 +124,6 @@ class MemcachedServer
      */
     MemcachedServer(VirtStack &stack, VirtioNetStack &net,
                     std::uint64_t seed = 42,
-                    double l1_housekeeping_rate_hz = 1000.0,
-                    Ticks l1_housekeeping_cost = usec(14.5),
                     double l1_housekeeping_per_request = 0.9);
 
     /**
@@ -156,8 +150,6 @@ class MemcachedServer
     VirtioNetStack &net_;
     std::deque<Request> inbox_;
     Rng rng_;
-    double housekeepingRate_;
-    Ticks housekeepingCost_;
     double housekeepingPerRequest_;
 };
 

@@ -28,6 +28,7 @@
 #include "sim/fault.h"
 #include "sim/log.h"
 #include "system/cluster.h"
+#include "system/cluster_spec.h"
 #include "system/epoch_crew.h"
 #include "system/nested_system.h"
 #include "workloads/netperf.h"
@@ -459,21 +460,33 @@ TEST(PacketConservation, SameMachineLink)
     }
 }
 
+/** Install the fault plan @p spec on every machine of @p cluster. */
+void
+installFaults(Cluster &cluster, const std::string &spec)
+{
+    const FaultPlan plan = FaultPlan::parse(spec);
+    for (int i = 0; i < cluster.size(); ++i)
+        cluster.machine(i).installFaultPlan(plan);
+}
+
 TEST(PacketConservation, TwoMachineLink)
 {
     for (const char *plan : {"", kDelayPlan}) {
-        Cluster cluster(9);
-        int a = cluster.addMachine("a", VirtMode::Native);
-        int b = cluster.addMachine("b", VirtMode::Native);
-        CrossLink &link = cluster.connect(a, b, usec(2), 10e9);
+        Cluster cluster = ClusterSpec()
+                              .machine("a", VirtMode::Native)
+                              .machine("b", VirtMode::Native)
+                              .link("a", "b", usec(2), 10e9)
+                              .realize(9);
+        CrossLink &link = cluster.link("a", "b");
         if (*plan)
-            cluster.installFaultPlan(FaultPlan::parse(plan));
+            installFaults(cluster, plan);
         std::uint64_t sent[2] = {0, 0};
-        startTraffic(link, cluster.machine(a), cluster.machine(b), sent);
+        startTraffic(link, cluster.machine("a"), cluster.machine("b"),
+                     sent);
         cluster.run(2);
         expectConserved(link, sent);
         if (*plan) {
-            EXPECT_GT(cluster.machine(a).events().faultInjector()
+            EXPECT_GT(cluster.machine("a").events().faultInjector()
                           ->injectedCount(
                               FaultSite::VirtioCompletionDelay),
                       0u);
@@ -491,24 +504,27 @@ TEST(PacketConservation, TwoMachineLink)
 std::string
 pingPongFingerprint(int jobs, const std::string &faults = "")
 {
-    Cluster cluster(17);
-    int a = cluster.addMachine("driver", VirtMode::Native);
-    int b = cluster.addMachine("echo1", VirtMode::Native);
-    int c = cluster.addMachine("echo2", VirtMode::Native);
-    CrossLink &l1 = cluster.connect(a, b, usec(3), 10e9);
-    CrossLink &l2 = cluster.connect(a, c, usec(7), 10e9);
+    Cluster cluster = ClusterSpec()
+                          .machine("driver", VirtMode::Native)
+                          .machine("echo1", VirtMode::Native)
+                          .machine("echo2", VirtMode::Native)
+                          .link("driver", "echo1", usec(3), 10e9)
+                          .link("driver", "echo2", usec(7), 10e9)
+                          .realize(17);
+    CrossLink &l1 = cluster.link("driver", "echo1");
+    CrossLink &l2 = cluster.link("driver", "echo2");
 
-    NetserverPeer p1(cluster.machine(b), l1.port(1));
-    NetserverPeer p2(cluster.machine(c), l2.port(1));
+    NetserverPeer p1(cluster.machine("echo1"), l1.port(1));
+    NetserverPeer p2(cluster.machine("echo2"), l2.port(1));
 
     if (!faults.empty())
-        cluster.installFaultPlan(FaultPlan::parse(faults));
+        installFaults(cluster, faults);
 
     std::uint64_t got1 = 0, got2 = 0;
     l1.port(0).setReceiveHandler([&](NetPacket) { ++got1; });
     l2.port(0).setReceiveHandler([&](NetPacket) { ++got2; });
 
-    cluster.setDriver(a, [&](NestedSystem &sys) {
+    cluster.driver("driver", [&](NestedSystem &sys) {
         Machine &m = sys.machine();
         for (int round = 0; round < 25; ++round) {
             std::uint64_t want1 = got1 + 1, want2 = got2 + 1;
@@ -559,20 +575,22 @@ TEST(Cluster, FaultInjectionStaysDeterministicThroughClusterPath)
 std::string
 nestedRrFingerprint(int jobs, VirtMode mode)
 {
-    Cluster cluster(5);
-    int c = cluster.addMachine("client", mode);
-    int p = cluster.addMachine("peer", VirtMode::Native);
-    CrossLink &link = cluster.connect(
-        c, p, cluster.machine(c).costs().wireLatency,
-        cluster.machine(c).costs().linkBitsPerSec);
+    // The paper testbed wire (the spec's default link).
+    Cluster cluster = ClusterSpec()
+                          .machine("client", mode)
+                          .machine("peer", VirtMode::Native)
+                          .link("client", "peer")
+                          .realize(5);
 
-    VirtioNetStack net(cluster.system(c).stack(), link.port(0));
-    NetserverPeer peer(cluster.machine(p), link.port(1));
-    Netperf netperf(cluster.system(c).stack(), net);
+    VirtioNetStack net(cluster.stack("client"),
+                       cluster.port("client", "peer"));
+    NetserverPeer peer(cluster.machine("peer"),
+                       cluster.port("peer", "client"));
+    Netperf netperf(cluster.stack("client"), net);
 
     NetperfRrResult rr;
-    cluster.setDriver(c, [&](NestedSystem &) {
-        rr = netperf.runRr(1, 1, 15);
+    cluster.driver("client", [&](NestedSystem &) {
+        rr = netperf.runRr(15);
     });
     ClusterStats stats = cluster.run(jobs);
 
@@ -594,39 +612,54 @@ TEST(Cluster, NestedStackRrIdenticalAcrossWorkerCounts)
     }
 }
 
+/** Native machines @p names, seeded from @p seed, with a 1 us 10 GbE
+ *  link from the first to each of the others. */
+Cluster
+nativeStar(const std::vector<std::string> &names, std::uint64_t seed = 1)
+{
+    ClusterSpec spec;
+    for (const std::string &name : names)
+        spec.machine(name, VirtMode::Native);
+    for (std::size_t i = 1; i < names.size(); ++i)
+        spec.link(names[0], names[i], usec(1), 10e9);
+    return spec.realize(seed);
+}
+
+/** The calling thread's id, read anew each call. glibc declares
+ *  pthread_self() const, so two direct reads in one frame may fold
+ *  into one even when a park moved the fiber to another thread. */
+std::thread::id (*volatile threadId)() = [] {
+    return std::this_thread::get_id();
+};
+
 TEST(Cluster, FollowerOnlyClusterDrainsAndTerminates)
 {
     // No drivers at all: machines just run their queued events; the
     // run ends when every queue is empty.
-    Cluster cluster(3);
-    int a = cluster.addMachine("a", VirtMode::Native);
-    int b = cluster.addMachine("b", VirtMode::Native);
-    CrossLink &link = cluster.connect(a, b, usec(1), 10e9);
+    Cluster cluster = nativeStar({"a", "b"}, 3);
+    CrossLink &link = cluster.link("a", "b");
 
     std::uint64_t got = 0;
     link.port(1).setReceiveHandler([&](NetPacket) { ++got; });
-    cluster.machine(a).events().schedule(usec(10), [&] {
+    cluster.machine("a").events().schedule(usec(10), [&] {
         link.port(0).send(NetPacket{1, 100, 0});
     });
-    cluster.machine(b).events().schedule(usec(2), [] {});
+    cluster.machine("b").events().schedule(usec(2), [] {});
 
     ClusterStats stats = cluster.run(2);
     EXPECT_EQ(got, 1u);
     EXPECT_GE(stats.merged, 1u);
-    EXPECT_GT(cluster.machine(b).now(), usec(10));
+    EXPECT_GT(cluster.machine("b").now(), usec(10));
 }
 
 TEST(Cluster, DriverErrorIsContainedAndRethrown)
 {
-    Cluster cluster(1);
-    int a = cluster.addMachine("boom", VirtMode::Native);
-    int b = cluster.addMachine("quiet", VirtMode::Native);
-    cluster.connect(a, b, usec(1), 10e9);
-    cluster.setDriver(a, [](NestedSystem &sys) {
+    Cluster cluster = nativeStar({"boom", "quiet"});
+    cluster.driver("boom", [](NestedSystem &sys) {
         sys.machine().idleUntil(usec(5));
         throw SimError("deliberate driver failure");
     });
-    cluster.setDriver(b, [](NestedSystem &sys) {
+    cluster.driver("quiet", [](NestedSystem &sys) {
         sys.machine().idleUntil(msec(1));
     });
     EXPECT_THROW(
@@ -645,21 +678,18 @@ TEST(Cluster, DriverErrorIsContainedAndRethrown)
 
 TEST(Cluster, JobsOneIsSingleThreaded)
 {
-    Cluster cluster(1);
-    int a = cluster.addMachine("a", VirtMode::Native);
-    int b = cluster.addMachine("b", VirtMode::Native);
-    cluster.connect(a, b, usec(1), 10e9);
-    const std::thread::id caller = std::this_thread::get_id();
+    Cluster cluster = nativeStar({"a", "b"});
+    const std::thread::id caller = threadId();
     int checks = 0;
-    for (int id : {a, b}) {
-        cluster.setDriver(id, [&](NestedSystem &sys) {
+    for (const char *name : {"a", "b"}) {
+        cluster.driver(name, [&](NestedSystem &sys) {
             // Setup code, then one check after every advance: each
             // advance parks the fiber at the other machine's horizon.
-            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_EQ(threadId(), caller);
             Machine &m = sys.machine();
             for (int i = 0; i < 10; ++i) {
                 m.idleUntil(m.now() + usec(2));
-                EXPECT_EQ(std::this_thread::get_id(), caller);
+                EXPECT_EQ(threadId(), caller);
                 ++checks;
             }
         });
@@ -675,18 +705,15 @@ TEST(Cluster, DriverErrorUnwindsParkedFibers)
         bool quietReturned = false;
         Ticks quietReached = 0;
         {
-            Cluster cluster(1);
-            int a = cluster.addMachine("boom", VirtMode::Native);
-            int b = cluster.addMachine("quiet", VirtMode::Native);
-            cluster.connect(a, b, usec(1), 10e9);
-            cluster.setDriver(a, [](NestedSystem &sys) {
+            Cluster cluster = nativeStar({"boom", "quiet"});
+            cluster.driver("boom", [](NestedSystem &sys) {
                 sys.machine().idleUntil(usec(5));
                 throw SimError("deliberate driver failure");
             });
             // Still parked mid-idle when "boom" fails at 5 us (1 ms
             // is ~1000 epochs away); the error path must release it
             // to run its tail.
-            cluster.setDriver(b, [&](NestedSystem &sys) {
+            cluster.driver("quiet", [&](NestedSystem &sys) {
                 Machine &m = sys.machine();
                 while (m.now() < msec(1))
                     m.idleUntil(msec(1));
@@ -715,25 +742,23 @@ TEST(Cluster, DriverErrorOnAMemberThreadIsRethrown)
     // on the coordinator sleeps, so the members claim the epoch's
     // other steps; "boom" throws the first time a member runs it.
     constexpr int kMachines = 4;
-    const std::thread::id coordinator = std::this_thread::get_id();
+    const std::thread::id coordinator = threadId();
     std::atomic<bool> boomOnMember{false};
     std::vector<Ticks> reached(kMachines, 0);
     {
-        Cluster cluster(1);
-        for (int i = 0; i < kMachines; ++i)
-            cluster.addMachine(i == kMachines - 1
-                                   ? "boom"
-                                   : "quiet" + std::to_string(i),
-                               VirtMode::Native);
-        for (int i = 1; i < kMachines; ++i)
-            cluster.connect(0, i, usec(1), 10e9);
+        std::vector<std::string> names;
+        for (int i = 0; i < kMachines - 1; ++i)
+            names.push_back("quiet" + std::to_string(i));
+        names.push_back("boom");
+        Cluster cluster = nativeStar(names);
         for (int i = 0; i < kMachines; ++i) {
             const bool boom = i == kMachines - 1;
-            cluster.setDriver(i, [&, i, boom](NestedSystem &sys) {
+            const std::string &name = names[static_cast<std::size_t>(i)];
+            cluster.driver(name, [&, i, boom](NestedSystem &sys) {
                 Machine &m = sys.machine();
                 while (m.now() < msec(1)) {
                     m.idleUntil(m.now() + usec(2));
-                    if (std::this_thread::get_id() == coordinator) {
+                    if (threadId() == coordinator) {
                         std::this_thread::sleep_for(
                             std::chrono::microseconds(50));
                     } else if (boom) {
@@ -760,6 +785,51 @@ TEST(Cluster, DriverErrorOnAMemberThreadIsRethrown)
     for (int i = 0; i < kMachines - 1; ++i)
         EXPECT_EQ(reached[static_cast<std::size_t>(i)], msec(1))
             << "machine " << i;
+}
+
+TEST(Cluster, SameEpochErrorsSurfaceTheLowestMachineId)
+{
+    // "low" and "high" sit symmetrically behind "hub", so both reach
+    // 5 us and throw in the first epoch. "low" sleeps first: with
+    // several crew threads, "high" has usually failed on another
+    // thread before "low" throws, and the lower id must still win.
+    for (int jobs : {1, 2, 4}) {
+        bool hubReturned = false;
+        std::atomic<int> thrown{0};
+        {
+            Cluster cluster = nativeStar({"hub", "low", "high"});
+            cluster.driver("hub", [&](NestedSystem &sys) {
+                Machine &m = sys.machine();
+                while (m.now() < msec(1))
+                    m.idleUntil(msec(1));
+                hubReturned = true;
+            });
+            for (const char *name : {"low", "high"}) {
+                const bool low = std::string(name) == "low";
+                cluster.driver(name, [&, low](NestedSystem &sys) {
+                    Machine &m = sys.machine();
+                    while (m.now() < usec(5))
+                        m.idleUntil(usec(5));
+                    if (low)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                    ++thrown;
+                    throw SimError(low ? "low failure" : "high failure");
+                });
+            }
+            try {
+                cluster.run(jobs);
+                ADD_FAILURE() << "run() did not rethrow, jobs " << jobs;
+            } catch (const SimError &e) {
+                EXPECT_NE(std::string(e.what()).find("low: low failure"),
+                          std::string::npos)
+                    << e.what() << ", jobs " << jobs;
+            }
+            // Destroying the Cluster asserts no driver fiber is live.
+        }
+        EXPECT_EQ(thrown.load(), 2) << "jobs " << jobs;
+        EXPECT_TRUE(hubReturned) << "jobs " << jobs;
+    }
 }
 
 struct Mix
@@ -796,13 +866,6 @@ churn(std::uint64_t seed, int depth, int rounds,
     return acc;
 }
 
-/** The calling thread's id, read anew each call. glibc declares
- *  pthread_self() const, so two direct reads in one frame may fold
- *  into one even when a park moved the fiber to another thread. */
-std::thread::id (*volatile threadId)() = [] {
-    return std::this_thread::get_id();
-};
-
 TEST(Cluster, DriverStateSurvivesParksAcrossThreads)
 {
     // Four drivers on a star run churn() with a park at every step:
@@ -822,14 +885,13 @@ TEST(Cluster, DriverStateSurvivesParksAcrossThreads)
         std::atomic<int> moved{0};
         std::vector<Mix> got(kMachines);
         std::vector<int> parks(kMachines, 0);
-        Cluster cluster(1);
+        std::vector<std::string> names;
         for (int i = 0; i < kMachines; ++i)
-            cluster.addMachine("churn" + std::to_string(i),
-                               VirtMode::Native);
-        for (int i = 1; i < kMachines; ++i)
-            cluster.connect(0, i, usec(1), 10e9);
+            names.push_back("churn" + std::to_string(i));
+        Cluster cluster = nativeStar(names);
         for (int i = 0; i < kMachines; ++i) {
-            cluster.setDriver(i, [&, i](NestedSystem &sys) {
+            const std::string &name = names[static_cast<std::size_t>(i)];
+            cluster.driver(name, [&, i](NestedSystem &sys) {
                 Machine &m = sys.machine();
                 int &n = parks[static_cast<std::size_t>(i)];
                 const std::function<void()> park = [&] {
@@ -868,11 +930,8 @@ TEST(Cluster, DriverStateSurvivesParksAcrossThreads)
 TEST(Cluster, NonStdDriverExceptionIsContained)
 {
     for (int jobs : {1, 2}) {
-        Cluster cluster(1);
-        int a = cluster.addMachine("odd", VirtMode::Native);
-        int b = cluster.addMachine("peer", VirtMode::Native);
-        cluster.connect(a, b, usec(1), 10e9);
-        cluster.setDriver(a, [](NestedSystem &sys) {
+        Cluster cluster = nativeStar({"odd", "peer"});
+        cluster.driver("odd", [](NestedSystem &sys) {
             sys.machine().idleUntil(usec(3));
             throw 42;
         });
@@ -888,8 +947,7 @@ TEST(Cluster, NonStdDriverExceptionIsContained)
 
 TEST(Cluster, RunIsOnceOnly)
 {
-    Cluster cluster(1);
-    cluster.addMachine("solo", VirtMode::Native);
+    Cluster cluster = nativeStar({"solo"});
     cluster.run(1);
     EXPECT_THROW(cluster.run(1), PanicError);
 }

@@ -421,7 +421,7 @@ elisionDiskScenario(NestedSystem &sys, ScenarioResult &r)
 void
 elisionNetScenario(ClusterContext &ctx, ScenarioResult &r)
 {
-    ClusterBuild b =
+    Cluster b =
         ClusterSpec()
             .machine("server", VirtMode::Nested,
                      elisionCfg(VirtMode::Nested, true, 2, 4,
@@ -442,7 +442,6 @@ elisionNetScenario(ClusterContext &ctx, ScenarioResult &r)
     b.run(ctx);
     r.record("completed", static_cast<double>(pt.completed));
     r.record("p99_us", pt.p99Usec);
-    ctx.finish(b.cluster(), r);
 }
 
 int

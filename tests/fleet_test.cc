@@ -218,15 +218,16 @@ TEST(ClusterSpecBuild, ResolvesNamesAndPorts)
     cs.machine("server", VirtMode::Nested)
         .machine("client", VirtMode::Native)
         .link("server", "client", usec(2), 10e9);
-    ClusterBuild build = cs.realize(1);
-    EXPECT_EQ(build.id("server"), 0);
-    EXPECT_EQ(build.id("client"), 1);
-    EXPECT_EQ(&build.port("server", "client"),
-              &build.link("server", "client").port(0));
-    EXPECT_EQ(&build.port("client", "server"),
-              &build.link("server", "client").port(1));
-    expectFatal([&] { build.id("ghost"); }, "unknown machine");
-    expectFatal([&] { build.port("server", "server"); }, "no link");
+    Cluster cluster = cs.realize(1);
+    // Machine ids are declaration indices.
+    EXPECT_EQ(&cluster.machine("server"), &cluster.machine(0));
+    EXPECT_EQ(&cluster.machine("client"), &cluster.machine(1));
+    EXPECT_EQ(&cluster.port("server", "client"),
+              &cluster.link("server", "client").port(0));
+    EXPECT_EQ(&cluster.port("client", "server"),
+              &cluster.link("server", "client").port(1));
+    expectFatal([&] { cluster.machine("ghost"); }, "unknown machine");
+    expectFatal([&] { cluster.port("server", "server"); }, "no link");
 }
 
 // ---- Placement ---------------------------------------------------
@@ -305,14 +306,16 @@ TEST(FleetScheduler, SvtPairOutcomeIdenticalAcrossClusterJobs)
 TEST(Cluster, PerPairLookaheadHeterogeneousChain)
 {
     auto fingerprint = [](int jobs) {
-        Cluster cluster(7);
-        const int a = cluster.addMachine("a", VirtMode::Native);
-        const int b = cluster.addMachine("b", VirtMode::Native);
-        const int c = cluster.addMachine("c", VirtMode::Native);
-        const int d = cluster.addMachine("d", VirtMode::Native);
-        CrossLink &ab = cluster.connect(a, b, usec(1), 10e9);
-        CrossLink &bc = cluster.connect(b, c, msec(1), 10e9);
-        EXPECT_EQ(cluster.lookahead(), usec(1));
+        Cluster cluster = ClusterSpec()
+                              .machine("a", VirtMode::Native)
+                              .machine("b", VirtMode::Native)
+                              .machine("c", VirtMode::Native)
+                              .machine("d", VirtMode::Native)
+                              .link("a", "b", usec(1), 10e9)
+                              .link("b", "c", msec(1), 10e9)
+                              .realize(7);
+        CrossLink &ab = cluster.link("a", "b");
+        CrossLink &bc = cluster.link("b", "c");
 
         // b forwards every packet from a onward to c; c counts.
         std::uint64_t forwarded = 0, arrived = 0;
@@ -321,13 +324,13 @@ TEST(Cluster, PerPairLookaheadHeterogeneousChain)
             ++forwarded;
             bc.port(0).send(pkt);
         });
-        Machine &mc = cluster.machine(c);
+        Machine &mc = cluster.machine("c");
         bc.port(1).setReceiveHandler([&](NetPacket) {
             ++arrived;
             lastArrival = mc.now();
         });
 
-        cluster.setDriver(a, [&ab](NestedSystem &sys) {
+        cluster.driver("a", [&ab](NestedSystem &sys) {
             Machine &m = sys.machine();
             for (std::uint64_t i = 0; i < 50; ++i) {
                 ab.port(0).send(NetPacket{i + 1, 200, 0});
@@ -335,14 +338,19 @@ TEST(Cluster, PerPairLookaheadHeterogeneousChain)
             }
             m.idleUntil(msec(5));
         });
-        cluster.setDriver(d, [](NestedSystem &sys) {
+        cluster.driver("d", [](NestedSystem &sys) {
             sys.machine().idleUntil(msec(2));
         });
 
         ClusterStats stats = cluster.run(jobs);
+        // a's 50 sends, 3 us apart, each cross its 1 us window to b;
+        // had every machine shared that window, reaching a's 5 ms end
+        // would take 5,000 epochs.
+        EXPECT_GE(stats.epochs, 50u) << "jobs " << jobs;
+        EXPECT_LT(stats.epochs, 1000u) << "jobs " << jobs;
         std::ostringstream os;
         os << forwarded << '/' << arrived << '/' << lastArrival
-           << " merged=" << stats.merged;
+           << " merged=" << stats.merged << " epochs=" << stats.epochs;
         for (int i = 0; i < cluster.size(); ++i)
             os << " t" << i << '=' << cluster.machine(i).now();
         return os.str();

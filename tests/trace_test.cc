@@ -350,7 +350,7 @@ TEST(TraceConservation, InstrumentationEmitsExpectedEvents)
 TEST(TraceConservation, ClusterFollowerDrainsAreIdle)
 {
     for (int jobs : {1, 2}) {
-        ClusterBuild b = ClusterSpec()
+        Cluster b = ClusterSpec()
                              .machine("server", VirtMode::Nested)
                              .machine("client", VirtMode::Native)
                              .link("server", "client")
@@ -372,8 +372,8 @@ TEST(TraceConservation, ClusterFollowerDrainsAreIdle)
         }
 
         std::vector<std::unique_ptr<TraceSink>> sinks;
-        for (int i = 0; i < b.cluster().size(); ++i) {
-            Machine &m = b.cluster().machine(i);
+        for (int i = 0; i < b.size(); ++i) {
+            Machine &m = b.machine(i);
             sinks.push_back(std::make_unique<TraceSink>(m.events()));
             m.setTraceSink(sinks.back().get());
             sinks.back()->setEnabled(true);
@@ -383,12 +383,12 @@ TEST(TraceConservation, ClusterFollowerDrainsAreIdle)
         b.run(jobs);
 
         EXPECT_GT(answered, 0u) << "jobs=" << jobs;
-        for (int i = 0; i < b.cluster().size(); ++i) {
-            Machine &m = b.cluster().machine(i);
+        for (int i = 0; i < b.size(); ++i) {
+            Machine &m = b.machine(i);
             auto c = m.conservation();
             EXPECT_GT(c.elapsed, 0);
             EXPECT_TRUE(c.conserved())
-                << b.cluster().machineName(i) << " jobs=" << jobs
+                << "machine " << i << " jobs=" << jobs
                 << " attributed=" << c.attributed << " idle=" << c.idle
                 << " unattributed=" << c.unattributed
                 << " elapsed=" << c.elapsed;

@@ -131,7 +131,7 @@ struct NetRig
 TEST(Netperf, RrLatencyIsSane)
 {
     NetRig rig(VirtMode::Nested);
-    auto r = rig.netperf.runRr(1, 1, 20);
+    auto r = rig.netperf.runRr(20);
     EXPECT_EQ(r.transactions, 20u);
     // Must at least cover two wire crossings plus the peer.
     EXPECT_GT(r.meanUsec,
@@ -145,9 +145,9 @@ TEST(Netperf, RrFasterWithSvt)
     NetRig base(VirtMode::Nested);
     NetRig sw(VirtMode::SwSvt);
     NetRig hw(VirtMode::HwSvt);
-    double b = base.netperf.runRr(1, 1, 25).meanUsec;
-    double s = sw.netperf.runRr(1, 1, 25).meanUsec;
-    double h = hw.netperf.runRr(1, 1, 25).meanUsec;
+    double b = base.netperf.runRr(25).meanUsec;
+    double s = sw.netperf.runRr(25).meanUsec;
+    double h = hw.netperf.runRr(25).meanUsec;
     EXPECT_LT(s, b);
     EXPECT_LT(h, s);
 }
@@ -283,7 +283,7 @@ struct McRig
 
     Machine &serverMachine() { return b.machine("server"); }
 
-    ClusterBuild b;
+    Cluster b;
     VirtioNetStack net;
     MemcachedServer server;
     MutilateClient client;
