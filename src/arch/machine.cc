@@ -97,17 +97,9 @@ Machine::setTraceSink(TraceSink *sink)
 }
 
 void
-Machine::consume(Ticks t)
+Machine::negativeConsume()
 {
-    if (SVTSIM_UNLIKELY(t < 0))
-        panic("Machine::consume negative time");
-    if (t == 0)
-        return;
-    for (const OpenScope &scope : scopeStack_)
-        buckets_[static_cast<std::size_t>(scope.id)] += t;
-    if (SVTSIM_UNLIKELY(eq_.traceSink() != nullptr))
-        chargeConsumed(t);
-    eq_.advanceBy(t);
+    panic("Machine::consume negative time");
 }
 
 void
@@ -196,30 +188,46 @@ Machine::selfTicks(ScopeId id) const
                            : 0;
 }
 
-void
-Machine::pushScope(ScopeId id)
+Ticks
+Machine::tracedStart() const
 {
-    TraceSink *sink = eq_.traceSink();
-    Ticks start = untraced;
-    if (SVTSIM_UNLIKELY(sink != nullptr && sink->enabled()))
-        start = now();
-    scopeStack_.push_back({id, start});
+    const TraceSink *sink = eq_.traceSink();
+    return sink != nullptr && sink->enabled() ? now() : untraced;
 }
 
 void
-Machine::popScope()
+Machine::emitSpan(const OpenScope &scope)
 {
-    if (scopeStack_.empty())
-        panic("Machine::popScope with no open scope");
-    const OpenScope &scope = scopeStack_.back();
-    if (SVTSIM_UNLIKELY(scope.start != untraced)) {
-        if (TraceSink *sink = eq_.traceSink()) {
-            const ScopeInfo &info = scopeInfo(scope.id);
-            sink->complete(info.category, info.name, scope.start,
-                           now() - scope.start);
-        }
+    if (TraceSink *sink = eq_.traceSink()) {
+        const ScopeInfo &info = scopeInfo(scope.id);
+        sink->complete(info.category, info.name, scope.start,
+                       now() - scope.start);
     }
-    scopeStack_.pop_back();
+}
+
+void
+Machine::popWithoutPush()
+{
+    panic("Machine::popScope with no open scope");
+}
+
+Ticks
+Machine::scopeTotal(ScopeId id) const
+{
+    Ticks total = buckets_[static_cast<std::size_t>(id)];
+    for (const OpenScope &scope : scopeStack_) {
+        if (scope.id == id)
+            total += consumed_ - scope.mark;
+    }
+    return total;
+}
+
+void
+Machine::resetAttribution()
+{
+    buckets_.fill(0);
+    for (OpenScope &scope : scopeStack_)
+        scope.mark = consumed_;
 }
 
 std::uint64_t

@@ -15,6 +15,7 @@
 #include "arch/cost_model.h"
 #include "arch/exit_reason.h"
 #include "arch/smt_core.h"
+#include "sim/compiler.h"
 #include "sim/event_queue.h"
 #include "sim/fault.h"
 #include "sim/random.h"
@@ -112,9 +113,21 @@ class Machine
 
     /**
      * Consume @p t ticks of simulated time. Runs due events and adds
-     * @p t to every open attribution scope.
+     * @p t to every open attribution scope (lazily: see pushScope()).
      */
-    void consume(Ticks t);
+    SVTSIM_ALWAYS_INLINE void
+    consume(Ticks t)
+    {
+        if (SVTSIM_UNLIKELY(t <= 0)) {
+            if (t < 0)
+                negativeConsume();
+            return;
+        }
+        consumed_ += t;
+        if (SVTSIM_UNLIKELY(eq_.traceSink() != nullptr))
+            chargeConsumed(t);
+        eq_.advanceBy(t);
+    }
 
     /** Let simulated time pass without attributing it to any open
      *  scope (used for idle/wait periods). */
@@ -128,17 +141,37 @@ class Machine
 
     // -- Attribution scopes ----------------------------------------------
     /** Open an attribution scope; time consumed while open accrues to
-     *  its bucket. Scopes nest; all open scopes accrue. */
-    void pushScope(ScopeId id);
-    void popScope();
-
-    /** Total ticks accrued to @p id since the last reset. */
-    Ticks scopeTotal(ScopeId id) const
+     *  its bucket. Scopes nest; all open scopes accrue. A scope marks
+     *  the running consumed-tick count at push and adds the difference
+     *  to its bucket at pop, so consume() costs the same at any depth. */
+    SVTSIM_ALWAYS_INLINE void
+    pushScope(ScopeId id)
     {
-        return buckets_[static_cast<std::size_t>(id)];
+        Ticks start = untraced;
+        if (SVTSIM_UNLIKELY(eq_.traceSink() != nullptr))
+            start = tracedStart();
+        scopeStack_.push_back({id, start, consumed_});
     }
 
-    void resetAttribution() { buckets_.fill(0); }
+    SVTSIM_ALWAYS_INLINE void
+    popScope()
+    {
+        if (SVTSIM_UNLIKELY(scopeStack_.empty()))
+            popWithoutPush();
+        const OpenScope &scope = scopeStack_.back();
+        buckets_[static_cast<std::size_t>(scope.id)] +=
+            consumed_ - scope.mark;
+        if (SVTSIM_UNLIKELY(scope.start != untraced))
+            emitSpan(scope);
+        scopeStack_.pop_back();
+    }
+
+    /** Total ticks accrued to @p id since the last reset, including
+     *  what its open instances have accrued so far. */
+    Ticks scopeTotal(ScopeId id) const;
+
+    /** Zero every bucket; open scopes accrue from here on. */
+    void resetAttribution();
 
     // -- Time conservation -------------------------------------------------
     /**
@@ -227,6 +260,8 @@ class Machine
         /** Push tick when an enabled sink was attached at pushScope()
          *  time (popScope() hands the span to it), else untraced. */
         Ticks start;
+        /** consumed_ at push (or at the last resetAttribution()). */
+        Ticks mark;
     };
     static constexpr Ticks untraced = -1;
     struct Ledger
@@ -251,9 +286,19 @@ class Machine
     bool ledgerCurrent() const;
     /** consume()'s ledger charge, kept out of the untraced path. */
     void chargeConsumed(Ticks t);
+    [[noreturn]] static void negativeConsume();
+    /** pushScope()'s start tick while a sink is attached: now() if
+     *  the sink is enabled, else untraced. */
+    Ticks tracedStart() const;
+    /** popScope()'s hand-off of a traced scope's span to the sink. */
+    void emitSpan(const OpenScope &scope);
+    [[noreturn]] static void popWithoutPush();
 
     /** Reserved at construction, so pushes do not allocate. */
     std::vector<OpenScope> scopeStack_;
+    /** Ticks passed to consume() over the machine's life. */
+    Ticks consumed_ = 0;
+    /** Ticks of closed scopes per id (open ones add theirs at pop). */
     std::array<Ticks, numScopes> buckets_{};
     std::unique_ptr<FaultInjector> faults_;
     std::array<Counter, numFaultSites> faultMetric_;

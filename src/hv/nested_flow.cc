@@ -873,6 +873,46 @@ VirtStack::maybeInjectAndResumeL2(bool l2_was_running)
     return 1;
 }
 
+bool
+VirtStack::interruptsPending() const
+{
+    const Lapic &l2 = vcpuL2InL1_->lapic();
+    return core_.lapic(0).hasPending() || vcpuL1_->lapic().hasPending() ||
+           l2.hasPending() || l2.hasPosted();
+}
+
+void
+VirtStack::computeInSlices(Ticks t, bool stageL2)
+{
+    // Chunked so device interrupts stay responsive during long
+    // computations (frame decode, request processing). Only an event
+    // can make a vector pending, and events fire inside consume(), so
+    // while no LAPIC holds one, every pump before the slice boundary
+    // that reaches the next event would find nothing: those slices run
+    // as one step. The step also stops below the cluster horizon, past
+    // which packets merged at the barrier can add events. Events, the
+    // clock and every pump that can deliver stay where they were.
+    const Ticks slice = usec(10);
+    while (t > 0) {
+        Ticks step = std::min(t, slice);
+        if (t > slice && !interruptsPending()) {
+            EventQueue &eq = machine_.events();
+            const Ticks limit =
+                std::min(eq.nextEventTime(), eq.horizon() - 1);
+            const Ticks reach = (limit - eq.now()) / slice * slice;
+            step = std::min(t, std::max(reach, slice));
+        }
+        if (stageL2) {
+            TimeScope s(machine_, ScopeId::StageL2);
+            machine_.consume(step);
+        } else {
+            machine_.consume(step);
+        }
+        t -= step;
+        pumpInterrupts();
+    }
+}
+
 // ----------------------------------------------------------------- L1Api
 
 std::uint8_t
@@ -885,14 +925,7 @@ void
 L1Api::compute(Ticks t)
 {
     if (stack_.config_.mode == VirtMode::Single) {
-        // Chunked so device interrupts stay responsive.
-        const Ticks slice = usec(10);
-        while (t > 0) {
-            Ticks step = std::min(t, slice);
-            stack_.machine_.consume(step);
-            t -= step;
-            stack_.pumpInterrupts();
-        }
+        stack_.computeInSlices(t, /*stageL2=*/false);
         return;
     }
     stack_.machine_.consume(
@@ -1020,18 +1053,7 @@ void
 L2Api::compute(Ticks t)
 {
     simAssert(stack_.isNestedMode(), "L2Api outside nested mode");
-    // Chunked so device interrupts stay responsive during long
-    // computations (frame decode, request processing).
-    const Ticks slice = usec(10);
-    while (t > 0) {
-        Ticks step = std::min(t, slice);
-        {
-            TimeScope s(stack_.machine_, ScopeId::StageL2);
-            stack_.machine_.consume(step);
-        }
-        t -= step;
-        stack_.pumpInterrupts();
-    }
+    stack_.computeInSlices(t, /*stageL2=*/true);
 }
 
 CpuidResult

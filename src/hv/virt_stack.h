@@ -285,6 +285,17 @@ class VirtStack
     int pumpSingle();
     int pumpNative();
 
+    /** Whether any LAPIC that pumpInterrupts() reads holds a pending
+     *  or posted vector. */
+    bool interruptsPending() const;
+
+    /**
+     * Guest compute of @p t ticks in 10 us slices with a pump after
+     * each, inside a `stage.l2` scope per step when @p stageL2. Slices
+     * whose pumps would find nothing are merged (see nested_flow.cc).
+     */
+    void computeInSlices(Ticks t, bool stageL2);
+
     // -- Members -----------------------------------------------------------------
     Machine &machine_;
     StackConfig config_;

@@ -1,6 +1,7 @@
 #include "stats/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <ostream>
 
@@ -49,9 +50,7 @@ HistogramData::record(std::int64_t value)
     }
     ++count;
     sum += value;
-    int bin = 0;
-    for (auto u = static_cast<std::uint64_t>(value); u != 0; u >>= 1)
-        ++bin;
+    const int bin = std::bit_width(static_cast<std::uint64_t>(value));
     bins[static_cast<std::size_t>(std::min(bin, numBins - 1))] += 1;
 }
 

@@ -195,25 +195,10 @@ Vmcs::Vmcs(std::string name)
 }
 
 void
-Vmcs::check(VmcsField field) const
+Vmcs::invalidField(VmcsField field) const
 {
-    if (static_cast<std::size_t>(field) >= numVmcsFields)
-        panic("Vmcs %s: invalid field %u", name_.c_str(),
-              static_cast<unsigned>(field));
-}
-
-std::uint64_t
-Vmcs::read(VmcsField field) const
-{
-    check(field);
-    return values_[static_cast<std::size_t>(field)];
-}
-
-void
-Vmcs::write(VmcsField field, std::uint64_t value)
-{
-    check(field);
-    values_[static_cast<std::size_t>(field)] = value;
+    panic("Vmcs %s: invalid field %u", name_.c_str(),
+          static_cast<unsigned>(field));
 }
 
 void

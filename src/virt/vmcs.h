@@ -12,6 +12,7 @@
 #include <string>
 
 #include "arch/exit_reason.h"
+#include "sim/compiler.h"
 
 namespace svtsim {
 
@@ -138,8 +139,19 @@ class Vmcs
 
     const std::string &name() const { return name_; }
 
-    std::uint64_t read(VmcsField field) const;
-    void write(VmcsField field, std::uint64_t value);
+    std::uint64_t
+    read(VmcsField field) const
+    {
+        check(field);
+        return values_[static_cast<std::size_t>(field)];
+    }
+
+    void
+    write(VmcsField field, std::uint64_t value)
+    {
+        check(field);
+        values_[static_cast<std::size_t>(field)] = value;
+    }
 
     State state() const { return state_; }
     void setState(State s) { state_ = s; }
@@ -161,7 +173,15 @@ class Vmcs
     ExitInfo exitInfo() const;
 
   private:
-    void check(VmcsField field) const;
+    void
+    check(VmcsField field) const
+    {
+        if (SVTSIM_UNLIKELY(static_cast<std::size_t>(field) >=
+                            numVmcsFields))
+            invalidField(field);
+    }
+
+    [[noreturn]] void invalidField(VmcsField field) const;
 
     std::string name_;
     std::array<std::uint64_t, numVmcsFields> values_{};

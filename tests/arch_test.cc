@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -376,6 +377,76 @@ TEST(Machine, ResetAttributionClears)
     }
     m.resetAttribution();
     EXPECT_EQ(m.scopeTotal(ScopeId::StageChannel), 0);
+}
+
+TEST(Machine, ScopeTotalCountsOpenScopesIncludingRepeatedId)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    TimeScope outer(m, ScopeId::StageL2);
+    m.consume(nsec(10));
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL2), nsec(10));
+    {
+        TimeScope exit(m, ScopeId::ExitCpuid);
+        TimeScope inner(m, ScopeId::StageL2);
+        m.consume(nsec(5));
+        // Both open StageL2 instances accrue the 5 ns.
+        EXPECT_EQ(m.scopeTotal(ScopeId::StageL2), nsec(20));
+        EXPECT_EQ(m.scopeTotal(ScopeId::ExitCpuid), nsec(5));
+    }
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL2), nsec(20));
+    m.consume(nsec(1));
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL2), nsec(21));
+    EXPECT_EQ(m.scopeTotal(ScopeId::ExitCpuid), nsec(5));
+}
+
+TEST(Machine, ResetAttributionWithOpenScopeKeepsOnlyLaterTicks)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    {
+        TimeScope scope(m, ScopeId::StageL0Handler);
+        m.consume(nsec(30));
+        m.resetAttribution();
+        EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), 0);
+        m.consume(nsec(4));
+        EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), nsec(4));
+    }
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), nsec(4));
+    {
+        TimeScope again(m, ScopeId::StageL0Handler);
+        m.consume(nsec(2));
+    }
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageL0Handler), nsec(6));
+}
+
+TEST(Machine, ScopeUnwoundByExceptionKeepsItsTicks)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    EXPECT_THROW(
+        {
+            TimeScope scope(m, ScopeId::StageChannel);
+            m.consume(nsec(7));
+            throw std::runtime_error("unwind");
+        },
+        std::runtime_error);
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageChannel), nsec(7));
+    // The unwound scope is closed: later time does not accrue to it.
+    m.consume(nsec(3));
+    EXPECT_EQ(m.scopeTotal(ScopeId::StageChannel), nsec(7));
+    EXPECT_THROW(m.popScope(), PanicError);
+}
+
+TEST(Machine, SnapshotMidScopeIncludesOpenTicks)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    TimeScope outer(m, ScopeId::ExitCpuid);
+    TimeScope stage(m, ScopeId::StageTransform);
+    m.consume(nsec(9));
+    MetricsSnapshot snap = m.snapshotMetrics();
+    const std::vector<std::pair<std::string, Ticks>> expected = {
+        {"exit.CPUID", nsec(9)},
+        {"stage.transform", nsec(9)},
+    };
+    EXPECT_EQ(snap.scopes, expected);
 }
 
 TEST(Machine, ScopeTableNamesStagesAndExitReasons)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "hv/virt_stack.h"
 #include "sim/fault.h"
 #include "sim/log.h"
+#include "sim/trace.h"
 
 namespace svtsim {
 namespace {
@@ -426,6 +428,169 @@ TEST(VirtStack, TimerDeliveryLatencyImprovesWithSvt)
     EXPECT_LT(hw, base);
 }
 
+// ------------------------------------------------- merged compute slices
+
+/** Ticks at which an L2 compute of 100 us with the L2 timer due 35 us
+ *  in starts, runs the timer handler and returns; the compute runs as
+ *  one call (merged slices) or as ten 10 us calls (one slice each). */
+struct TimerCompute
+{
+    Ticks armCost = 0; ///< Ticks the deadline write took.
+    Ticks start = 0;
+    Ticks handled = -1;
+    Ticks end = 0;
+};
+
+TimerCompute
+computeWithTimer(Ticks armCost, bool tenCalls)
+{
+    Rig rig(VirtMode::Nested);
+    GuestApi &api = rig.stack->api();
+    TimerCompute r;
+    api.setIrqHandler(api.timerVector(),
+                      [&] { r.handled = rig.machine.now(); });
+    api.cpuid(1); // warm up
+    const Ticks before = rig.machine.now();
+    api.wrmsr(msr::ia32TscDeadline,
+              static_cast<std::uint64_t>(before + armCost + usec(35)));
+    r.start = rig.machine.now();
+    r.armCost = r.start - before;
+    if (tenCalls) {
+        for (int i = 0; i < 10; ++i)
+            api.compute(usec(10));
+    } else {
+        api.compute(usec(100));
+    }
+    r.end = rig.machine.now();
+    return r;
+}
+
+TEST(ComputeSlices, TimerIsPumpedAtTheSliceBoundaryAfterItsDeadline)
+{
+    // A probe run measures the deadline write, so the timer falls due
+    // exactly 35 us into the compute.
+    const Ticks armCost = computeWithTimer(0, false).armCost;
+    const TimerCompute merged = computeWithTimer(armCost, false);
+    const TimerCompute sliced = computeWithTimer(armCost, true);
+    ASSERT_EQ(merged.armCost, armCost);
+    EXPECT_EQ(merged.start, sliced.start);
+    EXPECT_EQ(merged.handled, sliced.handled);
+    EXPECT_EQ(merged.end, sliced.end);
+    // Due at +35 us and pumped at the +40 us boundary; the delivery
+    // chain (exit, L1 timer handler, injection) then takes about 13 us,
+    // so a pump at +35 us or +50 us would land outside this window.
+    EXPECT_GE(merged.handled, merged.start + usec(40));
+    EXPECT_LT(merged.handled, merged.start + usec(60));
+}
+
+TEST(ComputeSlices, VectorPendingAtEntryIsPumpedAfterTheFirstSlice)
+{
+    auto run = [](bool tenCalls) {
+        Rig rig(VirtMode::Nested);
+        GuestApi &api = rig.stack->api();
+        Ticks handled = -1;
+        api.setIrqHandler(vec::l2VirtioBlk,
+                          [&] { handled = rig.machine.now(); });
+        api.cpuid(1);
+        const Ticks start = rig.machine.now();
+        // Raised outside any pump, so it waits for the first boundary.
+        rig.stack->raiseL2Irq(vec::l2VirtioBlk);
+        if (tenCalls) {
+            for (int i = 0; i < 10; ++i)
+                api.compute(usec(10));
+        } else {
+            api.compute(usec(100));
+        }
+        return std::array<Ticks, 3>{start, handled, rig.machine.now()};
+    };
+    const auto merged = run(false);
+    EXPECT_EQ(merged, run(true));
+    EXPECT_GE(merged[1], merged[0] + usec(10));
+    EXPECT_LT(merged[1], merged[0] + usec(30));
+}
+
+/** Gate that records the target of the advance that reached the
+ *  horizon, then lets @p onGrant add events (as barrier-merged
+ *  packets would) and un-gates the queue. */
+struct RecordingGate : AdvanceGate
+{
+    Ticks target = -1;
+    std::function<void()> onGrant;
+
+    Ticks
+    awaitHorizon(Ticks t) override
+    {
+        target = t;
+        onGrant();
+        return maxTick;
+    }
+};
+
+TEST(ComputeSlices, MergedStepsStopBelowTheClusterHorizon)
+{
+    auto run = [](bool tenCalls) {
+        Rig rig(VirtMode::Nested);
+        GuestApi &api = rig.stack->api();
+        EventQueue &eq = rig.machine.events();
+        Ticks handled = -1;
+        api.setIrqHandler(vec::l2VirtioBlk,
+                          [&] { handled = rig.machine.now(); });
+        api.cpuid(1);
+        const Ticks start = rig.machine.now();
+        const Ticks horizon = start + usec(45);
+        RecordingGate gate;
+        gate.onGrant = [&] {
+            eq.schedule(horizon + usec(2), [&] {
+                rig.stack->raiseL2Irq(vec::l2VirtioBlk);
+            });
+        };
+        eq.setAdvanceGate(&gate, horizon);
+        if (tenCalls) {
+            for (int i = 0; i < 10; ++i)
+                api.compute(usec(10));
+        } else {
+            api.compute(usec(100));
+        }
+        eq.setAdvanceGate(nullptr, 0);
+        return std::array<Ticks, 4>{start, gate.target, handled,
+                                    rig.machine.now()};
+    };
+    const auto merged = run(false);
+    const auto sliced = run(true);
+    EXPECT_EQ(merged, sliced);
+    // The advance that met the horizon wanted one slice past the
+    // +40 us boundary, not the end of the compute.
+    EXPECT_EQ(merged[1], merged[0] + usec(50));
+    // The packet arriving at +47 us is pumped at +50 us (the delivery
+    // chain adds about 13 us).
+    EXPECT_GE(merged[2], merged[0] + usec(50));
+    EXPECT_LT(merged[2], merged[0] + usec(70));
+}
+
+TEST(ComputeSlices, LongIdleComputeEmitsOneStageSpan)
+{
+    Rig rig(VirtMode::Nested);
+    GuestApi &api = rig.stack->api();
+    api.cpuid(1);
+    TraceSink sink(rig.machine.events());
+    sink.setEnabled(true);
+    rig.machine.setTraceSink(&sink);
+    const Ticks start = rig.machine.now();
+    api.compute(msec(1));
+    rig.machine.setTraceSink(nullptr);
+    ASSERT_TRUE(rig.machine.events().empty());
+    int spans = 0;
+    for (const TraceEvent &ev : sink.events()) {
+        if (ev.phase == TraceEvent::Phase::Complete &&
+            ev.name == "stage.l2") {
+            ++spans;
+            EXPECT_EQ(ev.start, start);
+            EXPECT_EQ(ev.duration, msec(1));
+        }
+    }
+    EXPECT_EQ(spans, 1);
+    EXPECT_GE(rig.machine.scopeTotal(ScopeId::StageL2), msec(1));
+}
 
 TEST(VirtStack, MsrPassthroughSkipsExits)
 {

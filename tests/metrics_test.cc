@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "arch/exit_reason.h"
 #include "sim/log.h"
@@ -163,6 +166,35 @@ TEST(HistogramData, QuantileClampedToObservedRange)
     // clamped to the exact observed max.
     EXPECT_EQ(h.quantile(0.99), 1000.0);
     EXPECT_NEAR(h.mean(), 990.0, 1e-9);
+}
+
+TEST(HistogramData, BinIsTheValuesBitWidth)
+{
+    // Bin b holds the values of bit width b: [2^(b-1), 2^b - 1].
+    const std::pair<std::int64_t, int> cases[] = {
+        {0, 0},
+        {1, 1},
+        {2, 2},
+        {(std::int64_t{1} << 20) - 1, 20},
+        {std::int64_t{1} << 20, 21},
+        {(std::int64_t{1} << 40) - 1, 40},
+        {std::int64_t{1} << 40, 41},
+        {std::numeric_limits<std::int64_t>::max(), 63},
+    };
+    for (const auto &[value, bin] : cases) {
+        HistogramData h;
+        h.record(value);
+        for (int b = 0; b < HistogramData::numBins; ++b) {
+            EXPECT_EQ(h.bins[static_cast<std::size_t>(b)],
+                      b == bin ? 1u : 0u)
+                << "value " << value << " bin " << b;
+        }
+    }
+    HistogramData h;
+    EXPECT_THROW(h.record(-1), PanicError);
+    EXPECT_THROW(h.record(std::numeric_limits<std::int64_t>::min()),
+                 PanicError);
+    EXPECT_EQ(h.count, 0u);
 }
 
 // ------------------------------------- exit-reason instrumentation

@@ -26,6 +26,15 @@ TEST(Vmcs, ReadWriteRoundTrip)
     EXPECT_EQ(vmcs.name(), "vmcs01");
 }
 
+TEST(Vmcs, OutOfRangeFieldPanics)
+{
+    Vmcs vmcs("vmcs12");
+    const auto bad = static_cast<VmcsField>(numVmcsFields);
+    EXPECT_THROW(vmcs.read(bad), PanicError);
+    EXPECT_THROW(vmcs.write(bad, 1), PanicError);
+    EXPECT_THROW(vmcs.read(static_cast<VmcsField>(0xffff)), PanicError);
+}
+
 TEST(Vmcs, SvtFieldsStartInvalid)
 {
     Vmcs vmcs("v");
