@@ -4,6 +4,8 @@
  * shadow-VMCS behaviour.
  */
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "arch/exit_reason.h"
@@ -69,38 +71,100 @@ TEST(Vmcs, RecordAndReadExitInfo)
     EXPECT_EQ(back.vector, 42);
 }
 
-TEST(Vmcs, FieldClassification)
+TEST(Vmcs, FieldTableIsPinned)
 {
-    EXPECT_EQ(vmcsFieldClass(VmcsField::GuestRip),
-              VmcsFieldClass::GuestState);
-    EXPECT_EQ(vmcsFieldClass(VmcsField::HostRip),
-              VmcsFieldClass::HostState);
-    EXPECT_EQ(vmcsFieldClass(VmcsField::EptPointer),
-              VmcsFieldClass::Control);
-    EXPECT_EQ(vmcsFieldClass(VmcsField::ExitReasonField),
-              VmcsFieldClass::ExitInfo);
-    EXPECT_EQ(vmcsFieldClass(VmcsField::SvtVm), VmcsFieldClass::Svt);
-}
-
-TEST(Vmcs, AddressFields)
-{
-    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::EptPointer));
-    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::MsrBitmap));
-    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::IoBitmapA));
-    EXPECT_FALSE(vmcsFieldIsAddress(VmcsField::GuestRip));
-    EXPECT_FALSE(vmcsFieldIsAddress(VmcsField::ExitReasonField));
-}
-
-TEST(Vmcs, ShadowableFields)
-{
-    // Simple guest state and exit info shadow; addresses, injection
-    // and SVt context ids never do (Section 2.1's "limited benefits").
-    EXPECT_TRUE(vmcsFieldIsShadowable(VmcsField::GuestRip));
-    EXPECT_TRUE(vmcsFieldIsShadowable(VmcsField::ExitReasonField));
-    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::EptPointer));
-    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::EntryIntrInfo));
-    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::SvtVm));
-    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::HostRip));
+    // Every modeled field in enum order, with its name, class, whether
+    // it holds an address and whether hardware shadowing serves it.
+    // Simple guest state, controls and exit info shadow; addresses,
+    // entry-event injection, host state and the SVt context ids never
+    // do (Section 2.1's "limited benefits").
+    using C = VmcsFieldClass;
+    struct Row
+    {
+        VmcsField field;
+        const char *name;
+        VmcsFieldClass cls;
+        bool address;
+        bool shadowable;
+    };
+    const Row rows[] = {
+        {VmcsField::GuestRip, "GUEST_RIP", C::GuestState, false, true},
+        {VmcsField::GuestRsp, "GUEST_RSP", C::GuestState, false, true},
+        {VmcsField::GuestRflags, "GUEST_RFLAGS", C::GuestState, false,
+         true},
+        {VmcsField::GuestCr0, "GUEST_CR0", C::GuestState, false, true},
+        {VmcsField::GuestCr3, "GUEST_CR3", C::GuestState, false, true},
+        {VmcsField::GuestCr4, "GUEST_CR4", C::GuestState, false, true},
+        {VmcsField::GuestEfer, "GUEST_EFER", C::GuestState, false, true},
+        {VmcsField::GuestInterruptibility, "GUEST_INTERRUPTIBILITY",
+         C::GuestState, false, true},
+        {VmcsField::GuestActivityState, "GUEST_ACTIVITY_STATE",
+         C::GuestState, false, true},
+        {VmcsField::GuestPendingDbg, "GUEST_PENDING_DBG", C::GuestState,
+         false, true},
+        {VmcsField::HostRip, "HOST_RIP", C::HostState, false, false},
+        {VmcsField::HostRsp, "HOST_RSP", C::HostState, false, false},
+        {VmcsField::HostCr0, "HOST_CR0", C::HostState, false, false},
+        {VmcsField::HostCr3, "HOST_CR3", C::HostState, false, false},
+        {VmcsField::HostCr4, "HOST_CR4", C::HostState, false, false},
+        {VmcsField::HostEfer, "HOST_EFER", C::HostState, false, false},
+        {VmcsField::PinControls, "PIN_CONTROLS", C::Control, false, true},
+        {VmcsField::ProcControls, "PROC_CONTROLS", C::Control, false,
+         true},
+        {VmcsField::ProcControls2, "PROC_CONTROLS2", C::Control, false,
+         true},
+        {VmcsField::ExitControls, "EXIT_CONTROLS", C::Control, false,
+         true},
+        {VmcsField::EntryControls, "ENTRY_CONTROLS", C::Control, false,
+         true},
+        {VmcsField::ExceptionBitmap, "EXCEPTION_BITMAP", C::Control,
+         false, true},
+        {VmcsField::IoBitmapA, "IO_BITMAP_A", C::Control, true, false},
+        {VmcsField::IoBitmapB, "IO_BITMAP_B", C::Control, true, false},
+        {VmcsField::MsrBitmap, "MSR_BITMAP", C::Control, true, false},
+        {VmcsField::EptPointer, "EPT_POINTER", C::Control, true, false},
+        {VmcsField::VmcsLinkPointer, "VMCS_LINK_POINTER", C::Control,
+         true, false},
+        {VmcsField::TscOffset, "TSC_OFFSET", C::Control, false, true},
+        {VmcsField::PreemptionTimerValue, "PREEMPTION_TIMER_VALUE",
+         C::Control, false, true},
+        {VmcsField::EntryIntrInfo, "ENTRY_INTR_INFO", C::Control, false,
+         false},
+        {VmcsField::EntryIntrErrCode, "ENTRY_INTR_ERR_CODE", C::Control,
+         false, false},
+        {VmcsField::EntryInstrLen, "ENTRY_INSTR_LEN", C::Control, false,
+         false},
+        {VmcsField::ExitReasonField, "EXIT_REASON", C::ExitInfo, false,
+         true},
+        {VmcsField::ExitQualification, "EXIT_QUALIFICATION", C::ExitInfo,
+         false, true},
+        {VmcsField::GuestPhysAddr, "GUEST_PHYS_ADDR", C::ExitInfo, false,
+         true},
+        {VmcsField::GuestLinearAddr, "GUEST_LINEAR_ADDR", C::ExitInfo,
+         false, true},
+        {VmcsField::ExitIntrInfo, "EXIT_INTR_INFO", C::ExitInfo, false,
+         true},
+        {VmcsField::ExitIntrErrCode, "EXIT_INTR_ERR_CODE", C::ExitInfo,
+         false, true},
+        {VmcsField::ExitInstrLen, "EXIT_INSTR_LEN", C::ExitInfo, false,
+         true},
+        {VmcsField::ExitInstrInfo, "EXIT_INSTR_INFO", C::ExitInfo, false,
+         true},
+        {VmcsField::SvtVisor, "SVT_VISOR", C::Svt, false, false},
+        {VmcsField::SvtVm, "SVT_VM", C::Svt, false, false},
+        {VmcsField::SvtNested, "SVT_NESTED", C::Svt, false, false},
+    };
+    ASSERT_EQ(std::size(rows), 43u);
+    ASSERT_EQ(numVmcsFields, std::size(rows));
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const Row &r = rows[i];
+        SCOPED_TRACE(r.name);
+        EXPECT_EQ(static_cast<std::size_t>(r.field), i);
+        EXPECT_STREQ(vmcsFieldName(r.field), r.name);
+        EXPECT_EQ(vmcsFieldClass(r.field), r.cls);
+        EXPECT_EQ(vmcsFieldIsAddress(r.field), r.address);
+        EXPECT_EQ(vmcsFieldIsShadowable(r.field), r.shadowable);
+    }
 }
 
 TEST(Vmcs, EveryFieldHasNameAndClass)
