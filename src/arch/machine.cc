@@ -20,15 +20,9 @@ struct ScopeInfo
 
 /** Indexed by ScopeId. */
 constexpr ScopeInfo scopeTable[] = {
-    {"stage.l2", TraceCategory::Stage},
-    {"stage.switch_l2_l0", TraceCategory::Stage},
-    {"stage.transform", TraceCategory::Stage},
-    {"stage.l0_handler", TraceCategory::Stage},
-    {"stage.switch_l0_l1", TraceCategory::Stage},
-    {"stage.l1_handler", TraceCategory::Stage},
-    {"stage.channel", TraceCategory::Stage},
-    {"stage.l1_housekeeping", TraceCategory::Stage},
-    {"stage.svt_watchdog", TraceCategory::Stage},
+#define SVTSIM_STAGE_SCOPE_INFO(id, name) {name, TraceCategory::Stage},
+    SVTSIM_STAGE_SCOPES(SVTSIM_STAGE_SCOPE_INFO)
+#undef SVTSIM_STAGE_SCOPE_INFO
 #define SVTSIM_EXIT_SCOPE_INFO(reason, name)                              \
     {"exit." name, TraceCategory::Exit},
     SVTSIM_EXIT_REASONS(SVTSIM_EXIT_SCOPE_INFO)

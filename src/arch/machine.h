@@ -33,24 +33,31 @@ struct MachineTopology
     int totalCores() const { return numaNodes * coresPerNode; }
 };
 
+/** The `stage.*` scopes in ScopeId order, as X(enumerator, name): the
+ *  Table 1 stages, then SW SVt's ring, L1 housekeeping, the watchdog. */
+#define SVTSIM_STAGE_SCOPES(X)                                            \
+    X(StageL2, "stage.l2")                                                \
+    X(StageSwitchL2L0, "stage.switch_l2_l0")                              \
+    X(StageTransform, "stage.transform")                                  \
+    X(StageL0Handler, "stage.l0_handler")                                 \
+    X(StageSwitchL0L1, "stage.switch_l0_l1")                              \
+    X(StageL1Handler, "stage.l1_handler")                                 \
+    X(StageChannel, "stage.channel")                                      \
+    X(StageL1Housekeeping, "stage.l1_housekeeping")                       \
+    X(StageSvtWatchdog, "stage.svt_watchdog")
+
 /**
  * Time-attribution scopes: one fixed table shared by Machine's buckets
- * and ledger, TimeScope and the trace spans. The Table 1 stages come
- * first (the ledger charges them; `exit.*` scopes are transparent), then
- * one `exit.<REASON>` scope per ExitReason, in ExitReason order. Each
- * entry's name and trace category live in machine.cc.
+ * and ledger, TimeScope and the trace spans. The stages come first
+ * (the ledger charges them; `exit.*` scopes are transparent), then one
+ * `exit.<REASON>` scope per ExitReason. Both lists generate this enum
+ * and machine.cc's name table.
  */
 enum class ScopeId : std::uint8_t
 {
-    StageL2,             ///< stage.l2
-    StageSwitchL2L0,     ///< stage.switch_l2_l0
-    StageTransform,      ///< stage.transform
-    StageL0Handler,      ///< stage.l0_handler
-    StageSwitchL0L1,     ///< stage.switch_l0_l1
-    StageL1Handler,      ///< stage.l1_handler
-    StageChannel,        ///< stage.channel
-    StageL1Housekeeping, ///< stage.l1_housekeeping
-    StageSvtWatchdog,    ///< stage.svt_watchdog
+#define SVTSIM_STAGE_SCOPE_ID(id, name) id,
+    SVTSIM_STAGE_SCOPES(SVTSIM_STAGE_SCOPE_ID)
+#undef SVTSIM_STAGE_SCOPE_ID
 #define SVTSIM_EXIT_SCOPE_ID(reason, name) Exit##reason,
     SVTSIM_EXIT_REASONS(SVTSIM_EXIT_SCOPE_ID)
 #undef SVTSIM_EXIT_SCOPE_ID

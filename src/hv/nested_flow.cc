@@ -17,21 +17,6 @@
 
 namespace svtsim {
 
-namespace {
-
-/** VMCS fields carrying guest-physical addresses (transform surcharge). */
-int
-countAddressFields()
-{
-    int n = 0;
-    for (std::size_t i = 0; i < numVmcsFields; ++i)
-        if (vmcsFieldIsAddress(static_cast<VmcsField>(i)))
-            ++n;
-    return n;
-}
-
-} // namespace
-
 // ----------------------------------------------------- L2 <-> L0 boundary
 
 void
@@ -90,11 +75,14 @@ VirtStack::resumeL2()
 Ticks
 VirtStack::transformPassCost() const
 {
-    static const int addr_fields = countAddressFields();
+    // The fields carrying guest-physical addresses pay a surcharge.
+    constexpr auto addressFields =
+        std::count_if(std::begin(vmcsFieldTable), std::end(vmcsFieldTable),
+                      [](const VmcsFieldInfo &f) { return f.address; });
     const CostModel &c = machine_.costs();
     return c.vmcsXformFixed +
            static_cast<Ticks>(numVmcsFields) * c.vmcsFieldCopy +
-           addr_fields * c.vmcsFieldXlate;
+           addressFields * c.vmcsFieldXlate;
 }
 
 void
@@ -163,7 +151,8 @@ directReflectable(ExitReason reason)
 void
 VirtStack::nestedExitFromL2(const ExitInfo &info)
 {
-    simAssert(isNestedMode(), "nestedExitFromL2 outside nested mode");
+    simAssert(isNestedMode(config_.mode),
+              "nestedExitFromL2 outside nested mode");
     TimeScope exit_scope(machine_, exitScope(info.reason));
     ReasonMetrics &rm =
         l2ExitMetric_[static_cast<std::size_t>(info.reason)];
@@ -1052,14 +1041,16 @@ L2Api::timerVector() const
 void
 L2Api::compute(Ticks t)
 {
-    simAssert(stack_.isNestedMode(), "L2Api outside nested mode");
+    simAssert(isNestedMode(stack_.config_.mode),
+              "L2Api outside nested mode");
     stack_.computeInSlices(t, /*stageL2=*/true);
 }
 
 CpuidResult
 L2Api::cpuid(std::uint64_t leaf)
 {
-    simAssert(stack_.isNestedMode(), "L2Api outside nested mode");
+    simAssert(isNestedMode(stack_.config_.mode),
+              "L2Api outside nested mode");
     stack_.pumpInterrupts();
     const CostModel &c = stack_.machine_.costs();
     {
@@ -1273,10 +1264,9 @@ L1Backend::shadowed(VmcsField field, std::uint64_t &value, bool write)
         VmxEngine *e = stack_.l1Engine_;
         simAssert(e != nullptr && e->inGuest(),
                   "L1 VMCS access outside an execution window");
-        return write ? e->guestVmwrite(field, value)
-                     : e->guestVmread(field, value);
+        return e->guestVmcsAccess(field, value, write);
     }
-    if (!stack_.config_.hwVmcsShadowing || !vmcsFieldIsShadowable(field))
+    if (!stack_.config_.hwVmcsShadowing || !vmcsFieldShadows(field, write))
         return false;
     stack_.machine_.consume(costs().vmShadowAccess);
     if (write)

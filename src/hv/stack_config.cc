@@ -4,26 +4,19 @@
 
 namespace svtsim {
 
-namespace {
-
-bool
-isSvtMode(VirtMode mode)
-{
-    return mode == VirtMode::SwSvt || mode == VirtMode::HwSvt;
-}
-
-bool
-isNestedMode(VirtMode mode)
-{
-    return mode == VirtMode::Nested || isSvtMode(mode);
-}
-
-} // namespace
-
 void
 validateStackConfig(const StackConfig &config)
 {
+    // The name functions return "?" for a value outside their enum.
     const char *mode = virtModeName(config.mode);
+    const char *mechanism = waitMechanismName(config.channel.mechanism);
+    const char *placement = placementName(config.channel.placement);
+    if (*mode == '?' || *mechanism == '?' || *placement == '?')
+        fatal("StackConfig: mode %d, channel mechanism %d or placement "
+              "%d is not a value of its enum",
+              static_cast<int>(config.mode),
+              static_cast<int>(config.channel.mechanism),
+              static_cast<int>(config.channel.placement));
 
     if (config.svtDirectReflect && config.mode != VirtMode::HwSvt) {
         fatal("StackConfig: svtDirectReflect models the Section 3.1 "
@@ -41,8 +34,7 @@ validateStackConfig(const StackConfig &config)
               "tunes the SW SVt command rings, which mode %s does not "
               "use; leave channel at its default or use "
               "VirtMode::SwSvt",
-              waitMechanismName(config.channel.mechanism),
-              placementName(config.channel.placement), mode);
+              mechanism, placement, mode);
     }
 
     if (config.svtWatchdog.enabled) {

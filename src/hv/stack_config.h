@@ -27,6 +27,20 @@ enum class VirtMode
 
 const char *virtModeName(VirtMode mode);
 
+/** Whether @p mode runs SVt (software or hardware). */
+constexpr bool
+isSvtMode(VirtMode mode)
+{
+    return mode == VirtMode::SwSvt || mode == VirtMode::HwSvt;
+}
+
+/** Whether @p mode runs an L2 on an L1 on L0. */
+constexpr bool
+isNestedMode(VirtMode mode)
+{
+    return mode == VirtMode::Nested || isSvtMode(mode);
+}
+
 /**
  * Heartbeat watchdog on the SW SVt L0<->SVt-thread handshake.
  *

@@ -145,14 +145,6 @@ class VirtStack
     void setupSingle();
     void setupNested();
 
-    // -- Mode predicates ------------------------------------------------------
-    bool isNestedMode() const
-    {
-        return config_.mode == VirtMode::Nested ||
-               config_.mode == VirtMode::SwSvt ||
-               config_.mode == VirtMode::HwSvt;
-    }
-
     // -- L2 trap machinery (Algorithm 1) -------------------------------------
     /** Full nested exit round: trap, reflect, handle in L1, resume. */
     void nestedExitFromL2(const ExitInfo &info);

@@ -76,7 +76,6 @@ class SvtUnit
     void disable();
 
     const SvtUregs &uregs() const { return uregs_; }
-    SmtCore &core() { return core_; }
 
     // -- VMCS interactions -----------------------------------------------
     /**

@@ -63,6 +63,7 @@ ClusterSpec::validate() const
             fatal("ClusterSpec: machine '%s' declared twice; names "
                   "must be unique (they key port/driver lookup)",
                   m.name.c_str());
+        validateStackConfig(m.config);
     }
     std::unordered_set<std::string> pairs;
     for (const LinkDecl &l : links_) {

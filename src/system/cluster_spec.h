@@ -57,10 +57,11 @@ class ClusterSpec
 
     /**
      * Validate the declaration: at least one machine, unique non-empty
-     * machine names, link endpoints declared and distinct, at most one
-     * link per machine pair (so Cluster::port(name, peer) is
-     * unambiguous), positive wire parameters. FatalError with an
-     * actionable message otherwise. realize() validates implicitly.
+     * machine names, valid stack configs (validateStackConfig), link
+     * endpoints declared and distinct, at most one link per machine
+     * pair (so Cluster::port(name, peer) is unambiguous), positive wire
+     * parameters. FatalError with an actionable message otherwise.
+     * realize() validates implicitly.
      */
     void validate() const;
 

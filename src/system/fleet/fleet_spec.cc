@@ -89,19 +89,24 @@ policyCapacity(const TopologySpec &topo, PlacementPolicy policy)
 int
 totalVcpuDemand(const FleetSpec &spec)
 {
-    int demand = 0;
+    long long demand = 0; // wide, so that no int sum overflows
     for (const TenantSpec &t : spec.tenants)
         demand += t.vcpus;
-    return demand;
+    if (!std::in_range<int>(demand))
+        fatal("FleetSpec: a total demand of %lld vCPUs does not fit an "
+              "int", demand);
+    return static_cast<int>(demand);
 }
 
 void
 validateTopologySpec(const TopologySpec &topo)
 {
-    if (topo.sockets < 1 || topo.coresPerSocket < 1 ||
-        topo.smtWays < 1)
+    // At most 1024 each, so every slot count (up to 2^30 hardware
+    // threads) fits an int before any product is formed.
+    auto bad = [](int n) { return n < 1 || n > 1024; };
+    if (bad(topo.sockets) || bad(topo.coresPerSocket) || bad(topo.smtWays))
         fatal("TopologySpec: %d sockets x %d cores x %d-way SMT is "
-              "not a machine; every dimension must be >= 1",
+              "not a machine; every dimension must be >= 1 and <= 1024",
               topo.sockets, topo.coresPerSocket, topo.smtWays);
 }
 
@@ -113,6 +118,9 @@ validateTenantSpec(const TenantSpec &tenant)
               "needs a unique non-empty name (it keys per-tenant "
               "metrics and SLO reporting)");
     const char *name = tenant.name.c_str();
+    if (*tenantWorkloadName(tenant.workload) == '?') // not an enumerator
+        fatal("TenantSpec '%s': workload %d is not a TenantWorkload",
+              name, static_cast<int>(tenant.workload));
     if (tenant.vcpus < 1)
         fatal("TenantSpec '%s': demands %d vCPUs; a tenant must "
               "demand at least one",
@@ -166,8 +174,7 @@ validateFleetSpec(const FleetSpec &spec)
                   "Use smtWays=2 (the Table 4 testbed) or a non-paired "
                   "policy (sibling-share, isolate)",
                   spec.topology.smtWays);
-        if (spec.pairedMode != VirtMode::SwSvt &&
-            spec.pairedMode != VirtMode::HwSvt)
+        if (!isSvtMode(spec.pairedMode))
             fatal("FleetSpec: pairedMode %s is not an SVt mode; "
                   "svt-pair slots run SwSvt or HwSvt stacks",
                   virtModeName(spec.pairedMode));

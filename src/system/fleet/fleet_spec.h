@@ -40,7 +40,7 @@
 namespace svtsim {
 
 /** Physical topology the fleet is placed on (Table 4 defaults:
- *  2 sockets x 8 cores x 2-way SMT). */
+ *  2 sockets x 8 cores x 2-way SMT; each dimension in [1, 1024]). */
 struct TopologySpec
 {
     int sockets = 2;

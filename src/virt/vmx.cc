@@ -147,44 +147,27 @@ VmxEngine::vmexit(const ExitInfo &info)
 }
 
 bool
-VmxEngine::guestVmread(VmcsField field, std::uint64_t &value)
+VmxEngine::guestVmcsAccess(VmcsField field, std::uint64_t &value,
+                           bool write)
 {
     if (!inGuest_)
-        panic("guestVmread outside guest mode");
+        panic("guest %s outside guest mode", write ? "vmwrite" : "vmread");
     Vmcs *shadow = current_ ? current_->shadowLink() : nullptr;
-    bool shadowing = current_ &&
-                     (current_->read(VmcsField::ProcControls2) &
-                      procCtl2ShadowVmcs);
-    if (shadowing && shadow && vmcsFieldIsShadowable(field)) {
-        machine_.consume(machine_.costs().vmShadowAccess);
-        value = shadow->read(field);
-        shadowReadMetric_.inc();
-        SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmcs,
-                             "vmcs.shadow_read");
-        return true;
-    }
-    return false;
-}
-
-bool
-VmxEngine::guestVmwrite(VmcsField field, std::uint64_t value)
-{
-    if (!inGuest_)
-        panic("guestVmwrite outside guest mode");
-    Vmcs *shadow = current_ ? current_->shadowLink() : nullptr;
-    bool shadowing = current_ &&
-                     (current_->read(VmcsField::ProcControls2) &
-                      procCtl2ShadowVmcs);
-    if (shadowing && shadow && vmcsFieldIsShadowable(field) &&
-        vmcsFieldClass(field) != VmcsFieldClass::ExitInfo) {
-        machine_.consume(machine_.costs().vmShadowAccess);
+    if (!shadow ||
+        !(current_->read(VmcsField::ProcControls2) & procCtl2ShadowVmcs) ||
+        !vmcsFieldShadows(field, write))
+        return false;
+    machine_.consume(machine_.costs().vmShadowAccess);
+    if (write) {
         shadow->write(field, value);
         shadowWriteMetric_.inc();
-        SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmcs,
-                             "vmcs.shadow_write");
-        return true;
+    } else {
+        value = shadow->read(field);
+        shadowReadMetric_.inc();
     }
-    return false;
+    SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Vmcs,
+                         write ? "vmcs.shadow_write" : "vmcs.shadow_read");
+    return true;
 }
 
 } // namespace svtsim

@@ -55,7 +55,6 @@ class VmxEngine
     Vmcs *currentVmcs() { return current_; }
     const Vmcs *currentVmcs() const { return current_; }
     HwContext &context() { return core_.context(ctx_); }
-    SmtCore &core() { return core_; }
 
     // -- Root-mode operations (host hypervisor software) ---------------
     void vmxon();
@@ -84,17 +83,16 @@ class VmxEngine
 
     // -- Non-root (guest) shadow access -----------------------------------
     /**
-     * A guest vmread: satisfied by the shadow VMCS without a trap when
-     * shadowing is on and the field is shadowable.
+     * A guest vmread (@p write false) or vmwrite: satisfied by the
+     * shadow VMCS without a trap when shadowing is on and
+     * vmcsFieldShadows() allows it.
      *
-     * @param[out] value The value read, if no trap is needed.
+     * @param[in,out] value The value read or written.
      * @return True if satisfied in hardware; false if the access must
      *         trap to the host hypervisor.
      */
-    bool guestVmread(VmcsField field, std::uint64_t &value);
-
-    /** A guest vmwrite; same contract as guestVmread(). */
-    bool guestVmwrite(VmcsField field, std::uint64_t value);
+    bool guestVmcsAccess(VmcsField field, std::uint64_t &value,
+                         bool write);
 
   private:
     /** MSR-list switch cost applicable to the current VMCS. */

@@ -6,11 +6,13 @@
  * the Table 4 policy ordering (svt-pair beats isolate).
  */
 
+#include <climits>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "hostile_draws.h"
 #include "io/cross_link.h"
 #include "sim/log.h"
 #include "system/cluster.h"
@@ -83,6 +85,31 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
             validateTopologySpec(topo);
         },
         "every dimension must be >= 1");
+
+    // Slot counts that would overflow an int are rejected before the
+    // product or sum is formed (46341^2 > INT_MAX).
+    expectFatal(
+        [] {
+            FleetSpec spec;
+            spec.topology = TopologySpec{46341, 46341, 1};
+            spec.tenants = {memcachedTenant("mc", 1, 1000)};
+            validateFleetSpec(spec);
+        },
+        "<= 1024");
+    expectFatal(
+        [] {
+            TopologySpec topo{2, 8, INT_MAX};
+            validateTopologySpec(topo);
+        },
+        "<= 1024");
+    expectFatal(
+        [] {
+            FleetSpec spec;
+            spec.tenants = {memcachedTenant("big", INT_MAX, 1000),
+                            memcachedTenant("two", 2, 1000)};
+            validateFleetSpec(spec);
+        },
+        "does not fit an int");
 
     expectFatal(
         [] {
@@ -210,6 +237,94 @@ TEST(ClusterSpecValidation, RejectsMalformedSpecs)
             cs.validate();
         },
         "non-positive");
+}
+
+TEST(FleetSpecValidation, RandomSpecsValidateOrThrowFatalError)
+{
+    // Seeded fleets with hostile topologies, tenants and knobs (0,
+    // negatives, INT_MIN/MAX, 64-bit tick extremes, out-of-range enum
+    // values, empty and repeated names): each one either validates or
+    // raises FatalError; anything else escaping (a signed-overflow
+    // abort under UBSan included) is a validator bug. Nothing is
+    // placed or run.
+    Rng rng(2030);
+    const char *names[] = {"", "a", "b", "c"};
+    auto small = [&rng] { return 1 + static_cast<int>(rng.below(4)); };
+    int valid = 0, rejected = 0;
+    for (int i = 0; i < 5000; ++i) {
+        FleetSpec spec;
+        const bool hostileTopo = rng.below(3) == 0;
+        spec.topology = TopologySpec{
+            hostileTopo ? hostileInt(rng) : small(),
+            hostileTopo ? hostileInt(rng) : small(),
+            hostileTopo ? hostileInt(rng) : 2};
+        if (rng.below(4) == 0)
+            spec.policy = hostileEnum<PlacementPolicy>(rng, 3);
+        if (rng.below(4) == 0)
+            spec.pairedMode = hostileEnum<VirtMode>(rng, 5);
+        for (std::uint64_t t = 0, n = rng.below(4); t < n; ++t) {
+            TenantSpec tenant = memcachedTenant(
+                names[rng.below(std::size(names))], 1, 1000);
+            if (rng.below(4) == 0)
+                tenant.workload = hostileEnum<TenantWorkload>(rng, 3);
+            tenant.vcpus = rng.below(2) ? 1 : hostileInt(rng);
+            if (rng.below(4) == 0)
+                tenant.sloTarget = hostileInt(rng);
+            if (rng.below(4) == 0)
+                tenant.qpsPerVcpu = hostileInt(rng);
+            if (rng.below(4) == 0)
+                tenant.fps = hostileInt(rng);
+            if (rng.below(4) == 0)
+                tenant.duration = hostileTicks(rng);
+            spec.tenants.push_back(tenant);
+        }
+        if (rng.below(4) == 0)
+            spec.linkLatency = hostileTicks(rng);
+        if (rng.below(4) == 0)
+            spec.smtContention = hostileInt(rng);
+        try {
+            validateFleetSpec(spec);
+            ++valid;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(valid, 100);
+    EXPECT_GT(rejected, 100);
+}
+
+TEST(ClusterSpecValidation, RandomSpecsValidateOrThrowFatalError)
+{
+    // Seeded cluster declarations: names from a small pool (empty and
+    // undeclared ones included), hostile stack configs and wire
+    // parameters. Each one either validates or raises FatalError;
+    // nothing is realized, so no machine is built and nothing runs.
+    Rng rng(2031);
+    const char *names[] = {"", "a", "b", "c", "z"};
+    auto pick = [&] { return names[rng.below(std::size(names))]; };
+    int valid = 0, rejected = 0;
+    for (int i = 0; i < 5000; ++i) {
+        ClusterSpec cs;
+        for (std::uint64_t m = 0, n = rng.below(4); m < n; ++m)
+            cs.machine(pick(), MachineTopology{},
+                       rng.below(4) ? StackConfig{}
+                                    : hostileStackConfig(rng));
+        for (std::uint64_t l = 0, n = rng.below(4); l < n; ++l) {
+            if (rng.below(2))
+                cs.link(pick(), pick());
+            else
+                cs.link(pick(), pick(), hostileTicks(rng),
+                        hostileInt(rng));
+        }
+        try {
+            cs.validate();
+            ++valid;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(valid, 100);
+    EXPECT_GT(rejected, 100);
 }
 
 TEST(ClusterSpecBuild, ResolvesNamesAndPorts)

@@ -20,6 +20,7 @@
 #include "sim/fault.h"
 #include "sim/log.h"
 #include "sim/trace.h"
+#include "hostile_draws.h"
 
 namespace svtsim {
 namespace {
@@ -68,6 +69,29 @@ timeOf(Machine &machine, F &&fn)
     Ticks t0 = machine.now();
     fn();
     return machine.now() - t0;
+}
+
+// ------------------------------------------------------------ validation
+
+TEST(StackConfigValidation, RandomConfigsValidateOrThrowFatalError)
+{
+    // Seeded configs with hostile knobs (0, negatives, INT_MIN/MAX,
+    // 64-bit tick extremes, out-of-range enum values): each one either
+    // validates or raises FatalError; anything else escaping is a
+    // validator bug. Nothing is built from them.
+    Rng rng(2029);
+    int valid = 0, rejected = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const StackConfig config = hostileStackConfig(rng);
+        try {
+            validateStackConfig(config);
+            ++valid;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(valid, 100);
+    EXPECT_GT(rejected, 100);
 }
 
 // ----------------------------------------------------------- construction
@@ -712,6 +736,42 @@ TEST(VirtStack, L2HypercallRoundTrip)
     }
 }
 
+
+TEST(VirtStack, ExitInfoIsShadowReadableButNotWritable)
+{
+    // One shadowing rule on both L1 paths: on a VMX engine (nested,
+    // SW SVt) and on an SVt context (HW SVt), L1's vmread of exit
+    // information and its vmwrite of simple guest state stay in
+    // hardware, while its vmwrite of exit information traps to L0.
+    for (VirtMode mode :
+         {VirtMode::Nested, VirtMode::SwSvt, VirtMode::HwSvt}) {
+        SCOPED_TRACE(virtModeName(mode));
+        Rig rig(mode);
+        std::uint64_t reads = 0, cr3Writes = 0, exitWrites = 0;
+        std::uint64_t readBack = 0;
+        VirtStack &stack = *rig.stack;
+        const Machine &m = rig.machine;
+        stack.l1Hv().registerHypercall(
+            42, [&](std::uint64_t, std::uint64_t) -> std::uint64_t {
+                L1Backend backend(stack);
+                const auto vmreads = m.counter("l0.exit.VMREAD");
+                const auto vmwrites = m.counter("l0.exit.VMWRITE");
+                backend.vmcsRead(VmcsField::ExitQualification);
+                reads = m.counter("l0.exit.VMREAD") - vmreads;
+                backend.vmcsWrite(VmcsField::GuestCr3, 0x5000);
+                cr3Writes = m.counter("l0.exit.VMWRITE") - vmwrites;
+                backend.vmcsWrite(VmcsField::ExitQualification, 0x77);
+                exitWrites = m.counter("l0.exit.VMWRITE") - vmwrites;
+                readBack = backend.vmcsRead(VmcsField::ExitQualification);
+                return 0;
+            });
+        stack.api().vmcall(42, 0, 0);
+        EXPECT_EQ(reads, 0u);
+        EXPECT_EQ(cr3Writes, 0u);
+        EXPECT_EQ(exitWrites, 1u);
+        EXPECT_EQ(readBack, 0x77u);
+    }
+}
 
 TEST(VirtStack, L2IoPortReachesL1Device)
 {

@@ -167,6 +167,31 @@ TEST(Vmcs, FieldTableIsPinned)
     }
 }
 
+TEST(Vmcs, ShadowRuleCoversEveryFieldBothWays)
+{
+    // Reads shadow exactly the shadowable fields; writes shadow the
+    // same fields minus exit information, which is read-only.
+    int exitInfoFields = 0;
+    for (std::size_t i = 0; i < numVmcsFields; ++i) {
+        const auto f = static_cast<VmcsField>(i);
+        SCOPED_TRACE(vmcsFieldName(f));
+        const bool exitInfo = vmcsFieldClass(f) == VmcsFieldClass::ExitInfo;
+        EXPECT_EQ(vmcsFieldShadows(f, /*write=*/false),
+                  vmcsFieldIsShadowable(f));
+        EXPECT_EQ(vmcsFieldShadows(f, /*write=*/true),
+                  vmcsFieldIsShadowable(f) && !exitInfo);
+        if (exitInfo) {
+            ++exitInfoFields;
+            EXPECT_TRUE(vmcsFieldShadows(f, /*write=*/false));
+            EXPECT_FALSE(vmcsFieldShadows(f, /*write=*/true));
+        }
+    }
+    EXPECT_EQ(exitInfoFields, 8);
+    const auto bad = static_cast<VmcsField>(numVmcsFields);
+    EXPECT_FALSE(vmcsFieldShadows(bad, /*write=*/false));
+    EXPECT_FALSE(vmcsFieldShadows(bad, /*write=*/true));
+}
+
 TEST(Vmcs, EveryFieldHasNameAndClass)
 {
     for (std::size_t i = 0; i < numVmcsFields; ++i) {
@@ -403,7 +428,8 @@ TEST_F(VmxTest, ShadowReadHitsWithoutTrap)
     engine.vmentry(true);
 
     std::uint64_t value = 0;
-    EXPECT_TRUE(engine.guestVmread(VmcsField::ExitReasonField, value));
+    EXPECT_TRUE(engine.guestVmcsAccess(VmcsField::ExitReasonField, value,
+                                       /*write=*/false));
     EXPECT_EQ(value, static_cast<std::uint64_t>(ExitReason::Cpuid));
     EXPECT_EQ(machine.counter("vmx.shadow_read") +
                   machine.counter("vmx.shadow_write"),
@@ -420,7 +446,9 @@ TEST_F(VmxTest, ShadowWriteUpdatesShadow)
     engine.vmptrld(&vmcs);
     engine.vmentry(true);
 
-    EXPECT_TRUE(engine.guestVmwrite(VmcsField::GuestRip, 0xabc));
+    std::uint64_t value = 0xabc;
+    EXPECT_TRUE(engine.guestVmcsAccess(VmcsField::GuestRip, value,
+                                       /*write=*/true));
     EXPECT_EQ(shadow.read(VmcsField::GuestRip), 0xabcu);
 }
 
@@ -434,9 +462,11 @@ TEST_F(VmxTest, NonShadowableFieldMustTrap)
     engine.vmptrld(&vmcs);
     engine.vmentry(true);
 
-    std::uint64_t value;
-    EXPECT_FALSE(engine.guestVmread(VmcsField::EptPointer, value));
-    EXPECT_FALSE(engine.guestVmwrite(VmcsField::EntryIntrInfo, 7));
+    std::uint64_t value = 7;
+    EXPECT_FALSE(engine.guestVmcsAccess(VmcsField::EptPointer, value,
+                                        /*write=*/false));
+    EXPECT_FALSE(engine.guestVmcsAccess(VmcsField::EntryIntrInfo, value,
+                                        /*write=*/true));
 }
 
 TEST_F(VmxTest, ShadowingDisabledAlwaysTraps)
@@ -449,19 +479,23 @@ TEST_F(VmxTest, ShadowingDisabledAlwaysTraps)
     engine.vmptrld(&vmcs);
     engine.vmentry(true);
 
-    std::uint64_t value;
-    EXPECT_FALSE(engine.guestVmread(VmcsField::GuestRip, value));
-    EXPECT_FALSE(engine.guestVmwrite(VmcsField::GuestRip, 1));
+    std::uint64_t value = 1;
+    EXPECT_FALSE(engine.guestVmcsAccess(VmcsField::GuestRip, value,
+                                        /*write=*/false));
+    EXPECT_FALSE(engine.guestVmcsAccess(VmcsField::GuestRip, value,
+                                        /*write=*/true));
 }
 
 TEST_F(VmxTest, GuestAccessorsOutsideGuestPanic)
 {
     engine.vmxon();
     engine.vmptrld(&vmcs);
-    std::uint64_t value;
-    EXPECT_THROW(engine.guestVmread(VmcsField::GuestRip, value),
+    std::uint64_t value = 1;
+    EXPECT_THROW(engine.guestVmcsAccess(VmcsField::GuestRip, value,
+                                        /*write=*/false),
                  PanicError);
-    EXPECT_THROW(engine.guestVmwrite(VmcsField::GuestRip, 1),
+    EXPECT_THROW(engine.guestVmcsAccess(VmcsField::GuestRip, value,
+                                        /*write=*/true),
                  PanicError);
 }
 
