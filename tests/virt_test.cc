@@ -71,6 +71,40 @@ TEST(Vmcs, RecordAndReadExitInfo)
     EXPECT_EQ(back.vector, 42);
 }
 
+TEST(Vmcs, FieldClassification)
+{
+    EXPECT_EQ(vmcsFieldClass(VmcsField::GuestRip),
+              VmcsFieldClass::GuestState);
+    EXPECT_EQ(vmcsFieldClass(VmcsField::HostRip),
+              VmcsFieldClass::HostState);
+    EXPECT_EQ(vmcsFieldClass(VmcsField::EptPointer),
+              VmcsFieldClass::Control);
+    EXPECT_EQ(vmcsFieldClass(VmcsField::ExitReasonField),
+              VmcsFieldClass::ExitInfo);
+    EXPECT_EQ(vmcsFieldClass(VmcsField::SvtVm), VmcsFieldClass::Svt);
+}
+
+TEST(Vmcs, AddressFields)
+{
+    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::EptPointer));
+    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::MsrBitmap));
+    EXPECT_TRUE(vmcsFieldIsAddress(VmcsField::IoBitmapA));
+    EXPECT_FALSE(vmcsFieldIsAddress(VmcsField::GuestRip));
+    EXPECT_FALSE(vmcsFieldIsAddress(VmcsField::ExitReasonField));
+}
+
+TEST(Vmcs, ShadowableFields)
+{
+    // Simple guest state and exit info shadow; addresses, injection
+    // and SVt context ids never do (Section 2.1's "limited benefits").
+    EXPECT_TRUE(vmcsFieldIsShadowable(VmcsField::GuestRip));
+    EXPECT_TRUE(vmcsFieldIsShadowable(VmcsField::ExitReasonField));
+    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::EptPointer));
+    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::EntryIntrInfo));
+    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::SvtVm));
+    EXPECT_FALSE(vmcsFieldIsShadowable(VmcsField::HostRip));
+}
+
 TEST(Vmcs, FieldTableIsPinned)
 {
     // Every modeled field in enum order, with its name, class, whether
