@@ -34,7 +34,7 @@ FleetSpec
 baseSpec(bool quick)
 {
     FleetSpec spec;
-    spec.topology = TopologySpec{2, 8, 2};
+    spec.topology = MachineTopology{2, 8, 2};
     TenantSpec mc = memcachedTenant("mc", quick ? 2 : 6, 6000.0);
     mc.duration = quick ? msec(60) : msec(200);
     TenantSpec db = tpccTenant("db", quick ? 1 : 5);
@@ -62,7 +62,7 @@ main(int argc, char **argv)
     for (PlacementPolicy policy : policies) {
         bench.addCluster(
             placementPolicyName(policy),
-            policy == PlacementPolicy::SvtPair ? FleetSpec{}.pairedMode
+            policy == PlacementPolicy::SvtPair ? FleetSpec::pairedMode
                                                : VirtMode::Nested,
             [policy, &quick](ClusterContext &ctx, ScenarioResult &r) {
                 FleetSpec spec = baseSpec(quick);
@@ -77,9 +77,9 @@ main(int argc, char **argv)
         std::printf("Fleet-scale SMT placement policies: %d tenants, "
                     "%d vCPUs on %dx%dx%d\n\n",
                     static_cast<int>(spec.tenants.size()),
-                    totalVcpuDemand(spec), spec.topology.sockets,
-                    spec.topology.coresPerSocket,
-                    spec.topology.smtWays);
+                    totalVcpuDemand(spec), spec.topology.numaNodes,
+                    spec.topology.coresPerNode,
+                    spec.topology.threadsPerCore);
 
         Table per({"Tenant", "SLO", "svt-pair", "sibling-share",
                    "isolate"});

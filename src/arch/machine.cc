@@ -56,14 +56,22 @@ scopeName(ScopeId id)
     return scopeInfo(id).name;
 }
 
+void
+validateTopology(const MachineTopology &topo)
+{
+    auto bad = [](int n) { return n < 1 || n > 1024; };
+    if (bad(topo.numaNodes) || bad(topo.coresPerNode) ||
+        bad(topo.threadsPerCore))
+        fatal("MachineTopology: %d nodes x %d cores x %d-way SMT is "
+              "not a machine; every dimension must be >= 1 and <= 1024",
+              topo.numaNodes, topo.coresPerNode, topo.threadsPerCore);
+}
+
 Machine::Machine(MachineTopology topo, CostModel costs,
                  std::uint64_t seed)
     : topo_(topo), costs_(costs), rng_(seed), seed_(seed)
 {
-    if (topo_.numaNodes < 1 || topo_.coresPerNode < 1 ||
-        topo_.threadsPerCore < 1) {
-        fatal("Machine topology must have at least one of everything");
-    }
+    validateTopology(topo_);
     scopeStack_.reserve(16);
     int id = 0;
     for (int node = 0; node < topo_.numaNodes; ++node) {

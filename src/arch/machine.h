@@ -23,7 +23,8 @@
 
 namespace svtsim {
 
-/** Physical machine shape (Table 4: 2x 8-core 2-SMT Xeon). */
+/** Physical machine shape (Table 4: 2x 8-core 2-SMT Xeon); each
+ *  dimension in [1, 1024] (see validateTopology). */
 struct MachineTopology
 {
     int numaNodes = 2;
@@ -32,6 +33,10 @@ struct MachineTopology
 
     int totalCores() const { return numaNodes * coresPerNode; }
 };
+
+/** FatalError unless every dimension of @p topo is in [1, 1024], so
+ *  every hardware-thread count (at most 2^30) fits an int. */
+void validateTopology(const MachineTopology &topo);
 
 /** The `stage.*` scopes in ScopeId order, as X(enumerator, name): the
  *  Table 1 stages, then SW SVt's ring, L1 housekeeping, the watchdog. */

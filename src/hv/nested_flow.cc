@@ -464,7 +464,6 @@ VirtStack::serviceSvtThreadPreemption()
     Ticks duration = pendingPreemption_;
     pendingPreemption_ = 0;
     const CostModel &c = machine_.costs();
-    const SvtWatchdogConfig &wd = config_.svtWatchdog;
     preemptionMetric_.inc();
 
     // Section 5.3 scenario: a kernel thread in the sibling preempts
@@ -474,7 +473,7 @@ VirtStack::serviceSvtThreadPreemption()
     core_.lapic(1).sendIpi(vcpuL1_->lapic(), vec::l1Ipi);
 
     if (!config_.svtBlockedFix) {
-        if (!wd.enabled) {
+        if (!config_.svtWatchdog) {
             throw DeadlockError(
                 "SW SVt interrupt deadlock (paper Section 5.3): the "
                 "SVt-thread was preempted by a kernel thread that "
@@ -487,7 +486,7 @@ VirtStack::serviceSvtThreadPreemption()
         // stalled handshake: degrade, reschedule the L1 vCPU on the
         // now-free context (draining the IPI) and carry on.
         TimeScope t(machine_, ScopeId::StageSvtWatchdog);
-        machine_.consume(wd.timeout);
+        machine_.consume(svt_watchdog::timeout);
         svtFallback();
         vcpuL1_->lapic().raise(vec::l1Ipi);
         drainL1Ipis();
@@ -500,8 +499,9 @@ VirtStack::serviceSvtThreadPreemption()
     // trap so the vCPU enables interrupts and drains them, then
     // yields straight back. First wait for the IPI to land (delivery
     // latency; a fault plan can delay or drop it).
-    Ticks deadline =
-        machine_.now() + (wd.enabled ? wd.timeout : c.ipiLatency * 16);
+    Ticks deadline = machine_.now() + (config_.svtWatchdog
+                                           ? svt_watchdog::timeout
+                                           : c.ipiLatency * 16);
     while (!vcpuL1_->lapic().hasPending() &&
            machine_.now() < deadline) {
         // idleUntil may return early under a cluster AdvanceGate, so
@@ -515,7 +515,7 @@ VirtStack::serviceSvtThreadPreemption()
         // cannot come, so even the SVT_BLOCKED fix cannot make
         // progress (the fix assumes interrupt delivery works, and the
         // fault violated that assumption).
-        if (!wd.enabled) {
+        if (!config_.svtWatchdog) {
             throw DeadlockError(
                 "SW SVt interrupt deadlock (paper Section 5.3, IPI "
                 "lost): the preempting kernel thread's IPI to the L1 "
@@ -556,8 +556,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg)
 {
     bool arrived = ring.hasMessage();
     if (!arrived) {
-        const SvtWatchdogConfig &wd = config_.svtWatchdog;
-        if (!wd.enabled) {
+        if (!config_.svtWatchdog) {
             throw DeadlockError(
                 "SW SVt handshake hang: no command ever arrived on " +
                 ring.name() +
@@ -567,12 +566,13 @@ VirtStack::svtAwaitRing(CommandRing &ring, ChannelMessage &msg)
                 "degrade gracefully");
         }
         TimeScope t(machine_, ScopeId::StageSvtWatchdog);
-        for (int attempt = 1; attempt <= wd.maxRetries && !arrived;
-             ++attempt) {
+        for (int attempt = 1;
+             attempt <= svt_watchdog::maxRetries && !arrived; ++attempt) {
             // The heartbeat deadline passes; retry by re-ringing the
             // doorbell, with linear backoff between attempts.
-            machine_.consume(wd.timeout +
-                             static_cast<Ticks>(attempt - 1) * wd.backoff);
+            machine_.consume(svt_watchdog::timeout +
+                             static_cast<Ticks>(attempt - 1) *
+                                 svt_watchdog::backoff);
             svtWatchdogRetryMetric_.inc();
             SVTSIM_TRACE_INSTANT(machine_.traceSink(),
                                  TraceCategory::Channel,
@@ -601,7 +601,7 @@ VirtStack::svtFallback()
     ringToSvt_->clear();
     ringFromSvt_->clear();
     svtDegraded_ = true;
-    svtRepromoteAt_ = machine_.now() + config_.svtWatchdog.quietPeriod;
+    svtRepromoteAt_ = machine_.now() + svt_watchdog::quietPeriod;
     svtFallbackMetric_.inc();
     SVTSIM_TRACE_INSTANT(machine_.traceSink(), TraceCategory::Svt,
                          "svt.fallback");

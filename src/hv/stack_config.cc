@@ -37,20 +37,11 @@ validateStackConfig(const StackConfig &config)
               mechanism, placement, mode);
     }
 
-    if (config.svtWatchdog.enabled) {
-        if (config.mode != VirtMode::SwSvt) {
-            fatal("StackConfig: svtWatchdog guards the SW SVt "
-                  "L0<->SVt-thread handshake, which mode %s does not "
-                  "have; disable svtWatchdog or use VirtMode::SwSvt",
-                  mode);
-        }
-        if (config.svtWatchdog.timeout <= 0 ||
-            config.svtWatchdog.maxRetries < 1 ||
-            config.svtWatchdog.backoff < 0 ||
-            config.svtWatchdog.quietPeriod <= 0) {
-            fatal("StackConfig: svtWatchdog needs timeout > 0, "
-                  "maxRetries >= 1, backoff >= 0 and quietPeriod > 0");
-        }
+    if (config.svtWatchdog && config.mode != VirtMode::SwSvt) {
+        fatal("StackConfig: svtWatchdog guards the SW SVt "
+              "L0<->SVt-thread handshake, which mode %s does not "
+              "have; disable svtWatchdog or use VirtMode::SwSvt",
+              mode);
     }
 
     if (!config.svtBlockedFix && !isSvtMode(config.mode)) {

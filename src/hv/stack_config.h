@@ -42,29 +42,30 @@ isNestedMode(VirtMode mode)
 }
 
 /**
- * Heartbeat watchdog on the SW SVt L0<->SVt-thread handshake.
+ * Heartbeat watchdog on the SW SVt L0<->SVt-thread handshake
+ * (StackConfig::svtWatchdog).
  *
  * The prototype's protocol is one missed wakeup away from a hang
  * (Section 5.3); with the watchdog enabled, a handshake step that
  * misses its deadline is retried with linear backoff (re-ringing the
  * doorbell) and, when retries are exhausted, the stack degrades from
- * SW SVt to the conventional nested trap path. After quietPeriod of
- * degraded operation it re-promotes to SW SVt. Degradations and
+ * SW SVt to the conventional nested trap path. After the quiet period
+ * of degraded operation it re-promotes to SW SVt. Degradations and
  * re-promotions surface as the `svt.fallback` / `svt.repromote` PMU
  * counters and trace instants.
  */
-struct SvtWatchdogConfig
-{
-    bool enabled = false;
-    /** Heartbeat deadline for one handshake step. */
-    Ticks timeout = usec(50);
-    /** Doorbell retries before degrading. */
-    int maxRetries = 3;
-    /** Extra wait added per successive retry (linear backoff). */
-    Ticks backoff = usec(25);
-    /** Degraded time before re-promoting to SW SVt. */
-    Ticks quietPeriod = usec(500);
-};
+namespace svt_watchdog {
+
+/** Heartbeat deadline for one handshake step. */
+constexpr Ticks timeout = usec(10);
+/** Doorbell retries before degrading. */
+constexpr int maxRetries = 2;
+/** Extra wait added per successive retry (linear backoff). */
+constexpr Ticks backoff = usec(5);
+/** Degraded time before re-promoting to SW SVt. */
+constexpr Ticks quietPeriod = usec(200);
+
+} // namespace svt_watchdog
 
 /** Tuning knobs of the stack (defaults reproduce the paper's setup). */
 struct StackConfig
@@ -83,9 +84,10 @@ struct StackConfig
      *  off demonstrates the interrupt deadlock in tests. */
     bool svtBlockedFix = true;
 
-    /** SW SVt heartbeat watchdog with graceful degradation (off by
-     *  default: the paper's prototype assumes the happy path). */
-    SvtWatchdogConfig svtWatchdog{};
+    /** SW SVt heartbeat watchdog with graceful degradation (see
+     *  svt_watchdog; off by default: the paper's prototype assumes
+     *  the happy path). */
+    bool svtWatchdog = false;
 
     /**
      * HW SVt extension sketched in Section 3.1: "SVt could
@@ -144,8 +146,7 @@ struct StackConfig
  * Rules:
  *  - svtDirectReflect models the Section 3.1 HW SVt bypass: HwSvt only.
  *  - channel tuning configures the SW SVt command rings: SwSvt only.
- *  - svtWatchdog guards the SW SVt handshake: SwSvt only, and its
- *    timeout/retry/backoff/quiet-period parameters must be sane.
+ *  - svtWatchdog guards the SW SVt handshake: SwSvt only.
  *  - svtBlockedFix=false disables the Section 5.3 deadlock fix in the
  *    SVt trap path: requires an SVt mode (SwSvt or HwSvt).
  *  - hwVmcsShadowing=false only changes behaviour when a nested L1

@@ -63,6 +63,7 @@ ClusterSpec::validate() const
             fatal("ClusterSpec: machine '%s' declared twice; names "
                   "must be unique (they key port/driver lookup)",
                   m.name.c_str());
+        validateTopology(m.topo);
         validateStackConfig(m.config);
     }
     std::unordered_set<std::string> pairs;
@@ -96,9 +97,11 @@ ClusterSpec::validate() const
                   "conservative lookahead and must be > 0",
                   l.a.c_str(), l.b.c_str(),
                   static_cast<long long>(*l.latency));
-        if (l.bitsPerSec && *l.bitsPerSec <= 0)
-            fatal("ClusterSpec: link '%s'-'%s' has non-positive "
-                  "rate %g bits/s",
+        // CrossLink rounds the rate to a positive 64-bit integer; a
+        // NaN fails both comparisons.
+        if (l.bitsPerSec && !(*l.bitsPerSec >= 1 && *l.bitsPerSec < 0x1p63))
+            fatal("ClusterSpec: link '%s'-'%s' has rate %g bits/s; "
+                  "the rate must be >= 1 and < 2^63",
                   l.a.c_str(), l.b.c_str(), *l.bitsPerSec);
     }
 }

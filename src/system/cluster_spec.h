@@ -57,11 +57,12 @@ class ClusterSpec
 
     /**
      * Validate the declaration: at least one machine, unique non-empty
-     * machine names, valid stack configs (validateStackConfig), link
-     * endpoints declared and distinct, at most one link per machine
-     * pair (so Cluster::port(name, peer) is unambiguous), positive wire
-     * parameters. FatalError with an actionable message otherwise.
-     * realize() validates implicitly.
+     * machine names, valid topologies (validateTopology) and stack
+     * configs (validateStackConfig), link endpoints declared and
+     * distinct, at most one link per machine pair (so
+     * Cluster::port(name, peer) is unambiguous), a positive latency and
+     * a rate in [1, 2^63) bits/s. FatalError with an actionable
+     * message otherwise. realize() validates implicitly.
      */
     void validate() const;
 
@@ -96,8 +97,10 @@ class ClusterSpec
     std::vector<LinkDecl> links_;
 };
 
-/** The former name of a realized spec; goes with ROADMAP item 6. */
+/** The former names of a realized spec and of a fleet's topology; both
+ *  go with ROADMAP item 6. */
 using ClusterBuild = Cluster;
+using TopologySpec = MachineTopology;
 
 } // namespace svtsim
 

@@ -15,10 +15,14 @@
 
 namespace svtsim {
 
+namespace {
+
+/** Scale the CPU-bound cost-model fields of a sibling-sharing slot by
+ *  1 + FleetSpec::smtContention. */
 void
-applySmtContention(CostModel &costs, double contention)
+applySmtContention(CostModel &costs)
 {
-    const double f = 1.0 + contention;
+    const double f = 1.0 + FleetSpec::smtContention;
     auto scale = [f](Ticks &t) {
         t = static_cast<Ticks>(t * f);
     };
@@ -49,6 +53,8 @@ applySmtContention(CostModel &costs, double contention)
     scale(costs.netCopyPerByte);
     scale(costs.diskCopyPerByte);
 }
+
+} // namespace
 
 FleetScheduler::FleetScheduler(const FleetSpec &spec,
                                std::uint64_t seed)
@@ -113,7 +119,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
                         int jobs)
 {
     const VirtMode slotMode = spec_.policy == PlacementPolicy::SvtPair
-                                  ? spec_.pairedMode
+                                  ? FleetSpec::pairedMode
                                   : VirtMode::Nested;
     // One single-core machine per slot; HW SVt needs the third
     // hardware context per core (paperTopology(HwSvt) likewise).
@@ -143,7 +149,8 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
         for (int i = 0; i < nslots; ++i)
             if (placement_.slots[i].tenant == t)
                 cs.link(loadgens[t].machineName, slotNames[i],
-                        spec_.linkLatency, CostModel{}.linkBitsPerSec);
+                        FleetSpec::linkLatency,
+                        CostModel{}.linkBitsPerSec);
     }
 
     Cluster cluster = cs.realize(seed_);
@@ -151,8 +158,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
     // ---- Policy effects on slot machines -------------------------
     for (int i = 0; i < nslots; ++i)
         if (placement_.slots[i].sharedSibling)
-            applySmtContention(cluster.machine(slotNames[i]).costs(),
-                               spec_.smtContention);
+            applySmtContention(cluster.machine(slotNames[i]).costs());
 
     // ---- Wire workloads and drivers ------------------------------
     std::vector<std::unique_ptr<SlotRuntime>> runtimes;
@@ -162,7 +168,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
         const TenantSpec &tenant = spec_.tenants[slot.tenant];
         const std::string &name = slotNames[i];
         const double cpuScale =
-            slot.sharedSibling ? 1.0 + spec_.smtContention : 1.0;
+            slot.sharedSibling ? 1.0 + FleetSpec::smtContention : 1.0;
         auto rtp = std::make_unique<SlotRuntime>();
         SlotRuntime *rt = rtp.get();
         Machine &m = cluster.machine(name);
@@ -190,8 +196,7 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
                 cluster.stack(name), *rt->disk);
             rt->tpcc = std::make_unique<Tpcc>(
                 cluster.stack(name), *rt->net, rt->link->port(1), *rt->blk,
-                7 + static_cast<std::uint64_t>(i), 4.5, usec(13),
-                cpuScale);
+                7 + static_cast<std::uint64_t>(i), cpuScale);
             cluster.driver(name, [rt, duration](NestedSystem &) {
                 rt->tpccResult = rt->tpcc->run(duration);
             });
@@ -201,12 +206,9 @@ FleetScheduler::execute(ClusterContext *ctx, ScenarioResult *result,
             rt->disk = std::make_unique<RamDisk>(m, "media");
             rt->blk = std::make_unique<VirtioBlkStack>(
                 cluster.stack(name), *rt->disk);
-            VideoProfile profile;
-            profile.decodeMedian = static_cast<Ticks>(
-                profile.decodeMedian * cpuScale);
             rt->video = std::make_unique<VideoPlayback>(
-                cluster.stack(name), *rt->blk, profile,
-                99 + static_cast<std::uint64_t>(i));
+                cluster.stack(name), *rt->blk,
+                99 + static_cast<std::uint64_t>(i), cpuScale);
             const double fps = tenant.fps;
             cluster.driver(name, [rt, fps, duration](NestedSystem &) {
                 rt->videoResult = rt->video->run(fps, duration);

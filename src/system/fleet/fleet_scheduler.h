@@ -67,11 +67,6 @@ class FleetScheduler
     FleetPlacement placement_;
 };
 
-/** Scale the CPU-bound cost-model fields of a sibling-sharing slot by
- *  (1 + contention) — wire latency, link bandwidth and SVt wake
- *  latencies are physical constants and stay put. Exposed for tests. */
-void applySmtContention(CostModel &costs, double contention);
-
 } // namespace svtsim
 
 #endif // SVTSIM_SYSTEM_FLEET_FLEET_SCHEDULER_H

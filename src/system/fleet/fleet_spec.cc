@@ -1,5 +1,6 @@
 #include "system/fleet/fleet_spec.h"
 
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -74,14 +75,14 @@ videoTenant(std::string name, int vcpus, double fps,
 }
 
 int
-policyCapacity(const TopologySpec &topo, PlacementPolicy policy)
+policyCapacity(const MachineTopology &topo, PlacementPolicy policy)
 {
     switch (policy) {
     case PlacementPolicy::SvtPair:
     case PlacementPolicy::Isolate:
         return topo.totalCores();
     case PlacementPolicy::SiblingShare:
-        return topo.totalCores() * topo.smtWays;
+        return topo.totalCores() * topo.threadsPerCore;
     }
     return 0;
 }
@@ -99,18 +100,6 @@ totalVcpuDemand(const FleetSpec &spec)
 }
 
 void
-validateTopologySpec(const TopologySpec &topo)
-{
-    // At most 1024 each, so every slot count (up to 2^30 hardware
-    // threads) fits an int before any product is formed.
-    auto bad = [](int n) { return n < 1 || n > 1024; };
-    if (bad(topo.sockets) || bad(topo.coresPerSocket) || bad(topo.smtWays))
-        fatal("TopologySpec: %d sockets x %d cores x %d-way SMT is "
-              "not a machine; every dimension must be >= 1 and <= 1024",
-              topo.sockets, topo.coresPerSocket, topo.smtWays);
-}
-
-void
 validateTenantSpec(const TenantSpec &tenant)
 {
     if (tenant.name.empty())
@@ -125,9 +114,12 @@ validateTenantSpec(const TenantSpec &tenant)
         fatal("TenantSpec '%s': demands %d vCPUs; a tenant must "
               "demand at least one",
               name, tenant.vcpus);
-    if (tenant.sloTarget <= 0)
-        fatal("TenantSpec '%s': SLO target %g must be > 0 (%s "
-              "tenants express it as %s)",
+    // Each double must be finite and > 0 (a NaN fails every
+    // comparison, so test the accepted range, not the rejected one).
+    auto positive = [](double v) { return std::isfinite(v) && v > 0; };
+    if (!positive(tenant.sloTarget))
+        fatal("TenantSpec '%s': SLO target %g must be finite and > 0 "
+              "(%s tenants express it as %s)",
               name, tenant.sloTarget,
               tenantWorkloadName(tenant.workload),
               tenant.workload == TenantWorkload::Memcached
@@ -139,20 +131,20 @@ validateTenantSpec(const TenantSpec &tenant)
         fatal("TenantSpec '%s': duration %lld ticks must be > 0",
               name, static_cast<long long>(tenant.duration));
     if (tenant.workload == TenantWorkload::Memcached &&
-        tenant.qpsPerVcpu <= 0)
+        !positive(tenant.qpsPerVcpu))
         fatal("TenantSpec '%s': memcached tenants need an offered "
-              "load; qpsPerVcpu %g must be > 0",
+              "load; qpsPerVcpu %g must be finite and > 0",
               name, tenant.qpsPerVcpu);
-    if (tenant.workload == TenantWorkload::Video && tenant.fps <= 0)
+    if (tenant.workload == TenantWorkload::Video && !positive(tenant.fps))
         fatal("TenantSpec '%s': video tenants need a frame rate; "
-              "fps %g must be > 0",
+              "fps %g must be finite and > 0",
               name, tenant.fps);
 }
 
 void
 validateFleetSpec(const FleetSpec &spec)
 {
-    validateTopologySpec(spec.topology);
+    validateTopology(spec.topology);
     if (spec.tenants.empty())
         fatal("FleetSpec: empty tenant set; a fleet with nothing to "
               "place is almost certainly a harness bug — declare at "
@@ -166,19 +158,15 @@ validateFleetSpec(const FleetSpec &spec)
                   "and SLO reporting)",
                   t.name.c_str());
     }
-    if (spec.policy == PlacementPolicy::SvtPair) {
-        if (spec.topology.smtWays % 2 != 0)
-            fatal("FleetSpec: policy svt-pair pairs each vCPU with an "
-                  "SVt thread on its SMT sibling, which needs an even "
-                  "number of SMT ways per core; this topology has %d. "
-                  "Use smtWays=2 (the Table 4 testbed) or a non-paired "
-                  "policy (sibling-share, isolate)",
-                  spec.topology.smtWays);
-        if (!isSvtMode(spec.pairedMode))
-            fatal("FleetSpec: pairedMode %s is not an SVt mode; "
-                  "svt-pair slots run SwSvt or HwSvt stacks",
-                  virtModeName(spec.pairedMode));
-    }
+    static_assert(isSvtMode(FleetSpec::pairedMode));
+    if (spec.policy == PlacementPolicy::SvtPair &&
+        spec.topology.threadsPerCore % 2 != 0)
+        fatal("FleetSpec: policy svt-pair pairs each vCPU with an "
+              "SVt thread on its SMT sibling, which needs an even "
+              "number of SMT ways per core; this topology has %d. "
+              "Use threadsPerCore=2 (the Table 4 testbed) or a "
+              "non-paired policy (sibling-share, isolate)",
+              spec.topology.threadsPerCore);
     const int demand = totalVcpuDemand(spec);
     const int capacity = policyCapacity(spec.topology, spec.policy);
     if (demand > capacity)
@@ -186,20 +174,12 @@ validateFleetSpec(const FleetSpec &spec)
               "%d sockets x %d cores x %d-way SMT offers only %d "
               "slots; shrink the tenant set%s",
               demand, placementPolicyName(spec.policy),
-              spec.topology.sockets, spec.topology.coresPerSocket,
-              spec.topology.smtWays, capacity,
+              spec.topology.numaNodes, spec.topology.coresPerNode,
+              spec.topology.threadsPerCore, capacity,
               spec.policy == PlacementPolicy::SiblingShare
                   ? ""
-                  : " or switch to sibling-share (smtWays vCPUs per "
-                    "core)");
-    if (spec.smtContention < 0)
-        fatal("FleetSpec: smtContention %g must be >= 0 (a "
-              "fractional slowdown)",
-              spec.smtContention);
-    if (spec.linkLatency <= 0)
-        fatal("FleetSpec: linkLatency %lld ticks must be > 0 (it is "
-              "the conservative lookahead of the loadgen links)",
-              static_cast<long long>(spec.linkLatency));
+                  : " or switch to sibling-share (threadsPerCore "
+                    "vCPUs per core)");
 }
 
 FleetPlacement
@@ -242,14 +222,14 @@ placeFleet(const FleetSpec &spec, std::uint64_t seed)
     FleetPlacement placement;
     placement.slots.reserve(demand.size());
     const int perCore = spec.policy == PlacementPolicy::SiblingShare
-                            ? spec.topology.smtWays
+                            ? spec.topology.threadsPerCore
                             : 1;
     for (std::size_t i = 0; i < demand.size(); ++i) {
         const int core = cores[i / perCore];
         PlacementSlot slot;
         slot.tenant = demand[i].tenant;
         slot.vcpu = demand[i].vcpu;
-        slot.socket = core / spec.topology.coresPerSocket;
+        slot.socket = core / spec.topology.coresPerNode;
         slot.core = core;
         slot.thread = static_cast<int>(i % perCore);
         placement.slots.push_back(slot);

@@ -10,12 +10,12 @@
  * SMT-sibling policies, all first-class sweepable knobs:
  *
  *  - svt-pair: each placed vCPU owns a core; the SMT sibling runs its
- *    SVt thread (SW SVt, or the HW SVt context when pairedMode says
- *    so). Capacity: one vCPU per core.
+ *    SVt thread (FleetSpec::pairedMode, SW SVt). Capacity: one vCPU
+ *    per core.
  *  - sibling-share: consolidation — both SMT ways of a core host
  *    independent vCPUs (conventional nested stacks), which contend
- *    for the core's execution slots. Capacity: smtWays vCPUs per
- *    core.
+ *    for the core's execution slots. Capacity: threadsPerCore vCPUs
+ *    per core.
  *  - isolate: each vCPU owns a core and the sibling idles
  *    (conventional nested stack, no SMT interference, half the
  *    machine wasted). Capacity: one vCPU per core.
@@ -34,21 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "arch/machine.h"
 #include "hv/stack_config.h"
 #include "sim/ticks.h"
 
 namespace svtsim {
-
-/** Physical topology the fleet is placed on (Table 4 defaults:
- *  2 sockets x 8 cores x 2-way SMT; each dimension in [1, 1024]). */
-struct TopologySpec
-{
-    int sockets = 2;
-    int coresPerSocket = 8;
-    int smtWays = 2;
-
-    int totalCores() const { return sockets * coresPerSocket; }
-};
 
 /** SMT-sibling placement policy (see the file comment). */
 enum class PlacementPolicy
@@ -103,32 +93,32 @@ TenantSpec tpccTenant(std::string name, int vcpus,
 TenantSpec videoTenant(std::string name, int vcpus, double fps = 60.0,
                        double slo_drop_fraction = 0.01);
 
-/** The whole fleet: topology + policy + tenants + fabric. */
+/** The whole fleet: topology + policy + tenants, on a fixed fabric. */
 struct FleetSpec
 {
-    TopologySpec topology{};
+    MachineTopology topology{};
     PlacementPolicy policy = PlacementPolicy::SvtPair;
-    /** Stack mode of svt-pair slots (SwSvt or HwSvt; other policies
-     *  always run conventional Nested stacks). */
-    VirtMode pairedMode = VirtMode::SwSvt;
     std::vector<TenantSpec> tenants;
+
+    /** Stack mode of svt-pair slots (other policies always run
+     *  conventional Nested stacks). */
+    static constexpr VirtMode pairedMode = VirtMode::SwSvt;
     /** Wire between a memcached tenant's loadgen box and its serving
      *  slots (ToR-switch scale). */
-    Ticks linkLatency = usec(25);
+    static constexpr Ticks linkLatency = usec(25);
     /** Fractional slowdown of CPU-bound work on a core whose SMT
      *  sibling runs another tenant's vCPU (sibling-share only;
      *  Section 6.1 measures 0.28 for a busy-polling sibling). */
-    double smtContention = 0.35;
+    static constexpr double smtContention = 0.35;
 };
 
 /** vCPU capacity of @p topo under @p policy (see file comment). */
-int policyCapacity(const TopologySpec &topo, PlacementPolicy policy);
+int policyCapacity(const MachineTopology &topo, PlacementPolicy policy);
 
 /** Total vCPU demand across tenants. */
 int totalVcpuDemand(const FleetSpec &spec);
 
 // Construction-time validation (FatalError with actionable messages).
-void validateTopologySpec(const TopologySpec &topo);
 void validateTenantSpec(const TenantSpec &tenant);
 void validateFleetSpec(const FleetSpec &spec);
 

@@ -12,19 +12,13 @@ paperTopology(VirtMode mode)
     return topo;
 }
 
-CostModel
-paperCosts()
-{
-    return CostModel{};
-}
-
 NestedSystem::NestedSystem(VirtMode mode, StackConfig config,
                            std::uint64_t seed)
 {
     config.mode = mode;
     validateStackConfig(config);
     machine_ = std::make_unique<Machine>(paperTopology(mode),
-                                         paperCosts(), seed);
+                                         CostModel{}, seed);
     stack_ = std::make_unique<VirtStack>(*machine_, config);
 }
 
@@ -32,7 +26,7 @@ NestedSystem::NestedSystem(const MachineTopology &topo,
                            StackConfig config, std::uint64_t seed)
 {
     validateStackConfig(config);
-    machine_ = std::make_unique<Machine>(topo, paperCosts(), seed);
+    machine_ = std::make_unique<Machine>(topo, CostModel{}, seed);
     stack_ = std::make_unique<VirtStack>(*machine_, config);
 }
 

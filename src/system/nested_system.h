@@ -21,9 +21,6 @@ namespace svtsim {
  *  HW SVt studies assume one extra hardware context per core. */
 MachineTopology paperTopology(VirtMode mode);
 
-/** The calibrated cost model (see arch/cost_model.h). */
-CostModel paperCosts();
-
 /**
  * One assembled experiment platform: machine + virtualization stack.
  */

@@ -19,16 +19,16 @@ namespace svtsim {
 struct EtcWorkload
 {
     /** Fraction of GETs (ETC is read-dominated). */
-    double getRatio = 0.97;
+    static constexpr double getRatio = 0.97;
     /** Value sizes: generalized Pareto (bytes). */
-    double valueLocation = 0.0;
-    double valueScale = 214.48;
-    double valueShape = 0.348;
+    static constexpr double valueLocation = 0.0;
+    static constexpr double valueScale = 214.48;
+    static constexpr double valueShape = 0.348;
     /** Cap for the value-size tail. */
-    std::uint32_t valueCap = 8192;
+    static constexpr std::uint32_t valueCap = 8192;
     /** Key sizes: roughly 16-40 bytes. */
-    std::uint32_t keyMin = 16;
-    std::uint32_t keyMax = 40;
+    static constexpr std::uint32_t keyMin = 16;
+    static constexpr std::uint32_t keyMax = 40;
 
     std::uint32_t sampleValueSize(Rng &rng) const;
     std::uint32_t sampleKeySize(Rng &rng) const;

@@ -52,17 +52,12 @@ class Tpcc
   public:
     /**
      * @param peer The client's end of the link @p net is attached to.
-     * @param l1_housekeeping_per_statement Load-proportional L1-kernel
-     *        work (vhost bookkeeping on the paired vCPU) per statement;
-     *        serial in the baseline, overlapped under SW SVt.
      * @param cpu_scale Multiplier on per-statement server CPU (the
      *        fleet scheduler uses it to model SMT-sibling contention
      *        under the sibling-share policy).
      */
     Tpcc(VirtStack &stack, VirtioNetStack &net, NetPort &peer,
          VirtioBlkStack &blk, std::uint64_t seed = 7,
-         double l1_housekeeping_per_statement = 4.5,
-         Ticks l1_housekeeping_cost = usec(13),
          double cpu_scale = 1.0);
 
     /** Run for @p duration; returns throughput in transactions/min. */
@@ -77,8 +72,6 @@ class Tpcc
     NetPort &peer_;
     VirtioBlkStack &blk_;
     Rng rng_;
-    double housekeepingPerStatement_;
-    Ticks housekeepingCost_;
     double cpuScale_;
 };
 

@@ -8,25 +8,52 @@
 
 namespace svtsim {
 
+namespace {
+
+// Decode-time and interference model of the 4K stream.
+
+/** Median frame decode time (4K HEVC on one core). */
+constexpr Ticks decodeMedian = msec(2.9);
+/** Lognormal sigma of ordinary frames. */
+constexpr double decodeSigma = 0.16;
+/** Fraction of heavy frames (scene cuts, I-frames). */
+constexpr double heavyProb = 0.02;
+/** Decode multiplier of heavy frames. */
+constexpr double heavyFactor = 1.68;
+/** Lognormal sigma of heavy frames. */
+constexpr double heavySigma = 0.28;
+/** Stream bitrate (demuxer reads), Mbit/s. */
+constexpr double bitrateMbps = 40.0;
+/** Frames per buffered stream read. */
+constexpr int framesPerRead = 8;
+/** A/V desync tolerance, as a fraction of the frame period: a wakeup
+ *  later than this drops the frame. */
+constexpr double dropSlackFraction = 0.0295;
+/** Background L1-kernel housekeeping rate (events/s). */
+constexpr double housekeepingRateHz = 230.0;
+/** Cost of one housekeeping event. */
+constexpr Ticks housekeepingCost = usec(35);
+
+} // namespace
+
 VideoPlayback::VideoPlayback(VirtStack &stack, VirtioBlkStack &blk,
-                             VideoProfile profile, std::uint64_t seed)
-    : stack_(stack), blk_(blk), profile_(profile), rng_(seed)
+                             std::uint64_t seed, double cpu_scale)
+    : stack_(stack), blk_(blk), rng_(seed),
+      decodeMedian_(static_cast<Ticks>(decodeMedian * cpu_scale))
 {
 }
 
 void
 VideoPlayback::scheduleHousekeeping(Ticks end)
 {
-    if (profile_.housekeepingRateHz <= 0)
-        return;
     Machine &m = stack_.machine();
     Ticks gap = static_cast<Ticks>(
-        rng_.exponential(1e12 / profile_.housekeepingRateHz));
+        rng_.exponential(1e12 / housekeepingRateHz));
     Ticks when = m.now() + std::max<Ticks>(gap, 1);
     if (when >= end)
         return;
     m.events().schedule(when, [this, end] {
-        stack_.postL1Housekeeping(profile_.housekeepingCost);
+        stack_.postL1Housekeeping(housekeepingCost);
         scheduleHousekeeping(end);
     }, "l1-housekeeping");
 }
@@ -39,11 +66,10 @@ VideoPlayback::run(double fps, Ticks duration)
 
     Ticks period = static_cast<Ticks>(1e12 / fps);
     Ticks drop_slack = static_cast<Ticks>(
-        static_cast<double>(period) * profile_.dropSlackFraction);
+        static_cast<double>(period) * dropSlackFraction);
     int total = static_cast<int>(toSec(duration) * fps);
     auto bytes_per_read = static_cast<std::uint32_t>(
-        profile_.bitrateMbps * 1e6 / 8.0 / fps *
-        profile_.framesPerRead);
+        bitrateMbps * 1e6 / 8.0 / fps * framesPerRead);
 
     std::uint64_t io_done_id = 0;
     blk_.setCompletionHandler(
@@ -61,7 +87,7 @@ VideoPlayback::run(double fps, Ticks duration)
         Ticks frame_busy_start = machine.now();
 
         // Demuxer: refill the stream buffer every few frames.
-        if (frame % profile_.framesPerRead == 0) {
+        if (frame % framesPerRead == 0) {
             std::uint64_t id = nextIo_++;
             blk_.submit(id, rng_.below(1 << 20), bytes_per_read,
                         false);
@@ -70,15 +96,13 @@ VideoPlayback::run(double fps, Ticks duration)
         }
 
         // Decode.
-        double median = toSec(profile_.decodeMedian);
+        double median = toSec(decodeMedian_);
         double t;
-        if (rng_.chance(profile_.heavyProb)) {
-            t = rng_.logNormal(
-                std::log(median * profile_.heavyFactor),
-                profile_.heavySigma);
+        if (rng_.chance(heavyProb)) {
+            t = rng_.logNormal(std::log(median * heavyFactor),
+                               heavySigma);
         } else {
-            t = rng_.logNormal(std::log(median),
-                               profile_.decodeSigma);
+            t = rng_.logNormal(std::log(median), decodeSigma);
         }
         api.compute(sec(t));
         busy += machine.now() - frame_busy_start;

@@ -33,32 +33,6 @@ struct VideoResult
     double busyFraction = 0;
 };
 
-/** Decode-time and interference model of the 4K stream. */
-struct VideoProfile
-{
-    /** Median frame decode time (4K HEVC on one core). */
-    Ticks decodeMedian = msec(2.9);
-    /** Lognormal sigma of ordinary frames. */
-    double decodeSigma = 0.16;
-    /** Fraction of heavy frames (scene cuts, I-frames). */
-    double heavyProb = 0.02;
-    /** Decode multiplier of heavy frames. */
-    double heavyFactor = 1.68;
-    /** Lognormal sigma of heavy frames. */
-    double heavySigma = 0.28;
-    /** Stream bitrate (demuxer reads), Mbit/s. */
-    double bitrateMbps = 40.0;
-    /** Frames per buffered stream read. */
-    int framesPerRead = 8;
-    /** A/V desync tolerance, as a fraction of the frame period:
-     *  a wakeup later than this drops the frame. */
-    double dropSlackFraction = 0.0295;
-    /** Background L1-kernel housekeeping rate (events/s). */
-    double housekeepingRateHz = 230.0;
-    /** Cost of one housekeeping event. */
-    Ticks housekeepingCost = usec(35);
-};
-
 /**
  * The playback loop: decode ahead of each display deadline; count
  * frames that miss it, exactly like mplayer's -framedrop accounting.
@@ -66,8 +40,11 @@ struct VideoProfile
 class VideoPlayback
 {
   public:
+    /** @param cpu_scale Multiplier on the median frame decode time
+     *         (the fleet scheduler uses it to model SMT-sibling
+     *         contention under the sibling-share policy). */
     VideoPlayback(VirtStack &stack, VirtioBlkStack &blk,
-                  VideoProfile profile = {}, std::uint64_t seed = 99);
+                  std::uint64_t seed = 99, double cpu_scale = 1.0);
 
     VideoResult run(double fps, Ticks duration);
 
@@ -76,8 +53,8 @@ class VideoPlayback
 
     VirtStack &stack_;
     VirtioBlkStack &blk_;
-    VideoProfile profile_;
     Rng rng_;
+    Ticks decodeMedian_;
     std::uint64_t nextIo_ = 1ULL << 32;
 };
 

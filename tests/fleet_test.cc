@@ -7,6 +7,7 @@
  */
 
 #include <climits>
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -41,7 +42,7 @@ FleetSpec
 smallSpec(PlacementPolicy policy)
 {
     FleetSpec spec;
-    spec.topology = TopologySpec{1, 2, 2};
+    spec.topology = MachineTopology{1, 2, 2};
     spec.policy = policy;
     TenantSpec mc = memcachedTenant("mc", 1, 4000.0);
     mc.duration = msec(40);
@@ -81,8 +82,8 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
 
     expectFatal(
         [] {
-            TopologySpec topo{0, 8, 2};
-            validateTopologySpec(topo);
+            MachineTopology topo{0, 8, 2};
+            validateTopology(topo);
         },
         "every dimension must be >= 1");
 
@@ -91,15 +92,15 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
     expectFatal(
         [] {
             FleetSpec spec;
-            spec.topology = TopologySpec{46341, 46341, 1};
+            spec.topology = MachineTopology{46341, 46341, 1};
             spec.tenants = {memcachedTenant("mc", 1, 1000)};
             validateFleetSpec(spec);
         },
         "<= 1024");
     expectFatal(
         [] {
-            TopologySpec topo{2, 8, INT_MAX};
-            validateTopologySpec(topo);
+            MachineTopology topo{2, 8, INT_MAX};
+            validateTopology(topo);
         },
         "<= 1024");
     expectFatal(
@@ -146,6 +147,21 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
         },
         "fps");
 
+    // A NaN fails every comparison, so each double is checked for
+    // being finite and positive, not for being <= 0.
+    for (double bad : {std::nan(""), HUGE_VAL}) {
+        expectFatal(
+            [bad] {
+                validateTenantSpec(memcachedTenant("mc", 1, 1000, bad));
+            },
+            "SLO target");
+        expectFatal(
+            [bad] { validateTenantSpec(memcachedTenant("mc", 1, bad)); },
+            "qpsPerVcpu");
+        expectFatal([bad] { validateTenantSpec(videoTenant("vid", 1, bad)); },
+                    "fps");
+    }
+
     expectFatal(
         [] {
             FleetSpec spec;
@@ -159,7 +175,7 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
     expectFatal(
         [] {
             FleetSpec spec;
-            spec.topology = TopologySpec{1, 2, 2};
+            spec.topology = MachineTopology{1, 2, 2};
             spec.tenants = {memcachedTenant("mc", 3, 1000)};
             validateFleetSpec(spec);
         },
@@ -169,23 +185,12 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
     expectFatal(
         [] {
             FleetSpec spec;
-            spec.topology = TopologySpec{1, 2, 1};
+            spec.topology = MachineTopology{1, 2, 1};
             spec.policy = PlacementPolicy::SvtPair;
             spec.tenants = {memcachedTenant("mc", 1, 1000)};
             validateFleetSpec(spec);
         },
         "even number of SMT ways");
-
-    expectFatal(
-        [] {
-            FleetSpec spec;
-            spec.topology = TopologySpec{1, 2, 2};
-            spec.policy = PlacementPolicy::SvtPair;
-            spec.pairedMode = VirtMode::Nested;
-            spec.tenants = {memcachedTenant("mc", 1, 1000)};
-            validateFleetSpec(spec);
-        },
-        "not an SVt mode");
 }
 
 TEST(ClusterSpecValidation, RejectsMalformedSpecs)
@@ -237,16 +242,42 @@ TEST(ClusterSpecValidation, RejectsMalformedSpecs)
             cs.validate();
         },
         "non-positive");
+
+    // A NaN, an infinite or an out-of-range rate (CrossLink rounds it
+    // to a 64-bit integer) is rejected like a non-positive one.
+    for (double rate : {std::nan(""), HUGE_VAL, 0x1p63, 0.4}) {
+        expectFatal(
+            [rate] {
+                ClusterSpec cs;
+                cs.machine("a", VirtMode::Native)
+                    .machine("b", VirtMode::Native)
+                    .link("a", "b", usec(2), rate);
+                cs.validate();
+            },
+            "must be >= 1 and < 2^63");
+    }
+
+    // Machine topologies are bounded before any machine is built.
+    for (MachineTopology topo :
+         {MachineTopology{INT_MAX, INT_MAX, 1}, MachineTopology{0, 8, 2}}) {
+        expectFatal(
+            [topo] {
+                ClusterSpec cs;
+                cs.machine("a", topo, StackConfig{});
+                cs.validate();
+            },
+            "every dimension must be >= 1 and <= 1024");
+    }
 }
 
 TEST(FleetSpecValidation, RandomSpecsValidateOrThrowFatalError)
 {
-    // Seeded fleets with hostile topologies, tenants and knobs (0,
-    // negatives, INT_MIN/MAX, 64-bit tick extremes, out-of-range enum
-    // values, empty and repeated names): each one either validates or
-    // raises FatalError; anything else escaping (a signed-overflow
-    // abort under UBSan included) is a validator bug. Nothing is
-    // placed or run.
+    // Seeded fleets with hostile topologies and tenants (0, negatives,
+    // INT_MIN/MAX, NaN, infinities, DBL_MAX, 64-bit tick extremes,
+    // out-of-range enum values, empty and repeated names): each one
+    // either validates or raises FatalError; anything else escaping (a
+    // signed-overflow abort under UBSan included) is a validator
+    // bug. Nothing is placed or run.
     Rng rng(2030);
     const char *names[] = {"", "a", "b", "c"};
     auto small = [&rng] { return 1 + static_cast<int>(rng.below(4)); };
@@ -254,14 +285,12 @@ TEST(FleetSpecValidation, RandomSpecsValidateOrThrowFatalError)
     for (int i = 0; i < 5000; ++i) {
         FleetSpec spec;
         const bool hostileTopo = rng.below(3) == 0;
-        spec.topology = TopologySpec{
+        spec.topology = MachineTopology{
             hostileTopo ? hostileInt(rng) : small(),
             hostileTopo ? hostileInt(rng) : small(),
             hostileTopo ? hostileInt(rng) : 2};
         if (rng.below(4) == 0)
             spec.policy = hostileEnum<PlacementPolicy>(rng, 3);
-        if (rng.below(4) == 0)
-            spec.pairedMode = hostileEnum<VirtMode>(rng, 5);
         for (std::uint64_t t = 0, n = rng.below(4); t < n; ++t) {
             TenantSpec tenant = memcachedTenant(
                 names[rng.below(std::size(names))], 1, 1000);
@@ -269,19 +298,15 @@ TEST(FleetSpecValidation, RandomSpecsValidateOrThrowFatalError)
                 tenant.workload = hostileEnum<TenantWorkload>(rng, 3);
             tenant.vcpus = rng.below(2) ? 1 : hostileInt(rng);
             if (rng.below(4) == 0)
-                tenant.sloTarget = hostileInt(rng);
+                tenant.sloTarget = hostileDouble(rng);
             if (rng.below(4) == 0)
-                tenant.qpsPerVcpu = hostileInt(rng);
+                tenant.qpsPerVcpu = hostileDouble(rng);
             if (rng.below(4) == 0)
-                tenant.fps = hostileInt(rng);
+                tenant.fps = hostileDouble(rng);
             if (rng.below(4) == 0)
                 tenant.duration = hostileTicks(rng);
             spec.tenants.push_back(tenant);
         }
-        if (rng.below(4) == 0)
-            spec.linkLatency = hostileTicks(rng);
-        if (rng.below(4) == 0)
-            spec.smtContention = hostileInt(rng);
         try {
             validateFleetSpec(spec);
             ++valid;
@@ -296,8 +321,8 @@ TEST(FleetSpecValidation, RandomSpecsValidateOrThrowFatalError)
 TEST(ClusterSpecValidation, RandomSpecsValidateOrThrowFatalError)
 {
     // Seeded cluster declarations: names from a small pool (empty and
-    // undeclared ones included), hostile stack configs and wire
-    // parameters. Each one either validates or raises FatalError;
+    // undeclared ones included), hostile topologies, stack configs and
+    // wire parameters. Each one either validates or raises FatalError;
     // nothing is realized, so no machine is built and nothing runs.
     Rng rng(2031);
     const char *names[] = {"", "a", "b", "c", "z"};
@@ -305,16 +330,21 @@ TEST(ClusterSpecValidation, RandomSpecsValidateOrThrowFatalError)
     int valid = 0, rejected = 0;
     for (int i = 0; i < 5000; ++i) {
         ClusterSpec cs;
-        for (std::uint64_t m = 0, n = rng.below(4); m < n; ++m)
-            cs.machine(pick(), MachineTopology{},
+        for (std::uint64_t m = 0, n = rng.below(4); m < n; ++m) {
+            MachineTopology topo{};
+            if (rng.below(4) == 0)
+                topo = MachineTopology{hostileInt(rng), hostileInt(rng),
+                                       hostileInt(rng)};
+            cs.machine(pick(), topo,
                        rng.below(4) ? StackConfig{}
                                     : hostileStackConfig(rng));
+        }
         for (std::uint64_t l = 0, n = rng.below(4); l < n; ++l) {
             if (rng.below(2))
                 cs.link(pick(), pick());
             else
                 cs.link(pick(), pick(), hostileTicks(rng),
-                        hostileInt(rng));
+                        hostileDouble(rng));
         }
         try {
             cs.validate();

@@ -1,16 +1,19 @@
 /**
  * @file
  * Seeded hostile draws for the spec-validator tests: integers, tick
- * counts and enum values that favour the edges (0, negatives, the
- * type's extremes, values past the last enumerator), and a StackConfig
- * built from them. Every draw comes from Rng's integer draws, so a
- * failing case reproduces from the test's seed.
+ * counts, doubles and enum values that favour the edges (0, negatives,
+ * the type's extremes, NaN and infinities, values past the last
+ * enumerator), and a StackConfig built from them. Every draw comes
+ * from Rng's integer draws, so a failing case reproduces from the
+ * test's seed.
  */
 
 #ifndef SVTSIM_TESTS_HOSTILE_DRAWS_H
 #define SVTSIM_TESTS_HOSTILE_DRAWS_H
 
+#include <cfloat>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -46,6 +49,22 @@ hostileTicks(Rng &rng)
     }
 }
 
+/** 0, a negative, NaN, +inf, -inf, DBL_MAX, or a small positive
+ *  value. */
+inline double
+hostileDouble(Rng &rng)
+{
+    switch (rng.below(8)) {
+      case 0: return 0;
+      case 1: return -1.0 - static_cast<double>(rng.below(1000));
+      case 2: return NAN;
+      case 3: return INFINITY;
+      case 4: return -INFINITY;
+      case 5: return DBL_MAX;
+      default: return 0.5 + static_cast<double>(rng.below(8));
+    }
+}
+
 /** A value of @p E in [-1, count + 1]: the @p count enumerators, or one
  *  of the three values around them. */
 template <typename E>
@@ -72,13 +91,8 @@ hostileStackConfig(Rng &rng)
         c.channel.placement = hostileEnum<Placement>(rng, 3);
     if (hostile())
         c.svtBlockedFix = false;
-    if (hostile()) {
-        c.svtWatchdog.enabled = true;
-        c.svtWatchdog.timeout = hostileTicks(rng);
-        c.svtWatchdog.maxRetries = hostileInt(rng);
-        c.svtWatchdog.backoff = hostileTicks(rng);
-        c.svtWatchdog.quietPeriod = hostileTicks(rng);
-    }
+    if (hostile())
+        c.svtWatchdog = true;
     if (hostile())
         c.svtDirectReflect = true;
     if (hostile())

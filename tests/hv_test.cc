@@ -967,11 +967,7 @@ measurePins(Transport t, PinCase pc, StageSums *sums = nullptr)
         // Three posts in a row are lost (the command and both
         // retries), so the first reflect round degrades onto the
         // conventional path: before L1 ran, or after.
-        cfg.svtWatchdog.enabled = true;
-        cfg.svtWatchdog.timeout = usec(10);
-        cfg.svtWatchdog.maxRetries = 2;
-        cfg.svtWatchdog.backoff = usec(5);
-        cfg.svtWatchdog.quietPeriod = usec(200);
+        cfg.svtWatchdog = true;
         machine.installFaultPlan(FaultPlan::parse(
             t == Transport::SwSvtDegraded ? "ring.post.drop@n1+3"
                                           : "ring.post.drop@n2+3"));

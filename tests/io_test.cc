@@ -234,7 +234,7 @@ TEST_F(RamDiskTest, SubmitWithoutHandlerPanics)
 std::vector<Ticks>
 idleTickGaps()
 {
-    const Ticks linger = paperCosts().vhostLingerPoll;
+    const Ticks linger = CostModel{}.vhostLingerPoll;
     return {linger - usec(1), linger - 1,         linger, linger + 1,
             linger + usec(1), linger + usec(10), 2 * linger};
 }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/random.h"
 #include "system/bench_harness.h"
 #include "system/epoch_crew.h"
 #include "system/sweep.h"
@@ -203,6 +204,26 @@ runHarness(BenchHarness &bench, std::vector<std::string> args)
     return bench.main(static_cast<int>(argv.size()), argv.data());
 }
 
+/** A custom main with two flags of its own, counting its runs. */
+struct CustomBench
+{
+    BenchHarness bench{"custom_bench", "custom main under test"};
+    std::uint64_t workers = 0;
+    bool quick = false;
+    int ran = 0;
+
+    CustomBench()
+    {
+        bench.flag("--workers=N", workers, "threads",
+                   BenchHarness::kMaxThreads);
+        bench.flag("--quick", quick, "CI sizes");
+        bench.onCustomMain([this](const BenchOptions &) {
+            ++ran;
+            return 0;
+        });
+    }
+};
+
 std::string
 slurp(const std::string &path)
 {
@@ -252,27 +273,65 @@ TEST(BenchHarness, RejectsUnknownFlags)
 
     // A custom main's command line is --seed, --help and the flags it
     // declares, validated like the harness's own.
-    BenchHarness custom("custom_bench", "custom main under test");
-    std::uint64_t workers = 0;
-    bool quick = false;
-    custom.flag("--workers=N", workers, "threads", BenchHarness::kMaxThreads);
-    custom.flag("--quick", quick, "CI sizes");
-    int ran = 0;
-    custom.onCustomMain([&](const BenchOptions &) {
-        ++ran;
-        return 0;
-    });
+    CustomBench custom;
     for (const char *arg :
          {"--workers=2.9", "--workers=3abc", "--workers=1e300",
           "--workers=-1", "--workers=+2", "--workers=4097", "--workers",
           "--quick=1", "--json=x", "--faults=ipi.drop@n1", "--jobs=2",
           "--cluster-jobs=4", "--breakdown", "--list", "--bogus"})
-        EXPECT_EQ(runHarness(custom, {arg}), 2) << arg;
-    EXPECT_EQ(ran, 0);
-    EXPECT_EQ(runHarness(custom, {"--workers=3", "--quick", "--seed=7"}), 0);
-    EXPECT_EQ(ran, 1);
-    EXPECT_EQ(workers, 3u);
-    EXPECT_TRUE(quick);
+        EXPECT_EQ(runHarness(custom.bench, {arg}), 2) << arg;
+    EXPECT_EQ(custom.ran, 0);
+    EXPECT_EQ(
+        runHarness(custom.bench, {"--workers=3", "--quick", "--seed=7"}),
+        0);
+    EXPECT_EQ(custom.ran, 1);
+    EXPECT_EQ(custom.workers, 3u);
+    EXPECT_TRUE(custom.quick);
+}
+
+TEST(BenchHarness, RandomArgvExitsZeroOrTwo)
+{
+    // Seeded argument lists of 1-4 tokens, each a flag name (or
+    // nothing) followed by up to five pieces a hostile command line is
+    // made of. Every run either succeeds or is a usage error, and a
+    // success never leaves a thread count above the flag's bound.
+    const char *names[] = {"--workers", "--workers=", "--seed", "--seed=",
+                           "--quick",   "--help",     ""};
+    const char *pieces[] = {"0", "1", "2", "3", "4", "5", "6", "7", "8",
+                            "9", "=", "+", "-", ".", "e", "x", " ", ""};
+    CustomBench custom;
+    Rng rng(2032);
+    int zeros = 0, twos = 0;
+    std::string firstBad; // the harness's usage text is captured
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::string> args;
+        std::string line;
+        for (std::uint64_t t = 0, n = 1 + rng.below(4); t < n; ++t) {
+            std::string token = names[rng.below(std::size(names))];
+            for (std::uint64_t p = 0, m = rng.below(6); p < m; ++p)
+                token += pieces[rng.below(std::size(pieces))];
+            args.push_back(token);
+            line += " '" + token + "'";
+        }
+        custom.workers = 0;
+        const int status = runHarness(custom.bench, args);
+        zeros += status == 0;
+        twos += status == 2;
+        const bool ok =
+            status == 2 ||
+            (status == 0 && custom.workers <= BenchHarness::kMaxThreads);
+        if (!ok && firstBad.empty())
+            firstBad = line + " exited " + std::to_string(status) +
+                       " with workers " + std::to_string(custom.workers);
+    }
+    testing::internal::GetCapturedStderr();
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(firstBad, "");
+    // About 3% of the lists are well formed (61 of 2,000 at this seed).
+    EXPECT_GT(zeros, 40);
+    EXPECT_GT(twos, 1000);
 }
 
 TEST(BenchHarness, DeclaredFlagIsReadWhenScenariosRun)

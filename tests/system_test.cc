@@ -26,7 +26,7 @@ TEST(NestedSystem, PaperTopologyMatchesTable4)
     EXPECT_EQ(t.threadsPerCore, 2);
     // HW SVt assumes an additional hardware context per core.
     EXPECT_EQ(paperTopology(VirtMode::HwSvt).threadsPerCore, 3);
-    EXPECT_DOUBLE_EQ(paperCosts().freqGhz, 2.4);
+    EXPECT_DOUBLE_EQ(CostModel{}.freqGhz, 2.4);
 }
 
 TEST(NestedSystem, BuildsEveryMode)

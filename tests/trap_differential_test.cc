@@ -175,11 +175,7 @@ runConfig(const DiffConfig &cfg)
     sc.svtBlockedFix = cfg.extra != Extra::PreemptNoFix;
     sc.svtDirectReflect = cfg.extra == Extra::DirectReflect;
     if (cfg.faults) {
-        sc.svtWatchdog.enabled = true;
-        sc.svtWatchdog.timeout = usec(10);
-        sc.svtWatchdog.maxRetries = 2;
-        sc.svtWatchdog.backoff = usec(5);
-        sc.svtWatchdog.quietPeriod = usec(200);
+        sc.svtWatchdog = true;
         machine.installFaultPlan(FaultPlan::parse(cfg.faults));
     }
     VirtStack stack(machine, sc);
