@@ -1,11 +1,12 @@
 /**
  * @file
- * Differential pins of the nested trap round: per configuration, one
- * hash over ~250 seeded random guest operations. It folds in every
- * operation's result, the simulated clock and the GPR values of every
- * hardware context and of the three vCPU register caches after each
- * operation, then the vmx.*, l0.*, svt.* and ring.* counters and the
- * self-time of every attribution scope at the end.
+ * Differential pins of the trap rounds: per configuration (bare metal,
+ * a single-level guest and the nested modes), one hash over ~250
+ * seeded random guest operations. It folds in every operation's
+ * result, the simulated clock and the GPR values of every hardware
+ * context and of the three vCPU register caches after each operation,
+ * then the vmx.*, l0.*, svt.* and ring.* counters and the self-time of
+ * every attribution scope at the end.
  *
  * A change to how registers move between contexts and vCPU structs
  * (or to any trap-round cost) moves a hash. A pure refactor keeps all
@@ -88,6 +89,9 @@ struct DiffConfig
     Extra extra = Extra::None;
     /** The watchdog degrades the stack at least once (svt.fallback). */
     bool fallsBack = false;
+    /** Ops the level cannot issue (a mask of opBit()s): each draw of
+     *  one is drawn again. */
+    unsigned droppedOps = 0;
 };
 
 enum class Op
@@ -103,6 +107,17 @@ enum class Op
     ScribbleGprs, ///< L2 computes: random values land in its GPRs
     NumOps,
 };
+
+constexpr unsigned
+opBit(Op op)
+{
+    return 1u << static_cast<int>(op);
+}
+
+/** Below L2 nothing injects L2 vectors or runs L2 code; bare metal
+ *  has no hypervisor to call. */
+constexpr unsigned belowL2 = opBit(Op::L2Irq) | opBit(Op::ScribbleGprs);
+constexpr unsigned bareMetal = belowL2 | opBit(Op::Vmcall);
 
 constexpr int opsPerConfig = 250;
 constexpr std::uint64_t cpuidLeaves[] = {0, 1, 4, 7, 0xb, 0x16,
@@ -191,8 +206,10 @@ runConfig(const DiffConfig &cfg)
     Rng rng(0xd1ffu);
     Hasher h;
     for (int i = 0; i < opsPerConfig; ++i) {
-        const auto op =
-            static_cast<Op>(rng.below(static_cast<int>(Op::NumOps)));
+        Op op;
+        do
+            op = static_cast<Op>(rng.below(static_cast<int>(Op::NumOps)));
+        while (cfg.droppedOps & opBit(op));
         h.add(static_cast<std::uint64_t>(op));
         if ((cfg.extra == Extra::Preempt ||
              cfg.extra == Extra::PreemptNoFix) &&
@@ -285,15 +302,21 @@ runConfig(const DiffConfig &cfg)
     return run;
 }
 
-// The two watchdog plans lose three posts in a row (the command and
-// both retries), twice: the first window starts at a CMD_VM_TRAP post
-// (fallback before L1 ran) or at a CMD_VM_RESUME post (after). The
-// next four rows drive the stack features the random ops never reach.
+// The first two rows pin the levels below L2, bare metal and a
+// single-level guest, with the ops they can issue. The two watchdog
+// plans lose three posts in a row (the command and both retries),
+// twice: the first window starts at a CMD_VM_TRAP post (fallback
+// before L1 ran) or at a CMD_VM_RESUME post (after). The next four
+// rows drive the stack features the random ops never reach.
 // The last four inject the ring and IPI faults a trap round can meet:
 // a late doorbell, a spurious wakeup, and a delayed or lost preemption
 // IPI.
 const DiffConfig configs[] = {
     // clang-format off
+    {"Native",             VirtMode::Native, 2, true,  false, nullptr,
+     0xabb8058470085ce1, Extra::None, false, bareMetal},
+    {"Single",             VirtMode::Single, 2, true,  false, nullptr,
+     0x3d1b2e83dc89cbbc, Extra::None, false, belowL2},
     {"Nested",             VirtMode::Nested, 2, true,  false, nullptr,
      0xe6330843a5742e18},
     {"NestedNoShadow",     VirtMode::Nested, 2, false, false, nullptr,
