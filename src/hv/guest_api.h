@@ -88,6 +88,25 @@ class GuestApi
     virtual int level() const = 0;
 };
 
+/** rdmsr and wrmsr carry an MSR value split across Rdx:Rax. */
+constexpr std::uint64_t
+msrLow(std::uint64_t value)
+{
+    return value & 0xffffffff;
+}
+
+constexpr std::uint64_t
+msrHigh(std::uint64_t value)
+{
+    return value >> 32;
+}
+
+constexpr std::uint64_t
+msrJoin(std::uint64_t rdx, std::uint64_t rax)
+{
+    return rdx << 32 | msrLow(rax);
+}
+
 /** A guest workload: code to run against a GuestApi. */
 using GuestProgram = std::function<void(GuestApi &)>;
 

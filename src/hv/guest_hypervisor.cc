@@ -163,8 +163,8 @@ GuestHypervisor::handleRdmsr(L1Backend &backend)
     auto it = msrs_.find(index);
     if (it != msrs_.end())
         value = it->second;
-    backend.setL2Gpr(Gpr::Rax, value & 0xffffffff);
-    backend.setL2Gpr(Gpr::Rdx, value >> 32);
+    backend.setL2Gpr(Gpr::Rax, msrLow(value));
+    backend.setL2Gpr(Gpr::Rdx, msrHigh(value));
     skipInstruction(backend);
     eventInjectionHousekeeping(backend);
     backend.compute(costs.l1HandlerLogic);
@@ -175,8 +175,8 @@ GuestHypervisor::handleWrmsr(L1Backend &backend, const ExitInfo &info)
 {
     const CostModel &costs = backend.costs();
     auto index = static_cast<std::uint32_t>(backend.l2Gpr(Gpr::Rcx));
-    std::uint64_t value = (backend.l2Gpr(Gpr::Rdx) << 32) |
-                          (backend.l2Gpr(Gpr::Rax) & 0xffffffff);
+    const std::uint64_t rdx = backend.l2Gpr(Gpr::Rdx);
+    std::uint64_t value = msrJoin(rdx, backend.l2Gpr(Gpr::Rax));
     (void)info;
     backend.compute(costs.emulMsr);
 

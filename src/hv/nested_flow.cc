@@ -3,7 +3,9 @@
  * The nested virtualization trap machinery: Algorithm 1 of the paper,
  * written once over the four L0<->L1 transports of its Table 3, plus
  * the Section 3.1 direct reflect, the L1-grade single-level trap round
- * and the L1Api/L2Api/L1Backend code.
+ * and L1Backend. Also the GuestApi of the two trapping levels: each
+ * trapping instruction is encoded once (VirtualizedApi), and L1Api and
+ * L2Api each supply only issue(), which enters their trap round.
  */
 
 #include <algorithm>
@@ -632,7 +634,7 @@ VirtStack::l1Context()
     return l1Engine_->context();
 }
 
-std::uint64_t
+void
 VirtStack::l1TrapRound(const ExitInfo &info)
 {
     const CostModel &c = machine_.costs();
@@ -651,7 +653,7 @@ VirtStack::l1TrapRound(const ExitInfo &info)
         machine_.consume(4 * c.ctxtRegAccess);
     }
     vcpuL1_->gprs() = ctx.readGprs();
-    std::uint64_t result = handleL0Exit(info, engine);
+    handleL0Exit(info, engine);
     if (engine)
         engine->vmentry(false);
     else
@@ -663,26 +665,14 @@ VirtStack::l1TrapRound(const ExitInfo &info)
         svt_->vmResume();
     l0ExitMetric_[static_cast<std::size_t>(info.reason)].latency.record(
         machine_.now() - round_start);
-    return result;
 }
 
-std::uint64_t
+void
 VirtStack::handleL0Exit(const ExitInfo &info, VmxEngine *engine)
 {
     const CostModel &c = machine_.costs();
     machine_.consume(c.handlerDispatch);
     l0ExitMetric_[static_cast<std::size_t>(info.reason)].count.inc();
-
-    auto advance_rip = [&](std::uint64_t len) {
-        if (engine) {
-            std::uint64_t rip = engine->vmread(VmcsField::GuestRip);
-            engine->vmwrite(VmcsField::GuestRip, rip + len);
-        } else {
-            std::uint64_t rip = 0;
-            svt_->ctxtld(1, SvtSpecialReg::Rip, rip);
-            svt_->ctxtst(1, SvtSpecialReg::Rip, rip + len);
-        }
-    };
 
     switch (info.reason) {
       case ExitReason::Cpuid: {
@@ -692,84 +682,56 @@ VirtStack::handleL0Exit(const ExitInfo &info, VmxEngine *engine)
         vcpuL1_->setGpr(Gpr::Rbx, r.ebx);
         vcpuL1_->setGpr(Gpr::Rcx, r.ecx);
         vcpuL1_->setGpr(Gpr::Rdx, r.edx);
-        advance_rip(2);
-        return r.eax;
+        break;
       }
       case ExitReason::Rdmsr: {
         machine_.consume(c.emulMsr);
-        auto index =
-            static_cast<std::uint32_t>(vcpuL1_->gpr(Gpr::Rcx));
-        std::uint64_t value = 0;
-        auto it = l0Msrs_.find(index);
-        if (it != l0Msrs_.end())
-            value = it->second;
-        vcpuL1_->setGpr(Gpr::Rax, value & 0xffffffff);
-        vcpuL1_->setGpr(Gpr::Rdx, value >> 32);
-        advance_rip(2);
-        return value;
+        std::uint64_t value = l0Msrs_.read(
+            static_cast<std::uint32_t>(vcpuL1_->gpr(Gpr::Rcx)));
+        vcpuL1_->setGpr(Gpr::Rax, msrLow(value));
+        vcpuL1_->setGpr(Gpr::Rdx, msrHigh(value));
+        break;
       }
-      case ExitReason::Wrmsr: {
+      case ExitReason::Wrmsr:
         machine_.consume(c.emulMsr);
-        auto index =
-            static_cast<std::uint32_t>(vcpuL1_->gpr(Gpr::Rcx));
-        std::uint64_t value = (vcpuL1_->gpr(Gpr::Rdx) << 32) |
-                              (vcpuL1_->gpr(Gpr::Rax) & 0xffffffff);
-        if (index == msr::ia32TscDeadline) {
-            if (value == 0) {
-                vcpuL1_->lapic().cancelTscDeadline();
-            } else {
-                vcpuL1_->lapic().armTscDeadline(
-                    static_cast<Ticks>(value), vec::l1Timer);
-            }
-        } else {
-            l0Msrs_[index] = value;
-        }
-        advance_rip(2);
-        return 0;
-      }
-      case ExitReason::Vmread: {
+        l0Msrs_.write(static_cast<std::uint32_t>(vcpuL1_->gpr(Gpr::Rcx)),
+                      msrJoin(vcpuL1_->gpr(Gpr::Rdx),
+                              vcpuL1_->gpr(Gpr::Rax)),
+                      vcpuL1_->lapic(), vec::l1Timer);
+        break;
+      case ExitReason::Vmread:
         machine_.consume(c.emulVmcsAccess + c.vmcsFieldCopy);
-        std::uint64_t value =
-            vmcs12_->read(static_cast<VmcsField>(info.field));
-        vcpuL1_->setGpr(Gpr::Rax, value);
-        advance_rip(3);
-        return value;
-      }
-      case ExitReason::Vmwrite: {
+        vcpuL1_->setGpr(Gpr::Rax,
+                        vmcs12_->read(static_cast<VmcsField>(info.field)));
+        break;
+      case ExitReason::Vmwrite:
         machine_.consume(c.emulVmcsAccess + c.vmcsFieldCopy);
         vmcs12_->write(static_cast<VmcsField>(info.field), info.value);
-        advance_rip(3);
-        return 0;
-      }
-      case ExitReason::Vmcall: {
+        break;
+      case ExitReason::Vmcall:
         // L0 models no hypercalls: an L1 vmcall returns ~0.
-        std::uint64_t result = ~0ULL;
-        vcpuL1_->setGpr(Gpr::Rax, result);
-        advance_rip(3);
-        return result;
-      }
+        vcpuL1_->setGpr(Gpr::Rax, ~0ULL);
+        break;
       case ExitReason::IoInstruction: {
         // L0 emulates no devices for L1: every port floats.
         machine_.consume(c.emulMsr);
         const bool is_write = info.qualification & 1;
         if (!is_write)
             vcpuL1_->setGpr(Gpr::Rax, ~0ULL);
-        advance_rip(2);
-        return ~0ULL;
+        break;
       }
-      case ExitReason::Invept:
-        // Emulated INVEPT tears down the shadow EPT: translations
-        // re-merge lazily from ept12 on the next faults.
-        machine_.consume(c.emulVmcsAccess + c.mmioDecode);
-        ept02_->clear();
-        advance_rip(3);
-        return 0;
-      case ExitReason::Hlt:
-      case ExitReason::ExternalInterrupt:
-        return 0;
       default:
         panic("handleL0Exit: unhandled L1 exit %s",
               exitReasonName(info.reason));
+    }
+    // Skip the emulated instruction.
+    std::uint64_t rip = 0;
+    if (engine) {
+        rip = engine->vmread(VmcsField::GuestRip);
+        engine->vmwrite(VmcsField::GuestRip, rip + info.instrLength);
+    } else {
+        svt_->ctxtld(1, SvtSpecialReg::Rip, rip);
+        svt_->ctxtst(1, SvtSpecialReg::Rip, rip + info.instrLength);
     }
 }
 
@@ -853,12 +815,9 @@ VirtStack::maybeInjectAndResumeL2(bool l2_was_running)
     // exit (part of why interrupt-heavy I/O suffers so much in the
     // baseline, Section 6.2).
     machine_.consume(c.eoiWrite);
-    HwContext &l2ctx = l2Context();
-    l2ctx.writeGpr(Gpr::Rcx, msr::ia32X2apicEoi);
-    l2ctx.writeGpr(Gpr::Rax, 0);
-    l2ctx.writeGpr(Gpr::Rdx, 0);
-    nestedExitFromL2(ExitInfo{.reason = ExitReason::Wrmsr,
-                              .instrLength = 2});
+    const GuestTrap eoi = GuestTrap::wrmsr(msr::ia32X2apicEoi, 0);
+    eoi.loadOperands(l2Context());
+    nestedExitFromL2(eoi.info);
     return 1;
 }
 
@@ -902,13 +861,100 @@ VirtStack::computeInSlices(Ticks t, bool stageL2)
     }
 }
 
-// ----------------------------------------------------------------- L1Api
+// ------------------------------------------------------- VirtualizedApi
 
-std::uint8_t
-L1Api::timerVector() const
+void
+GuestTrap::loadOperands(HwContext &ctx) const
 {
-    return vec::l1Timer;
+    for (int i = 0; i < numOperands; ++i)
+        ctx.writeGpr(operands[i].reg, operands[i].value);
 }
+
+GuestTrap
+GuestTrap::wrmsr(std::uint32_t index, std::uint64_t value)
+{
+    return {.info = {.reason = ExitReason::Wrmsr,
+                     .instrLength = 2,
+                     .value = value},
+            .operands = {{{Gpr::Rcx, index},
+                          {Gpr::Rax, msrLow(value)},
+                          {Gpr::Rdx, msrHigh(value)}}},
+            .numOperands = 3,
+            .regOps = 3};
+}
+
+namespace {
+
+/** A 4-byte `out` (@p write) or `in` on @p port: the qualification
+ *  carries the port, the access size and the direction. */
+GuestTrap
+portIo(std::uint16_t port, std::uint64_t value, bool write)
+{
+    return {.info = {.reason = ExitReason::IoInstruction,
+                     .qualification = std::uint64_t{port} << 16 |
+                                      4ULL << 1 | (write ? 1 : 0),
+                     .instrLength = 2,
+                     .value = value},
+            .regOps = 1};
+}
+
+} // namespace
+
+CpuidResult
+VirtualizedApi::cpuid(std::uint64_t leaf)
+{
+    issue({.info = {.reason = ExitReason::Cpuid, .instrLength = 2},
+           .operands = {{{Gpr::Rax, leaf}}},
+           .numOperands = 1,
+           .exec = stack_.machine().costs().cpuidExec});
+    const HwContext &x = ctx();
+    return CpuidResult{x.readGpr(Gpr::Rax), x.readGpr(Gpr::Rbx),
+                       x.readGpr(Gpr::Rcx), x.readGpr(Gpr::Rdx)};
+}
+
+std::uint64_t
+VirtualizedApi::rdmsr(std::uint32_t index)
+{
+    if (!issue({.info = {.reason = ExitReason::Rdmsr, .instrLength = 2},
+                .operands = {{{Gpr::Rcx, index}}},
+                .numOperands = 1,
+                .regOps = 1}))
+        return ctx().rdmsr(index);
+    return msrJoin(ctx().readGpr(Gpr::Rdx), ctx().readGpr(Gpr::Rax));
+}
+
+void
+VirtualizedApi::wrmsr(std::uint32_t index, std::uint64_t value)
+{
+    if (!issue(GuestTrap::wrmsr(index, value)))
+        ctx().wrmsr(index, value);
+}
+
+void
+VirtualizedApi::ioOut(std::uint16_t port, std::uint64_t value)
+{
+    issue(portIo(port, value, /*write=*/true));
+}
+
+std::uint64_t
+VirtualizedApi::ioIn(std::uint16_t port)
+{
+    issue(portIo(port, 0, /*write=*/false));
+    return ctx().readGpr(Gpr::Rax);
+}
+
+std::uint64_t
+VirtualizedApi::vmcall(std::uint64_t nr, std::uint64_t a0,
+                       std::uint64_t a1)
+{
+    issue({.info = {.reason = ExitReason::Vmcall, .instrLength = 3},
+           .operands = {{{Gpr::Rax, nr}, {Gpr::Rbx, a0}, {Gpr::Rcx, a1}}},
+           .numOperands = 3,
+           .regOps = 3});
+    return ctx().readGpr(Gpr::Rax);
+}
+
+// ----------------------------------------------------------------- L1Api
 
 void
 L1Api::compute(Ticks t)
@@ -922,97 +968,19 @@ L1Api::compute(Ticks t)
                            stack_.l1Slowdown_));
 }
 
-CpuidResult
-L1Api::cpuid(std::uint64_t leaf)
+bool
+L1Api::issue(const GuestTrap &t)
 {
-    if (stack_.config_.mode == VirtMode::Single)
+    // A single-level guest takes pending interrupts before each
+    // trapping instruction but vmcall. L1 pays no setup cost beyond
+    // the instruction's own, and L0 intercepts every MSR it touches.
+    if (stack_.config_.mode == VirtMode::Single &&
+        t.info.reason != ExitReason::Vmcall)
         stack_.pumpInterrupts();
-    const CostModel &c = stack_.machine_.costs();
-    stack_.machine_.consume(c.cpuidExec);
-    ctx().writeGpr(Gpr::Rax, leaf);
-    stack_.l1TrapRound(
-        ExitInfo{.reason = ExitReason::Cpuid, .instrLength = 2});
-    return CpuidResult{ctx().readGpr(Gpr::Rax), ctx().readGpr(Gpr::Rbx),
-                       ctx().readGpr(Gpr::Rcx),
-                       ctx().readGpr(Gpr::Rdx)};
-}
-
-std::uint64_t
-L1Api::rdmsr(std::uint32_t index)
-{
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    ctx().writeGpr(Gpr::Rcx, index);
-    stack_.l1TrapRound(
-        ExitInfo{.reason = ExitReason::Rdmsr, .instrLength = 2});
-    return (ctx().readGpr(Gpr::Rdx) << 32) |
-           (ctx().readGpr(Gpr::Rax) & 0xffffffff);
-}
-
-void
-L1Api::wrmsr(std::uint32_t index, std::uint64_t value)
-{
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    ctx().writeGpr(Gpr::Rcx, index);
-    ctx().writeGpr(Gpr::Rax, value & 0xffffffff);
-    ctx().writeGpr(Gpr::Rdx, value >> 32);
-    stack_.l1TrapRound(ExitInfo{.reason = ExitReason::Wrmsr,
-                                .instrLength = 2,
-                                .value = value});
-}
-
-// L0 maps no MMIO devices into L1's physical space.
-
-std::uint64_t
-L1Api::mmioRead(Gpa addr, int)
-{
-    panic("L1 MMIO read of unregistered gpa %#llx",
-          static_cast<unsigned long long>(addr));
-}
-
-void
-L1Api::mmioWrite(Gpa addr, int, std::uint64_t)
-{
-    panic("L1 MMIO write to unregistered gpa %#llx",
-          static_cast<unsigned long long>(addr));
-}
-
-void
-L1Api::ioOut(std::uint16_t port, std::uint64_t value)
-{
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    ExitInfo info;
-    info.reason = ExitReason::IoInstruction;
-    info.qualification = (static_cast<std::uint64_t>(port) << 16) |
-                         (4ULL << 1) | 1;
-    info.value = value;
-    info.instrLength = 2;
-    stack_.l1TrapRound(info);
-}
-
-std::uint64_t
-L1Api::ioIn(std::uint16_t port)
-{
-    if (stack_.config_.mode == VirtMode::Single)
-        stack_.pumpInterrupts();
-    ExitInfo info;
-    info.reason = ExitReason::IoInstruction;
-    info.qualification = (static_cast<std::uint64_t>(port) << 16) |
-                         (4ULL << 1);
-    info.instrLength = 2;
-    return stack_.l1TrapRound(info);
-}
-
-std::uint64_t
-L1Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
-{
-    ctx().writeGpr(Gpr::Rax, nr);
-    ctx().writeGpr(Gpr::Rbx, a0);
-    ctx().writeGpr(Gpr::Rcx, a1);
-    return stack_.l1TrapRound(
-        ExitInfo{.reason = ExitReason::Vmcall, .instrLength = 3});
+    stack_.machine_.consume(t.exec);
+    t.loadOperands(ctx());
+    stack_.l1TrapRound(t.info);
+    return true;
 }
 
 int
@@ -1032,12 +1000,6 @@ L1Api::halt()
 
 // ----------------------------------------------------------------- L2Api
 
-std::uint8_t
-L2Api::timerVector() const
-{
-    return vec::l2Timer;
-}
-
 void
 L2Api::compute(Ticks t)
 {
@@ -1046,64 +1008,29 @@ L2Api::compute(Ticks t)
     stack_.computeInSlices(t, /*stageL2=*/true);
 }
 
-CpuidResult
-L2Api::cpuid(std::uint64_t leaf)
+bool
+L2Api::issue(const GuestTrap &t)
 {
     simAssert(isNestedMode(stack_.config_.mode),
               "L2Api outside nested mode");
     stack_.pumpInterrupts();
-    const CostModel &c = stack_.machine_.costs();
-    {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(c.cpuidExec);
-        ctx().writeGpr(Gpr::Rax, leaf);
-    }
-    stack_.nestedExitFromL2(
-        ExitInfo{.reason = ExitReason::Cpuid, .instrLength = 2});
-    return CpuidResult{ctx().readGpr(Gpr::Rax), ctx().readGpr(Gpr::Rbx),
-                       ctx().readGpr(Gpr::Rcx),
-                       ctx().readGpr(Gpr::Rdx)};
-}
-
-std::uint64_t
-L2Api::rdmsr(std::uint32_t index)
-{
-    stack_.pumpInterrupts();
-    if (stack_.guestHv_->msrPassthrough(index)) {
-        // The combined MSR bitmaps permit direct access: no exit.
-        stack_.machine_.consume(stack_.machine_.costs().msrNative);
-        return ctx().rdmsr(index);
+    Machine &m = stack_.machine_;
+    // An MSR access loads the index into Rcx first. Where the combined
+    // MSR bitmaps permit direct access, it runs without an exit.
+    const bool msr = t.info.reason == ExitReason::Rdmsr ||
+                     t.info.reason == ExitReason::Wrmsr;
+    if (msr && stack_.guestHv_->msrPassthrough(
+                   static_cast<std::uint32_t>(t.operands[0].value))) {
+        m.consume(m.costs().msrNative);
+        return false;
     }
     {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(stack_.machine_.costs().regOp);
-        ctx().writeGpr(Gpr::Rcx, index);
+        TimeScope s(m, ScopeId::StageL2);
+        m.consume(t.exec + t.regOps * m.costs().regOp);
+        t.loadOperands(ctx());
     }
-    stack_.nestedExitFromL2(
-        ExitInfo{.reason = ExitReason::Rdmsr, .instrLength = 2});
-    return (ctx().readGpr(Gpr::Rdx) << 32) |
-           (ctx().readGpr(Gpr::Rax) & 0xffffffff);
-}
-
-void
-L2Api::wrmsr(std::uint32_t index, std::uint64_t value)
-{
-    stack_.pumpInterrupts();
-    if (stack_.guestHv_->msrPassthrough(index)) {
-        stack_.machine_.consume(stack_.machine_.costs().msrNative);
-        ctx().wrmsr(index, value);
-        return;
-    }
-    {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
-        ctx().writeGpr(Gpr::Rcx, index);
-        ctx().writeGpr(Gpr::Rax, value & 0xffffffff);
-        ctx().writeGpr(Gpr::Rdx, value >> 32);
-    }
-    stack_.nestedExitFromL2(ExitInfo{.reason = ExitReason::Wrmsr,
-                                     .instrLength = 2,
-                                     .value = value});
+    stack_.nestedExitFromL2(t.info);
+    return true;
 }
 
 Ept::Result
@@ -1157,56 +1084,6 @@ L2Api::mmioWrite(Gpa addr, int size, std::uint64_t value)
     info.instrLength = 3;
     info.value = value;
     stack_.nestedExitFromL2(info);
-}
-
-void
-L2Api::ioOut(std::uint16_t port, std::uint64_t value)
-{
-    stack_.pumpInterrupts();
-    {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(stack_.machine_.costs().regOp);
-    }
-    ExitInfo info;
-    info.reason = ExitReason::IoInstruction;
-    info.qualification = (static_cast<std::uint64_t>(port) << 16) |
-                         (4ULL << 1) | 1;
-    info.value = value;
-    info.instrLength = 2;
-    stack_.nestedExitFromL2(info);
-}
-
-std::uint64_t
-L2Api::ioIn(std::uint16_t port)
-{
-    stack_.pumpInterrupts();
-    {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(stack_.machine_.costs().regOp);
-    }
-    ExitInfo info;
-    info.reason = ExitReason::IoInstruction;
-    info.qualification = (static_cast<std::uint64_t>(port) << 16) |
-                         (4ULL << 1);
-    info.instrLength = 2;
-    stack_.nestedExitFromL2(info);
-    return ctx().readGpr(Gpr::Rax);
-}
-
-std::uint64_t
-L2Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
-{
-    stack_.pumpInterrupts();
-    {
-        TimeScope s(stack_.machine_, ScopeId::StageL2);
-        stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
-        ctx().writeGpr(Gpr::Rax, nr);
-        ctx().writeGpr(Gpr::Rbx, a0);
-        ctx().writeGpr(Gpr::Rcx, a1);
-    }
-    stack_.nestedExitFromL2(
-        ExitInfo{.reason = ExitReason::Vmcall, .instrLength = 3});
-    return ctx().readGpr(Gpr::Rax);
 }
 
 int
@@ -1287,10 +1164,11 @@ L1Backend::vmcsRead(VmcsField field)
     }
     if (shadowed(field, value, /*write=*/false))
         return value;
-    return stack_.l1TrapRound(
+    stack_.l1TrapRound(
         ExitInfo{.reason = ExitReason::Vmread,
                  .instrLength = 3,
                  .field = static_cast<std::uint64_t>(field)});
+    return stack_.l1Context().readGpr(Gpr::Rax);
 }
 
 void
@@ -1352,14 +1230,6 @@ const CostModel &
 L1Backend::costs() const
 {
     return stack_.machine_.costs();
-}
-
-// ------------------------------------------------------ NativeApi extras
-
-std::uint8_t
-NativeApi::timerVector() const
-{
-    return vec::hostTimer;
 }
 
 } // namespace svtsim

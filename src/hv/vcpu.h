@@ -9,6 +9,7 @@
 #define SVTSIM_HV_VCPU_H
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -17,6 +18,37 @@
 #include "arch/regs.h"
 
 namespace svtsim {
+
+/** The MSRs a level emulates for the code it runs: bare metal's own,
+ *  and L0's for L1. */
+class MsrFile
+{
+  public:
+    /** A never-written MSR reads 0. */
+    std::uint64_t
+    read(std::uint32_t index) const
+    {
+        auto it = values_.find(index);
+        return it == values_.end() ? 0 : it->second;
+    }
+
+    /** Store @p value, but IA32_TSC_DEADLINE arms @p timer's deadline
+     *  at @p vector instead (0 cancels it). */
+    void
+    write(std::uint32_t index, std::uint64_t value, Lapic &timer,
+          std::uint8_t vector)
+    {
+        if (index != msr::ia32TscDeadline)
+            values_[index] = value;
+        else if (value == 0)
+            timer.cancelTscDeadline();
+        else
+            timer.armTscDeadline(static_cast<Ticks>(value), vector);
+    }
+
+  private:
+    std::map<std::uint32_t, std::uint64_t> values_;
+};
 
 /**
  * Per-vCPU software state kept by a hypervisor for one of its guests.

@@ -1,8 +1,8 @@
 /**
  * @file
- * VirtStack assembly, the per-level GuestApi implementations and the
- * interrupt pump. The nested trap machinery (Algorithm 1) lives in
- * nested_flow.cc.
+ * VirtStack assembly, bare metal's GuestApi, the halt and poll every
+ * level shares, and the interrupt pump. The trap machinery and the L1
+ * and L2 GuestApis live in nested_flow.cc.
  */
 
 #include "hv/virt_stack.h"
@@ -196,16 +196,19 @@ VirtStack::setupNested()
     VmxEngine &e0 = *engines_[0];
     e0.vmxon();
 
-    // vmcs01 describes L1: a hypervisor-grade guest (MSR switch lists,
-    // Table 1 row 4), optionally with the hardware shadow VMCS linked.
-    vmcs01_->write(VmcsField::EntryControls,
-                   entryCtlLoadHypervisorState);
-    vmcs01_->write(VmcsField::HostRip, 0xffffffff81000000ULL);
-    vmcs01_->write(VmcsField::GuestRip, 0xffffffff80000000ULL);
-    if (config_.hwVmcsShadowing) {
-        vmcs01_->write(VmcsField::ProcControls2, procCtl2ShadowVmcs);
-        vmcs01_->setShadowLink(vmcs12_.get());
-    }
+    // vmcs01 (and SW SVt's sibling vmcs01s) describes L1: a
+    // hypervisor-grade guest (MSR switch lists, Table 1 row 4),
+    // optionally with the hardware shadow VMCS linked.
+    auto describe_l1 = [this](Vmcs &v) {
+        v.write(VmcsField::EntryControls, entryCtlLoadHypervisorState);
+        v.write(VmcsField::HostRip, 0xffffffff81000000ULL);
+        v.write(VmcsField::GuestRip, 0xffffffff80000000ULL);
+        if (config_.hwVmcsShadowing) {
+            v.write(VmcsField::ProcControls2, procCtl2ShadowVmcs);
+            v.setShadowLink(vmcs12_.get());
+        }
+    };
+    describe_l1(*vmcs01_);
 
     vmcs02_->write(VmcsField::HostRip, 0xffffffff81000000ULL);
     vmcs02_->write(VmcsField::GuestRip, 0x400000);
@@ -264,15 +267,7 @@ VirtStack::setupNested()
         // hardware thread, inside the guest, waiting on the ring.
         VmxEngine &e1 = *engines_[1];
         e1.vmxon();
-        vmcs01s_->write(VmcsField::EntryControls,
-                        entryCtlLoadHypervisorState);
-        vmcs01s_->write(VmcsField::HostRip, 0xffffffff81000000ULL);
-        vmcs01s_->write(VmcsField::GuestRip, 0xffffffff80000000ULL);
-        if (config_.hwVmcsShadowing) {
-            vmcs01s_->write(VmcsField::ProcControls2,
-                            procCtl2ShadowVmcs);
-            vmcs01s_->setShadowLink(vmcs12_.get());
-        }
+        describe_l1(*vmcs01s_);
         e1.vmptrld(vmcs01s_.get());
         e1.vmentry(true);
         // L1 pairs the vCPU and the SVt-thread through a hypercall so
@@ -289,14 +284,9 @@ VirtStack::setupNested()
 GuestApi &
 VirtStack::api()
 {
-    switch (config_.mode) {
-      case VirtMode::Native:
-        return *nativeApi_;
-      case VirtMode::Single:
-        return *l1Api_;
-      default:
-        return *l2Api_;
-    }
+    return apiAt(config_.mode == VirtMode::Native   ? 0
+                 : config_.mode == VirtMode::Single ? 1
+                                                    : 2);
 }
 
 GuestApi &
@@ -406,11 +396,14 @@ VirtStack::pumpInterrupts()
         // started, or once any interrupt delivery woke it from HLT.
         bool runnable = l2Running_;
         Lapic &phys = core_.lapic(0);
+        auto exit_l2 = [this] {
+            if (l2Running_)
+                exitFromL2(
+                    ExitInfo{.reason = ExitReason::ExternalInterrupt});
+        };
         for (;;) {
             if (phys.hasPending()) {
-                if (l2Running_)
-                    exitFromL2(ExitInfo{
-                        .reason = ExitReason::ExternalInterrupt});
+                exit_l2();
                 int v = phys.ack();
                 machine_.consume(machine_.costs().interruptDeliver);
                 runIrqHandler(0, v);
@@ -418,9 +411,7 @@ VirtStack::pumpInterrupts()
                 continue;
             }
             if (vcpuL1_->lapic().hasPending()) {
-                if (l2Running_)
-                    exitFromL2(ExitInfo{
-                        .reason = ExitReason::ExternalInterrupt});
+                exit_l2();
                 int n = deliverL1Irqs();
                 total += n;
                 if (l2DeliveredVector_ >= 0)
@@ -445,9 +436,7 @@ VirtStack::pumpInterrupts()
                 vcpuL2InL1_->lapic().syncPosted();
             }
             if (vcpuL2InL1_->lapic().hasPending()) {
-                if (l2Running_)
-                    exitFromL2(ExitInfo{
-                        .reason = ExitReason::ExternalInterrupt});
+                exit_l2();
                 enterL1Window();
                 total += maybeInjectAndResumeL2(runnable);
                 if (l2DeliveredVector_ >= 0)
@@ -540,14 +529,16 @@ VirtStack::pumpSingle()
     VmxEngine &e0 = *engines_[0];
     const CostModel &costs = machine_.costs();
     bool was_running = singleGuestRunning_;
+    auto exit_guest = [&] {
+        if (singleGuestRunning_) {
+            machine_.consume(costs.thunkRegSave * costs.thunkRegs);
+            e0.vmexit(ExitInfo{.reason = ExitReason::ExternalInterrupt});
+            singleGuestRunning_ = false;
+        }
+    };
     for (;;) {
         if (phys.hasPending()) {
-            if (singleGuestRunning_) {
-                machine_.consume(costs.thunkRegSave * costs.thunkRegs);
-                e0.vmexit(ExitInfo{
-                    .reason = ExitReason::ExternalInterrupt});
-                singleGuestRunning_ = false;
-            }
+            exit_guest();
             int v = phys.ack();
             machine_.consume(costs.interruptDeliver);
             runIrqHandler(0, v);
@@ -556,12 +547,7 @@ VirtStack::pumpSingle()
         }
         if (vcpuL1_->lapic().hasPending()) {
             // Inject into the (single-level) guest and resume it.
-            if (singleGuestRunning_) {
-                machine_.consume(costs.thunkRegSave * costs.thunkRegs);
-                e0.vmexit(ExitInfo{
-                    .reason = ExitReason::ExternalInterrupt});
-                singleGuestRunning_ = false;
-            }
+            exit_guest();
             int v = vcpuL1_->lapic().ack();
             machine_.consume(costs.injectPrepare);
             e0.vmwrite(VmcsField::EntryIntrInfo,
@@ -610,8 +596,7 @@ NativeApi::rdmsr(std::uint32_t index)
 {
     stack_.pumpInterrupts();
     stack_.machine_.consume(stack_.machine_.costs().msrNative);
-    auto it = msrs_.find(index);
-    return it == msrs_.end() ? 0 : it->second;
+    return msrs_.read(index);
 }
 
 void
@@ -619,32 +604,10 @@ NativeApi::wrmsr(std::uint32_t index, std::uint64_t value)
 {
     stack_.pumpInterrupts();
     stack_.machine_.consume(stack_.machine_.costs().msrNative);
-    if (index == msr::ia32TscDeadline) {
-        if (value == 0)
-            stack_.core_.lapic(0).cancelTscDeadline();
-        else
-            stack_.core_.lapic(0).armTscDeadline(
-                static_cast<Ticks>(value), vec::hostTimer);
-        return;
-    }
-    msrs_[index] = value;
+    msrs_.write(index, value, stack_.core_.lapic(0), vec::hostTimer);
 }
 
-// Bare metal maps no MMIO devices and its I/O ports float.
-
-std::uint64_t
-NativeApi::mmioRead(Gpa addr, int)
-{
-    panic("NativeApi: MMIO read of unmapped address %#llx",
-          static_cast<unsigned long long>(addr));
-}
-
-void
-NativeApi::mmioWrite(Gpa addr, int, std::uint64_t)
-{
-    panic("NativeApi: MMIO write to unmapped address %#llx",
-          static_cast<unsigned long long>(addr));
-}
+// Bare metal's I/O ports float.
 
 void
 NativeApi::ioOut(std::uint16_t, std::uint64_t)
@@ -659,12 +622,6 @@ NativeApi::ioIn(std::uint16_t)
     stack_.pumpInterrupts();
     stack_.machine_.consume(stack_.machine_.costs().llcAccess);
     return ~0ULL;
-}
-
-std::uint64_t
-NativeApi::vmcall(std::uint64_t, std::uint64_t, std::uint64_t)
-{
-    panic("NativeApi: vmcall on bare metal");
 }
 
 int
@@ -682,6 +639,13 @@ LevelApiBase::pollInterrupt()
     stack_.l2DeliveredVector_ = -1;
     stack_.pumpInterrupts();
     return stack_.l2DeliveredVector_;
+}
+
+void
+LevelApiBase::unbacked(const char *what, std::uint64_t arg) const
+{
+    panic("L%d: nothing handles %s %#llx", level(), what,
+          static_cast<unsigned long long>(arg));
 }
 
 int

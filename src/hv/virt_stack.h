@@ -127,9 +127,6 @@ class VirtStack
     const Vcpu &vcpuL2InL0() const { return *vcpuL2InL0_; }
     const Vcpu &vcpuL2InL1() const { return *vcpuL2InL1_; }
 
-    Vmcs &vmcs01() { return *vmcs01_; }
-    Vmcs &vmcs12() { return *vmcs12_; }
-    Vmcs &vmcs02() { return *vmcs02_; }
     Ept &ept02() { return *ept02_; }
     SvtUnit &svtUnit() { return *svt_; }
 
@@ -232,14 +229,14 @@ class VirtStack
     /**
      * One complete single-level trap round for L1 code: exit from
      * wherever L1 runs (a VMX engine or an SVt context), dispatch in
-     * L0, resume. Returns the emulation result where applicable
-     * (rdmsr, mmio read, vmcall).
+     * L0, resume. Results come back in L1's registers.
      */
-    std::uint64_t l1TrapRound(const ExitInfo &info);
+    void l1TrapRound(const ExitInfo &info);
 
-    /** Dispatch of an L1-grade exit inside L0. @p engine is the VMX
-     *  engine the exit occurred on, or null for the SVt path. */
-    std::uint64_t handleL0Exit(const ExitInfo &info, VmxEngine *engine);
+    /** Emulate an L1-grade exit inside L0 and skip the instruction.
+     *  @p engine is the VMX engine the exit occurred on, or null for
+     *  the SVt path. */
+    void handleL0Exit(const ExitInfo &info, VmxEngine *engine);
 
     // -- Interrupt delivery ----------------------------------------------------
     int deliverL1Irqs();
@@ -322,7 +319,7 @@ class VirtStack
         irqHandlers_;
 
     /** L0's emulated MSR state for L1. */
-    std::map<std::uint32_t, std::uint64_t> l0Msrs_;
+    MsrFile l0Msrs_;
 
     /** Armed Section 5.3 preemption scenario. */
     Ticks pendingPreemption_ = 0;
