@@ -1,5 +1,6 @@
 #include "system/fleet/fleet_spec.h"
 
+#include <climits>
 #include <cmath>
 #include <unordered_set>
 #include <utility>
@@ -130,15 +131,25 @@ validateTenantSpec(const TenantSpec &tenant)
     if (tenant.duration <= 0)
         fatal("TenantSpec '%s': duration %lld ticks must be > 0",
               name, static_cast<long long>(tenant.duration));
+    // The workloads turn a rate into a period of 1e12 / rate ticks
+    // (mutilate's mean request gap, the video frame period). At least
+    // one tick, and at most a second, keeps the period and what the
+    // workloads derive from it (the demuxer's 32-bit read length)
+    // within their types.
+    auto rate = [](double v) { return v >= 1 && v <= 1e12; };
     if (tenant.workload == TenantWorkload::Memcached &&
-        !positive(tenant.qpsPerVcpu))
+        !rate(tenant.qpsPerVcpu))
         fatal("TenantSpec '%s': memcached tenants need an offered "
-              "load; qpsPerVcpu %g must be finite and > 0",
+              "load; qpsPerVcpu %g must be >= 1 and <= 1e12 (a mean "
+              "request gap of one second to one tick)",
               name, tenant.qpsPerVcpu);
-    if (tenant.workload == TenantWorkload::Video && !positive(tenant.fps))
-        fatal("TenantSpec '%s': video tenants need a frame rate; "
-              "fps %g must be finite and > 0",
-              name, tenant.fps);
+    if (tenant.workload == TenantWorkload::Video &&
+        !(rate(tenant.fps) && toSec(tenant.duration) * tenant.fps <= INT_MAX))
+        fatal("TenantSpec '%s': video tenants need a frame rate; fps "
+              "%g must be >= 1 and <= 1e12 (a frame period of one "
+              "second to one tick), and the %g s run must count at "
+              "most INT_MAX frames",
+              name, tenant.fps, toSec(tenant.duration));
 }
 
 void

@@ -6,6 +6,7 @@
  * the Table 4 policy ordering (svt-pair beats isolate).
  */
 
+#include <cfloat>
 #include <climits>
 #include <cmath>
 #include <sstream>
@@ -161,6 +162,24 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
         expectFatal([bad] { validateTenantSpec(videoTenant("vid", 1, bad)); },
                     "fps");
     }
+
+    // A rate is bounded by what the run derives from it: a period of
+    // 1e12 / rate ticks, from one second down to one tick, and for
+    // video a frame count over the duration that fits an int.
+    for (double bad : {DBL_MAX, 2e12, 0.5}) {
+        expectFatal(
+            [bad] { validateTenantSpec(memcachedTenant("mc", 1, bad)); },
+            "qpsPerVcpu");
+        expectFatal([bad] { validateTenantSpec(videoTenant("vid", 1, bad)); },
+                    "fps");
+    }
+    expectFatal(
+        [] {
+            TenantSpec t = videoTenant("vid", 1, 1e6);
+            t.duration = sec(1e4);
+            validateTenantSpec(t);
+        },
+        "INT_MAX frames");
 
     expectFatal(
         [] {
