@@ -21,6 +21,10 @@ tests, examples and scripts:
   written, with an extension (`bench/fig7_io` is bench/fig7_io.cc), or
   as a glob (`hv/channel.*`). Braces expand (`sim/trace.{h,cc}`).
   Paths with placeholders (`<module>`) and build outputs are skipped.
+- A file name with no directory (`GOLDEN.sha256`, `cluster.cc`): it
+  must exist at the repo root or be the name of a file under a
+  top-level directory. The outputs the docs tell the reader to create
+  (OUTPUTS) are skipped.
 
 Usage: doc_symbols.py [DOC...]   (default: the three docs above)
 
@@ -42,9 +46,14 @@ CODE_EXTS = (".h", ".cc", ".cpp", ".py", ".txt", ".cmake")
 # members written without their std:: prefix.
 ALLOWED = {"atomic::wait"}
 
+# Files the docs tell the reader to create by running a bench.
+OUTPUTS = {"out.sw_svt.json"}
+
 SPAN = re.compile(r"`([^`\n]+)`")
 QUALIFIED = re.compile(r"^[A-Za-z_]\w*(::[A-Za-z_~]\w*)+")
 TYPE_DEF = r"\b(?:class|struct|union|enum(?:\s+class)?)\s+{}\b(?!\s*;)"
+FILE_NAME = re.compile(
+    r"^[\w.+-]+\.(?:md|txt|json|csv|sha256|py|cc|h|cpp|cmake|yml|sh)$")
 
 
 def load_code():
@@ -93,12 +102,26 @@ def expand_braces(path):
     return out
 
 
+def top_dirs():
+    return [d for d in os.listdir(ROOT)
+            if os.path.isdir(os.path.join(ROOT, d))
+            and not d.startswith((".", "build"))]
+
+
 def path_roots():
-    tops = [d for d in os.listdir(ROOT)
-            if os.path.isdir(os.path.join(ROOT, d)) and not d.startswith(".")]
     modules = [d for d in os.listdir(os.path.join(ROOT, "src"))
                if os.path.isdir(os.path.join(ROOT, "src", d))]
-    return set(tops) | set(modules)
+    return set(top_dirs()) | set(modules)
+
+
+def file_names():
+    """Names of the files at the repo root and under its directories."""
+    names = {n for n in os.listdir(ROOT)
+             if os.path.isfile(os.path.join(ROOT, n))}
+    for top in top_dirs():
+        for _, _, files in os.walk(os.path.join(ROOT, top)):
+            names.update(files)
+    return names
 
 
 def check_path(path):
@@ -124,7 +147,11 @@ def references(text, roots):
             if m:
                 yield lineno, "name", m.group(0)
                 continue
-            if "/" not in span or " " in span or "<" in span:
+            if " " in span or "<" in span:
+                continue
+            if "/" not in span:
+                if FILE_NAME.match(span) and span not in OUTPUTS:
+                    yield lineno, "file", span
                 continue
             path = span[2:] if span.startswith("./") else span
             first = path.split("/")[0]
@@ -136,6 +163,7 @@ def main(argv):
     docs = argv[1:] or DOCS
     files = load_code()
     roots = path_roots()
+    names = file_names()
     misses = []
     checked = 0
     for doc in docs:
@@ -143,7 +171,12 @@ def main(argv):
             text = f.read()
         for lineno, kind, ref in references(text, roots):
             checked += 1
-            ok = check_name(ref, files) if kind == "name" else check_path(ref)
+            if kind == "name":
+                ok = check_name(ref, files)
+            elif kind == "file":
+                ok = ref in names
+            else:
+                ok = check_path(ref)
             if not ok:
                 misses.append("{}:{}: {} `{}`".format(doc, lineno, kind, ref))
     for miss in misses:
