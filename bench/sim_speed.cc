@@ -19,6 +19,11 @@
  *    advanceBy() charges between sparse periodic timers, where most
  *    advances cross no pending event.
  *
+ * Layers: the host cost of one op of each layer of the nested trap
+ * path (a VMCS field write plus read, one context's register spill and
+ * reload, a nested cpuid round per mode, a virtio-blk request round),
+ * published in the record's "layers" array and on stdout, not gated.
+ *
  * Unlike the sweep benches this measures host wall clock, so the JSON
  * is not byte-deterministic; the workload event counts and simulated
  * tick totals are, and CI compares the machine-independent
@@ -30,13 +35,20 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "arch/smt_core.h"
+#include "io/ramdisk.h"
+#include "io/virtio_blk.h"
 #include "oracle/reference_event_queue.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/ticks.h"
 #include "system/bench_harness.h"
+#include "system/nested_system.h"
+#include "virt/vmcs.h"
 
 using namespace svtsim;
 
@@ -61,6 +73,10 @@ struct SpeedResult
     double simUsPerWallSec() const
     {
         return wallSec > 0 ? toUsec(simTicks) / wallSec : 0;
+    }
+    double nsPerOp() const
+    {
+        return ops > 0 ? wallSec * 1e9 / static_cast<double>(ops) : 0;
     }
 };
 
@@ -266,6 +282,82 @@ bestOf(int reps, Fn fn)
     return best;
 }
 
+/**
+ * Time @p ops calls of @p op, one op of a layer each. The empty asm
+ * keeps each op's result and memory writes, so the compiler cannot
+ * fold the loop away.
+ */
+template <class Op>
+SpeedResult
+timeLayer(std::uint64_t ops, Op op)
+{
+    SpeedResult r;
+    r.ops = ops;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        const auto v = op();
+        asm volatile("" : : "m"(v) : "memory");
+    }
+    r.wallSec = elapsedSec(t0);
+    return r;
+}
+
+SpeedResult
+runVmcsAccess(std::uint64_t ops)
+{
+    Vmcs vmcs("bench");
+    std::uint64_t v = 0;
+    return timeLayer(ops, [&] {
+        vmcs.write(VmcsField::GuestRip, v);
+        return v = vmcs.read(VmcsField::GuestRip) + 1;
+    });
+}
+
+/** The register-file layer of a trap round: spill a context's GPRs
+ *  into a vCPU-struct image and reload them. */
+SpeedResult
+runGprTransfer(std::uint64_t ops)
+{
+    EventQueue eq;
+    CostModel costs;
+    SmtCore core(eq, costs, 0, 2, 0);
+    HwContext &ctx = core.context(1);
+    return timeLayer(ops, [&] {
+        GprValues spill = ctx.readGprs();
+        ++spill[0];
+        ctx.writeGprs(spill);
+        return spill[0];
+    });
+}
+
+SpeedResult
+runCpuidRound(VirtMode mode, std::uint64_t ops)
+{
+    NestedSystem sys(mode);
+    sys.api().cpuid(1);
+    return timeLayer(ops, [&] { return sys.api().cpuid(1); });
+}
+
+/** One nested virtio-blk request, submitted and retired by halt(). */
+SpeedResult
+runDiskRound(std::uint64_t ops)
+{
+    NestedSystem sys(VirtMode::Nested);
+    RamDisk disk(sys.machine(), "bench");
+    VirtioBlkStack blk(sys.stack(), disk);
+    std::uint64_t done = 0;
+    blk.setCompletionHandler([&](std::uint64_t id) { done = id; });
+    std::uint64_t id = 0;
+    return timeLayer(ops, [&] {
+        blk.submit(++id, 0, 512, false);
+        while (done != id)
+            sys.api().halt();
+        return id;
+    });
+}
+
+using LayerRow = std::pair<std::string, SpeedResult>;
+
 struct WorkloadRow
 {
     std::string name;
@@ -296,7 +388,8 @@ writeResult(std::ostream &os, const char *key, const SpeedResult &r,
 
 void
 writeJson(std::ostream &os, const std::vector<WorkloadRow> &rows,
-          bool quick, std::uint64_t seed)
+          const std::vector<LayerRow> &layers, bool quick,
+          std::uint64_t seed)
 {
     os << "{\n";
     os << "  \"bench\": \"sim_speed\",\n";
@@ -313,6 +406,15 @@ writeJson(std::ostream &os, const std::vector<WorkloadRow> &rows,
            << "\n";
         os << "  }" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
+    os << "  ],\n";
+    os << "  \"layers\": [\n";
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const auto &[name, r] = layers[i];
+        os << "    {\"name\": \"" << name << "\", \"ops\": " << r.ops
+           << ", \"wall_s\": " << r.wallSec
+           << ", \"ns_per_op\": " << r.nsPerOp() << "}"
+           << (i + 1 < layers.size() ? "," : "") << "\n";
+    }
     os << "  ]\n";
     os << "}\n";
 }
@@ -327,45 +429,32 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
     const std::uint64_t cancelIters = quick ? 20000 : 400000;
     const std::uint64_t mixedIters = quick ? 20000 : 300000;
     const std::uint64_t consumeRounds = quick ? 10000 : 200000;
+    const std::uint64_t accessOps = quick ? 1000000 : 20000000;
+    const std::uint64_t roundOps = quick ? 2000 : 50000;
 
-    std::vector<WorkloadRow> rows;
-    rows.push_back(
-        {"schedule_heavy",
-         bestOf(reps,
-                [&] { return runScheduleHeavy<EventQueue>(
-                          scheduleIters); }),
-         bestOf(reps, [&] {
-             return runScheduleHeavy<ReferenceEventQueue>(
-                 scheduleIters);
-         })});
-    rows.push_back(
-        {"cancel_heavy",
-         bestOf(reps,
-                [&] { return runCancelHeavy<EventQueue>(cancelIters); }),
-         bestOf(reps, [&] {
-             return runCancelHeavy<ReferenceEventQueue>(cancelIters);
-         })});
-    rows.push_back(
-        {"mixed_fig7",
-         bestOf(reps,
-                [&] {
-                    return runMixedFig7<EventQueue>(mixedIters, seed);
-                }),
-         bestOf(reps, [&] {
-             return runMixedFig7<ReferenceEventQueue>(mixedIters,
-                                                      seed);
-         })});
-    rows.push_back(
-        {"consume_heavy",
-         bestOf(reps,
-                [&] {
-                    return runConsumeHeavy<EventQueue>(consumeRounds,
-                                                       seed);
-                }),
-         bestOf(reps, [&] {
-             return runConsumeHeavy<ReferenceEventQueue>(consumeRounds,
-                                                         seed);
-         })});
+    // Each workload runs on the wheel and on the reference heap; the
+    // tag names the queue type to the workload's template.
+    const auto row = [&](std::string name, auto run) {
+        using Wheel = std::type_identity<EventQueue>;
+        using Heap = std::type_identity<ReferenceEventQueue>;
+        return WorkloadRow{std::move(name),
+                           bestOf(reps, [&] { return run(Wheel{}); }),
+                           bestOf(reps, [&] { return run(Heap{}); })};
+    };
+    const std::vector<WorkloadRow> rows = {
+        row("schedule_heavy", [&]<class Q>(std::type_identity<Q>) {
+            return runScheduleHeavy<Q>(scheduleIters);
+        }),
+        row("cancel_heavy", [&]<class Q>(std::type_identity<Q>) {
+            return runCancelHeavy<Q>(cancelIters);
+        }),
+        row("mixed_fig7", [&]<class Q>(std::type_identity<Q>) {
+            return runMixedFig7<Q>(mixedIters, seed);
+        }),
+        row("consume_heavy", [&]<class Q>(std::type_identity<Q>) {
+            return runConsumeHeavy<Q>(consumeRounds, seed);
+        }),
+    };
 
     // Sanity: both implementations must have processed the identical
     // deterministic workload.
@@ -379,8 +468,23 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
         }
     }
 
+    const auto cpuid = [&](VirtMode mode) {
+        return bestOf(reps, [&] { return runCpuidRound(mode, roundOps); });
+    };
+    // A braced list runs its elements in order, one layer at a time.
+    const std::vector<LayerRow> layers = {
+        {"vmcs_access",
+         bestOf(reps, [&] { return runVmcsAccess(accessOps); })},
+        {"gpr_transfer",
+         bestOf(reps, [&] { return runGprTransfer(accessOps); })},
+        {"cpuid_round.nested", cpuid(VirtMode::Nested)},
+        {"cpuid_round.sw-svt", cpuid(VirtMode::SwSvt)},
+        {"cpuid_round.hw-svt", cpuid(VirtMode::HwSvt)},
+        {"disk_round", bestOf(reps, [&] { return runDiskRound(roundOps); })},
+    };
+
     if (!writeOutput("sim_speed", outPath, [&](std::ostream &os) {
-            writeJson(os, rows, quick, seed);
+            writeJson(os, rows, layers, quick, seed);
         }))
         return 1;
 
@@ -389,6 +493,11 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
                     "   speedup %5.2fx\n",
                     row.name.c_str(), row.wheel.eventsPerSec(),
                     row.reference.eventsPerSec(), row.speedup());
+    }
+    for (const auto &[name, r] : layers) {
+        std::printf("%-20s %10llu ops %9.4f s %9.1f ns/op\n",
+                    name.c_str(), static_cast<unsigned long long>(r.ops),
+                    r.wallSec, r.nsPerOp());
     }
     return 0;
 }
@@ -399,9 +508,9 @@ int
 main(int argc, char **argv)
 {
     BenchHarness bench("sim_speed",
-                       "wall-clock event-queue throughput: timing "
-                       "wheel vs reference heap (events/sec, "
-                       "simulated-us per wall-second)");
+                       "wall-clock event-queue throughput (timing "
+                       "wheel vs reference heap) and host ns per op "
+                       "of each trap-path layer");
     std::string outPath = "BENCH_SPEED.json";
     bool quick = false;
     bench.flag("--out=FILE", outPath,

@@ -2,9 +2,9 @@
 """Golden-output oracle: the deterministic benches must stay byte-identical.
 
 Runs every deterministic bench in build/bench (all but the host-timing
-sim_speed, cluster_speed and primitives_gbench) and hashes its stdout,
-its --json and --metrics exports and, for the benches whose traces pin
-the order of the nested trap stages, every --trace file. Of
+sim_speed and cluster_speed) and hashes its stdout, its --json and
+--metrics exports and, for the benches whose traces pin the order of
+the nested trap stages, every --trace file. Of
 cluster_speed, which times the host, it hashes only the simulation
 fingerprint in its --out record. The hashes are compared against the
 committed GOLDEN.sha256.

@@ -1,25 +1,11 @@
 #!/usr/bin/env python3
-"""Merge cluster_speed / fleet_scale / exit_elision runs into a
-BENCH_SPEED.json doc.
+"""Merge a cluster_speed run into a BENCH_SPEED.json doc.
 
 The committed BENCH_SPEED.json holds the sim_speed workload records;
-cluster_speed, fleet_scale and exit_elision write their own JSON. This
-script grafts a run under a top-level key — "cluster" for a
-cluster_speed result, "fleet" for a fleet_scale sweep, "elision" for
-an exit_elision sweep — so one artifact carries all of them, without
-ever regenerating (and thus churning) the sim_speed section.
-
-The fleet record keeps only the per-policy fleet rollup metrics (p99,
-QPS under SLA, tenants met, interference): they are deterministic for
-a given seed, so the committed copy doubles as a golden reference for
-the policy ordering (svt-pair beats isolate), while wall-clock numbers
-stay out of it.
-
-The elision record likewise keeps the per-scenario exit structure
-(p99 plus per-request external-interrupt / EOI-trap / elided counts):
-deterministic per seed, so the committed copy locks in the ladder's
-acceptance claim — posted interrupts + coalescing shrink the
-per-request nested exit counts.
+cluster_speed writes its own JSON. This script grafts a cluster_speed
+result under the top-level key "cluster", so one artifact carries
+both, without ever regenerating (and thus churning) the sim_speed
+section.
 
 Usage: merge_bench_speed.py BENCH_SPEED.json RUN.json [OUT.json]
 
@@ -28,45 +14,6 @@ OUT.json defaults to rewriting BENCH_SPEED.json in place.
 
 import json
 import sys
-
-FLEET_KEYS = (
-    "fleet_p99_usec",
-    "fleet_qps_under_sla",
-    "fleet_tenants_met",
-    "fleet_sla_fraction",
-    "fleet_mean_interference",
-)
-
-
-ELISION_KEYS = (
-    "p99_us",
-    "extint_per_req",
-    "wrmsr_per_req",
-    "elided_posted_per_req",
-    "elided_eoi_per_req",
-)
-
-
-def fleet_record(run):
-    """Reduce a fleet_scale sweep JSON to its per-policy rollup."""
-    policies = {}
-    for scenario in run.get("scenarios", []):
-        metrics = scenario.get("metrics", {})
-        policies[scenario["name"]] = {
-            k: metrics[k] for k in FLEET_KEYS if k in metrics
-        }
-    return {"seed": run.get("seed"), "policies": policies}
-
-
-def elision_record(run):
-    """Reduce an exit_elision sweep JSON to its exit structure."""
-    scenarios = {}
-    for scenario in run.get("scenarios", []):
-        metrics = scenario.get("metrics", {})
-        scenarios[scenario["name"]] = {
-            k: metrics[k] for k in ELISION_KEYS if k in metrics
-        }
-    return {"seed": run.get("seed"), "scenarios": scenarios}
 
 
 def main(argv):
@@ -81,24 +28,15 @@ def main(argv):
     with open(run_path) as f:
         run = json.load(f)
 
-    bench = run.get("bench")
-    if bench == "cluster_speed":
-        run.pop("bench", None)
-        doc["cluster"] = run
-    elif bench == "fleet_scale":
-        doc["fleet"] = fleet_record(run)
-    elif bench == "exit_elision":
-        doc["elision"] = elision_record(run)
-    else:
-        print(f"{run_path}: not a cluster_speed, fleet_scale or "
-              "exit_elision result",
-              file=sys.stderr)
+    if run.pop("bench", None) != "cluster_speed":
+        print(f"{run_path}: not a cluster_speed result", file=sys.stderr)
         return 1
+    doc["cluster"] = run
 
     with open(out_path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    print(f"merged {run_path} ({bench}) into {out_path}")
+    print(f"merged {run_path} (cluster_speed) into {out_path}")
     return 0
 
 

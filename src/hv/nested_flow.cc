@@ -972,10 +972,9 @@ bool
 L1Api::issue(const GuestTrap &t)
 {
     // A single-level guest takes pending interrupts before each
-    // trapping instruction but vmcall. L1 pays no setup cost beyond
-    // the instruction's own, and L0 intercepts every MSR it touches.
-    if (stack_.config_.mode == VirtMode::Single &&
-        t.info.reason != ExitReason::Vmcall)
+    // trapping instruction. L1 pays no setup cost beyond the
+    // instruction's own, and L0 intercepts every MSR it touches.
+    if (stack_.config_.mode == VirtMode::Single)
         stack_.pumpInterrupts();
     stack_.machine_.consume(t.exec);
     t.loadOperands(ctx());

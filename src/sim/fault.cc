@@ -1,5 +1,6 @@
 #include "sim/fault.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 
@@ -233,8 +234,10 @@ FaultInjector::decide(FaultSite site)
                   occurrence < clause.first + clause.count;
         }
         if (hit) {
+            // Each delay is in [0, maxTick); the sum saturates there.
             decision.fire = true;
-            decision.delay += clause.delay;
+            decision.delay =
+                std::min(decision.delay, maxTick - clause.delay) + clause.delay;
         }
     }
     if (decision.fire) {

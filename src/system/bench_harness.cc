@@ -181,9 +181,6 @@ BenchHarness::usage(const std::vector<Flag> &table, std::ostream &os,
            << std::string(column - 2 - std::min(column - 3, f.name.size()),
                           ' ')
            << f.help << "\n";
-    if (forwardMain_)
-        os << "\nany other argument goes to the google-benchmark "
-              "runner\n";
     return status;
 }
 
@@ -198,7 +195,7 @@ BenchHarness::main(int argc, char **argv)
          "base seed of every simulated machine (default 1)"},
         {"--help", &help, "this text"},
     };
-    if (!customMain_ && !forwardMain_) {
+    if (!customMain_) {
         table.insert(
             table.end(),
             {
@@ -228,7 +225,6 @@ BenchHarness::main(int argc, char **argv)
     }
     table.insert(table.end(), flags_.begin(), flags_.end());
 
-    std::vector<char *> rest(argv, argv + std::min(argc, 1));
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const std::string key = arg.substr(0, arg.find('='));
@@ -236,9 +232,7 @@ BenchHarness::main(int argc, char **argv)
             std::find_if(table.begin(), table.end(), [&](const Flag &f) {
                 return f.name.substr(0, f.name.find('=')) == key;
             });
-        if (row == table.end() && forwardMain_) {
-            rest.push_back(argv[i]);
-        } else if (row == table.end()) {
+        if (row == table.end()) {
             std::cerr << name_ << ": unknown argument '" << arg << "'\n";
             return usage(table, std::cerr, 2);
         } else if (!assign(*row, arg)) {
@@ -258,8 +252,6 @@ BenchHarness::main(int argc, char **argv)
 
     if (help)
         return usage(table, std::cout, 0);
-    if (forwardMain_)
-        return forwardMain_(static_cast<int>(rest.size()), rest.data());
     if (customMain_)
         return customMain_(options);
     if (list) {

@@ -56,7 +56,6 @@ class BenchHarness
   public:
     using ReportFn = std::function<void(const SweepResults &results)>;
     using CustomMainFn = std::function<int(const BenchOptions &options)>;
-    using ForwardMainFn = std::function<int(int argc, char **argv)>;
 
     /** Largest thread count a flag accepts (--jobs, --cluster-jobs). */
     static constexpr std::uint64_t kMaxThreads = 4096;
@@ -114,10 +113,6 @@ class BenchHarness
     /** Replace the sweep with a custom main. */
     void onCustomMain(CustomMainFn fn) { customMain_ = std::move(fn); }
 
-    /** A custom main for a runner with flags of its own
-     *  (google-benchmark): it gets the arguments the table lacks. */
-    void onForwardMain(ForwardMainFn fn) { forwardMain_ = std::move(fn); }
-
     /**
      * The shared main(): parse flags, run the sweep on `--jobs`
      * workers, write JSON, report. Returns a process exit status:
@@ -136,7 +131,6 @@ class BenchHarness
     std::vector<Flag> flags_;
     ReportFn report_;
     CustomMainFn customMain_;
-    ForwardMainFn forwardMain_;
 };
 
 } // namespace svtsim

@@ -128,9 +128,15 @@ validateTenantSpec(const TenantSpec &tenant)
                   : (tenant.workload == TenantWorkload::Tpcc
                          ? "mean transaction latency in msec"
                          : "a dropped-frame fraction"));
-    if (tenant.duration <= 0)
-        fatal("TenantSpec '%s': duration %lld ticks must be > 0",
-              name, static_cast<long long>(tenant.duration));
+    // The workloads add the duration to the run's start (mutilate
+    // also a drain margin), so one simulated day keeps every deadline
+    // far inside the Ticks range.
+    constexpr Ticks maxDuration = sec(24 * 3600);
+    if (tenant.duration <= 0 || tenant.duration > maxDuration)
+        fatal("TenantSpec '%s': duration %lld ticks must be > 0 and "
+              "<= %lld (one simulated day)",
+              name, static_cast<long long>(tenant.duration),
+              static_cast<long long>(maxDuration));
     // The workloads turn a rate into a period of 1e12 / rate ticks
     // (mutilate's mean request gap, the video frame period). At least
     // one tick, and at most a second, keeps the period and what the

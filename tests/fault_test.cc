@@ -181,6 +181,14 @@ TEST(FaultPlan, RandomSpecsParseOrThrowFatalError)
                 }
                 EXPECT_GE(clause.delay, 0) << spec;
             }
+            // A plan that parses also runs: a few hundred decisions on
+            // every site, where UBSan catches any overflow.
+            FaultInjector injector(plan, i);
+            for (int round = 0; round < 200; ++round) {
+                for (std::size_t s = 0; s < numFaultSites; ++s)
+                    EXPECT_GE(injector.delay(static_cast<FaultSite>(s)), 0)
+                        << spec;
+            }
         } catch (const FatalError &) {
             ++rejected;
         } catch (const std::exception &e) {
@@ -226,6 +234,16 @@ TEST(FaultInjector, OccurrenceWindowFiresExactly)
                                         false, false}));
     EXPECT_EQ(inj.occurrenceCount(FaultSite::IpiDrop), 6u);
     EXPECT_EQ(inj.injectedCount(FaultSite::IpiDrop), 3u);
+}
+
+TEST(FaultInjector, SummedDelaysSaturateAtMaxTick)
+{
+    // Each delay parses (it is below maxTick), but their sum is not a
+    // Ticks value.
+    FaultInjector inj(FaultPlan::parse("ipi.delay@p1,d9000000000ms;"
+                                       "ipi.delay@p1,d9000000000ms"),
+                      1);
+    EXPECT_EQ(inj.delay(FaultSite::IpiDelay), maxTick);
 }
 
 // ------------------------------------------- LAPIC delivery-time bugfixes

@@ -180,6 +180,16 @@ TEST(FleetSpecValidation, RejectsMalformedSpecs)
             validateTenantSpec(t);
         },
         "INT_MAX frames");
+    // The workloads add the duration to the start time, so a duration
+    // near the Ticks limit overflows their deadlines.
+    for (Ticks bad : {Ticks{LLONG_MAX - 1}, maxTick / 2})
+        expectFatal(
+            [bad] {
+                TenantSpec t = memcachedTenant("mc", 1, 1000);
+                t.duration = bad;
+                validateTenantSpec(t);
+            },
+            "one simulated day");
 
     expectFatal(
         [] {

@@ -736,6 +736,18 @@ TEST(VirtStack, L2HypercallRoundTrip)
     }
 }
 
+TEST(VirtStack, SingleGuestTakesPendingInterruptBeforeVmcall)
+{
+    // A single-level guest takes a pending interrupt before every
+    // trapping instruction, vmcall included, as L2 does.
+    Rig rig(VirtMode::Single);
+    GuestApi &api = rig.stack->api();
+    int fired = 0;
+    api.setIrqHandler(vec::l1VirtioBlk, [&] { ++fired; });
+    rig.stack->raiseL1Irq(vec::l1VirtioBlk);
+    api.vmcall(99, 0, 0);
+    EXPECT_EQ(fired, 1);
+}
 
 TEST(VirtStack, ExitInfoIsShadowReadableButNotWritable)
 {
