@@ -2,21 +2,31 @@
  * @file
  * Simulator-speed bench: wall-clock throughput of the discrete-event
  * hot path (events/sec and simulated-us per wall-second), measured for
- * the timing-wheel EventQueue and for the retained pre-wheel
- * ReferenceEventQueue on the same workloads, so the wheel's speedup is
- * part of the committed record (BENCH_SPEED.json) and CI can catch
- * regressions.
+ * the EventQueue and for the retained pre-wheel ReferenceEventQueue on
+ * the same workloads, so the queue's speedup is part of the committed
+ * record (BENCH_SPEED.json) and CI can catch regressions.
+ *
+ * The EventQueue keeps at most EventQueue::listLimit (32) pending
+ * events on a sorted list and more on its timing wheel. The paper
+ * benches' queues hold at most 17 pending events per machine (fig7_io:
+ * 120), so the list is the common case; the first three workloads keep
+ * thousands pending to exercise the wheel side, and consume_heavy
+ * (8 timers) exercises the list side. Each row records its largest
+ * pending count as max_pending, from one untimed extra run after all
+ * timed runs.
  *
  * Workloads:
- *  - schedule_heavy: bursts of short timers, all fired — the pure
- *    schedule->fire cycle that dominates nested-trap simulation.
- *  - cancel_heavy:   watchdog churn — most events are descheduled
- *    before firing (re-armed timeouts, TSC deadlines).
- *  - mixed_fig7:     the fig7-style I/O mix — per-round completion +
- *    IPI timers at ns scale, a cancelled timeout, occasional slow
- *    timers, randomized (seeded) deltas.
+ *  - schedule_heavy: 32768 periodic timers, all fired and re-armed —
+ *    the wheel's schedule->fire cycle.
+ *  - cancel_heavy:   watchdog churn over 16384 armed timeouts — most
+ *    events are descheduled before firing (re-armed timeouts, TSC
+ *    deadlines).
+ *  - mixed_fig7:     the fig7-style I/O mix above 4096 keepalive
+ *    timers — per-round completion + IPI timers at ns scale, a
+ *    cancelled timeout, occasional slow timers, randomized (seeded)
+ *    deltas.
  *  - consume_heavy:  the trap-round shape — long runs of tiny
- *    advanceBy() charges between sparse periodic timers, where most
+ *    advanceBy() charges between 8 periodic timers, where most
  *    advances cross no pending event.
  *
  * Layers: the host cost of one op of each layer of the nested trap
@@ -27,12 +37,14 @@
  * Unlike the sweep benches this measures host wall clock, so the JSON
  * is not byte-deterministic; the workload event counts and simulated
  * tick totals are, and CI compares the machine-independent
- * wheel/reference speedup ratio rather than raw rates.
+ * queue/reference speedup ratio rather than raw rates.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <type_traits>
@@ -61,6 +73,7 @@ struct SpeedResult
     std::uint64_t ops = 0;     ///< schedules + cancels + fires.
     Ticks simTicks = 0;        ///< Simulated time covered.
     double wallSec = 0.0;      ///< Best-of-N wall time.
+    std::size_t maxPending = 0; ///< Largest pending count (PendingProbe).
 
     double eventsPerSec() const
     {
@@ -111,11 +124,43 @@ struct PeriodicTimer
 };
 
 /**
+ * An EventQueue that remembers its largest pending count. Every
+ * workload schedules through scheduleIn(), and the count only rises
+ * there, so one untimed run on this type measures a row's max_pending
+ * outside the timed loops.
+ */
+struct PendingProbe : EventQueue
+{
+    std::size_t peak = 0;
+
+    EventId
+    scheduleIn(Ticks delta, EventClosure fn)
+    {
+        const EventId id = EventQueue::scheduleIn(delta, std::move(fn));
+        peak = std::max(peak, size());
+        return id;
+    }
+};
+
+template <class Q>
+std::size_t
+peakPending(const Q &)
+{
+    return 0;
+}
+
+std::size_t
+peakPending(const PendingProbe &q)
+{
+    return q.peak;
+}
+
+/**
  * Schedule-heavy: a large population of concurrently outstanding
- * periodic timers (many guests x devices x timeouts), every event
- * fired and rescheduled. This is the pure schedule->fire cycle at the
- * fig7 operating point, where the wheel's O(1) schedule/fire beats
- * the heap's O(log n) sift plus per-event record allocation.
+ * periodic timers, every event fired and rescheduled. Far above
+ * listLimit, this is the wheel side's schedule->fire cycle, where its
+ * O(1) schedule/fire beats the heap's O(log n) sift plus per-event
+ * record allocation. The paper benches never hold this many.
  */
 template <class Q>
 SpeedResult
@@ -139,6 +184,7 @@ runScheduleHeavy(std::uint64_t fireTarget)
     r.fired = fired;
     r.ops = 2 * fired; // every fire is paired with a reschedule
     r.simTicks = q.now();
+    r.maxPending = peakPending(q);
     return r;
 }
 
@@ -176,6 +222,7 @@ runCancelHeavy(std::uint64_t iters)
     r.fired = fired;
     r.ops += fired;
     r.simTicks = q.now();
+    r.maxPending = peakPending(q);
     return r;
 }
 
@@ -225,6 +272,7 @@ runMixedFig7(std::uint64_t iters, std::uint64_t seed)
     r.fired = fired;
     r.ops += fired;
     r.simTicks = q.now();
+    r.maxPending = peakPending(q);
     return r;
 }
 
@@ -265,6 +313,7 @@ runConsumeHeavy(std::uint64_t rounds, std::uint64_t seed)
     r.fired = fired;
     r.ops = rounds * chargesPerRound + 2 * fired;
     r.simTicks = q.now();
+    r.maxPending = peakPending(q);
     return r;
 }
 
@@ -361,8 +410,10 @@ using LayerRow = std::pair<std::string, SpeedResult>;
 struct WorkloadRow
 {
     std::string name;
+    /** The EventQueue's run ("wheel" in the committed record). */
     SpeedResult wheel;
     SpeedResult reference;
+    std::size_t maxPending = 0;
 
     double speedup() const
     {
@@ -395,11 +446,13 @@ writeJson(std::ostream &os, const std::vector<WorkloadRow> &rows,
     os << "  \"bench\": \"sim_speed\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"seed\": " << seed << ",\n";
+    os << "  \"list_limit\": " << EventQueue::listLimit << ",\n";
     os << "  \"workloads\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const WorkloadRow &row = rows[i];
         os << "  {\n";
         os << "    \"name\": \"" << row.name << "\",\n";
+        os << "    \"max_pending\": " << row.maxPending << ",\n";
         writeResult(os, "wheel", row.wheel, ",");
         writeResult(os, "reference", row.reference, ",");
         os << "    \"speedup_events_per_sec\": " << row.speedup()
@@ -432,16 +485,23 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
     const std::uint64_t accessOps = quick ? 1000000 : 20000000;
     const std::uint64_t roundOps = quick ? 2000 : 50000;
 
-    // Each workload runs on the wheel and on the reference heap; the
-    // tag names the queue type to the workload's template.
+    // Each workload runs on the queue and on the reference heap; the
+    // tag names the queue type to the workload's template. Its
+    // max_pending comes from one untimed run on PendingProbe, made
+    // after every timed run so the timed runs follow each other as
+    // they always have.
+    std::vector<std::function<std::size_t()>> probes;
     const auto row = [&](std::string name, auto run) {
         using Wheel = std::type_identity<EventQueue>;
         using Heap = std::type_identity<ReferenceEventQueue>;
+        probes.push_back([run] {
+            return run(std::type_identity<PendingProbe>{}).maxPending;
+        });
         return WorkloadRow{std::move(name),
                            bestOf(reps, [&] { return run(Wheel{}); }),
                            bestOf(reps, [&] { return run(Heap{}); })};
     };
-    const std::vector<WorkloadRow> rows = {
+    std::vector<WorkloadRow> rows = {
         row("schedule_heavy", [&]<class Q>(std::type_identity<Q>) {
             return runScheduleHeavy<Q>(scheduleIters);
         }),
@@ -455,6 +515,8 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
             return runConsumeHeavy<Q>(consumeRounds, seed);
         }),
     };
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].maxPending = probes[i]();
 
     // Sanity: both implementations must have processed the identical
     // deterministic workload.
@@ -490,9 +552,10 @@ runSpeedBench(const std::string &outPath, bool quick, std::uint64_t seed)
 
     for (const WorkloadRow &row : rows) {
         std::printf("%-16s wheel %12.0f ev/s   reference %12.0f ev/s"
-                    "   speedup %5.2fx\n",
+                    "   speedup %5.2fx   max pending %zu\n",
                     row.name.c_str(), row.wheel.eventsPerSec(),
-                    row.reference.eventsPerSec(), row.speedup());
+                    row.reference.eventsPerSec(), row.speedup(),
+                    row.maxPending);
     }
     for (const auto &[name, r] : layers) {
         std::printf("%-20s %10llu ops %9.4f s %9.1f ns/op\n",

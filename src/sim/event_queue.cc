@@ -5,14 +5,32 @@
 namespace svtsim {
 
 /*
- * Hierarchical timing wheel.
+ * Two stores, one arena.
  *
- * Level k buckets pending events by byte k of their absolute
- * timestamp: an event goes to the level of the highest byte in which
- * its timestamp differs from the wheel's reference time wheelNow_
- * (its "distance magnitude"), into slot (when >> 8k) & 255. wheelNow_
- * trails the visible clock now_: an advance that crosses no pending
- * event moves only now_, and the wheel catches up at the next walk.
+ * Sorted list. While at most listLimit events are pending, their
+ * records sit on list_, sorted by (tick, seq). A schedule walks back
+ * from the tail (a new record has the largest seq, so it stops at the
+ * first record with tick <= its own), the next due tick is the head's,
+ * and firing pops the head. The benches keep at most 17 events
+ * pending per queue (fig7_io 120; DESIGN.md "Event core"), so this is
+ * the common store.
+ *
+ * Moves. A schedule that would make listLimit + 1 moves every record
+ * onto the wheel: wheelNow_ becomes now_ (no pending event is earlier)
+ * and the records are placed in list order, so each tick's records
+ * land in seq order and invariant 3 below holds. Once fewer than
+ * wheelFloor remain — after a deschedule or as a record fires — every
+ * wheel record is inserted back into the list by (tick, seq). A move
+ * can happen inside a handler; both fire loops stop when their store
+ * empties, and the caller's next nextDue() walk reads the other one.
+ *
+ * Hierarchical timing wheel. Level k buckets pending events by byte k
+ * of their absolute timestamp: an event goes to the level of the
+ * highest byte in which its timestamp differs from the wheel's
+ * reference time wheelNow_ (its "distance magnitude"), into slot
+ * (when >> 8k) & 255. wheelNow_ trails the visible clock now_: an
+ * advance that crosses no pending event moves only now_, and the wheel
+ * catches up at the next walk.
  * Three invariants carry the design:
  *
  *  1. Level-0 slots are exact-tick buckets: every event in a level-0
@@ -27,8 +45,9 @@ namespace svtsim {
  *     wheelNow_ in a higher byte). The next event therefore lives in
  *     the first occupied slot of the lowest occupied level.
  *
- *  3. Slot lists append on every insertion — direct schedule or
- *     cascade — and cascades walk lists in order, so within a tick
+ *  3. Slot lists append on every insertion — direct schedule,
+ *     cascade or a move from the list — and cascades and moves walk
+ *     their source lists in order, so within a tick
  *     list order is seq order (same-tick FIFO; see DESIGN.md for why
  *     a direct insert can never be overtaken by a later cascade).
  *
@@ -56,7 +75,14 @@ EventQueue::schedule(Ticks when, EventClosure fn, std::string_view label)
     rec.fn = std::move(fn);
     rec.when = when;
     rec.seq = nextSeq_++;
-    placeRecord(idx, rec);
+    if (onWheel_) {
+        placeRecord(idx, rec);
+    } else if (SVTSIM_LIKELY(liveCount_ < listLimit)) {
+        listInsert(idx, rec);
+    } else {
+        moveToWheel();
+        placeRecord(idx, rec);
+    }
     ++liveCount_;
     dueBound_ = std::min(dueBound_, when);
     return makeId(idx, rec.gen);
@@ -81,16 +107,13 @@ EventQueue::deschedule(EventId id)
 {
     // Cancelling an already-fired, already-cancelled or unknown handle
     // is a no-op, matching the forgiving semantics of timer APIs. A
-    // live handle is unlinked from its slot eagerly — no lazy-deletion
+    // live handle is unlinked from its store eagerly — no lazy-deletion
     // debris — and the closure (and anything it captured) is released
     // right here.
     if (lookup(id) == nullptr)
         return false;
     const std::uint32_t idx = static_cast<std::uint32_t>(id) - 1;
-    Record &rec = recordAt(idx);
-    unlink(rec);
-    freeRecord(idx, rec);
-    --liveCount_;
+    retire(idx, recordAt(idx));
     return true;
 }
 
@@ -131,6 +154,80 @@ EventQueue::freeRecord(std::uint32_t idx, Record &rec)
 }
 
 void
+EventQueue::retire(std::uint32_t idx, Record &rec)
+{
+    unlink(rec);
+    freeRecord(idx, rec);
+    --liveCount_;
+    if (SVTSIM_UNLIKELY(onWheel_ && liveCount_ < wheelFloor))
+        moveToList();
+}
+
+void
+EventQueue::listInsert(std::uint32_t idx, Record &rec)
+{
+    rec.level = levelList;
+    std::uint32_t before = list_.tail;
+    while (before != nil) {
+        const Record &b = recordAt(before);
+        if (b.when < rec.when || (b.when == rec.when && b.seq < rec.seq))
+            break;
+        before = b.prev;
+    }
+    rec.prev = before;
+    rec.next = before == nil ? list_.head : recordAt(before).next;
+    if (rec.next != nil)
+        recordAt(rec.next).prev = idx;
+    else
+        list_.tail = idx;
+    if (before != nil)
+        recordAt(before).next = idx;
+    else
+        list_.head = idx;
+}
+
+void
+EventQueue::moveToWheel()
+{
+    wheelNow_ = now_;
+    std::uint32_t idx = list_.head;
+    list_.head = list_.tail = nil;
+    while (idx != nil) {
+        Record &rec = recordAt(idx);
+        const std::uint32_t next = rec.next;
+        placeRecord(idx, rec);
+        idx = next;
+    }
+    onWheel_ = true;
+}
+
+void
+EventQueue::moveToList()
+{
+    for (std::uint32_t levels = levelSummary_; levels != 0;
+         levels &= levels - 1) {
+        const int level = bottomBitIndex(levels);
+        for (int w = 0; w < numSlots / 64; ++w) {
+            for (std::uint64_t bits = occupied_[level][w]; bits != 0;
+                 bits &= bits - 1) {
+                Slot &sl = slots_[level][w * 64 + bottomBitIndex(bits)];
+                std::uint32_t idx = sl.head;
+                sl.head = sl.tail = nil;
+                while (idx != nil) {
+                    Record &rec = recordAt(idx);
+                    const std::uint32_t next = rec.next;
+                    listInsert(idx, rec);
+                    idx = next;
+                }
+            }
+            occupied_[level][w] = 0;
+        }
+    }
+    levelSummary_ = 0;
+    onWheel_ = false;
+}
+
+void
 EventQueue::placeRecord(std::uint32_t idx, Record &rec)
 {
     const std::uint64_t diff =
@@ -163,7 +260,8 @@ EventQueue::linkTail(int level, int slot, std::uint32_t idx,
 void
 EventQueue::unlink(Record &rec)
 {
-    Slot &sl = slots_[rec.level][rec.slot];
+    const bool listed = rec.level == levelList;
+    Slot &sl = listed ? list_ : slots_[rec.level][rec.slot];
     if (rec.prev != nil)
         recordAt(rec.prev).next = rec.next;
     else
@@ -172,7 +270,7 @@ EventQueue::unlink(Record &rec)
         recordAt(rec.next).prev = rec.prev;
     else
         sl.tail = rec.prev;
-    if (sl.head == nil)
+    if (sl.head == nil && !listed)
         clearOccupied(rec.level, rec.slot);
 }
 
@@ -264,6 +362,8 @@ EventQueue::cascade(int level, int slot)
 Ticks
 EventQueue::nextEventTime() const
 {
+    if (!onWheel_)
+        return list_.head == nil ? maxTick : recordAt(list_.head).when;
     const int level = lowestOccupiedLevel();
     if (level < 0)
         return maxTick;
@@ -280,25 +380,40 @@ EventQueue::nextEventTime() const
 }
 
 void
+EventQueue::fireTick(Ticks t)
+{
+    now_ = t;
+    if (onWheel_) {
+        moveTimeTo(t);
+        fireCurrentSlot(t);
+        return;
+    }
+    // As in fireCurrentSlot(). A handler's schedule at t sorts behind
+    // the records already at t, and a move onto the wheel empties the
+    // list: the caller's next walk finds the rest of t there.
+    while (now_ == t && list_.head != nil &&
+           recordAt(list_.head).when == t)
+        fireRecord(list_.head);
+}
+
+void
 EventQueue::fireCurrentSlot(Ticks t)
 {
     const int slot = static_cast<int>(t & slotMask);
     // A handler may schedule at the current tick (appended to this
     // slot's tail: runs in this loop) or advance time recursively
-    // (now_ moves past t: the recursion fired the rest, stop).
+    // (now_ moves past t: the recursion fired the rest, stop). A move
+    // back onto the list empties the slot, which also stops the loop.
     while (now_ == t && slots_[0][slot].head != nil)
-        fireHead(slot);
+        fireRecord(slots_[0][slot].head);
 }
 
 void
-EventQueue::fireHead(int slot)
+EventQueue::fireRecord(std::uint32_t idx)
 {
-    const std::uint32_t idx = slots_[0][slot].head;
     Record &rec = recordAt(idx);
-    unlink(rec);
     EventClosure fn = std::move(rec.fn);
-    freeRecord(idx, rec);
-    --liveCount_;
+    retire(idx, rec);
     ++executed_;
     fn();
 }
@@ -306,6 +421,14 @@ EventQueue::fireHead(int slot)
 bool
 EventQueue::nextDue(Ticks last, Ticks &t)
 {
+    if (!onWheel_) {
+        if (list_.head == nil) {
+            dueBound_ = maxTick;
+            return false;
+        }
+        t = dueBound_ = recordAt(list_.head).when;
+        return t <= last;
+    }
     for (;;) {
         const int level = lowestOccupiedLevel();
         if (level < 0) {
@@ -320,11 +443,8 @@ EventQueue::nextDue(Ticks last, Ticks &t)
         const Ticks base = dueBound_ = slotBase(level, slot);
         if (base > last)
             return false; // every event in the slot is >= base > last
-        // Cascade the slot down and re-scan. The clock follows the
-        // wheel to the window base, so a drain that fires nothing
-        // still leaves now() there (see runUntilTick()).
+        // Cascade the slot down and re-scan.
         moveTimeTo(base);
-        now_ = std::max(now_, base);
     }
 }
 
@@ -401,11 +521,29 @@ std::uint64_t
 EventQueue::runUntilTick(Ticks limit)
 {
     const std::uint64_t before = executed_;
+    const Ticks last = limit - 1;
     Ticks t;
-    while (nextDue(limit - 1, t)) {
-        moveTimeTo(t);
-        now_ = t;
-        fireCurrentSlot(t);
+    while (nextDue(last, t))
+        fireTick(t);
+    // The window-base rule: now() moves up to the largest window base
+    // of the next pending tick (the tick with its low 8k bits cleared,
+    // k = 1..7) that is <= last, where the wheel's cascades carried
+    // the clock before the list existed. A record's wheel level is the
+    // top byte in which its tick differs from wheelNow_, so a walk
+    // only visits such truncations of the tick, and those above its
+    // starting level are already <= now_. Machine::drainUntil charges
+    // the move as idle time, so the committed outputs depend on it;
+    // ROADMAP item 6 deletes this one step.
+    if (liveCount_ != 0) {
+        const Ticks next = nextEventTime();
+        for (int k = 1; k < numLevels; ++k) {
+            const Ticks base =
+                next & ~((static_cast<Ticks>(1) << (k * slotBits)) - 1);
+            if (base <= last) {
+                now_ = std::max(now_, base);
+                break;
+            }
+        }
     }
     return executed_ - before;
 }
@@ -414,11 +552,8 @@ void
 EventQueue::advanceUngated(Ticks when)
 {
     Ticks t;
-    while (nextDue(when, t)) {
-        moveTimeTo(t);
-        now_ = t;
-        fireCurrentSlot(t);
-    }
+    while (nextDue(when, t))
+        fireTick(t);
     // Nothing is due at or before when: only the clock moves.
     if (when > now_)
         now_ = when;

@@ -15,29 +15,36 @@
  *    every event whose timestamp is passed, in order, so device
  *    completions and interrupts appear at the right simulated instant.
  *
- * Implementation (since the hot-path overhaul): a hierarchical timing
- * wheel — numLevels levels of numSlots slots, level k bucketing events
- * by byte k of their absolute timestamp — backed by an arena/freelist
- * of event records linked into per-slot intrusive lists. schedule(),
- * deschedule() and fire are O(1) (plus at most numLevels cascades over
- * an event's lifetime), the steady-state schedule->fire cycle performs
- * zero heap allocations (closures live inline in the record via
- * EventClosure), and deschedule() unlinks
- * the record from its slot eagerly — there is no lazy-deletion debris,
- * so empty()/size()/nextEventTime() always agree. Eight 8-bit levels
- * cover every non-negative timestamp, so the wheel is the only event
- * store, and one private walk (nextDue) finds the next due tick for
- * every way of moving time forward.
+ * Implementation: one arena of event records, threaded on one of two
+ * stores by size. Each Machine owns a queue, and the benches keep a
+ * mean of 0.6-1.7 events pending per queue and at most 17 (fig7_io:
+ * 10.7 and 120; DESIGN.md "Event core" has the table). While a queue
+ * holds at most listLimit (32) events, its records sit on one
+ * intrusive list sorted by (tick, sequence): a schedule walks back
+ * from the tail (about one step at those depths), the next event is
+ * the head and firing pops it. A schedule that would make listLimit + 1
+ * moves every record onto a hierarchical timing wheel — numLevels
+ * levels of numSlots slots, level k bucketing events by byte k of
+ * their absolute timestamp, O(1) schedule, deschedule and fire plus at
+ * most numLevels cascades over an event's lifetime — and once fewer
+ * than wheelFloor (8) remain they move back onto the list. Both
+ * stores unlink a cancelled record eagerly, so empty()/size()/
+ * nextEventTime() always agree, and the steady-state schedule->fire
+ * cycle performs zero heap allocations (closures live inline in the
+ * record via EventClosure). One private walk (nextDue) finds the next
+ * due tick on either store for every way of moving time forward.
  *
  * Determinism contract (unchanged): events at the same tick run in
- * scheduling order. Level-0 slots are exact-tick buckets and every
- * insertion — direct or via cascade — appends, so slot order is seq
- * order; see DESIGN.md "Event core" for the argument.
+ * scheduling order. The list is sorted by (tick, seq); on the wheel,
+ * level-0 slots are exact-tick buckets and every insertion — direct,
+ * via cascade or in list order from the list — appends, so slot order
+ * is seq order; see DESIGN.md "Event core" for the argument.
  */
 
 #ifndef SVTSIM_SIM_EVENT_QUEUE_H
 #define SVTSIM_SIM_EVENT_QUEUE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -100,7 +107,7 @@ constexpr EventId invalidEventId = 0;
  * runs deterministic.
  *
  * Cancellation is eager end to end: deschedule() unlinks the record
- * from its wheel slot and releases the closure — and
+ * from the list or its wheel slot and releases the closure — and
  * anything it captured — immediately, so a schedule/cancel churn loop
  * (a re-armed watchdog) leaves no debris behind.
  */
@@ -194,9 +201,11 @@ class EventQueue
      * the horizon").
      *
      * now() ends at the last fired event's timestamp, or later at a
-     * window base below @p limit: finding the next event cascades the
-     * wheel, and now() follows it even when nothing fires (one event
-     * at 300 with now() == 0: runUntilTick(280) leaves now() at 256).
+     * window base below @p limit: when the next pending tick t is at
+     * or past @p limit, now() moves up to the largest value of t with
+     * its low 8k bits cleared (k = 1..7) that is below @p limit, as
+     * the wheel's cascades carry it (one event at 300 with now() == 0:
+     * runUntilTick(280) leaves now() at 256).
      *
      * @return Number of events fired.
      */
@@ -261,7 +270,16 @@ class EventQueue
      */
     bool pending(EventId id) const { return lookup(id) != nullptr; }
 
-    // -- Wheel geometry (public for tests and the speed bench) ------------
+    /**
+     * Whether the pending records sit on the wheel rather than the
+     * sorted list (for tests).
+     */
+    bool onWheel() const { return onWheel_; }
+
+    // -- List bound and wheel geometry (public for tests and sim_speed) --
+    /** Most records the sorted list holds; one more moves them all
+     *  onto the wheel. */
+    static constexpr std::size_t listLimit = 32;
     /** log2 of slots per level. */
     static constexpr int slotBits = 8;
     /** Slots per wheel level. */
@@ -273,15 +291,21 @@ class EventQueue
     static constexpr int numLevels = 8;
 
   private:
+    /** Fewer records than this on the wheel move back onto the list;
+     *  the gap to listLimit keeps a population near the bound from
+     *  moving at every schedule. */
+    static constexpr std::size_t wheelFloor = 8;
     static constexpr std::uint32_t nil = 0xffffffffu;
     static constexpr int slotMask = numSlots - 1;
     /** Record::level value for free arena slots. */
     static constexpr std::uint8_t levelFree = 0xff;
+    /** Record::level value for records on the sorted list. */
+    static constexpr std::uint8_t levelList = 0xfe;
     static constexpr std::uint32_t chunkSize = 256;
 
     /**
-     * One event. Lives in the arena; linked into exactly one wheel
-     * slot (via prev/next) while pending.
+     * One event. Lives in the arena; linked into the sorted list or
+     * exactly one wheel slot (via prev/next) while pending.
      */
     struct Record
     {
@@ -325,10 +349,22 @@ class EventQueue
 
     std::uint32_t allocRecord();
     void freeRecord(std::uint32_t idx, Record &rec);
+    /** Unlink and free a pending record; may move the rest onto the
+     *  list. */
+    void retire(std::uint32_t idx, Record &rec);
 
-    /** Bucket a record by when vs now_ and append to its slot. */
+    /** Insert a record into the list by (tick, seq), walking back
+     *  from the tail. */
+    void listInsert(std::uint32_t idx, Record &rec);
+    /** Move every list record onto the wheel, bucketed against now_. */
+    void moveToWheel();
+    /** Move every wheel record onto the list. */
+    void moveToList();
+
+    /** Bucket a record by when vs wheelNow_ and append to its slot. */
     void placeRecord(std::uint32_t idx, Record &rec);
     void linkTail(int level, int slot, std::uint32_t idx, Record &rec);
+    /** Unlink a pending record from the list or its wheel slot. */
     void unlink(Record &rec);
 
     void markOccupied(int level, int slot);
@@ -360,21 +396,25 @@ class EventQueue
     void cascade(int level, int slot);
 
     /**
-     * The one "find the next due tick" walk: cascade until the
-     * earliest pending event sits in a level-0 slot and store its
-     * tick in @p t. Cascading moves the wheel (and now_, if it is
-     * behind) only up to window bases at or before that tick. Every
-     * return refreshes dueBound_.
+     * The one "find the next due tick" walk. On the list it reads the
+     * head; on the wheel it cascades until the earliest pending event
+     * sits in a level-0 slot. Either way it stores that tick in @p t.
+     * Cascading moves the wheel only up to window bases at or before
+     * that tick, and never moves now_. Every return refreshes
+     * dueBound_.
      *
      * @return False, leaving @p t unset, if no event is due at or
      *         before @p last.
      */
     SVTSIM_ALWAYS_INLINE bool nextDue(Ticks last, Ticks &t);
 
-    /** Fire all events at tick t (== now_) in seq order. */
+    /** Set now_ to @p t (a tick nextDue() found due) and fire its
+     *  events in seq order. */
+    void fireTick(Ticks t);
+    /** Fire the wheel's events at tick t (== now_) in seq order. */
     void fireCurrentSlot(Ticks t);
-    /** Fire the first event of level-0 slot @p slot (non-empty). */
-    SVTSIM_ALWAYS_INLINE void fireHead(int slot);
+    /** Fire pending record @p idx. */
+    SVTSIM_ALWAYS_INLINE void fireRecord(std::uint32_t idx);
 
     /** advanceTo() past the fast path: the past-time panic, then
      *  the gate handoff or the plain loop. */
@@ -393,6 +433,12 @@ class EventQueue
     std::uint32_t freeHead_ = nil;
     std::uint32_t allocated_ = 0;
 
+    // -- Sorted list -------------------------------------------------------
+    /** Head and tail of the (tick, seq)-sorted list. */
+    Slot list_;
+    /** Whether the pending records sit on the wheel. */
+    bool onWheel_ = false;
+
     // -- Wheel -------------------------------------------------------------
     Slot slots_[numLevels][numSlots];
     std::uint64_t occupied_[numLevels][numSlots / 64] = {};
@@ -403,7 +449,8 @@ class EventQueue
     Ticks now_ = 0;
     /**
      * The wheel's reference time: slots are bucketed against it.
-     * Always <= now_, and no live event is earlier.
+     * Always <= now_, and no live event is earlier. moveToWheel()
+     * sets it to now_.
      */
     Ticks wheelNow_ = 0;
     /**

@@ -62,14 +62,15 @@ parseTime(const std::string &text, Ticks &out)
     double value = 0;
     if (!parseDecimal(text.substr(0, unit), value))
         return false;
-    // nsec()/usec()'s products, range-checked before the cast (a double
-    // at or past 2^63 has no Ticks value); -1 marks an unknown unit.
+    // nsec()/usec()'s products, range-checked before the cast (which
+    // also keeps a double at or past 2^63, with no Ticks value, out);
+    // -1 marks an unknown unit.
     const std::string suffix = text.substr(unit);
     const double ticks = suffix == "ns"   ? value * 1e3
                          : suffix == "us" ? value * 1e6
                          : suffix == "ms" ? value * 1000.0 * 1e6
                                           : -1.0;
-    if (!(ticks >= 0 && ticks < static_cast<double>(maxTick)))
+    if (!(ticks >= 0 && ticks <= static_cast<double>(maxFaultDelay)))
         return false;
     out = static_cast<Ticks>(ticks);
     return true;
@@ -164,7 +165,7 @@ parseClause(const std::string &text)
         }
         if (!parseTime(param.substr(1), clause.delay)) {
             fatal("fault spec clause '%s': bad delay '%s' (expected "
-                  "NUMBER followed by ns, us or ms)",
+                  "NUMBER followed by ns, us or ms, at most 1000ms)",
                   text.c_str(), param.c_str());
         }
         have_delay = true;
@@ -234,10 +235,11 @@ FaultInjector::decide(FaultSite site)
                   occurrence < clause.first + clause.count;
         }
         if (hit) {
-            // Each delay is in [0, maxTick); the sum saturates there.
+            // Each delay is in [0, maxFaultDelay]; the sum saturates
+            // there.
             decision.fire = true;
             decision.delay =
-                std::min(decision.delay, maxTick - clause.delay) + clause.delay;
+                std::min(decision.delay + clause.delay, maxFaultDelay);
         }
     }
     if (decision.fire) {

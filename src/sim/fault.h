@@ -22,8 +22,9 @@
  *
  * Numbers are decimal digits only: no sign, space, exponent, hex
  * prefix, `inf` or `nan` (sim/decimal.h, the parser the bench command
- * line uses too). A TIME past the Ticks range and a window whose end
- * N + COUNT passes 2^64 - 1 are rejected like any malformed text.
+ * line uses too). A TIME above maxFaultDelay (1000 ms) and a window
+ * whose end N + COUNT passes 2^64 - 1 are rejected like any malformed
+ * text.
  *
  * Examples: `ipi.drop@n2`, `ipi.delay@p0.5,d2us`,
  * `ring.post.drop@n1+3;virtio.completion.delay@p0.1,d50us`.
@@ -42,6 +43,15 @@
 #include "sim/ticks.h"
 
 namespace svtsim {
+
+/**
+ * Largest delay one fault decision injects: a clause's TIME and the
+ * sum of the clauses that fire at one occurrence are bounded here, so
+ * a hook point can add it to simulated time without overflowing (the
+ * clock would need about 9.2 million maximal injections). The largest
+ * delay a bench or test plan uses is 50 us.
+ */
+constexpr Ticks maxFaultDelay = msec(1000);
 
 /** Where a fault can be injected (the hook points in the model). */
 enum class FaultSite : std::uint8_t

@@ -96,6 +96,36 @@ TEST(RunUntilTick, CascadeMovesClockToWindowBase)
     EXPECT_EQ(q.nextEventTime(), 300);
 }
 
+TEST(RunUntilTick, WindowBaseIsTheSameOnBothStores)
+{
+    // The case above with 32 more events later than 300 runs on the
+    // wheel, whose cascade stops at the same base. A tick whose level-1
+    // base is past the limit moves the clock to its level-2 base
+    // (70000 = 0x11170: 65536 below 69800), and a later drain to its
+    // level-1 base (69888 below 69900).
+    for (const int extra : {0, 32}) {
+        EventQueue q;
+        q.schedule(300, [] {});
+        for (int i = 1; i <= extra; ++i)
+            q.schedule(300 + i * 997, [] {});
+        EXPECT_EQ(q.onWheel(), extra > 0);
+        EXPECT_EQ(q.runUntilTick(280), 0u);
+        EXPECT_EQ(q.now(), 256) << extra;
+        EXPECT_EQ(q.nextEventTime(), 300);
+
+        EventQueue far;
+        far.schedule(70000, [] {});
+        for (int i = 1; i <= extra; ++i)
+            far.schedule(70000 + i * 997, [] {});
+        EXPECT_EQ(far.runUntilTick(69800), 0u);
+        EXPECT_EQ(far.now(), 65536) << extra;
+        EXPECT_EQ(far.runUntilTick(69900), 0u);
+        EXPECT_EQ(far.now(), 69888) << extra;
+        EXPECT_EQ(far.runUntilTick(70001), 1u);
+        EXPECT_EQ(far.now(), 70000);
+    }
+}
+
 // ---------------------------------------------------------------------
 // AdvanceGate: an advance past the horizon waits at the gate even when
 // no event is due, so the fast path must test the horizon too.

@@ -86,14 +86,21 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     // Unknown site, missing trigger, malformed trigger, probability
     // out of range, 1-based occurrence violated, delay on a non-delay
     // site, delay site without a delay, bad time unit, a NaN
-    // probability, a delay past the Ticks range, an occurrence window
-    // whose end wraps, and numbers that are not plain decimals (a
-    // sign, a hex float, a hex integer).
+    // probability, delays past maxFaultDelay (1000 ms; the two plans
+    // built from 9000000000 ms clauses parsed once and overflowed the
+    // clock when they fired), an occurrence window whose end wraps,
+    // and numbers that are not plain decimals (a sign, a hex float, a
+    // hex integer).
     for (const char *bad :
          {"bogus.site@n1", "ipi.drop", "ipi.drop@x1", "ipi.drop@p1.5",
           "ipi.drop@n0", "ipi.drop@n1,d1us", "ipi.delay@n1",
           "ipi.delay@n1,d5s", "ipi.delay@n1,q5us", "ipi.drop@pnan",
-          "ipi.delay@n1,d1e300ms", "ipi.drop@n18446744073709551615+2",
+          "ipi.delay@n1,d1e300ms", "ipi.delay@n1,d1000.001ms",
+          "ipi.delay@n1,d1000000001us",
+          "virtio.completion.delay@p1,d9000000000ms;"
+          "virtio.completion.delay@p1,d9000000000ms",
+          "ring.doorbell.delay@p1,d9000000000ms",
+          "ipi.drop@n18446744073709551615+2",
           "ipi.drop@p+0.5", "ipi.drop@p0x1p-1", "ipi.delay@n1,d0x10us",
           "ipi.delay@n1,d+2us"}) {
         EXPECT_THROW(FaultPlan::parse(bad), FatalError) << bad;
@@ -179,15 +186,19 @@ TEST(FaultPlan, RandomSpecsParseOrThrowFatalError)
                     EXPECT_GT(clause.first + clause.count, clause.first)
                         << spec;
                 }
-                EXPECT_GE(clause.delay, 0) << spec;
+                EXPECT_TRUE(clause.delay >= 0 &&
+                            clause.delay <= maxFaultDelay)
+                    << spec;
             }
             // A plan that parses also runs: a few hundred decisions on
             // every site, where UBSan catches any overflow.
             FaultInjector injector(plan, i);
             for (int round = 0; round < 200; ++round) {
-                for (std::size_t s = 0; s < numFaultSites; ++s)
-                    EXPECT_GE(injector.delay(static_cast<FaultSite>(s)), 0)
-                        << spec;
+                for (std::size_t s = 0; s < numFaultSites; ++s) {
+                    const Ticks d =
+                        injector.delay(static_cast<FaultSite>(s));
+                    EXPECT_TRUE(d >= 0 && d <= maxFaultDelay) << spec;
+                }
             }
         } catch (const FatalError &) {
             ++rejected;
@@ -236,14 +247,16 @@ TEST(FaultInjector, OccurrenceWindowFiresExactly)
     EXPECT_EQ(inj.injectedCount(FaultSite::IpiDrop), 3u);
 }
 
-TEST(FaultInjector, SummedDelaysSaturateAtMaxTick)
+TEST(FaultInjector, SummedDelaysSaturateAtMaxFaultDelay)
 {
-    // Each delay parses (it is below maxTick), but their sum is not a
-    // Ticks value.
-    FaultInjector inj(FaultPlan::parse("ipi.delay@p1,d9000000000ms;"
-                                       "ipi.delay@p1,d9000000000ms"),
-                      1);
-    EXPECT_EQ(inj.delay(FaultSite::IpiDelay), maxTick);
+    // Each delay parses (it is at the bound), but their sum is past
+    // it. The decision saturates, so a hook point can add it to
+    // simulated time.
+    const FaultPlan plan =
+        FaultPlan::parse("ipi.delay@p1,d1000ms;ipi.delay@p1,d1000ms");
+    EXPECT_EQ(plan.clauses().at(0).delay, maxFaultDelay);
+    FaultInjector inj(plan, 1);
+    EXPECT_EQ(inj.delay(FaultSite::IpiDelay), maxFaultDelay);
 }
 
 // ------------------------------------------- LAPIC delivery-time bugfixes
